@@ -1,7 +1,10 @@
 """Differentiation and integration against a gauge.
 
 The derivative of f at x against a gauge g is the limit of
-(f(y) - f(x)) / (g(y) - g(x)) as y -> x.  Three point classes arise:
+(f(y) - f(x)) / (g(y) - g(x)) as y -> x.  The displacement derivative
+replaces the numerator by delta2(f(x), f(y)) for a target space delta2;
+the plain difference is the special case delta2(u, v) = v - u, so both
+go through one engine.  Three point classes arise:
 
 * continuity points: the limit is two-sided and is estimated here from
   geometrically shrinking one-sided difference quotients, extrapolated
@@ -141,7 +144,7 @@ def _right_limit_extrapolate(f: Callable[[float], float], x: float,
     return estimate, spread, used
 
 
-def _structure_points(g: Gauge, dsets: DistinguishedSets,
+def _structure_points(dsets: DistinguishedSets,
                       avoid: Sequence[float]) -> list[float]:
     pts = list(dsets.d_set) + list(dsets.n_set) + list(avoid)
     for lo, hi in dsets.c_set:
@@ -179,9 +182,8 @@ def _side_quotients(numerator: Callable[[float], float], g: Gauge, x: float,
 def _two_sided_limit(numerator: Callable[[float], float], g: Gauge, x: float,
                      shrink_levels: int, dsets: DistinguishedSets,
                      avoid: Sequence[float]) -> tuple[float, float, int]:
-    a, b = g.domain
     gx = g(x)
-    structures = _structure_points(g, dsets, avoid)
+    structures = _structure_points(dsets, avoid)
     sides = []
     used_total = 0
     diagnostics = {}
@@ -226,6 +228,49 @@ def _match_jump(x: float, dsets: DistinguishedSets) -> Optional[float]:
     return None
 
 
+def _derivative(f: Callable[[float], float], g: Gauge,
+                displaced: Callable[[float, float], float], x: float,
+                shrink_levels: int, dsets: Optional[DistinguishedSets],
+                avoid: Sequence[float]) -> DerivativeResult:
+    """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x."""
+    if dsets is None:
+        dsets = g.distinguished_sets()
+    a, b = g.domain
+    if not (a - SNAP_RADIUS <= x <= b + SNAP_RADIUS):
+        raise CalculusError(f"point {x!r} outside the gauge domain")
+    x = min(max(float(x), a), b)
+
+    tau = _match_jump(x, dsets)
+    if tau is not None and tau < b:
+        atom = g.jump_at(tau)
+        fx = float(f(tau))
+        if hasattr(f, "right_limit"):
+            fplus = float(f.right_limit(tau))
+            spread, used = 0.0, 1
+        else:
+            structures = _structure_points(dsets, avoid)
+            reach = _reach(tau, +1, g, structures)
+            if reach < 1e3 * _EPS * max(1.0, abs(tau)):
+                raise DerivativeError("no room to the right of the jump", tau)
+            fplus, spread, used = _right_limit_extrapolate(
+                f, tau, reach, shrink_levels)
+        return DerivativeResult(value=displaced(fx, fplus) / atom,
+                                point_class="jump",
+                                error_estimate=spread / atom,
+                                samples_used=used + 1)
+
+    if dsets.excludes(x):
+        return DerivativeResult(value=None, point_class="excluded",
+                                error_estimate=0.0, samples_used=0)
+
+    fx = float(f(x))
+    value, error, used = _two_sided_limit(
+        lambda y: displaced(fx, float(f(y))), g, x, shrink_levels, dsets,
+        avoid)
+    return DerivativeResult(value=value, point_class="continuity",
+                            error_estimate=error, samples_used=used)
+
+
 def delta_derivative(f: Callable[[float], float], g: Gauge, x: float,
                      shrink_levels: int = DEFAULT_SHRINK_LEVELS,
                      dsets: Optional[DistinguishedSets] = None,
@@ -246,41 +291,8 @@ def delta_derivative(f: Callable[[float], float], g: Gauge, x: float,
         DerivativeError: when the quotient sequences fail to converge or
             the two sides disagree; the exception carries the sequences.
     """
-    if dsets is None:
-        dsets = g.distinguished_sets()
-    a, b = g.domain
-    if not (a - SNAP_RADIUS <= x <= b + SNAP_RADIUS):
-        raise CalculusError(f"point {x!r} outside the gauge domain")
-    x = min(max(float(x), a), b)
-
-    tau = _match_jump(x, dsets)
-    if tau is not None and tau < b:
-        atom = g.jump_at(tau)
-        fx = float(f(tau))
-        if hasattr(f, "right_limit"):
-            fplus = float(f.right_limit(tau))
-            spread, used = 0.0, 1
-        else:
-            structures = _structure_points(g, dsets, avoid)
-            reach = _reach(tau, +1, g, structures)
-            if reach < 1e3 * _EPS * max(1.0, abs(tau)):
-                raise DerivativeError("no room to the right of the jump", tau)
-            fplus, spread, used = _right_limit_extrapolate(
-                f, tau, reach, shrink_levels)
-        return DerivativeResult(value=(fplus - fx) / atom,
-                                point_class="jump",
-                                error_estimate=spread / atom,
-                                samples_used=used + 1)
-
-    if dsets.excludes(x):
-        return DerivativeResult(value=None, point_class="excluded",
-                                error_estimate=0.0, samples_used=0)
-
-    fx = float(f(x))
-    value, error, used = _two_sided_limit(
-        lambda y: float(f(y)) - fx, g, x, shrink_levels, dsets, avoid)
-    return DerivativeResult(value=value, point_class="continuity",
-                            error_estimate=error, samples_used=used)
+    return _derivative(f, g, lambda u, v: v - u, x, shrink_levels, dsets,
+                       avoid)
 
 
 def pair_derivative(f: Callable[[float], float], g1: Gauge, delta2,
@@ -294,42 +306,7 @@ def pair_derivative(f: Callable[[float], float], g1: Gauge, delta2,
     delta2, the denominator is the source gauge increment.  Point
     classes and convergence rules match delta_derivative.
     """
-    if dsets is None:
-        dsets = g1.distinguished_sets()
-    a, b = g1.domain
-    if not (a - SNAP_RADIUS <= x <= b + SNAP_RADIUS):
-        raise CalculusError(f"point {x!r} outside the gauge domain")
-    x = min(max(float(x), a), b)
-
-    tau = _match_jump(x, dsets)
-    if tau is not None and tau < b:
-        atom = g1.jump_at(tau)
-        fx = float(f(tau))
-        if hasattr(f, "right_limit"):
-            fplus = float(f.right_limit(tau))
-            spread, used = 0.0, 1
-        else:
-            structures = _structure_points(g1, dsets, avoid)
-            reach = _reach(tau, +1, g1, structures)
-            if reach < 1e3 * _EPS * max(1.0, abs(tau)):
-                raise DerivativeError("no room to the right of the jump", tau)
-            fplus, spread, used = _right_limit_extrapolate(
-                f, tau, reach, shrink_levels)
-        return DerivativeResult(value=delta2.delta(fx, fplus) / atom,
-                                point_class="jump",
-                                error_estimate=spread / atom,
-                                samples_used=used + 1)
-
-    if dsets.excludes(x):
-        return DerivativeResult(value=None, point_class="excluded",
-                                error_estimate=0.0, samples_used=0)
-
-    fx = float(f(x))
-    value, error, used = _two_sided_limit(
-        lambda y: delta2.delta(fx, float(f(y))), g1, x, shrink_levels,
-        dsets, avoid)
-    return DerivativeResult(value=value, point_class="continuity",
-                            error_estimate=error, samples_used=used)
+    return _derivative(f, g1, delta2.delta, x, shrink_levels, dsets, avoid)
 
 
 class CumulativeStieltjesIntegral:

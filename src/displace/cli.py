@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import random
 import sys
 from pathlib import Path
 from typing import Optional
@@ -72,11 +71,6 @@ def _deliver(text: str, out: Optional[str]) -> None:
         click.echo(text, nl=False)
 
 
-def _seed_everything(seed: int) -> None:
-    random.seed(seed)
-    np.random.seed(seed % (2 ** 32))
-
-
 class _Cli(click.Group):
     """Group that reports command-line mistakes with exit code 1.
 
@@ -106,7 +100,16 @@ def main() -> None:
                             format="%(name)s %(levelname)s %(message)s")
 
 
-_CHECK_ORDER = ("h1", "h2usc", "h2prime", "h3", "h5", "d2")
+# check name -> (function, default samples or None for the lattice check,
+# the extra command-line options it takes)
+_CHECKS = {
+    "h1": (displacement.check_h1, 101, ()),
+    "h2usc": (displacement.check_h2_usc, 11, ("shrink_levels",)),
+    "h2prime": (displacement.check_h2prime, 16, ("phi",)),
+    "h3": (displacement.check_h3, 21, ()),
+    "h5": (displacement.check_h5, 21, ()),
+    "d2": (displacement.check_d2_positive, None, ("grid",)),
+}
 _DEFAULT_CHECKS = {
     "smooth": ("h1", "h2usc", "h2prime", "h3", "h5", "d2"),
     "stieltjes": ("h1", "h2usc", "h2prime", "h3", "h5"),
@@ -133,7 +136,7 @@ _DEFAULT_CHECKS = {
 @click.option("--shrink-levels", default=24, type=int, show_default=True,
               help="Shrink levels for the h2usc check.")
 @click.option("--seed", default=0, type=int, show_default=True,
-              help="Seed for sampled procedures.")
+              help="Reserved; no check is randomised, so it has no effect.")
 @click.option("--out", default=None, type=click.Path(),
               help="Write reports to a file instead of stdout.")
 def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
@@ -144,53 +147,29 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
     but at least one is inconclusive.
     """
     try:
-        _seed_everything(seed)
         spec = _load_spec(spec_path, builtin)
         if which:
             names = [w.strip() for w in which.split(",") if w.strip()]
             for name in names:
-                if name not in _CHECK_ORDER:
+                if name not in _CHECKS:
                     raise DisplacementError(
                         f"unknown check {name!r}; choose from "
-                        + ",".join(_CHECK_ORDER))
+                        + ",".join(_CHECKS))
         else:
             names = list(_DEFAULT_CHECKS[spec.kind])
-        phi_expr = parse(phi, {"r"}) if phi else None
+        extras = {"phi": parse(phi, {"r"}) if phi else None,
+                  "shrink_levels": shrink_levels, "grid": grid}
 
         reports = []
         for name in names:
             log.info("running %s", name)
-            if name == "h1":
-                kwargs = {"samples": samples or 101}
-                if tol is not None:
-                    kwargs["tol"] = tol
-                reports.append(displacement.check_h1(spec, **kwargs))
-            elif name == "h2usc":
-                kwargs = {"samples": samples or 11,
-                          "shrink_levels": shrink_levels}
-                if tol is not None:
-                    kwargs["tol"] = tol
-                reports.append(displacement.check_h2_usc(spec, **kwargs))
-            elif name == "h2prime":
-                kwargs = {"phi": phi_expr, "samples": samples or 16}
-                if tol is not None:
-                    kwargs["tol"] = tol
-                reports.append(displacement.check_h2prime(spec, **kwargs))
-            elif name == "h3":
-                kwargs = {"samples": samples or 21}
-                if tol is not None:
-                    kwargs["tol"] = tol
-                reports.append(displacement.check_h3(spec, **kwargs))
-            elif name == "h5":
-                kwargs = {"samples": samples or 21}
-                if tol is not None:
-                    kwargs["tol"] = tol
-                reports.append(displacement.check_h5(spec, **kwargs))
-            else:
-                kwargs = {"grid": grid}
-                if tol is not None:
-                    kwargs["tol"] = tol
-                reports.append(displacement.check_d2_positive(spec, **kwargs))
+            fn, default_samples, options = _CHECKS[name]
+            kwargs = {key: extras[key] for key in options}
+            if default_samples is not None:
+                kwargs["samples"] = samples or default_samples
+            if tol is not None:
+                kwargs["tol"] = tol
+            reports.append(fn(spec, **kwargs))
         text = "\n".join(dumps(r.to_dict()) for r in reports)
         _deliver(text, out)
     except _ERRORS as exc:

@@ -17,7 +17,10 @@ flat endpoints.  A new query point t is integrated only over the gap
 from its nearest cached neighbor below, and the resulting cumulative
 value is clamped into the interval spanned by the neighbors, so the
 stored table is monotone by construction and differences of cached
-values telescope exactly.
+values telescope exactly.  The clamp only absorbs rounding: a gap
+larger than the quadrature tolerance means the density is negative
+somewhere between the 17 construction probes, and raises GaugeError
+instead of silently dropping mass.
 """
 
 from __future__ import annotations
@@ -56,9 +59,11 @@ class CumulativeQuadrature:
     Values are memoized in a sorted breakpoint table; a query at a new t
     integrates fn only across the gap from the nearest cached point below
     and clamps the result between the neighboring cached values.  With
-    nonnegative=True the per-panel contributions are additionally clamped
-    at zero, which keeps the table nondecreasing no matter how the
-    quadrature rounds.  Thread-safe; behaves as if the cache were absent.
+    nonnegative=True the table must stay nondecreasing: a panel that
+    integrates below -tol, or a new value above its right neighbor by
+    more than tol, means the integrand is negative somewhere and raises
+    GaugeError; smaller violations are rounding and are clamped away.
+    Thread-safe; behaves as if the cache were absent.
     """
 
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float,
@@ -87,6 +92,10 @@ class CumulativeQuadrature:
             raise GaugeError(
                 f"non-finite integral over [{lo!r}, {hi!r}]")
         if self.nonnegative and value < 0.0:
+            if value < -self.tol:
+                raise GaugeError(
+                    f"density integrates to {value!r} over [{lo!r}, {hi!r}]; "
+                    "it must be nonnegative")
             value = 0.0
         return value
 
@@ -105,6 +114,11 @@ class CumulativeQuadrature:
                 if v < left_v:
                     v = left_v
                 if i < len(self._ts) and v > self._vals[i]:
+                    if v > self._vals[i] + self.tol:
+                        raise GaugeError(
+                            f"running integral at {t!r} exceeds the value at "
+                            f"{self._ts[i]!r} by {v - self._vals[i]!r}; the "
+                            "density must be nonnegative")
                     v = self._vals[i]
             self._ts.insert(i, t)
             self._vals.insert(i, v)

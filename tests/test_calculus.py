@@ -158,12 +158,23 @@ def test_pair_derivative_cubic_value_space():
 
 
 def test_pair_derivative_difference_space_matches_plain_derivative():
-    diff_space = Smooth((0.0, 1.0), parse("y - x", {"x", "y"}))
-    f = lambda t: t * t
-    for x in (0.2, 0.4, 0.7):
-        paired = pair_derivative(f, identity_gauge(), diff_space, x)
-        plain = delta_derivative(f, identity_gauge(), x)
-        assert abs(paired.value - plain.value) <= 1e-9
+    # the plain difference is the displacement delta(x, y) = y - x, so
+    # every point class must come out bit for bit the same
+    diff_space = Smooth((-100.0, 100.0), parse("y - x", {"x", "y"}))
+    flat = Gauge((0.0, 1.0), lambda t: 0.0 if 0.4 < t < 0.6 else 1.0 + t,
+                 jumps=((0.25, 0.5), (0.75, 1.0)), flats=((0.4, 0.6),))
+    classes = set()
+    for g, points in ((identity_gauge(), (0.2, 0.4, 0.7)),
+                      (flat, (0.1, 0.25, 0.5, 0.6, 0.75, 0.9))):
+        # t^2 reaches jumps by extrapolation, the running integral exactly
+        for f in (lambda t: t * t,
+                  CumulativeStieltjesIntegral(math.cos, g)):
+            for x in points:
+                paired = pair_derivative(f, g, diff_space, x)
+                plain = delta_derivative(f, g, x)
+                assert paired.to_dict() == plain.to_dict()
+                classes.add(plain.point_class)
+    assert classes == {"continuity", "jump", "excluded"}
 
 
 def test_pair_derivative_constant_function_is_zero():

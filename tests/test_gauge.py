@@ -263,6 +263,17 @@ def test_cumulative_quadrature_signed_integrand():
         assert abs(cq.value(t) - math.sin(20.0 * t) / 20.0) <= 1e-9
 
 
+@pytest.mark.parametrize("order", [(0.01, 0.015), (0.5, 0.02, 0.015)])
+def test_density_negative_between_probes_raises_in_any_query_order(order):
+    # negative on (0.01, 0.02), which none of the 17 construction probes
+    # hits; clamping would make g(0.5) depend on the query order
+    g = Gauge((0.0, 1.0), lambda t: -1.0 if 0.01 < t < 0.02 else 1.0)
+    for t in order[:-1]:
+        g(t)
+    with pytest.raises(GaugeError):
+        g(order[-1])
+
+
 def test_cumulative_quadrature_rejects_outside_queries():
     cq = CumulativeQuadrature(lambda t: 1.0, 0.0, 1.0)
     with pytest.raises(GaugeError):

@@ -135,6 +135,121 @@ def test_residual_report_shape():
     assert payload["max_residual"] <= 1e-2
 
 
+def _reference_residual(problem, sol, grid):
+    """verify_solution written as one plain per-node loop."""
+    g, rhs, mesh, us = problem.gauge, problem.rhs, sol.ts, sol.us
+    n = len(mesh)
+    dens = [float(g.density(float(t))) for t in mesh]
+    atoms = [g.jump_at(float(t)) for t in mesh]
+    w_left, w_after = [], []
+    for k in range(n):
+        t, u_before = float(mesh[k]), float(us[k])
+        w = rhs(t, u_before)
+        w_left.append(w * dens[k])
+        w_after.append(rhs(t, u_before + w * atoms[k]) * dens[k]
+                       if atoms[k] > 0.0 else w_left[k])
+    S = [0.0]
+    for k in range(n - 1):
+        inc = 0.5 * (w_after[k] + w_left[k + 1]) * (mesh[k + 1] - mesh[k])
+        if atoms[k] > 0.0:
+            inc += rhs(float(mesh[k]), float(us[k])) * atoms[k]
+        S.append(S[k] + inc)
+    worst_r, worst_t = -1.0, float(mesh[0])
+    for t in np.linspace(mesh[0], mesh[-1], grid):
+        k = int(np.searchsorted(mesh, t))
+        if k >= n:
+            k = n - 1
+        elif k > 0 and abs(mesh[k - 1] - t) <= abs(mesh[k] - t):
+            k -= 1
+        r = abs(us[k] - problem.u0 - S[k])
+        if r > worst_r:
+            worst_r, worst_t = float(r), float(mesh[k])
+    return worst_r, worst_t
+
+
+def _reference_picard(problem, ts, us):
+    """One Picard sweep: atom term first, then the trapezoid panel."""
+    g, rhs = problem.gauge, problem.rhs
+    dens = [float(g.density(float(t))) for t in ts]
+    new, running = [problem.u0], problem.u0
+    for k in range(len(ts) - 1):
+        t, u = float(ts[k]), float(us[k])
+        atom = g.jump_at(t)
+        start = u + rhs(t, u) * atom
+        running += rhs(t, u) * atom
+        running += 0.5 * (rhs(t, start) * dens[k]
+                          + rhs(float(ts[k + 1]), float(us[k + 1])) * dens[k + 1]
+                          ) * (ts[k + 1] - ts[k])
+        new.append(running)
+    return np.array(new)
+
+
+def _reference_surface(problem, ts):
+    """solve_surface on the mesh ts, written as plain prefix-sum loops."""
+    g = problem.work_gauge
+    n = len(ts)
+    h = [float(problem.source(float(t))) for t in ts]
+    dens = [float(g.density(float(t))) for t in ts]
+    atoms = [g.jump_at(float(t)) for t in ts]
+    H, S = [0.0], [0.0]
+    for k in range(n - 1):
+        dt = ts[k + 1] - ts[k]
+        H.append(H[k] + 0.5 * (h[k] + h[k + 1]) * dt)
+    for k in range(n - 1):
+        dt = ts[k + 1] - ts[k]
+        inc = 0.5 * (H[k] * dens[k] + H[k + 1] * dens[k + 1]) * dt
+        if atoms[k] > 0.0:
+            inc += H[k] * atoms[k]
+        S.append(S[k] + inc)
+    C = problem.terminal_value
+    us = [C + (S[-1] - s) for s in S[:-1]] + [C]
+    jumps = [(float(ts[k]), us[k], us[k] - H[k] * atoms[k])
+             for k in range(n - 1) if atoms[k] > 0.0]
+    return us, jumps
+
+
+def test_vectorised_sums_match_plain_loop_references():
+    g = Gauge((0.0, 1.0), lambda t: 1.0 + math.sin(7.0 * t) ** 2,
+              jumps=((0.125, 0.3), (0.3, 0.05), (0.61, 0.4), (1.0, 0.2)))
+    prob = IvpProblem(gauge=g, rhs=lambda t, u: math.sin(u) + t * u, u0=0.7)
+    sol = solve_ivp(prob, step=1e-3)
+    for grid in (101, 997):
+        report = verify_solution(prob, sol, grid=grid)
+        assert (report.max_residual, report.worst_point) == \
+            _reference_residual(prob, sol, grid)
+
+    swept = solve_ivp(prob, step=1e-3, picard_sweeps=1)
+    ref = _reference_picard(prob, sol.ts, sol.us)
+    # the atom and panel terms are summed in another order: rounding only
+    assert np.max(np.abs(swept.us - ref)) <= \
+        1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+    surface = SurfaceProblem(work_gauge=g,
+                             source=lambda t: math.cos(5.0 * t) - 0.2,
+                             terminal_value=0.3)
+    got = solve_surface(surface, step=1e-3)
+    us, jumps = _reference_surface(surface, got.ts)
+    assert got.us.tolist() == us
+    assert [(r.tau, r.u_before, r.u_after) for r in got.jumps] == jumps
+
+
+def test_verification_evaluates_rhs_once_per_node_plus_once_per_atom():
+    g = Gauge((0.0, 1.0), lambda t: 1.0,
+              jumps=((0.25, 0.1), (0.5, 0.2), (1.0, 0.3)), density_source="1")
+    calls = []
+
+    def rhs(t, u):
+        calls.append(t)
+        return -u
+
+    prob = IvpProblem(gauge=g, rhs=rhs, u0=1.0)
+    sol = solve_ivp(prob, step=1e-2)
+    assert len(sol.jumps) == 2          # the atom at the right end is not applied
+    calls.clear()
+    verify_solution(prob, sol)
+    assert len(calls) == len(sol.ts) + len(sol.jumps)
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
