@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
-from .gauge import CumulativeQuadrature, DistinguishedSets, Gauge, SNAP_RADIUS
+from .gauge import (SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets, Gauge,
+                    _adaptive_quad)
 
 __all__ = [
     "CalculusError",
@@ -387,10 +386,7 @@ def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
     def integrand(t: float) -> float:
         return float(f(t)) * spec.d2(path.alpha(t), t)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, _ = integrate.quad(integrand, a, upper, epsabs=quad_tol,
-                                  epsrel=1e-12, limit=200)
+    value = _adaptive_quad(integrand, a, upper, quad_tol)
     if not math.isfinite(value):
         raise CalculusError("path integral is not finite")
     return value

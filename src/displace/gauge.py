@@ -26,14 +26,14 @@ instead of silently dropping mass.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
+import sys
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from . import expr as expr_mod
 
@@ -51,6 +51,121 @@ _FLAT_SAMPLES = 1025
 
 class GaugeError(ValueError):
     """Invalid gauge data or evaluation outside the domain."""
+
+
+# QUADPACK dqk21 (Piessens et al., 1983): Kronrod abscissae xgk (odd
+# 0-based index: also a 10-point Gauss node), their weights wgk, and the
+# Gauss weights wg.  The decimal digits are QUADPACK's own; nodes from
+# numpy's leggauss differ in the last ulp and would move results.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208703806519, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
+_WGK_CENTRE = 0.149445554002916905664936468389821
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPS = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+def _qk21(f: Callable[[float], float], a: float, b: float
+          ) -> tuple[float, float, float, float]:
+    """One 21-point Gauss-Kronrod panel, a port of QUADPACK dqk21.
+
+    Returns (result, abserr, resabs, resasc).  f is called in dqk21's
+    order, centre first, then the Gauss pairs, then the Kronrod-only
+    pairs, and the sums accumulate in that order, so the result matches
+    QUADPACK bit for bit.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    fc = f(centr)
+    resg = 0.0
+    resk = _WGK_CENTRE * fc
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9):
+        absc = hlgth * _XGK[j]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[j] = fval1
+        fv2[j] = fval2
+        fsum = fval1 + fval2
+        w = _WGK[j]
+        resg = resg + _WG[j >> 1] * fsum
+        resk = resk + w * fsum
+        resabs = resabs + w * (abs(fval1) + abs(fval2))
+    for j in (0, 2, 4, 6, 8):
+        absc = hlgth * _XGK[j]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[j] = fval1
+        fv2[j] = fval2
+        w = _WGK[j]
+        resk = resk + w * (fval1 + fval2)
+        resabs = resabs + w * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK_CENTRE * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    dhlgth = abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPS):
+        abserr = max((50.0 * _EPS) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
+                   epsabs: float, epsrel: float = 1e-12,
+                   limit: int = 200) -> float:
+    """Adaptive Gauss-Kronrod integral of f over [a, b].
+
+    The first panel is accepted exactly when QUADPACK dqagse accepts it,
+    so smooth integrands reproduce scipy.integrate.quad bit for bit.
+    Otherwise the interval with the largest error estimate is bisected
+    (QAG, without Wynn extrapolation) until the summed error meets the
+    tolerance or limit intervals exist.  A non-finite panel is returned
+    at once for the caller to reject.
+    """
+    result, err, resabs, resasc = _qk21(f, a, b)
+    if not math.isfinite(result):
+        return result
+    errbnd = max(epsabs, epsrel * abs(result))
+    if (err == 0.0 or (err <= errbnd and err != resasc)
+            or errbnd < err <= (100.0 * _EPS) * resabs):
+        return result
+    heap = [(-err, a, b, result)]
+    errsum, area = err, result
+    while len(heap) < limit:
+        neg_err, lo, hi, r = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            heapq.heappush(heap, (neg_err, lo, hi, r))
+            break
+        r1, e1, _, _ = _qk21(f, lo, mid)
+        r2, e2, _, _ = _qk21(f, mid, hi)
+        if not (math.isfinite(r1) and math.isfinite(r2)):
+            return r1 + r2
+        heapq.heappush(heap, (-e1, lo, mid, r1))
+        heapq.heappush(heap, (-e2, mid, hi, r2))
+        errsum += e1 + e2 + neg_err
+        area += r1 + r2 - r
+        if errsum <= max(epsabs, epsrel * abs(area)):
+            break
+    return math.fsum(item[3] for item in heap)
 
 
 class CumulativeQuadrature:
@@ -84,10 +199,7 @@ class CumulativeQuadrature:
     def _panel(self, lo: float, hi: float) -> float:
         if hi <= lo:
             return 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            value, _ = integrate.quad(self.fn, lo, hi, epsabs=self.tol,
-                                      epsrel=1e-12, limit=200)
+        value = _adaptive_quad(self.fn, lo, hi, self.tol)
         if not math.isfinite(value):
             raise GaugeError(
                 f"non-finite integral over [{lo!r}, {hi!r}]")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import Any, Iterable, Sequence
 
 __all__ = ["format_float", "dumps", "csv_lines"]
@@ -30,8 +31,8 @@ def _write(obj: Any, out: list[str]) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
+    elif isinstance(obj, numbers.Integral):
+        out.append(str(int(obj)))
     elif isinstance(obj, float):
         out.append(format_float(obj))
     elif isinstance(obj, str):

@@ -180,7 +180,14 @@ def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
 def _mesh_data(gauge: Gauge, mesh: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     dens = np.array([float(gauge.density(float(t))) for t in mesh])
-    atoms = np.array([gauge.jump_at(float(t)) for t in mesh])
+    atoms = np.zeros(len(mesh))
+    jumps = gauge.jumps
+    if jumps:
+        taus, sizes = np.array(jumps).T
+        # exact matches only, as in Gauge.jump_at
+        idx = np.minimum(np.searchsorted(taus, mesh), len(taus) - 1)
+        hit = taus[idx] == mesh
+        atoms[hit] = sizes[idx[hit]]
     dt = np.diff(mesh)
     return dens, atoms, dt
 
@@ -247,7 +254,7 @@ def _jump_records(rhs, mesh: np.ndarray, us: np.ndarray,
     for k in range(len(mesh) - 1):
         if atoms[k] > 0.0:
             t, u_before = float(mesh[k]), float(us[k])
-            u_after = u_before + rhs(t, u_before) * atoms[k]
+            u_after = float(u_before + rhs(t, u_before) * atoms[k])
             records.append(JumpRecord(tau=t, u_before=u_before,
                                       u_after=u_after))
     return tuple(records)

@@ -7,10 +7,16 @@ the documented convention: 0 success, 1 bad input or computation error,
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import displace
 from displace.cli import main
 from displace.displacement import make_builtin, spec_to_dict
 from displace.serialize import dumps
@@ -356,3 +362,21 @@ def test_solve_surface_terminal_alias(runner):
 def test_help_exits_zero(runner):
     assert invoke(runner, "--help").exit_code == 0
     assert invoke(runner, "check", "--help").exit_code == 0
+
+
+def test_cli_import_does_not_load_scipy():
+    # start-up cost guard: the package needs only numpy and click
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(displace.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import displace.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+def test_dumps_accepts_numpy_integers():
+    assert dumps({"n": np.int64(3)}) == '{"n": 3}'
+    assert dumps([np.int32(-2), True, 1]) == "[-2, true, 1]"

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from displace import expr
+from displace.displacement import Smooth, gauge_from_smooth, make_builtin
 from displace.gauge import (CumulativeQuadrature, DistinguishedSets, Gauge,
-                            GaugeError)
+                            GaugeError, _adaptive_quad, _qk21)
 
 
 def jump_gauge():
@@ -285,3 +287,89 @@ def test_distinguished_sets_serialization():
     data = sets.to_dict()
     assert data == {"d_set": [0.5], "c_set": [[0.1, 0.2]], "n_set": [0.1, 0.2]}
     assert sets.o_set == {"intervals": ((0.1, 0.2),), "points": (0.1, 0.2)}
+
+
+# ---------------------------------------------------------------------------
+# the adaptive Gauss-Kronrod quadrature behind every panel
+# ---------------------------------------------------------------------------
+
+def counted(f):
+    """Wrap f so that wrapper.calls counts its evaluations."""
+    def wrapper(t):
+        wrapper.calls += 1
+        return f(t)
+    wrapper.calls = 0
+    return wrapper
+
+
+@pytest.mark.parametrize("degree", range(21))
+def test_quadrature_is_exact_on_polynomials(degree):
+    a, b = -0.5, 1.5
+    exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+    tol = 1e-13 * max(1.0, abs(exact))
+    assert abs(_qk21(lambda t: t ** degree, a, b)[0] - exact) <= tol
+    assert abs(_adaptive_quad(lambda t: t ** degree, a, b, 1e-10) - exact) <= tol
+
+
+@pytest.mark.parametrize("density, exact", [
+    # |t - 0.3| + 0.1 on [0, 1]: 0.3^2/2 + 0.7^2/2 + 0.1
+    (lambda t: abs(t - 0.3) + 0.1, 0.39),
+    # 1 before 0.37, 2.5 after
+    (lambda t: 1.0 if t < 0.37 else 2.5, 0.37 + 2.5 * 0.63),
+    # a tiny step: its error estimate saturates at resasc, and QUADPACK
+    # refuses such a panel even below the tolerance
+    (lambda t: 1e-11 if t < 0.37 else 0.0, 0.37e-11),
+])
+def test_quadrature_bisects_kinks_and_steps_to_the_closed_form(density, exact):
+    f = counted(density)
+    value = _adaptive_quad(f, 0.0, 1.0, 1e-10)
+    assert f.calls > 21  # the first panel was refused
+    assert abs(value - exact) <= 1e-10
+    cq = CumulativeQuadrature(density, 0.0, 1.0, nonnegative=True)
+    assert abs(cq.value(1.0) - exact) <= 1e-10
+
+
+# Recorded from scipy.integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-12,
+# limit=200), which accepts each first panel (neval 21).  Only + - * /
+# enter, so no libm routine can move the bits.
+_QUAD_GOLDEN = [
+    (lambda t: 1.0 / (1.0 + t * t), 0.0, 1.0, "0x1.921fb54442d19p-1"),
+    (lambda t: t * t * t - 2.0 * t + 0.5, -1.0, 2.0, "0x1.1ffffffffffffp+1"),
+    (lambda t: (t * t + 1.0) / (t + 3.0), 0.1, 0.7, "0x1.aca930f20765fp-3"),
+    (lambda t: 1.0 / (2.0 + t), 0.0, 3.0, "0x1.d5240f0e0e078p-1"),
+    (lambda t: (1.0 - t) * (3.0 + t) / (5.0 + t * t), 0.25, 0.3,
+     "0x1.7f2ea82084717p-6"),
+]
+
+
+@pytest.mark.parametrize("f, a, b, golden", _QUAD_GOLDEN)
+def test_qk21_reproduces_quadpack_bit_for_bit(f, a, b, golden):
+    assert _qk21(f, a, b)[0].hex() == golden
+    counter = counted(f)
+    assert _adaptive_quad(counter, a, b, 1e-10).hex() == golden
+    assert counter.calls == 21
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_density_raises_after_one_panel(bad):
+    f = counted(lambda t: bad if t > 0.9 else 1.0)
+    cq = CumulativeQuadrature(f, 0.0, 1.0, nonnegative=True)
+    with pytest.raises(GaugeError, match="non-finite"):
+        cq.value(1.0)
+    assert f.calls == 21
+
+
+def test_quadrature_matches_scipy_quad_on_smooth_gauge_densities():
+    integrate = pytest.importorskip("scipy.integrate")
+    cubic = Smooth((0.0, 2.0), expr.parse("y^3/3 + y - x^3/3 - x", {"x", "y"}),
+                   expr.parse("y^2 + 1", {"x", "y"}))
+    rng = np.random.default_rng(11)
+    for spec in (make_builtin("exponential"), cubic):
+        density = gauge_from_smooth(spec).density
+        lo, hi = spec.domain
+        for _ in range(150):
+            a = float(rng.uniform(lo, hi))
+            b = min(hi, a + float(10.0 ** rng.uniform(-6.0, 0.3)))
+            want, _ = integrate.quad(density, a, b, epsabs=1e-10,
+                                     epsrel=1e-12, limit=200)
+            assert _adaptive_quad(density, a, b, 1e-10) == want

@@ -69,6 +69,18 @@ def test_jump_record_satisfies_the_update_expression_exactly():
     assert rec.u_after == rec.u_before + rec.u_before * 0.5
 
 
+def test_jump_record_fields_are_plain_floats():
+    two_atoms = Gauge((0.0, 1.0), lambda t: 1.0,
+                      jumps=((0.25, 0.5), (0.5, 0.3)), density_source="1")
+    ivp = solve_ivp(exponential_problem(two_atoms), step=1e-2)
+    surface = solve_surface(SurfaceProblem(work_gauge=two_atoms,
+                                           source=lambda t: 1.0,
+                                           terminal_value=0.0), step=1e-2)
+    assert len(ivp.jumps) == len(surface.jumps) == 2
+    for rec in ivp.jumps + surface.jumps:
+        assert {type(rec.tau), type(rec.u_before), type(rec.u_after)} == {float}
+
+
 def test_mesh_contains_every_jump_position():
     g = Gauge((0.0, 1.0), lambda t: 1.0,
               jumps=((0.25, 0.1), (0.75, 0.2)), density_source="1")
