@@ -24,12 +24,18 @@ non-positive number, sqrt of a negative number, fractional powers of
 negative bases and indeterminate bit patterns (NaN) all raise
 DomainError naming the offending sub-expression.  A finite expression
 evaluated twice on the same bindings returns bit-identical results.
+
+Each expression is compiled once, per order of its variables, into a
+straight-line Python function that performs the same float operations
+in the same order with the same math functions, and the same domain
+checks at the same points, as a walk of the tree would; evaluate,
+Expr.__call__ and as_function all run that function.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, Mapping, Union
 
@@ -153,9 +159,16 @@ class Expr:
     source: str
     variables: frozenset[str]
     free: frozenset[str]
+    # compiled evaluators, one per variable order (see _compiled)
+    _code: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False, hash=False)
 
     def __call__(self, **bindings: float) -> float:
         return evaluate(self, bindings)
+
+    def __getstate__(self) -> dict:
+        # compiled functions do not pickle; they are rebuilt on first use
+        return {**self.__dict__, "_code": {}}
 
     def to_source(self) -> str:
         """Render the ast back to text; reparsing yields an equal ast."""
@@ -344,62 +357,125 @@ def _pow(base: float, exponent: float, node: Node) -> float:
         return math.copysign(math.inf, sign)
 
 
-def _eval(node: Node, bindings: Mapping[str, float]) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Const):
-        return _CONSTANTS[node.name]
-    if isinstance(node, Var):
-        if node.name not in bindings:
-            raise MissingBindingError(node.name)
-        return float(bindings[node.name])
-    if isinstance(node, Unary):
-        return -_eval(node.operand, bindings)
-    if isinstance(node, Binary):
-        left = _eval(node.left, bindings)
-        right = _eval(node.right, bindings)
-        if node.op == "+":
-            value = left + right
-        elif node.op == "-":
-            value = left - right
-        elif node.op == "*":
-            value = left * right
-        elif node.op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero", _unparse(node, 0))
-            value = left / right
-        else:
-            value = _pow(left, right, node)
-        if math.isnan(value):
-            raise DomainError("indeterminate value", _unparse(node, 0))
-        return value
-    if isinstance(node, Call):
-        args = [_eval(arg, bindings) for arg in node.args]
-        fragment = lambda: _unparse(node, 0)
-        func = node.func
-        if func == "exp":
-            try:
-                return math.exp(args[0])
-            except OverflowError:
-                return math.inf
-        if func == "ln":
-            if args[0] <= 0.0:
-                raise DomainError("ln of a non-positive number", fragment())
-            return math.log(args[0])
-        if func == "sin":
-            return math.sin(args[0])
-        if func == "cos":
-            return math.cos(args[0])
-        if func == "sqrt":
-            if args[0] < 0.0:
-                raise DomainError("sqrt of a negative number", fragment())
-            return math.sqrt(args[0])
-        if func == "abs":
-            return abs(args[0])
-        if func == "min":
-            return min(args)
-        return max(args)
-    raise TypeError(f"not an expression node: {node!r}")
+class _Unbound:
+    """Default value of a variable with no binding; float() of it raises."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __float__(self) -> float:
+        raise MissingBindingError(self.name)
+
+
+_HELPERS = {"_F": float, "_D": DomainError, "_pow": _pow, "_inf": math.inf,
+            "_OE": OverflowError}
+_UNARY_FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin,
+                "cos": math.cos, "sqrt": math.sqrt, "abs": abs}
+# (domain test on the argument, message) of the checked unary functions
+_CALL_CHECKS = {"ln": ("<= 0.0", "ln of a non-positive number"),
+                "sqrt": ("< 0.0", "sqrt of a negative number")}
+
+
+def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
+    """The evaluator of expr taking the values of names positionally.
+
+    The ast is translated once into straight-line Python source, one
+    local per node in post-order (operands before their operation), with
+    each domain check an inline 'if' at the point where it applies, and
+    compiled; the function is memoised on the Expr.  Variables become
+    the parameters p0, p1, ...; numbers, constants and nodes are passed
+    through the exec namespace, so no user text enters the source.  A
+    variable without a value defaults to an _Unbound, which raises
+    MissingBindingError when the variable is first reached.
+    """
+    fn = expr._code.get(names)
+    if fn is not None:
+        return fn
+    ns = {**_HELPERS, "_u": _unparse}
+    lines: list[str] = []
+    loaded: dict[str, str] = {}
+    unbound: dict[str, str] = {}
+
+    def value(obj) -> str:
+        key = f"_k{len(ns)}"
+        ns[key] = obj
+        return key
+
+    def missing(name: str) -> str:
+        if name not in unbound:
+            unbound[name] = value(_Unbound(name))
+        return unbound[name]
+
+    def local() -> str:
+        # unique: each local's assignment is appended before the next call
+        return f"v{len(lines)}"
+
+    def emit(node: Node) -> str:
+        if isinstance(node, Num):
+            return value(node.value)
+        if isinstance(node, Const):
+            return value(_CONSTANTS[node.name])
+        if isinstance(node, Var):
+            if node.name not in loaded:
+                spots = [i for i, name in enumerate(names) if name == node.name]
+                src = f"p{spots[0]}" if spots else missing(node.name)
+                # the last value given for a repeated name wins, as in a dict
+                for i in spots[1:]:
+                    src = f"(p{i} if p{i} is not {missing(node.name)} else {src})"
+                loaded[node.name] = out = local()
+                lines.append(f"{out} = _F({src})")
+            return loaded[node.name]
+        if isinstance(node, Unary):
+            operand = emit(node.operand)
+            out = local()
+            lines.append(f"{out} = -{operand}")
+            return out
+        if isinstance(node, Binary):
+            left, right = emit(node.left), emit(node.right)
+            frag = value(node)
+            out = local()
+            if node.op == "/":
+                lines.append(f"if {right} == 0.0: "
+                             f"raise _D('division by zero', _u({frag}, 0))")
+            if node.op == "^":
+                lines.append(f"{out} = _pow({left}, {right}, {frag})")
+            else:
+                lines.append(f"{out} = {left} {node.op} {right}")
+            lines.append(f"if {out} != {out}: "
+                         f"raise _D('indeterminate value', _u({frag}, 0))")
+            return out
+        if isinstance(node, Call):
+            args = [emit(arg) for arg in node.args]
+            out = local()
+            func = node.func
+            if func in ("min", "max"):
+                # exactly what the builtins do with two arguments
+                cmp = "<" if func == "min" else ">"
+                a, b = args
+                lines.append(f"{out} = {b} if {b} {cmp} {a} else {a}")
+                return out
+            if func in _CALL_CHECKS:
+                test, message = _CALL_CHECKS[func]
+                lines.append(f"if {args[0]} {test}: raise _D({message!r}, "
+                             f"_u({value(node)}, 0))")
+            call = f"{out} = {value(_UNARY_FUNCS[func])}({args[0]})"
+            if func == "exp":
+                lines.extend([f"try: {call}", f"except _OE: {out} = _inf"])
+            else:
+                lines.append(call)
+            return out
+        raise TypeError(f"not an expression node: {node!r}")
+
+    result = emit(expr.ast)
+    params = "".join(f"p{i}={missing(name)}, " for i, name in enumerate(names))
+    source = "\n".join([f"def _fn({params}{'/, ' if names else ''}*_):",
+                        *("    " + line for line in lines),
+                        f"    return {result}"])
+    exec(compile(source, "<displace.expr>", "exec"), ns)
+    fn = expr._code[names] = ns["_fn"]
+    return fn
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
@@ -410,7 +486,9 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
         DomainError: on mathematical domain violations; the message names
             the offending sub-expression.
     """
-    return _eval(expr.ast, bindings)
+    names = tuple(expr.free)
+    return _compiled(expr, names)(
+        *[bindings[n] if n in bindings else _Unbound(n) for n in names])
 
 
 # --- unparsing ---
@@ -506,7 +584,9 @@ def substitute(expr: Expr, mapping: Mapping[str, Union[Expr, float]]) -> Expr:
 
 
 def as_function(expr: Expr, *names: str) -> Callable[..., float]:
-    """Wrap an Expr as a positional-argument callable, e.g. f(t) or f(t, u)."""
-    def fn(*values: float) -> float:
-        return evaluate(expr, dict(zip(names, values)))
-    return fn
+    """Wrap an Expr as a positional-argument callable, e.g. f(t) or f(t, u).
+
+    Values beyond len(names) are ignored; a name without a value raises
+    MissingBindingError when evaluation reaches it.
+    """
+    return _compiled(expr, names)

@@ -179,7 +179,8 @@ def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
 
 def _mesh_data(gauge: Gauge, mesh: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dens = np.array([float(gauge.density(float(t))) for t in mesh])
+    density = gauge.density
+    dens = np.array([float(density(t)) for t in mesh.tolist()])
     atoms = np.zeros(len(mesh))
     jumps = gauge.jumps
     if jumps:
@@ -214,21 +215,20 @@ def solve_ivp(problem: IvpProblem, step: float,
     a, b = _resolve_interval(g, problem.interval)
     mesh = _build_mesh(g, a, b, step)
     dens, atoms, dt = _mesh_data(g, mesh)
-    n = len(mesh)
+    conts = (0.5 * (dens[:-1] + dens[1:]) * dt).tolist()
 
-    us = np.empty(n)
+    path = []
     u = float(problem.u0)
-    for k in range(n - 1):
-        us[k] = u
-        t = float(mesh[k])
-        if atoms[k] > 0.0:
-            u = u + rhs(t, u) * atoms[k]
-        cont = 0.5 * (dens[k] + dens[k + 1]) * dt[k]
+    for t, atom, cont in zip(mesh.tolist(), atoms.tolist(), conts):
+        path.append(u)
+        if atom > 0.0:
+            u = u + rhs(t, u) * atom
         u = u + rhs(t, u) * cont
         if not math.isfinite(u):
             raise SolverError("state is no longer finite",
-                              t_last=t, u_last=float(us[k]))
-    us[n - 1] = u
+                              t_last=t, u_last=float(path[-1]))
+    path.append(u)
+    us = np.array(path, dtype=float)
 
     for _ in range(max(0, int(picard_sweeps))):
         new = np.concatenate(
@@ -251,12 +251,11 @@ def solve_ivp(problem: IvpProblem, step: float,
 def _jump_records(rhs, mesh: np.ndarray, us: np.ndarray,
                   atoms: np.ndarray) -> tuple[JumpRecord, ...]:
     records = []
-    for k in range(len(mesh) - 1):
-        if atoms[k] > 0.0:
-            t, u_before = float(mesh[k]), float(us[k])
-            u_after = float(u_before + rhs(t, u_before) * atoms[k])
-            records.append(JumpRecord(tau=t, u_before=u_before,
-                                      u_after=u_after))
+    for k in np.flatnonzero(atoms[:-1] > 0.0).tolist():
+        t, u_before = float(mesh[k]), float(us[k])
+        u_after = float(u_before + rhs(t, u_before) * atoms[k])
+        records.append(JumpRecord(tau=t, u_before=u_before,
+                                  u_after=u_after))
     return tuple(records)
 
 
@@ -269,7 +268,7 @@ def _increments(rhs, mesh: np.ndarray, us: np.ndarray, dens: np.ndarray,
     panel.  Increment k is the trapezoid part over [t_k, t_k+1] plus the
     exact atom term rhs(t_k, u_k) * atom_k.
     """
-    w = np.array([rhs(float(t), float(u)) for t, u in zip(mesh, us)],
+    w = np.array([rhs(t, u) for t, u in zip(mesh.tolist(), us.tolist())],
                  dtype=float)
     w_start = w[:-1].copy()
     jump = np.zeros(len(dt))
@@ -324,7 +323,8 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     mesh = _build_mesh(g, a, b, step)
     dens, atoms, dt = _mesh_data(g, mesh)
 
-    h_vals = np.array([float(problem.source(float(t))) for t in mesh])
+    source = problem.source
+    h_vals = np.array([float(source(t)) for t in mesh.tolist()])
     if not np.all(np.isfinite(h_vals)):
         raise SolverError("source is not finite on the mesh")
     H = np.concatenate(([0.0], 0.5 * (h_vals[:-1] + h_vals[1:]) * dt)).cumsum()

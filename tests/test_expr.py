@@ -201,3 +201,117 @@ def test_substitute_negative_constant_round_trips():
 def test_as_function_positional_order():
     f = as_function(parse("x - 2*y", {"x", "y"}), "x", "y")
     assert f(5.0, 1.0) == 3.0
+
+
+# float.hex of the displacement formulas above, recorded from the tree-walking
+# evaluator that the compiled one replaced; re-evaluation must not move a bit
+GOLDEN_HEX = {
+    "exp(y^2 - x^2) - exp(x - y)": [
+        (0.0, 1.0, "0x1.2cd9fc44eb982p+1"),
+        (0.123456, 0.654321, "0x1.d89f35a5cd7e2p-1"),
+        (0.9, 0.1, "-0x1.c6b5d3c9c16f0p+0"),
+        (1.0, 0.5, "-0x1.2d2595322133cp+0"),
+        (0.37, 0.37, "0x0.0p+0"),
+    ],
+    "2*y*exp(y^2 - x^2) + exp(x - y)": [
+        (0.0, 1.0, "0x1.737bfee77265cp+2"),
+        (0.123456, 0.654321, "0x1.4868c39fb3de0p+1"),
+        (0.9, 0.1, "0x1.285f3f587ec66p+1"),
+        (1.0, 0.5, "0x1.0f7fce48cfcfep+1"),
+        (0.37, 0.37, "0x1.bd70a3d70a3d7p+0"),
+    ],
+}
+
+
+@pytest.mark.parametrize("source", sorted(GOLDEN_HEX))
+def test_displacement_formulas_match_recorded_bits(source):
+    e = parse(source, {"x", "y"})
+    f = as_function(e, "x", "y")
+    for x, y, bits in GOLDEN_HEX[source]:
+        assert f(x, y).hex() == bits
+        assert e(x=x, y=y).hex() == bits
+        assert evaluate(e, {"y": y, "x": x}).hex() == bits
+
+
+def test_substituted_density_matches_recorded_bits():
+    d2 = parse("2*y*exp(y^2 - x^2) + exp(x - y)", {"x", "y"})
+    t = parse("t", {"t"})
+    density = as_function(substitute(d2, {"x": t, "y": t}), "t")
+    assert [density(v).hex() for v in (0.0, 0.3, 0.7)] == [
+        "0x1.0000000000000p+0", "0x1.999999999999ap+0", "0x1.3333333333333p+1"]
+
+
+def test_as_function_too_few_values_names_first_variable_reached():
+    f = as_function(parse("y * 2 + x", {"x", "y"}), "x", "y")
+    with pytest.raises(MissingBindingError) as info:
+        f(1.0)
+    assert info.value.name == "y"
+    with pytest.raises(MissingBindingError) as info:
+        f()
+    assert info.value.name == "y"
+
+
+def test_name_missing_from_as_function_is_unbound():
+    f = as_function(parse("x + y", {"x", "y"}), "x")
+    with pytest.raises(MissingBindingError) as info:
+        f(1.0, 2.0)
+    assert info.value.name == "y"
+
+
+def test_errors_are_raised_in_evaluation_order():
+    domain_first = parse("ln(0) + y", {"y"})
+    missing_first = parse("y + ln(0)", {"y"})
+    with pytest.raises(DomainError) as info:
+        evaluate(domain_first, {})
+    assert info.value.fragment == "ln(0.0)"
+    with pytest.raises(DomainError):
+        as_function(domain_first, "y")()
+    with pytest.raises(MissingBindingError):
+        evaluate(missing_first, {})
+    with pytest.raises(MissingBindingError):
+        as_function(missing_first, "y")()
+
+
+def test_as_function_ignores_extra_values():
+    f = as_function(parse("x - 1", {"x"}), "x")
+    assert f(3.0, 100.0, -7.0) == 2.0
+    assert as_function(parse("2", {"x"}))(5.0) == 2.0
+
+
+def test_repeated_name_takes_the_last_value_given():
+    f = as_function(parse("x", {"x"}), "x", "x")
+    assert f(1.0) == 1.0
+    assert f(1.0, 2.0) == 2.0
+
+
+def test_variables_may_shadow_generated_names():
+    names = ("float", "_D", "p0", "math")
+    e = parse("float * _D - p0 / math + sqrt(float)", names)
+    f = as_function(e, *names)
+    assert f(4.0, 3.0, 2.0, 8.0) == 4.0 * 3.0 - 2.0 / 8.0 + 2.0
+    assert e(float=4.0, _D=3.0, p0=2.0, math=8.0) == 13.75
+    assert as_function(e, "math", "p0", "_D", "float")(8.0, 2.0, 3.0, 4.0) == 13.75
+
+
+def test_negation_keeps_negative_zero():
+    f = as_function(parse("-x", {"x"}), "x")
+    assert f(0.0).hex() == "-0x0.0p+0"
+    assert parse("-x", {"x"})(x=0.0).hex() == "-0x0.0p+0"
+
+
+def test_bound_values_are_converted_with_float():
+    f = as_function(parse("x / 2", {"x"}), "x")
+    assert f(3) == 1.5
+    assert type(f(True)) is float
+    with pytest.raises(ValueError):
+        f("not a number")
+
+
+def test_expr_pickles_after_evaluation():
+    import pickle
+
+    e = parse("x^2 - 1", {"x"})
+    assert as_function(e, "x")(3.0) == 8.0
+    again = pickle.loads(pickle.dumps(e))
+    assert again == e
+    assert again(x=3.0) == 8.0
