@@ -20,8 +20,8 @@ go through one engine.  Three point classes arise:
 
 Integration is the half-open Stieltjes sum: integral of f over [a, u)
 equals the density part plus the atoms f(tau) * size for tau < u, so
-the atom at the upper endpoint is excluded.  Running integrals share
-the insert-only quadrature cache with gauges, which keeps differences
+the atom at the upper endpoint is excluded.  A running integral is a
+CumulativeQuadrature, like the gauge behind it, which keeps differences
 of nearby values exact enough to feed back into difference quotients.
 
 The two fundamental-theorem harnesses close the loop: ftc_forward_check
@@ -32,15 +32,14 @@ derivative, reporting points where the derivative fails to exist.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .gauge import (SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets, Gauge,
-                    _adaptive_quad)
+from .gauge import (_EPS, SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets,
+                    Gauge, _adaptive_quad)
 
 __all__ = [
     "CalculusError",
@@ -59,7 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_SHRINK_LEVELS = 12
-_EPS = float(np.finfo(float).eps)
 
 
 class CalculusError(Exception):
@@ -308,49 +306,33 @@ def pair_derivative(f: Callable[[float], float], g1: Gauge, delta2,
     return _derivative(f, g1, delta2.delta, x, shrink_levels, dsets, avoid)
 
 
-class CumulativeStieltjesIntegral:
+class CumulativeStieltjesIntegral(CumulativeQuadrature):
     """Running half-open integral F(u) = integral of f over [a, u).
 
-    The density part integrates f times the gauge density through the
-    shared monotone quadrature cache; atoms contribute f(tau) * size for
-    tau < u, accumulated left to right in a fixed order.  right_limit(u)
-    adds the atom at u itself, so jump quotients against F are exact.
+    A CumulativeQuadrature of f times the gauge density whose atoms are
+    f(tau) * size at the gauge's jumps, so the atom at tau counts only
+    for u > tau, and right_limit(u) adds the atom at u itself: jump
+    quotients against F are exact.
     """
 
     def __init__(self, f: Callable[[float], float], g: Gauge,
                  f_breaks: Sequence[float] = ()):
         self.f = f
         self.g = g
-        a, b = g.domain
-        taus = [tau for tau, _ in g.jumps]
-        seeds = list(taus) + [float(p) for p in f_breaks]
-        for lo, hi in g.flats:
-            seeds.extend((lo, hi))
-        self._dens = CumulativeQuadrature(
-            lambda t: float(f(t)) * float(g.density(t)), a, b,
-            tol=g.quad_tol, breakpoints=seeds)
-        self._taus = taus
-        self._atoms = []
-        prefix = [0.0]
+        atoms = []
         for tau, size in g.jumps:
             contribution = float(f(tau)) * size
             if not math.isfinite(contribution):
                 raise CalculusError(
                     f"integrand is not finite at the jump point {tau!r}")
-            self._atoms.append(contribution)
-            prefix.append(prefix[-1] + contribution)
-        self._atom_prefix = prefix
+            atoms.append((tau, contribution))
+        seeds = list(f_breaks) + [p for iv in g.flats for p in iv]
+        super().__init__(lambda t: float(f(t)) * float(g.density(t)),
+                         *g.domain, tol=g.quad_tol, breakpoints=seeds,
+                         atoms=atoms)
 
     def __call__(self, upper: float) -> float:
-        return (self._dens.value(upper)
-                + self._atom_prefix[bisect.bisect_left(self._taus, upper)])
-
-    def right_limit(self, x: float) -> float:
-        value = self(x)
-        i = bisect.bisect_left(self._taus, x)
-        if i < len(self._taus) and self._taus[i] == x:
-            value = value + self._atoms[i]
-        return value
+        return self.value(upper)
 
 
 def stieltjes_integral(f: Callable[[float], float], g: Gauge, upper: float,

@@ -2,8 +2,10 @@
 
 Exit codes follow one convention everywhere: 0 success, 1 bad input or
 computation error, 2 a check failed or a verification report exceeded
-its tolerance, 3 checks were inconclusive but none failed.  Reports are
-emitted as deterministic JSON (17 significant digits, fixed key order),
+its tolerance, 3 checks were inconclusive but none failed.  Commands
+return 0, 2 or 3 and raise on bad input; _Cli.main alone turns that into
+the exit status and the single "error: ..." line.  Reports are emitted
+as deterministic JSON (17 significant digits, fixed key order),
 solutions as CSV or JSON.  Set DISPLACE_LOG=debug|info|warning to log
 progress to stderr.
 """
@@ -32,11 +34,6 @@ log = logging.getLogger("displace")
 _ERRORS = (ExprError, GaugeError, DisplacementError, calculus.CalculusError,
            solver.SolverError, OSError, ValueError, KeyError,
            json.JSONDecodeError)
-
-
-def _fail(exc: BaseException) -> None:
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
 
 
 def _load_spec(spec_path: Optional[str], builtin: Optional[str]):
@@ -72,7 +69,7 @@ def _deliver(text: str, out: Optional[str]) -> None:
 
 
 class _Cli(click.Group):
-    """Group that reports command-line mistakes with exit code 1.
+    """Group whose main is the only exit path of every command.
 
     Click's default usage-error code is 2, which this interface reserves
     for failed checks, so parsing problems are remapped onto the bad
@@ -82,13 +79,14 @@ class _Cli(click.Group):
     def main(self, *args, **kwargs):  # noqa: D102 (click's signature)
         kwargs["standalone_mode"] = False
         try:
-            return super().main(*args, **kwargs)
+            sys.exit(super().main(*args, **kwargs))
+        except _ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
         except click.exceptions.Abort:
             click.echo("aborted", err=True)
-            sys.exit(1)
         except click.ClickException as exc:
             exc.show()
-            sys.exit(1)
+        sys.exit(1)
 
 
 @click.group(cls=_Cli)
@@ -146,40 +144,37 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
     Exits 0 when every check passes, 2 when any fails, 3 when none fail
     but at least one is inconclusive.
     """
-    try:
-        spec = _load_spec(spec_path, builtin)
-        if which:
-            names = [w.strip() for w in which.split(",") if w.strip()]
-            for name in names:
-                if name not in _CHECKS:
-                    raise DisplacementError(
-                        f"unknown check {name!r}; choose from "
-                        + ",".join(_CHECKS))
-        else:
-            names = list(_DEFAULT_CHECKS[spec.kind])
-        extras = {"phi": parse(phi, {"r"}) if phi else None,
-                  "shrink_levels": shrink_levels, "grid": grid}
-
-        reports = []
+    spec = _load_spec(spec_path, builtin)
+    if which:
+        names = [w.strip() for w in which.split(",") if w.strip()]
         for name in names:
-            log.info("running %s", name)
-            fn, default_samples, options = _CHECKS[name]
-            kwargs = {key: extras[key] for key in options}
-            if default_samples is not None:
-                kwargs["samples"] = samples or default_samples
-            if tol is not None:
-                kwargs["tol"] = tol
-            reports.append(fn(spec, **kwargs))
-        text = "\n".join(dumps(r.to_dict()) for r in reports)
-        _deliver(text, out)
-    except _ERRORS as exc:
-        _fail(exc)
+            if name not in _CHECKS:
+                raise DisplacementError(
+                    f"unknown check {name!r}; choose from "
+                    + ",".join(_CHECKS))
+    else:
+        names = list(_DEFAULT_CHECKS[spec.kind])
+    extras = {"phi": parse(phi, {"r"}) if phi else None,
+              "shrink_levels": shrink_levels, "grid": grid}
+
+    reports = []
+    for name in names:
+        log.info("running %s", name)
+        fn, default_samples, options = _CHECKS[name]
+        kwargs = {key: extras[key] for key in options}
+        if default_samples is not None:
+            kwargs["samples"] = samples or default_samples
+        if tol is not None:
+            kwargs["tol"] = tol
+        reports.append(fn(spec, **kwargs))
+    text = "\n".join(dumps(r.to_dict()) for r in reports)
+    _deliver(text, out)
     verdicts = [r.verdict for r in reports]
     if "fail" in verdicts:
-        sys.exit(2)
+        return 2
     if "inconclusive" in verdicts:
-        sys.exit(3)
-    sys.exit(0)
+        return 3
+    return 0
 
 
 @main.command()
@@ -199,33 +194,30 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
               help="Write the sampled (t, g) CSV here.")
 def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
     """Extract or load a gauge; emit its JSON and a sampled value table."""
+    if gauge_ref is not None:
+        g = _load_gauge(gauge_ref)
+    else:
+        spec = _load_spec(spec_path, builtin)
+        g = gauge_from_smooth(spec)
     try:
-        if gauge_ref is not None:
-            g = _load_gauge(gauge_ref)
-        else:
-            spec = _load_spec(spec_path, builtin)
-            g = gauge_from_smooth(spec)
-        try:
-            payload = g.to_dict()
-        except GaugeError:
-            payload = {
-                "domain": [g.domain[0], g.domain[1]],
-                "density": None,
-                "jumps": [[t, s] for t, s in g.jumps],
-                "flats": [[lo, hi] for lo, hi in g.flats],
-            }
-        a, b = g.domain
-        rows = [(float(t), g(float(t))) for t in np.linspace(a, b, grid)]
-        table_text = csv_lines(("t", "g"), rows)
-        if out:
-            _deliver(dumps(payload), out)
-        if table:
-            _deliver(table_text, table)
-        if not out and not table:
-            _deliver(table_text if fmt == "csv" else dumps(payload), None)
-    except _ERRORS as exc:
-        _fail(exc)
-    sys.exit(0)
+        payload = g.to_dict()
+    except GaugeError:
+        payload = {
+            "domain": [g.domain[0], g.domain[1]],
+            "density": None,
+            "jumps": [[t, s] for t, s in g.jumps],
+            "flats": [[lo, hi] for lo, hi in g.flats],
+        }
+    a, b = g.domain
+    rows = [(float(t), g(float(t))) for t in np.linspace(a, b, grid)]
+    table_text = csv_lines(("t", "g"), rows)
+    if out:
+        _deliver(dumps(payload), out)
+    if table:
+        _deliver(table_text, table)
+    if not out and not table:
+        _deliver(table_text if fmt == "csv" else dumps(payload), None)
+    return 0
 
 
 @main.command()
@@ -238,13 +230,10 @@ def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
 @click.option("--out", default=None, type=click.Path())
 def ball(spec_path, builtin, x, r, tol, out):
     """Displacement ball around x of radius r, as an interval."""
-    try:
-        spec = _load_spec(spec_path, builtin)
-        result = displacement.delta_ball(spec, x, r, tol=tol)
-        _deliver(dumps(result.to_dict()), out)
-    except _ERRORS as exc:
-        _fail(exc)
-    sys.exit(0)
+    spec = _load_spec(spec_path, builtin)
+    result = displacement.delta_ball(spec, x, r, tol=tol)
+    _deliver(dumps(result.to_dict()), out)
+    return 0
 
 
 @main.command()
@@ -257,14 +246,11 @@ def ball(spec_path, builtin, x, r, tol, out):
 @click.option("--out", default=None, type=click.Path())
 def derive(f_src, gauge_ref, x, shrink_levels, out):
     """Derivative of f against the gauge at x."""
-    try:
-        g = _load_gauge(gauge_ref)
-        f = as_function(parse(f_src, {"t"}), "t")
-        result = calculus.delta_derivative(f, g, x, shrink_levels=shrink_levels)
-        _deliver(dumps(result.to_dict()), out)
-    except _ERRORS as exc:
-        _fail(exc)
-    sys.exit(0)
+    g = _load_gauge(gauge_ref)
+    f = as_function(parse(f_src, {"t"}), "t")
+    result = calculus.delta_derivative(f, g, x, shrink_levels=shrink_levels)
+    _deliver(dumps(result.to_dict()), out)
+    return 0
 
 
 @main.command()
@@ -276,15 +262,12 @@ def derive(f_src, gauge_ref, x, shrink_levels, out):
 @click.option("--out", default=None, type=click.Path())
 def integrate(f_src, gauge_ref, upper, out):
     """Half-open Stieltjes integral of f from the left end to upper."""
-    try:
-        g = _load_gauge(gauge_ref)
-        f = as_function(parse(f_src, {"t"}), "t")
-        u = g.domain[1] if upper is None else upper
-        value = calculus.stieltjes_integral(f, g, u)
-        _deliver(dumps({"upper": float(u), "value": value}), out)
-    except _ERRORS as exc:
-        _fail(exc)
-    sys.exit(0)
+    g = _load_gauge(gauge_ref)
+    f = as_function(parse(f_src, {"t"}), "t")
+    u = g.domain[1] if upper is None else upper
+    value = calculus.stieltjes_integral(f, g, u)
+    _deliver(dumps({"upper": float(u), "value": value}), out)
+    return 0
 
 
 @main.command("path-integrate")
@@ -298,17 +281,14 @@ def integrate(f_src, gauge_ref, upper, out):
 @click.option("--out", default=None, type=click.Path())
 def path_integrate(f_src, alpha_src, spec_path, builtin, upper, quad_tol, out):
     """Integral of f against the moving-base-point measure of a smooth space."""
-    try:
-        spec = _load_spec(spec_path, builtin)
-        f = as_function(parse(f_src, {"t"}), "t")
-        alpha = as_function(parse(alpha_src, {"t"}), "t")
-        path = calculus.MeasurePath(alpha=alpha, description=alpha_src)
-        u = spec.domain[1] if upper is None else upper
-        value = calculus.path_integral(f, path, spec, u, quad_tol=quad_tol)
-        _deliver(dumps({"upper": float(u), "value": value}), out)
-    except _ERRORS as exc:
-        _fail(exc)
-    sys.exit(0)
+    spec = _load_spec(spec_path, builtin)
+    f = as_function(parse(f_src, {"t"}), "t")
+    alpha = as_function(parse(alpha_src, {"t"}), "t")
+    path = calculus.MeasurePath(alpha=alpha, description=alpha_src)
+    u = spec.domain[1] if upper is None else upper
+    value = calculus.path_integral(f, path, spec, u, quad_tol=quad_tol)
+    _deliver(dumps({"upper": float(u), "value": value}), out)
+    return 0
 
 
 @main.command()
@@ -326,15 +306,12 @@ def ftc(f_src, gauge_ref, grid, shrink_levels, tol, out):
     Exits 2 when the maximum error exceeds --tol or any grid point fails
     to have a derivative.
     """
-    try:
-        g = _load_gauge(gauge_ref)
-        f = as_function(parse(f_src, {"t"}), "t")
-        report = calculus.ftc_forward_check(f, g, grid=grid,
-                                            shrink_levels=shrink_levels)
-        _deliver(dumps(report.to_dict()), out)
-    except _ERRORS as exc:
-        _fail(exc)
-    sys.exit(2 if (report.max_error > tol or report.violations) else 0)
+    g = _load_gauge(gauge_ref)
+    f = as_function(parse(f_src, {"t"}), "t")
+    report = calculus.ftc_forward_check(f, g, grid=grid,
+                                        shrink_levels=shrink_levels)
+    _deliver(dumps(report.to_dict()), out)
+    return 2 if (report.max_error > tol or report.violations) else 0
 
 
 @main.command()
@@ -353,15 +330,12 @@ def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
     Exits 2 when the reconstruction deviates beyond --tol or the
     derivative fails to exist somewhere.
     """
-    try:
-        g = _load_gauge(gauge_ref)
-        f = as_function(parse(f_src, {"t"}), "t")
-        report = calculus.ftc2_check(f, g, grid=grid,
-                                     shrink_levels=shrink_levels)
-        _deliver(dumps(report.to_dict()), out)
-    except _ERRORS as exc:
-        _fail(exc)
-    sys.exit(2 if (report.max_error > tol or report.violations) else 0)
+    g = _load_gauge(gauge_ref)
+    f = as_function(parse(f_src, {"t"}), "t")
+    report = calculus.ftc2_check(f, g, grid=grid,
+                                 shrink_levels=shrink_levels)
+    _deliver(dumps(report.to_dict()), out)
+    return 2 if (report.max_error > tol or report.violations) else 0
 
 
 @main.command("solve-ivp")
@@ -378,28 +352,25 @@ def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
 @click.option("--out", default=None, type=click.Path())
 def solve_ivp_cmd(rhs_src, gauge_ref, u0, step, picard, verify_tol, fmt, out):
     """Integrate du = rhs dmu from the left end of the gauge domain."""
-    try:
-        g = _load_gauge(gauge_ref)
-        rhs = as_function(parse(rhs_src, {"t", "u"}), "t", "u")
-        problem = solver.IvpProblem(gauge=g, rhs=rhs, u0=u0)
-        sol = solver.solve_ivp(problem, step, picard_sweeps=picard)
-        residual = None
-        if verify_tol is not None:
-            residual = solver.verify_solution(problem, sol)
-        if fmt == "csv":
-            _deliver(sol.to_csv(), out)
-            if residual is not None:
-                click.echo(f"max_residual {residual.max_residual}", err=True)
-        else:
-            payload = sol.to_dict()
-            if residual is not None:
-                payload["residual"] = residual.to_dict()
-            _deliver(dumps(payload), out)
-    except _ERRORS as exc:
-        _fail(exc)
+    g = _load_gauge(gauge_ref)
+    rhs = as_function(parse(rhs_src, {"t", "u"}), "t", "u")
+    problem = solver.IvpProblem(gauge=g, rhs=rhs, u0=u0)
+    sol = solver.solve_ivp(problem, step, picard_sweeps=picard)
+    residual = None
+    if verify_tol is not None:
+        residual = solver.verify_solution(problem, sol)
+    if fmt == "csv":
+        _deliver(sol.to_csv(), out)
+        if residual is not None:
+            click.echo(f"max_residual {residual.max_residual}", err=True)
+    else:
+        payload = sol.to_dict()
+        if residual is not None:
+            payload["residual"] = residual.to_dict()
+        _deliver(dumps(payload), out)
     if residual is not None and residual.max_residual > verify_tol:
-        sys.exit(2)
-    sys.exit(0)
+        return 2
+    return 0
 
 
 @main.command("solve-surface")
@@ -413,16 +384,13 @@ def solve_ivp_cmd(rhs_src, gauge_ref, u0, step, picard, verify_tol, fmt, out):
 @click.option("--out", default=None, type=click.Path())
 def solve_surface_cmd(h_src, gauge_ref, terminal, step, fmt, out):
     """Solve the terminal-value decay problem against a work gauge."""
-    try:
-        g = _load_gauge(gauge_ref)
-        h = as_function(parse(h_src, {"t"}), "t")
-        problem = solver.SurfaceProblem(work_gauge=g, source=h,
-                                        terminal_value=terminal)
-        sol = solver.solve_surface(problem, step)
-        _deliver(sol.to_csv() if fmt == "csv" else dumps(sol.to_dict()), out)
-    except _ERRORS as exc:
-        _fail(exc)
-    sys.exit(0)
+    g = _load_gauge(gauge_ref)
+    h = as_function(parse(h_src, {"t"}), "t")
+    problem = solver.SurfaceProblem(work_gauge=g, source=h,
+                                    terminal_value=terminal)
+    sol = solver.solve_surface(problem, step)
+    _deliver(sol.to_csv() if fmt == "csv" else dumps(sol.to_dict()), out)
+    return 0
 
 
 if __name__ == "__main__":

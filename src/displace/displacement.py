@@ -39,7 +39,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .expr import Expr
-from .gauge import Gauge, GaugeError, SNAP_RADIUS
+from .gauge import _EPS, Gauge, GaugeError, SNAP_RADIUS
 
 __all__ = [
     "DisplacementError",
@@ -72,7 +72,6 @@ __all__ = [
 ALGEBRAIC_TOL = 1e-9
 LIMIT_TOL = 1e-6
 TWO_PI = 2.0 * math.pi
-_EPS = float(np.finfo(float).eps)
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 
 
@@ -80,9 +79,13 @@ class DisplacementError(ValueError):
     """Invalid displacement data, unsupported variant, or bad query."""
 
 
-def _check_domain_point(name: str, value: float, a: float, b: float) -> float:
+def _domain_slack(a: float, b: float) -> float:
+    return SNAP_RADIUS * (1.0 + abs(a) + abs(b))
+
+
+def _check_domain_point(name: str, value: float, a: float, b: float,
+                        slack: float) -> float:
     value = float(value)
-    slack = SNAP_RADIUS * (1.0 + abs(a) + abs(b))
     if not (a - slack <= value <= b + slack):
         raise DisplacementError(
             f"{name} = {value!r} outside the domain [{a!r}, {b!r}]")
@@ -109,6 +112,7 @@ class Smooth:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise DisplacementError(f"invalid domain [{a!r}, {b!r}]")
         self._domain = (a, b)
+        self._slack = _domain_slack(a, b)
         if isinstance(delta, Expr):
             self._delta_expr: Optional[Expr] = delta
             self._delta_fn = expr_mod.as_function(delta, "x", "y")
@@ -149,23 +153,23 @@ class Smooth:
 
     def delta(self, x: float, y: float) -> float:
         a, b = self._domain
-        x = _check_domain_point("x", x, a, b)
-        y = _check_domain_point("y", y, a, b)
+        x = _check_domain_point("x", x, a, b, self._slack)
+        y = _check_domain_point("y", y, a, b, self._slack)
         return float(self._delta_fn(x, y))
 
     def d2(self, x: float, y: float) -> float:
         """Partial derivative of delta in the second argument at (x, y)."""
         if self._d2_fn is not None:
             a, b = self._domain
-            x = _check_domain_point("x", x, a, b)
-            y = _check_domain_point("y", y, a, b)
+            x = _check_domain_point("x", x, a, b, self._slack)
+            y = _check_domain_point("y", y, a, b, self._slack)
             return float(self._d2_fn(x, y))
         return self._fd_d2(x, y)
 
     def _fd_d2(self, x: float, y: float) -> float:
         a, b = self._domain
-        x = _check_domain_point("x", x, a, b)
-        y = _check_domain_point("y", y, a, b)
+        x = _check_domain_point("x", x, a, b, self._slack)
+        y = _check_domain_point("y", y, a, b, self._slack)
         h = _CBRT_EPS * max(1.0, abs(y))
         if b - a <= 4.0 * h:
             raise DisplacementError("domain too small for finite differences")
@@ -213,7 +217,10 @@ class FiniteGraph:
     kind = "graph"
 
     def __init__(self, weights: Sequence[Sequence[float]]):
-        rows = tuple(tuple(float(w) for w in row) for row in weights)
+        try:
+            rows = tuple(tuple(float(w) for w in row) for row in weights)
+        except (TypeError, ValueError) as exc:
+            raise DisplacementError(f"malformed weight matrix: {exc}") from exc
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DisplacementError("weight matrix must be square and nonempty")
@@ -594,8 +601,8 @@ def gamma_estimate(spec: DisplacementSpec, z: float, zbar: float,
         raise DisplacementError(
             f"gamma_estimate requires a smooth variant, got {spec.kind!r}")
     a, b = spec.domain
-    z = _check_domain_point("z", z, a, b)
-    zbar = _check_domain_point("zbar", zbar, a, b)
+    z = _check_domain_point("z", z, a, b, _domain_slack(a, b))
+    zbar = _check_domain_point("zbar", zbar, a, b, _domain_slack(a, b))
     value = 1.0
     for xi in np.linspace(a, b, grid):
         num = spec.d2(z, float(xi))
@@ -638,7 +645,7 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
     if not r > 0.0:
         raise DisplacementError(f"ball radius must be positive, got {r!r}")
     a, b = spec.domain
-    x = _check_domain_point("x", x, a, b)
+    x = _check_domain_point("x", x, a, b, _domain_slack(a, b))
     value_tol = tol * (1.0 + r)
 
     def bisect(inside: float, outside: float, target: float) -> float:
@@ -714,6 +721,8 @@ def spec_to_dict(spec: DisplacementSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> DisplacementSpec:
+    if not isinstance(data, dict):
+        raise DisplacementError("a displacement spec must be a JSON object")
     kind = data.get("kind")
     if kind == "smooth":
         try:

@@ -6,6 +6,11 @@ By convention g(a) = 0 and g(t) is the measure of [a, t), which makes g
 left-continuous and nondecreasing; the jump at tau contributes to g(t)
 only for t > tau.
 
+CumulativeQuadrature owns that rule for gauges and for the running
+integrals in calculus alike: it holds the atoms next to the density
+table and snaps a query within SNAP_RADIUS of the domain onto the end
+point before looking up either.
+
 Evaluation goes through an insert-only cumulative quadrature cache.  The
 naive alternative, re-running an adaptive quadrature from a to t for
 every query, produces values that are individually accurate but not
@@ -169,32 +174,51 @@ def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
 
 
 class CumulativeQuadrature:
-    """Monotone-consistent running integral F(t) = integral of fn over [lo, t].
+    """Half-open running integral F(t) = integral of fn over [lo, t) plus atoms.
 
-    Values are memoized in a sorted breakpoint table; a query at a new t
-    integrates fn only across the gap from the nearest cached point below
-    and clamps the result between the neighboring cached values.  With
-    nonnegative=True the table must stay nondecreasing: a panel that
-    integrates below -tol, or a new value above its right neighbor by
-    more than tol, means the integrand is negative somewhere and raises
-    GaugeError; smaller violations are rounding and are clamped away.
-    Thread-safe; behaves as if the cache were absent.
+    atoms holds (tau, mass) pairs inside [lo, hi], strictly increasing in
+    tau; the atom at tau counts in F(t) only for t > tau, and right_limit
+    adds the atom at t itself.  Each query is first snapped into [lo, hi]:
+    a point within SNAP_RADIUS outside is the end point, one farther out
+    raises GaugeError.
+
+    The density part is memoized in a sorted breakpoint table, seeded at
+    the breakpoints and atoms; a query at a new t integrates fn only
+    across the gap from the nearest cached point below and clamps the
+    result between the neighboring cached values.  With nonnegative=True
+    the table must stay nondecreasing: a panel that integrates below
+    -tol, or a new value above its right neighbor by more than tol, means
+    the integrand is negative somewhere and raises GaugeError; smaller
+    violations are rounding and are clamped away.  Thread-safe; behaves
+    as if the cache were absent.
     """
 
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float,
                  tol: float = 1e-10, breakpoints: Sequence[float] = (),
-                 nonnegative: bool = False):
+                 nonnegative: bool = False,
+                 atoms: Sequence[tuple[float, float]] = ()):
         self.fn = fn
         self.lo = float(lo)
         self.hi = float(hi)
         self.tol = float(tol)
         self.nonnegative = nonnegative
+        self._taus = [float(tau) for tau, _ in atoms]
+        self._masses = [float(mass) for _, mass in atoms]
+        self._prefix = [0.0]
+        for mass in self._masses:
+            self._prefix.append(self._prefix[-1] + mass)
         self._ts = [self.lo]
         self._vals = [0.0]
         self._lock = threading.RLock()
-        for t in sorted(set(float(p) for p in breakpoints)):
+        for t in sorted(set(float(p) for p in breakpoints) | set(self._taus)):
             if self.lo < t <= self.hi:
                 self.value(t)
+
+    def _snap(self, t: float) -> float:
+        t = float(t)
+        if t < self.lo - SNAP_RADIUS or t > self.hi + SNAP_RADIUS:
+            raise GaugeError(f"point {t!r} outside [{self.lo!r}, {self.hi!r}]")
+        return min(max(t, self.lo), self.hi)
 
     def _panel(self, lo: float, hi: float) -> float:
         if hi <= lo:
@@ -212,14 +236,13 @@ class CumulativeQuadrature:
         return value
 
     def value(self, t: float) -> float:
-        t = float(t)
-        if t < self.lo - SNAP_RADIUS or t > self.hi + SNAP_RADIUS:
-            raise GaugeError(f"point {t!r} outside [{self.lo!r}, {self.hi!r}]")
-        t = min(max(t, self.lo), self.hi)
+        """F(t): the density part over [lo, t) plus the atoms below t."""
+        t = self._snap(t)
+        atoms_below = self._prefix[bisect.bisect_left(self._taus, t)]
         with self._lock:
             i = bisect.bisect_left(self._ts, t)
             if i < len(self._ts) and self._ts[i] == t:
-                return self._vals[i]
+                return self._vals[i] + atoms_below
             left_t, left_v = self._ts[i - 1], self._vals[i - 1]
             v = left_v + self._panel(left_t, t)
             if self.nonnegative:
@@ -234,11 +257,25 @@ class CumulativeQuadrature:
                     v = self._vals[i]
             self._ts.insert(i, t)
             self._vals.insert(i, v)
-            return v
+            return v + atoms_below
 
-    def cached_points(self) -> tuple[tuple[float, float], ...]:
-        with self._lock:
-            return tuple(zip(self._ts, self._vals))
+    def jump_at(self, t: float) -> float:
+        """Mass of the atom at t, or 0.0."""
+        t = self._snap(t)
+        i = bisect.bisect_left(self._taus, t)
+        if i < len(self._taus) and self._taus[i] == t:
+            return self._masses[i]
+        return 0.0
+
+    def right_limit(self, t: float) -> float:
+        """F(t+), i.e. F(t) plus the atom at t."""
+        return self.value(t) + self.jump_at(t)
+
+    def jumps_on(self, ts: np.ndarray) -> np.ndarray:
+        """jump_at of every point of ts, an array inside [lo, hi]."""
+        taus = np.array(self._taus + [math.inf])
+        idx = np.searchsorted(taus, ts)
+        return np.where(taus[idx] == ts, np.array(self._masses + [0.0])[idx], 0.0)
 
 
 @dataclass(frozen=True)
@@ -310,27 +347,19 @@ class Gauge:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise GaugeError(f"invalid domain [{a!r}, {b!r}]")
         self._domain = (a, b)
-        self._density = density
-        self._quad_tol = float(quad_tol)
         self._density_source = density_source
 
-        taus, sizes = [], []
+        pairs = []
         for tau, size in jumps:
             tau, size = float(tau), float(size)
             if not (a <= tau <= b):
                 raise GaugeError(f"jump position {tau!r} outside [{a!r}, {b!r}]")
             if size <= 0.0:
                 raise GaugeError(f"jump size {size!r} must be positive")
-            if taus and tau <= taus[-1]:
+            if pairs and tau <= pairs[-1][0]:
                 raise GaugeError("jump positions must be strictly increasing")
-            taus.append(tau)
-            sizes.append(size)
-        self._taus = taus
-        self._sizes = sizes
-        prefix = [0.0]
-        for s in sizes:
-            prefix.append(prefix[-1] + s)
-        self._jump_prefix = prefix
+            pairs.append((tau, size))
+        self._jumps = tuple(pairs)
 
         flat_list = []
         for lo, hi in flats:
@@ -339,7 +368,7 @@ class Gauge:
                 raise GaugeError(f"flat ({lo!r}, {hi!r}) outside the domain")
             if flat_list and lo < flat_list[-1][1]:
                 raise GaugeError("flats must be disjoint and sorted")
-            if any(lo < tau < hi for tau in taus):
+            if any(lo < tau < hi for tau, _ in pairs):
                 raise GaugeError(
                     f"flat ({lo!r}, {hi!r}) contains a jump in its interior")
             flat_list.append((lo, hi))
@@ -349,11 +378,9 @@ class Gauge:
             if float(density(t)) < -1e-9:
                 raise GaugeError(f"density is negative at t = {float(t)!r}")
 
-        seeds = list(taus)
-        for lo, hi in flat_list:
-            seeds.extend((lo, hi))
-        self._cum = CumulativeQuadrature(density, a, b, tol=self._quad_tol,
-                                         breakpoints=seeds, nonnegative=True)
+        self._cum = CumulativeQuadrature(
+            density, a, b, tol=quad_tol, nonnegative=True,
+            breakpoints=[p for iv in flat_list for p in iv], atoms=self._jumps)
         self._dsets: Optional[DistinguishedSets] = None
         self._dsets_lock = threading.Lock()
 
@@ -365,11 +392,11 @@ class Gauge:
 
     @property
     def density(self) -> Callable[[float], float]:
-        return self._density
+        return self._cum.fn
 
     @property
     def jumps(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self._taus, self._sizes))
+        return self._jumps
 
     @property
     def flats(self) -> tuple[tuple[float, float], ...]:
@@ -377,7 +404,7 @@ class Gauge:
 
     @property
     def quad_tol(self) -> float:
-        return self._quad_tol
+        return self._cum.tol
 
     @property
     def density_source(self) -> Optional[str]:
@@ -387,18 +414,19 @@ class Gauge:
 
     def __call__(self, t: float) -> float:
         """g(t) = measure of [a, t); left-continuous, g(a) = 0."""
-        return self._cum.value(t) + self._jump_prefix[bisect.bisect_left(self._taus, t)]
+        return self._cum.value(t)
 
     def jump_at(self, t: float) -> float:
         """Size of the jump at t, or 0.0; this is the atom mass of {t}."""
-        i = bisect.bisect_left(self._taus, t)
-        if i < len(self._taus) and self._taus[i] == t:
-            return self._sizes[i]
-        return 0.0
+        return self._cum.jump_at(t)
 
     def right_limit(self, t: float) -> float:
         """g(t+), i.e. g(t) plus the atom at t."""
-        return self(t) + self.jump_at(t)
+        return self._cum.right_limit(t)
+
+    def jumps_on(self, ts: np.ndarray) -> np.ndarray:
+        """jump_at of every point of ts, an array inside the domain."""
+        return self._cum.jumps_on(ts)
 
     # --- measures ---
 
@@ -412,17 +440,11 @@ class Gauge:
         """
         if kind not in _MEASURE_KINDS:
             raise GaugeError(f"unknown interval kind {kind!r}")
-        a, b = self._domain
-        c = float(c)
-        if not (a - SNAP_RADIUS <= c <= b + SNAP_RADIUS):
-            raise GaugeError(f"endpoint {c!r} outside [{a!r}, {b!r}]")
         if kind == "{}":
             return self.jump_at(c)
         if d is None:
             raise GaugeError("interval measure needs both endpoints")
-        d = float(d)
-        if not (a - SNAP_RADIUS <= d <= b + SNAP_RADIUS):
-            raise GaugeError(f"endpoint {d!r} outside [{a!r}, {b!r}]")
+        c, d = float(c), float(d)
         if c > d:
             raise GaugeError(f"endpoints out of order: {c!r} > {d!r}")
         if kind == "[)":
@@ -457,7 +479,7 @@ class Gauge:
     def _compute_dsets(self, samples: int) -> DistinguishedSets:
         a, b = self._domain
         ts = np.linspace(a, b, samples)
-        dens = np.array([abs(float(self._density(t))) for t in ts])
+        dens = np.array([abs(float(self.density(t))) for t in ts])
         threshold = SNAP_RADIUS * (1.0 + float(dens.max()))
         flat_mask = dens <= threshold
 
@@ -473,7 +495,7 @@ class Gauge:
             if j > i:
                 lo, hi = float(ts[i]), float(ts[j])
                 # a jump strictly inside splits the run
-                cuts = [tau for tau in self._taus if lo < tau < hi]
+                cuts = [tau for tau, _ in self._jumps if lo < tau < hi]
                 pieces = zip([lo] + cuts, cuts + [hi])
                 for plo, phi in pieces:
                     if phi - plo > 2.0 * (b - a) / max(samples - 1, 1):
@@ -483,7 +505,7 @@ class Gauge:
         merged = self._merge_intervals(list(self._flats) + detected)
         endpoints = sorted({p for iv in merged for p in iv})
         n_set = tuple(p for p in endpoints if self.jump_at(p) == 0.0)
-        return DistinguishedSets(d_set=tuple(self._taus),
+        return DistinguishedSets(d_set=tuple(tau for tau, _ in self._jumps),
                                  c_set=tuple(merged),
                                  n_set=n_set)
 
@@ -526,13 +548,14 @@ class Gauge:
         try:
             domain = (float(data["domain"][0]), float(data["domain"][1]))
             source = data["density"]
-        except (KeyError, TypeError, IndexError) as exc:
+            jumps = tuple((float(t), float(s)) for t, s in data.get("jumps", ()))
+            flats = tuple((float(lo), float(hi))
+                          for lo, hi in data.get("flats", ()))
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise GaugeError(f"malformed gauge data: {exc}") from exc
         if not isinstance(source, str):
             raise GaugeError("gauge density must be an expression string")
         density_expr = expr_mod.parse(source, {"t"})
         density = expr_mod.as_function(density_expr, "t")
-        jumps = tuple((float(t), float(s)) for t, s in data.get("jumps", ()))
-        flats = tuple((float(lo), float(hi)) for lo, hi in data.get("flats", ()))
         return cls(domain, density, jumps=jumps, flats=flats,
                    quad_tol=quad_tol, density_source=source)

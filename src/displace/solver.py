@@ -181,16 +181,7 @@ def _mesh_data(gauge: Gauge, mesh: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     density = gauge.density
     dens = np.array([float(density(t)) for t in mesh.tolist()])
-    atoms = np.zeros(len(mesh))
-    jumps = gauge.jumps
-    if jumps:
-        taus, sizes = np.array(jumps).T
-        # exact matches only, as in Gauge.jump_at
-        idx = np.minimum(np.searchsorted(taus, mesh), len(taus) - 1)
-        hit = taus[idx] == mesh
-        atoms[hit] = sizes[idx[hit]]
-    dt = np.diff(mesh)
-    return dens, atoms, dt
+    return dens, gauge.jumps_on(mesh), np.diff(mesh)
 
 
 def solve_ivp(problem: IvpProblem, step: float,

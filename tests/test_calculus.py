@@ -25,7 +25,7 @@ from displace.calculus import (
 )
 from displace.displacement import Smooth, Stieltjes, gauge_from_smooth, make_builtin
 from displace.expr import parse
-from displace.gauge import Gauge
+from displace.gauge import Gauge, GaugeError
 
 E_MINUS_EINV = 2.3504023872876028
 
@@ -366,3 +366,15 @@ def test_ftc2_flags_function_with_foreign_jump():
     report = ftc2_check(H, identity_gauge(), grid=101)
     assert report.max_error > 0.5
     assert len(report.violations) >= 1
+
+
+def test_running_integral_snaps_points_just_outside_the_domain():
+    g = Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.0, 0.25), (1.0, 0.5)),
+              density_source="1")
+    F = CumulativeStieltjesIntegral(lambda t: t + 1.0, g)
+    assert F(1.0 + 1e-13) == F(1.0)
+    assert stieltjes_integral(lambda t: t + 1.0, g, 1.0 + 1e-13) == F(1.0)
+    assert F.right_limit(0.0 - 1e-13) == F.right_limit(0.0) == 0.25
+    assert F.right_limit(1.0 + 1e-13) == F.right_limit(1.0) == F(1.0) + 1.0
+    with pytest.raises(GaugeError):
+        F(1.0 + 1e-9)

@@ -380,3 +380,48 @@ def test_cli_import_does_not_load_scipy():
 def test_dumps_accepts_numpy_integers():
     assert dumps({"n": np.int64(3)}) == '{"n": 3}'
     assert dumps([np.int32(-2), True, 1]) == "[-2, true, 1]"
+
+
+# ---------------------------------------------------------------------------
+# one exit path: malformed input is one error line, never a traceback
+# ---------------------------------------------------------------------------
+
+_GAUGE = {"domain": [0, 1], "density": "1"}
+
+
+@pytest.mark.parametrize("command, payload", [
+    (("integrate", "--f", "t", "--gauge"), {**_GAUGE, "jumps": 5}),
+    (("integrate", "--f", "t", "--gauge"), {**_GAUGE, "flats": 5}),
+    (("gauge", "--gauge"), {**_GAUGE, "jumps": [0.5]}),
+    (("check", "--spec"), {"kind": "graph", "weights": 5}),
+    (("check", "--spec"), {"kind": "stieltjes", "gauge": {**_GAUGE, "flats": 5}}),
+    (("check", "--spec"), ["not", "an", "object"]),
+])
+def test_malformed_json_is_one_error_line(runner, tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    result = invoke(runner, *command, str(path))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert result.stdout == ""
+
+
+def test_integrate_upper_just_past_the_end_excludes_the_end_atom(runner, tmp_path):
+    path = tmp_path / "gauge.json"
+    path.write_text(json.dumps({**_GAUGE, "density": "2*t",
+                                "jumps": [[0.0, 0.25], [1.0, 0.5]]}),
+                    encoding="utf-8")
+    at_end = invoke(runner, "integrate", "--f", "t", "--gauge", str(path),
+                    "--upper", "1")
+    past_end = invoke(runner, "integrate", "--f", "t", "--gauge", str(path),
+                      "--upper", "1.0000000000001")
+    assert at_end.exit_code == past_end.exit_code == 0
+    value = json.loads(at_end.stdout)["value"]
+    assert abs(value - 2.0 / 3.0) <= 1e-12
+    assert json.loads(past_end.stdout)["value"] == value
+    beyond = invoke(runner, "integrate", "--f", "t", "--gauge", str(path),
+                    "--upper", "1.001")
+    assert beyond.exit_code == 1
+    assert beyond.stderr.startswith("error: ")

@@ -578,3 +578,21 @@ def test_spec_from_dict_malformed():
     for bad in ({"kind": "mystery"}, {"kind": "smooth", "domain": [0, 1]}, {}):
         with pytest.raises(DisplacementError):
             spec_from_dict(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"kind": "graph", "weights": 5},
+    {"kind": "graph", "weights": [5]},
+    {"kind": "graph", "weights": [[0, "x"], [1, 0]]},
+    [{"kind": "angular"}],
+    "angular",
+])
+def test_spec_from_dict_malformed_shapes_raise_typed_errors(bad):
+    with pytest.raises(DisplacementError):
+        spec_from_dict(bad)
+
+
+def test_stieltjes_delta_snaps_points_just_past_the_end():
+    g = Gauge((0.0, 1.0), lambda t: 1.0, jumps=((1.0, 0.5),))
+    spec = Stieltjes(g)
+    assert spec.delta(0.0, 1.0 + 1e-13) == spec.delta(0.0, 1.0) == g(1.0)

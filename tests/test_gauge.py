@@ -373,3 +373,70 @@ def test_quadrature_matches_scipy_quad_on_smooth_gauge_densities():
             want, _ = integrate.quad(density, a, b, epsabs=1e-10,
                                      epsrel=1e-12, limit=200)
             assert _adaptive_quad(density, a, b, 1e-10) == want
+
+
+# ---------------------------------------------------------------------------
+# end-point snap: one rule for the table lookup and the atom lookup
+# ---------------------------------------------------------------------------
+
+def end_atom_gauge():
+    """Density 2t with atoms of 0.25 at a = 0 and 0.5 at b = 1."""
+    return Gauge((0.0, 1.0), lambda t: 2.0 * t,
+                 jumps=((0.0, 0.25), (1.0, 0.5)), density_source="2*t")
+
+
+def test_points_just_past_the_ends_behave_like_the_ends():
+    g = end_atom_gauge()
+    past_b, before_a = 1.0 + 1e-13, 0.0 - 1e-13
+    # the atom at b sits to the right of b, so it is not in g(b + 1e-13)
+    assert g(past_b) == g(1.0)
+    assert g(before_a) == g(0.0) == 0.0
+    assert g.right_limit(before_a) == g.right_limit(0.0) == 0.25
+    assert g.right_limit(past_b) == g.right_limit(1.0)
+    assert g.jump_at(past_b) == g.jump_at(1.0) == 0.5
+    assert g.jump_at(before_a) == g.jump_at(0.0) == 0.25
+    assert g.measure(0.0, past_b, "[)") == g.measure(0.0, 1.0, "[)")
+    assert g.measure(before_a, past_b, "[]") == g.measure(0.0, 1.0, "[]")
+
+
+def test_jump_at_beyond_the_snap_radius_raises():
+    g = end_atom_gauge()
+    for t in (1.0 + 1e-9, -1e-9, 2.0):
+        with pytest.raises(GaugeError):
+            g.jump_at(t)
+        with pytest.raises(GaugeError):
+            g.right_limit(t)
+        with pytest.raises(GaugeError):
+            g.measure(t, None, "{}")
+
+
+def test_cumulative_quadrature_atoms_are_half_open():
+    cq = CumulativeQuadrature(lambda t: 1.0, 0.0, 1.0,
+                              atoms=((0.0, 1.0), (0.5, 2.0), (1.0, 4.0)))
+    assert cq.value(0.0) == 0.0
+    assert cq.value(0.5) == 0.5 + 1.0
+    assert cq.value(0.75) == 0.75 + 3.0
+    assert cq.value(1.0) == cq.value(1.0 + 1e-13) == 1.0 + 3.0
+    assert cq.right_limit(0.5) == 0.5 + 3.0
+    assert cq.right_limit(1.0) == 1.0 + 7.0
+    assert cq.jump_at(0.5) == 2.0 and cq.jump_at(0.25) == 0.0
+
+
+def test_jumps_on_matches_jump_at_on_every_node():
+    g = Gauge((0.0, 1.0), lambda t: 1.0,
+              jumps=((0.0, 0.25), (0.3, 0.5), (1.0 / 3.0, 0.125), (1.0, 2.0)))
+    mesh = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11),
+                                     np.array([0.3, 1.0 / 3.0])]))
+    atoms = g.jumps_on(mesh)
+    assert atoms.tolist() == [g.jump_at(t) for t in mesh.tolist()]
+    assert Gauge.identity().jumps_on(mesh).tolist() == [0.0] * len(mesh)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("jumps", 5), ("flats", 5), ("jumps", [[0.5]]), ("jumps", [0.5]),
+    ("flats", [[0.1, 0.2, 0.3]]), ("jumps", [["x", 1.0]]), ("jumps", None),
+])
+def test_from_dict_rejects_malformed_jumps_and_flats(field, value):
+    data = {"domain": [0.0, 1.0], "density": "1", field: value}
+    with pytest.raises(GaugeError, match="malformed gauge data"):
+        Gauge.from_dict(data)
