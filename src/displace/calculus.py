@@ -218,13 +218,6 @@ def _two_sided_limit(numerator: Callable[[float], float], g: Gauge, x: float,
     return value, error, used_total
 
 
-def _match_jump(x: float, dsets: DistinguishedSets) -> Optional[float]:
-    for tau in dsets.d_set:
-        if abs(x - tau) <= SNAP_RADIUS:
-            return tau
-    return None
-
-
 def _derivative(f: Callable[[float], float], g: Gauge,
                 displaced: Callable[[float, float], float], x: float,
                 shrink_levels: int, dsets: Optional[DistinguishedSets],
@@ -237,7 +230,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         raise CalculusError(f"point {x!r} outside the gauge domain")
     x = min(max(float(x), a), b)
 
-    tau = _match_jump(x, dsets)
+    tau = dsets.jump_near(x)
     if tau is not None and tau < b:
         atom = g.jump_at(tau)
         fx = float(f(tau))
@@ -327,7 +320,8 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
                     f"integrand is not finite at the jump point {tau!r}")
             atoms.append((tau, contribution))
         seeds = list(f_breaks) + [p for iv in g.flats for p in iv]
-        super().__init__(lambda t: float(f(t)) * float(g.density(t)),
+        density = g.density
+        super().__init__(lambda t: float(f(t)) * float(density(t)),
                          *g.domain, tol=g.quad_tol, breakpoints=seeds,
                          atoms=atoms)
 
@@ -409,6 +403,8 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
     two-sided derivative cannot exist, are skipped and reported in the
     excluded list.
     """
+    if grid < 1:
+        raise CalculusError(f"grid must be at least 1, got {grid!r}")
     F = CumulativeStieltjesIntegral(f, g, f_breaks)
     dsets = g.distinguished_sets()
     a, b = g.domain
@@ -423,7 +419,7 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
         if dsets.excludes(t):
             excluded.append(t)
             continue
-        if _match_jump(t, dsets) is None and any(
+        if dsets.jump_near(t) is None and any(
                 abs(t - p) < _F_BREAK_GUARD for p in f_breaks):
             excluded.append(t)
             continue
@@ -457,6 +453,9 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     violations, which is what happens when F is not absolutely
     continuous for the gauge.
     """
+    # the comparison grid must reach past a, where the rebuild is exact
+    if grid < 2:
+        raise CalculusError(f"grid must be at least 2, got {grid!r}")
     dsets = g.distinguished_sets()
     a, b = g.domain
     knots = set(float(t) for t in np.linspace(a, b, grid + 2)[1:-1])

@@ -163,7 +163,7 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
         fn, default_samples, options = _CHECKS[name]
         kwargs = {key: extras[key] for key in options}
         if default_samples is not None:
-            kwargs["samples"] = samples or default_samples
+            kwargs["samples"] = default_samples if samples is None else samples
         if tol is not None:
             kwargs["tol"] = tol
         reports.append(fn(spec, **kwargs))

@@ -152,24 +152,32 @@ class Smooth:
         return self._d2_fn is not None
 
     def delta(self, x: float, y: float) -> float:
+        # a point inside [a, b] is its own clamp; only the rest (NaN
+        # included) goes through the snap-or-raise check
         a, b = self._domain
-        x = _check_domain_point("x", x, a, b, self._slack)
-        y = _check_domain_point("y", y, a, b, self._slack)
+        x = float(x)
+        if not a <= x <= b:
+            x = _check_domain_point("x", x, a, b, self._slack)
+        y = float(y)
+        if not a <= y <= b:
+            y = _check_domain_point("y", y, a, b, self._slack)
         return float(self._delta_fn(x, y))
 
     def d2(self, x: float, y: float) -> float:
         """Partial derivative of delta in the second argument at (x, y)."""
-        if self._d2_fn is not None:
-            a, b = self._domain
+        a, b = self._domain
+        x = float(x)
+        if not a <= x <= b:
             x = _check_domain_point("x", x, a, b, self._slack)
+        y = float(y)
+        if not a <= y <= b:
             y = _check_domain_point("y", y, a, b, self._slack)
+        if self._d2_fn is not None:
             return float(self._d2_fn(x, y))
         return self._fd_d2(x, y)
 
     def _fd_d2(self, x: float, y: float) -> float:
         a, b = self._domain
-        x = _check_domain_point("x", x, a, b, self._slack)
-        y = _check_domain_point("y", y, a, b, self._slack)
         h = _CBRT_EPS * max(1.0, abs(y))
         if b - a <= 4.0 * h:
             raise DisplacementError("domain too small for finite differences")
@@ -219,7 +227,7 @@ class FiniteGraph:
     def __init__(self, weights: Sequence[Sequence[float]]):
         try:
             rows = tuple(tuple(float(w) for w in row) for row in weights)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise DisplacementError(f"malformed weight matrix: {exc}") from exc
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
@@ -371,6 +379,9 @@ def _require_interval(spec: DisplacementSpec, operation: str) -> None:
 
 
 def _grid_points(spec: DisplacementSpec, samples: int) -> list[float]:
+    # fewer than two samples would let a check pass without comparing
+    if samples < 2:
+        raise DisplacementError(f"samples must be at least 2, got {samples!r}")
     if spec.kind == "graph":
         return [float(i) for i in range(spec.n)]
     if spec.kind == "angular":
@@ -559,15 +570,17 @@ def check_h5(spec: DisplacementSpec, samples: int = 21,
 
 def check_d2_positive(spec: DisplacementSpec, grid: int = 64,
                       tol: float = ALGEBRAIC_TOL) -> AxiomReport:
-    """Lattice minimum of d2 over the square domain; pass iff positive.
+    """Lattice minimum of d2 over the square domain; pass iff above tol.
 
     The report's stats carry the lattice minimum as r_hat, an empirical
     lower bound for the derivative; H3, H4 and H5 follow from a positive
-    continuous d2.
+    continuous d2.  The witnesses are lattice points with d2 <= tol.
     """
     if spec.kind != "smooth":
         raise DisplacementError(
             f"check_d2_positive requires a smooth variant, got {spec.kind!r}")
+    if grid < 2:
+        raise DisplacementError(f"grid must be at least 2, got {grid!r}")
     a, b = spec.domain
     xs = np.linspace(a, b, grid)
     r_hat = math.inf
@@ -579,9 +592,9 @@ def check_d2_positive(spec: DisplacementSpec, grid: int = 64,
             if v < r_hat:
                 r_hat = v
                 argmin = (float(x), float(y))
-            if v <= 0.0 and len(witnesses) < _WITNESS_CAP:
+            if v <= tol and len(witnesses) < _WITNESS_CAP:
                 witnesses.append({"x": float(x), "y": float(y), "d2": v})
-    verdict = "pass" if r_hat > 0.0 else "fail"
+    verdict = "pass" if r_hat > tol else "fail"
     stats = {"r_hat": r_hat, "argmin_x": argmin[0], "argmin_y": argmin[1]}
     return AxiomReport("D2-positive", verdict, tuple(witnesses),
                        grid * grid, tol, stats)
@@ -680,18 +693,21 @@ def gauge_from_smooth(spec: DisplacementSpec, quad_tol: float = 1e-10) -> Gauge:
 
     For a smooth displacement with positive continuous d2 this gauge
     generates the same null sets and small displacements as the space
-    itself; the density callable delegates to spec.d2 directly.
+    itself.  An expression d2 becomes the expression in t obtained by
+    setting x = y = t: it is the density's source and, compiled, the
+    density itself, which returns the bits spec.d2(t, t) returns on the
+    domain.  A callable or finite-difference d2 is called as
+    spec.d2(t, t), and the gauge then has no source.
     """
     if spec.kind != "smooth":
         raise DisplacementError(
             f"gauge_from_smooth requires a smooth variant, got {spec.kind!r}")
-    density_source = None
-    if spec.d2_expr is not None:
-        t_var = expr_mod.parse("t", {"t"})
-        density_source = expr_mod.substitute(
-            spec.d2_expr, {"x": t_var, "y": t_var}).to_source()
-    return Gauge(spec.domain, lambda t: spec.d2(t, t), quad_tol=quad_tol,
-                 density_source=density_source)
+    if spec.d2_expr is None:
+        return Gauge(spec.domain, lambda t: spec.d2(t, t), quad_tol=quad_tol)
+    t_var = expr_mod.parse("t", {"t"})
+    diagonal = expr_mod.substitute(spec.d2_expr, {"x": t_var, "y": t_var})
+    return Gauge(spec.domain, expr_mod.as_function(diagonal, "t"),
+                 quad_tol=quad_tol, density_source=diagonal.to_source())
 
 
 # --- serialization ---
@@ -728,7 +744,8 @@ def spec_from_dict(data: dict) -> DisplacementSpec:
         try:
             domain = (float(data["domain"][0]), float(data["domain"][1]))
             delta_src = data["delta"]
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError,
+                OverflowError) as exc:
             raise DisplacementError(f"malformed smooth spec: {exc}") from exc
         delta = expr_mod.parse(delta_src, {"x", "y"})
         d2_src = data.get("d2")

@@ -58,26 +58,41 @@ class GaugeError(ValueError):
     """Invalid gauge data or evaluation outside the domain."""
 
 
-# QUADPACK dqk21 (Piessens et al., 1983): Kronrod abscissae xgk (odd
-# 0-based index: also a 10-point Gauss node), their weights wgk, and the
-# Gauss weights wg.  The decimal digits are QUADPACK's own; nodes from
-# numpy's leggauss differ in the last ulp and would move results.
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208703806519, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068)
-_WGK_CENTRE = 0.149445554002916905664936468389821
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
+# QUADPACK dqk21 (Piessens et al., 1983), one module name per constant:
+# the Kronrod abscissae _X0 .. _X9 (odd index: also a 10-point Gauss
+# node), their Kronrod weights _W0 .. _W9 and the centre weight _WC, and
+# the Gauss weights _G1 .. _G9 of the odd nodes.  The decimal digits are
+# QUADPACK's own; nodes from numpy's leggauss differ in the last ulp and
+# would move results.
+_X0 = 0.995657163025808080735527280689003
+_X1 = 0.973906528517171720077964012084452
+_X2 = 0.930157491355708226001207180059508
+_X3 = 0.865063366688984510732096688423493
+_X4 = 0.780817726586416897063717578345042
+_X5 = 0.679409568299024406234327365114874
+_X6 = 0.562757134668604683339000099272694
+_X7 = 0.433395394129247190799265943165784
+_X8 = 0.294392862701460198131126603103866
+_X9 = 0.148874338981631210884826001129720
+_W0 = 0.011694638867371874278064396062192
+_W1 = 0.032558162307964727478818972459390
+_W2 = 0.054755896574351996031381300244580
+_W3 = 0.075039674810919952767043140916190
+_W4 = 0.093125454583697605535065465083366
+_W5 = 0.109387158802297641899210590325805
+_W6 = 0.123491976262065851077208703806519
+_W7 = 0.134709217311473325928054001771707
+_W8 = 0.142775938577060080797094273138717
+_W9 = 0.147739104901338491374841515972068
+_WC = 0.149445554002916905664936468389821
+_G1 = 0.066671344308688137593568809893332
+_G3 = 0.149451349150580593145776339657697
+_G5 = 0.219086362515982043995534934228163
+_G7 = 0.269266719309996355091226921569469
+_G9 = 0.295524224714752870173892994651338
 _EPS = sys.float_info.epsilon
-_UFLOW = sys.float_info.min
+# dqk21 floors abserr at 50 eps * resabs only above this
+_ERR_FLOOR = sys.float_info.min / (50.0 * _EPS)
 
 
 def _qk21(f: Callable[[float], float], a: float, b: float
@@ -86,41 +101,72 @@ def _qk21(f: Callable[[float], float], a: float, b: float
 
     Returns (result, abserr, resabs, resasc).  f is called in dqk21's
     order, centre first, then the Gauss pairs, then the Kronrod-only
-    pairs, and the sums accumulate in that order, so the result matches
-    QUADPACK bit for bit.
+    pairs, each pair left point first, and every sum accumulates in
+    dqk21's order, so the result matches QUADPACK bit for bit.  The loops
+    are written out: the panel is the innermost step of every gauge
+    value and running integral.
     """
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fv1 = [0.0] * 10
-    fv2 = [0.0] * 10
     fc = f(centr)
-    resg = 0.0
-    resk = _WGK_CENTRE * fc
+    absc = hlgth * _X1
+    l1 = f(centr - absc)
+    r1 = f(centr + absc)
+    absc = hlgth * _X3
+    l3 = f(centr - absc)
+    r3 = f(centr + absc)
+    absc = hlgth * _X5
+    l5 = f(centr - absc)
+    r5 = f(centr + absc)
+    absc = hlgth * _X7
+    l7 = f(centr - absc)
+    r7 = f(centr + absc)
+    absc = hlgth * _X9
+    l9 = f(centr - absc)
+    r9 = f(centr + absc)
+    absc = hlgth * _X0
+    l0 = f(centr - absc)
+    r0 = f(centr + absc)
+    absc = hlgth * _X2
+    l2 = f(centr - absc)
+    r2 = f(centr + absc)
+    absc = hlgth * _X4
+    l4 = f(centr - absc)
+    r4 = f(centr + absc)
+    absc = hlgth * _X6
+    l6 = f(centr - absc)
+    r6 = f(centr + absc)
+    absc = hlgth * _X8
+    l8 = f(centr - absc)
+    r8 = f(centr + absc)
+    s1 = l1 + r1
+    s3 = l3 + r3
+    s5 = l5 + r5
+    s7 = l7 + r7
+    s9 = l9 + r9
+    resg = 0.0 + _G1 * s1 + _G3 * s3 + _G5 * s5 + _G7 * s7 + _G9 * s9
+    resk = _WC * fc
     resabs = abs(resk)
-    for j in (1, 3, 5, 7, 9):
-        absc = hlgth * _XGK[j]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[j] = fval1
-        fv2[j] = fval2
-        fsum = fval1 + fval2
-        w = _WGK[j]
-        resg = resg + _WG[j >> 1] * fsum
-        resk = resk + w * fsum
-        resabs = resabs + w * (abs(fval1) + abs(fval2))
-    for j in (0, 2, 4, 6, 8):
-        absc = hlgth * _XGK[j]
-        fval1 = f(centr - absc)
-        fval2 = f(centr + absc)
-        fv1[j] = fval1
-        fv2[j] = fval2
-        w = _WGK[j]
-        resk = resk + w * (fval1 + fval2)
-        resabs = resabs + w * (abs(fval1) + abs(fval2))
+    resk = (resk + _W1 * s1 + _W3 * s3 + _W5 * s5 + _W7 * s7 + _W9 * s9
+            + _W0 * (l0 + r0) + _W2 * (l2 + r2) + _W4 * (l4 + r4)
+            + _W6 * (l6 + r6) + _W8 * (l8 + r8))
+    resabs = (resabs + _W1 * (abs(l1) + abs(r1)) + _W3 * (abs(l3) + abs(r3))
+              + _W5 * (abs(l5) + abs(r5)) + _W7 * (abs(l7) + abs(r7))
+              + _W9 * (abs(l9) + abs(r9)) + _W0 * (abs(l0) + abs(r0))
+              + _W2 * (abs(l2) + abs(r2)) + _W4 * (abs(l4) + abs(r4))
+              + _W6 * (abs(l6) + abs(r6)) + _W8 * (abs(l8) + abs(r8)))
     reskh = resk * 0.5
-    resasc = _WGK_CENTRE * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    resasc = (_WC * abs(fc - reskh)
+              + _W0 * (abs(l0 - reskh) + abs(r0 - reskh))
+              + _W1 * (abs(l1 - reskh) + abs(r1 - reskh))
+              + _W2 * (abs(l2 - reskh) + abs(r2 - reskh))
+              + _W3 * (abs(l3 - reskh) + abs(r3 - reskh))
+              + _W4 * (abs(l4 - reskh) + abs(r4 - reskh))
+              + _W5 * (abs(l5 - reskh) + abs(r5 - reskh))
+              + _W6 * (abs(l6 - reskh) + abs(r6 - reskh))
+              + _W7 * (abs(l7 - reskh) + abs(r7 - reskh))
+              + _W8 * (abs(l8 - reskh) + abs(r8 - reskh))
+              + _W9 * (abs(l9 - reskh) + abs(r9 - reskh)))
     dhlgth = abs(hlgth)
     result = resk * hlgth
     resabs = resabs * dhlgth
@@ -128,7 +174,7 @@ def _qk21(f: Callable[[float], float], a: float, b: float
     abserr = abs((resk - resg) * hlgth)
     if resasc != 0.0 and abserr != 0.0:
         abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPS):
+    if resabs > _ERR_FLOOR:
         abserr = max((50.0 * _EPS) * resabs, abserr)
     return result, abserr, resabs, resasc
 
@@ -237,7 +283,9 @@ class CumulativeQuadrature:
 
     def value(self, t: float) -> float:
         """F(t): the density part over [lo, t) plus the atoms below t."""
-        t = self._snap(t)
+        t = float(t)
+        if not self.lo <= t <= self.hi:
+            t = self._snap(t)
         atoms_below = self._prefix[bisect.bisect_left(self._taus, t)]
         with self._lock:
             i = bisect.bisect_left(self._ts, t)
@@ -296,8 +344,15 @@ class DistinguishedSets:
     def o_set(self) -> dict:
         return {"intervals": self.c_set, "points": self.n_set}
 
+    def jump_near(self, x: float, snap: float = SNAP_RADIUS) -> Optional[float]:
+        """The first jump position within snap of x, or None."""
+        for tau in self.d_set:
+            if abs(x - tau) <= snap:
+                return tau
+        return None
+
     def is_jump(self, x: float, snap: float = SNAP_RADIUS) -> bool:
-        return any(abs(x - tau) <= snap for tau in self.d_set)
+        return self.jump_near(x, snap) is not None
 
     def excludes(self, x: float, snap: float = SNAP_RADIUS) -> bool:
         """True when x sits inside a constancy interval or on an n_set point."""
@@ -551,7 +606,8 @@ class Gauge:
             jumps = tuple((float(t), float(s)) for t, s in data.get("jumps", ()))
             flats = tuple((float(lo), float(hi))
                           for lo, hi in data.get("flats", ()))
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError,
+                OverflowError) as exc:
             raise GaugeError(f"malformed gauge data: {exc}") from exc
         if not isinstance(source, str):
             raise GaugeError("gauge density must be an expression string")

@@ -343,9 +343,24 @@ def test_ftc_report_to_dict():
     assert payload["checked"] == 9
 
 
+@pytest.mark.parametrize("grid", [0, -1, -2])
+def test_ftc_forward_rejects_a_grid_without_points(grid):
+    with pytest.raises(CalculusError, match="grid must be at least 1"):
+        ftc_forward_check(lambda t: t, identity_gauge(), grid=grid)
+    assert ftc_forward_check(lambda t: t, identity_gauge(), grid=1).checked == 1
+
+
 # ---------------------------------------------------------------------------
 # second-form reconstruction: rebuild F from its derivative
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid", [1, 0, -1])
+def test_ftc2_rejects_a_comparison_grid_that_stops_at_a(grid):
+    # with atoms the jump knots alone would give two derivative samples,
+    # and a grid of one compares only at a, where the rebuild is exact
+    g = mixed_gauge()
+    with pytest.raises(CalculusError, match="grid must be at least 2"):
+        ftc2_check(g, g, grid=grid)
 
 def test_ftc2_gauge_rebuilds_itself():
     g = mixed_gauge()

@@ -5,6 +5,7 @@ the documented convention: 0 success, 1 bad input or computation error,
 2 failed check or verification, 3 inconclusive-only check runs.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -122,6 +123,43 @@ def test_check_loads_spec_from_json_file(runner, tmp_path):
     result = invoke(runner, "check", "--spec", str(spec_file), "--which", "h1")
     assert result.exit_code == 0
     assert json.loads(result.stdout)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("args", [
+    ("--samples", "0"),
+    ("--samples", "1", "--which", "h2prime,h3"),
+    ("--samples", "-4", "--which", "h1"),
+    ("--which", "d2", "--grid", "1"),
+])
+def test_check_too_few_samples_is_bad_input(runner, args):
+    # each of these passed over (almost) nothing before, or silently ran
+    # the default count for --samples 0
+    result = invoke(runner, "check", "--builtin", "exponential", *args)
+    assert result.exit_code == 1
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "at least 2" in lines[0]
+    assert result.stdout == ""
+
+
+# sha256 of stdout and the exit code: a speed-up of the checks, the
+# quadrature or the extracted density must not move a bit of these reports
+_STDOUT_GOLDEN = [
+    (("check", "--builtin", "exponential"), 2,
+     "fef334740a8baac2c3799240c316aedc1c7d88d359a56746cdaa253b9089754c"),
+    # the stored matrix's documented violation: 10 > 4 + 5
+    (("check", "--builtin", "santiago_graph"), 2,
+     "ec366484728bf5b290e7765b3278075f9708046f30290084b61010ea06cd14a5"),
+    (("ftc", "--f", "t", "--gauge", "extract:exponential"), 0,
+     "05373105fb1e3bab64d2585bc6b12aad04e5e5dee5bc314f19cfcfe2361e6acc"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", _STDOUT_GOLDEN)
+def test_stdout_bytes_match_recorded_digest(runner, args, code, digest):
+    result = invoke(runner, *args)
+    assert result.exit_code == code
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
 
 
 def test_check_output_is_deterministic(runner):
@@ -280,6 +318,15 @@ def test_ftc_identity_integrand_passes(runner):
     assert payload["violations"] == []
 
 
+def test_ftc_grid_without_points_is_bad_input(runner):
+    # a pass over no points used to exit 0 with "checked": 0
+    result = invoke(runner, "ftc", "--f", "t", "--gauge", "identity",
+                    "--grid", "0")
+    assert result.exit_code == 1
+    assert result.stderr == "error: grid must be at least 1, got 0\n"
+    assert result.stdout == ""
+
+
 def test_ftc_tight_tolerance_fails(runner):
     result = invoke(runner, "ftc", "--f", "t", "--gauge",
                     "extract:exponential", "--tol", "1e-14")
@@ -396,6 +443,14 @@ _GAUGE = {"domain": [0, 1], "density": "1"}
     (("check", "--spec"), {"kind": "graph", "weights": 5}),
     (("check", "--spec"), {"kind": "stieltjes", "gauge": {**_GAUGE, "flats": 5}}),
     (("check", "--spec"), ["not", "an", "object"]),
+    # integers too large for a float
+    (("integrate", "--f", "t", "--gauge"), {**_GAUGE, "domain": [0, 10 ** 400]}),
+    (("integrate", "--f", "t", "--gauge"), {**_GAUGE, "jumps": [[0.5, 10 ** 400]]}),
+    (("check", "--spec"), {"kind": "graph", "weights": [[0, 10 ** 400], [1, 0]]}),
+    (("check", "--spec"), {"kind": "smooth", "domain": [0, 10 ** 400],
+                           "delta": "y - x"}),
+    (("check", "--spec"), {"kind": "stieltjes",
+                           "gauge": {**_GAUGE, "flats": [[0, 10 ** 400]]}}),
 ])
 def test_malformed_json_is_one_error_line(runner, tmp_path, command, payload):
     path = tmp_path / "input.json"

@@ -8,6 +8,7 @@ the roundabout, and the radius-one ball edge solving exp(t^2) - exp(-t) = 1.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from displace import (
@@ -100,6 +101,105 @@ def test_smooth_domain_enforced():
         spec.delta(0.0, 1.5)
     with pytest.raises(DisplacementError):
         spec.d2(-0.1, 0.5)
+
+
+# Recorded from the form of Smooth that sent every point through the
+# snap-or-raise check: (x, y, delta, analytic d2, finite-difference d2) on
+# the exponential space over [0, 1], where the snap slack is 2e-12.  A
+# value is its float.hex, an error its type name and message, so both the
+# numbers and the order of the checks (x first) are pinned.
+_SMOOTH_GOLDEN = [
+    (0.0, 0.5, '0x1.5ae097c0d6d02p-1', '0x1.e3fb7ba764c8bp+0', '0x1.e3fb7ba7346a3p+0'),
+    (0.5, 0.0, '-0x1.bd6637d8f8b2dp-1', '0x1.a61298e1e069cp+0', '0x1.a61298e2597e9p+0'),
+    (1.0, 0.5, '-0x1.2d2595322133cp+0', '0x1.0f7fce48cfcfep+1', '0x1.0f7fce4900025p+1'),
+    (0.5, 1.0, '0x1.82ae1ea97eeebp+0', '0x1.35cb413f5cfb9p+2', '0x1.35cb413f3668ep+2'),
+    (-1e-12, 0.5, '0x1.5ae097c0d6d02p-1', '0x1.e3fb7ba764c8bp+0', '0x1.e3fb7ba7346a3p+0'),
+    (0.5, -1e-12, '-0x1.bd6637d8f8b2dp-1', '0x1.a61298e1e069cp+0', '0x1.a61298e2597e9p+0'),
+    (1.0 + 1e-12, 0.5, '-0x1.2d2595322133cp+0', '0x1.0f7fce48cfcfep+1', '0x1.0f7fce4900025p+1'),
+    (0.5, 1.0 + 1e-12, '0x1.82ae1ea97eeebp+0', '0x1.35cb413f5cfb9p+2', '0x1.35cb413f3668ep+2'),
+    (-3e-12, 0.5,
+     ('DisplacementError', 'x = -3e-12 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = -3e-12 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = -3e-12 outside the domain [0.0, 1.0]')),
+    (0.5, -3e-12,
+     ('DisplacementError', 'y = -3e-12 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = -3e-12 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = -3e-12 outside the domain [0.0, 1.0]')),
+    (1.0 + 3e-12, 0.5,
+     ('DisplacementError', 'x = 1.000000000003 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = 1.000000000003 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = 1.000000000003 outside the domain [0.0, 1.0]')),
+    (0.5, 1.0 + 3e-12,
+     ('DisplacementError', 'y = 1.000000000003 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = 1.000000000003 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = 1.000000000003 outside the domain [0.0, 1.0]')),
+    (math.nan, 0.5,
+     ('DisplacementError', 'x = nan outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = nan outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = nan outside the domain [0.0, 1.0]')),
+    (0.5, math.nan,
+     ('DisplacementError', 'y = nan outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = nan outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = nan outside the domain [0.0, 1.0]')),
+    (math.inf, 0.5,
+     ('DisplacementError', 'x = inf outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = inf outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = inf outside the domain [0.0, 1.0]')),
+    (0.5, math.inf,
+     ('DisplacementError', 'y = inf outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = inf outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = inf outside the domain [0.0, 1.0]')),
+    (-math.inf, 0.5,
+     ('DisplacementError', 'x = -inf outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = -inf outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = -inf outside the domain [0.0, 1.0]')),
+    (0.5, -math.inf,
+     ('DisplacementError', 'y = -inf outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = -inf outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = -inf outside the domain [0.0, 1.0]')),
+    (np.float64(0.25), 0.5,
+     '0x1.b5b011ed45cbep-2',
+     '0x1.fc2afe661993ap+0',
+     '0x1.fc2afe65fceb0p+0'),
+    (0.5, np.float64(0.25),
+     '-0x1.d1ea8cb78f720p-2',
+     '0x1.b2d3840eea365p+0',
+     '0x1.b2d3840ed831bp+0'),
+    (0, 0.5, '0x1.5ae097c0d6d02p-1', '0x1.e3fb7ba764c8bp+0', '0x1.e3fb7ba7346a3p+0'),
+    (0.5, 0, '-0x1.bd6637d8f8b2dp-1', '0x1.a61298e1e069cp+0', '0x1.a61298e2597e9p+0'),
+    (1, 0.5, '-0x1.2d2595322133cp+0', '0x1.0f7fce48cfcfep+1', '0x1.0f7fce4900025p+1'),
+    (0.5, 1, '0x1.82ae1ea97eeebp+0', '0x1.35cb413f5cfb9p+2', '0x1.35cb413f3668ep+2'),
+    (2, 0.5,
+     ('DisplacementError', 'x = 2.0 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = 2.0 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = 2.0 outside the domain [0.0, 1.0]')),
+    (0.5, 2,
+     ('DisplacementError', 'y = 2.0 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = 2.0 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'y = 2.0 outside the domain [0.0, 1.0]')),
+    (math.nan, 2,
+     ('DisplacementError', 'x = nan outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = nan outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = nan outside the domain [0.0, 1.0]')),
+    (-3e-12, math.inf,
+     ('DisplacementError', 'x = -3e-12 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = -3e-12 outside the domain [0.0, 1.0]'),
+     ('DisplacementError', 'x = -3e-12 outside the domain [0.0, 1.0]')),
+]
+
+
+@pytest.mark.parametrize("x, y, delta, d2, fd_d2", _SMOOTH_GOLDEN)
+def test_smooth_domain_guard_reproduces_recorded_values(x, y, delta, d2, fd_d2):
+    spec = make_builtin("exponential")
+    fd = Smooth(spec.domain, spec.delta_expr)
+    for fn, want in ((spec.delta, delta), (spec.d2, d2), (fd.d2, fd_d2)):
+        if isinstance(want, str):
+            got = fn(x, y)
+            assert type(got) is float and got.hex() == want
+        else:
+            with pytest.raises(DisplacementError) as info:
+                fn(x, y)
+            assert (type(info.value).__name__, str(info.value)) == want
 
 
 def test_roundabout_arcs():
@@ -366,6 +466,41 @@ def test_d2_degenerate_cubic_fails():
     assert report.stats["argmin_y"] == 0.0
 
 
+@pytest.mark.parametrize("tol, verdict", [(1e-9, "fail"), (1e-11, "pass")])
+def test_d2_positive_verdict_and_witnesses_follow_tol(tol, verdict):
+    # d2 = x + y + 1e-10: the lattice minimum 1e-10 is positive, not above 1e-9
+    spec = Smooth((0.0, 1.0), parse("x*y + y^2/2 + 0.0000000001*y", {"x", "y"}),
+                  parse("x + y + 0.0000000001", {"x", "y"}))
+    report = check_d2_positive(spec, grid=5, tol=tol)
+    assert report.stats["r_hat"] == 1e-10
+    assert report.verdict == verdict
+    if verdict == "fail":
+        assert [(w["x"], w["y"]) for w in report.witnesses] == [(0.0, 0.0)]
+        assert report.witnesses[0]["d2"] == 1e-10
+    else:
+        assert report.witnesses == ()
+
+
+def test_d2_check_rejects_a_lattice_without_both_corners():
+    for grid in (1, 0, -3):
+        with pytest.raises(DisplacementError, match="grid must be at least 2"):
+            check_d2_positive(make_builtin("exponential"), grid=grid)
+
+
+@pytest.mark.parametrize("check, name", [
+    (check_h1, "exponential"), (check_h2_usc, "exponential"),
+    (check_h2prime, "exponential"), (check_h3, "exponential"),
+    (check_h5, "exponential"), (check_h1, "santiago_graph"),
+    (check_h2prime, "santiago_graph"),
+])
+def test_sampled_checks_reject_fewer_than_two_samples(check, name):
+    spec = make_builtin(name)
+    for samples in (1, 0, -1):
+        with pytest.raises(DisplacementError, match="samples must be at least 2"):
+            check(spec, samples=samples)
+    assert check(spec, samples=2).sample_count > 0
+
+
 def test_d2_check_requires_smooth():
     with pytest.raises(DisplacementError):
         check_d2_positive(make_builtin("identity_gauge"))
@@ -528,6 +663,18 @@ def test_gauge_extraction_requires_smooth():
         gauge_from_smooth(make_builtin("santiago_graph"))
 
 
+def test_extracted_density_is_the_compiled_diagonal_of_d2():
+    spec = make_builtin("exponential")
+    g = gauge_from_smooth(spec)
+    assert g.density_source == "2.0 * t * exp(t^2.0 - t^2.0) + exp(t - t)"
+    rng = random.Random(20)
+    ts = [0.0, 1.0, 0.5] + [rng.random() for _ in range(2000)]
+    for t in ts + [np.float64(t) for t in ts[:50]]:
+        got = g.density(t)
+        assert type(got) is float
+        assert got.hex() == spec.d2(t, t).hex()
+
+
 def test_fd_d2_matches_analytic_on_exp():
     spec = Smooth((0.0, 1.0), parse("exp(y) - exp(x)", {"x", "y"}))
     for x in (0.0, 0.3, 1.0):
@@ -586,6 +733,11 @@ def test_spec_from_dict_malformed():
     {"kind": "graph", "weights": [[0, "x"], [1, 0]]},
     [{"kind": "angular"}],
     "angular",
+    # integers too large for a float
+    {"kind": "graph", "weights": [[0, 10 ** 400], [1, 0]]},
+    {"kind": "smooth", "domain": [0, 10 ** 400], "delta": "y - x"},
+    # a domain end that is no number
+    {"kind": "smooth", "domain": [0, "one"], "delta": "y - x"},
 ])
 def test_spec_from_dict_malformed_shapes_raise_typed_errors(bad):
     with pytest.raises(DisplacementError):

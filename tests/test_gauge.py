@@ -179,6 +179,17 @@ def test_distinguished_sets_jump_only():
     assert sets.excludes(0.25)
 
 
+def test_jump_near_returns_the_snapped_jump_position():
+    sets = DistinguishedSets(d_set=(0.25, 0.5), c_set=(), n_set=())
+    assert sets.jump_near(0.5) == 0.5
+    assert sets.jump_near(0.5 - 1e-12) == 0.5
+    assert sets.jump_near(0.25 + 5e-13) == 0.25
+    assert sets.jump_near(0.5 + 2e-12) is None
+    assert sets.jump_near(0.4, snap=0.2) == 0.25  # the first within snap
+    for x in (0.5 - 1e-12, 0.5 + 2e-12, 0.3):
+        assert sets.is_jump(x) == (sets.jump_near(x) is not None)
+
+
 def plateau_density(t):
     return max(0.0, t - 0.4) + max(0.0, 0.2 - t)
 
@@ -350,6 +361,57 @@ def test_qk21_reproduces_quadpack_bit_for_bit(f, a, b, golden):
     assert counter.calls == 21
 
 
+# (result, abserr, resabs, resasc) of one panel, recorded from the loop
+# form of the port.  The kink and the two steps are panels _adaptive_quad
+# refuses, and the reversed interval has a negative half-length.
+_QK21_GOLDEN = [
+    (lambda t: 1.0 / (1.0 + t * t), 0.0, 1.0,
+     ('0x1.921fb54442d19p-1', '0x1.3a28c59d5433cp-47',
+      '0x1.921fb54442d19p-1', '0x1.239e103572fa8p-3')),
+    (lambda t: t * t * t - 2.0 * t + 0.5, -1.0, 2.0,
+     ('0x1.1ffffffffffffp+1', '0x1.2f2f36bbc98a9p-45',
+      '0x1.8413794249a72p+1', '0x1.606809bedfbeap+1')),
+    (lambda t: (t * t + 1.0) / (t + 3.0), 0.1, 0.7,
+     ('0x1.aca930f20765fp-3', '0x1.4ee42e3d15c7ap-49',
+      '0x1.aca930f20765fp-3', '0x1.91173e7c3aab4p-7')),
+    (lambda t: 1.0 / (2.0 + t), 0.0, 3.0,
+     ('0x1.d5240f0e0e078p-1', '0x1.6e842bc2faf5ep-47',
+      '0x1.d5240f0e0e078p-1', '0x1.a77e7fd36a656p-3')),
+    (lambda t: (1.0 - t) * (3.0 + t) / (5.0 + t * t), 0.25, 0.3,
+     ('0x1.7f2ea82084717p-6', '0x1.2b5c73596778ap-52',
+      '0x1.7f2ea82084717p-6', '0x1.6948733903c17p-12')),
+    (lambda t: abs(t - 0.3) + 0.1, 0.0, 1.0,
+     ('0x1.8f76f02347ce5p-2', '0x1.58467d11e0cc8p-3',
+      '0x1.8f76f02347ce5p-2', '0x1.58467d11e0cc8p-3')),
+    (lambda t: 1.0 if t < 0.37 else 2.5, 0.0, 1.0,
+     ('0x1.eab6724888caep+0', '0x1.6cff01440290cp-1',
+      '0x1.eab6724888caep+0', '0x1.6cff01440290cp-1')),
+    (lambda t: 1e-11 if t < 0.37 else 0.0, 0.0, 1.0,
+     ('0x1.1192685711d8cp-38', '0x1.4e6e64c8a2b76p-38',
+      '0x1.1192685711d8cp-38', '0x1.4e6e64c8a2b76p-38')),
+    (lambda t: t - 0.5, 1.0, 0.0,
+     ('-0x1.0376159bdd1ddp-59', '0x1.8e823e2468a85p-49',
+      '0x1.fe1759c8340aap-3', '0x1.fe1759c8340aap-3')),
+]
+
+
+@pytest.mark.parametrize("f, a, b, golden", _QK21_GOLDEN)
+def test_qk21_reproduces_all_four_recorded_outputs(f, a, b, golden):
+    assert tuple(v.hex() for v in _qk21(f, a, b)) == golden
+
+
+def test_qk21_calls_the_integrand_in_dqk21_order():
+    calls = []
+    _qk21(lambda t: calls.append(t) or t, -1.0, 1.0)
+    # the centre, then the five Gauss pairs, then the five Kronrod-only
+    # pairs, each pair left point first
+    assert calls[0] == 0.0
+    nodes = [abs(t) for t in calls[1::2]]
+    assert nodes == sorted(nodes[:5], reverse=True) + sorted(nodes[5:], reverse=True)
+    assert calls[1::2] == [-t for t in calls[2::2]]
+    assert len(calls) == 21 and nodes[0] < nodes[5]
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_density_raises_after_one_panel(bad):
     f = counted(lambda t: bad if t > 0.9 else 1.0)
@@ -435,6 +497,9 @@ def test_jumps_on_matches_jump_at_on_every_node():
 @pytest.mark.parametrize("field, value", [
     ("jumps", 5), ("flats", 5), ("jumps", [[0.5]]), ("jumps", [0.5]),
     ("flats", [[0.1, 0.2, 0.3]]), ("jumps", [["x", 1.0]]), ("jumps", None),
+    # integers too large for a float
+    ("jumps", [[0.5, 10 ** 400]]), ("flats", [[0, 10 ** 400]]),
+    ("domain", [0, 10 ** 400]),
 ])
 def test_from_dict_rejects_malformed_jumps_and_flats(field, value):
     data = {"domain": [0.0, 1.0], "density": "1", field: value}
