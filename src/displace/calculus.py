@@ -12,11 +12,14 @@ go through one engine.  Three point classes arise:
   raised carrying the diagnostic sequences.
 * jump points of g: the limit reduces to the exact one-sided quotient
   (f(x+) - f(x)) / atom, where atom is the jump size.  f(x+) comes from
-  a right_limit method when the callable provides one (the running
-  integrals below do), otherwise from right-sided extrapolation.
+  a right_limit method when the callable provides one (gauges and the
+  running integrals below do), otherwise from right-sided extrapolation.
 * excluded points: interiors of constancy intervals and their isolated
   endpoints carry no measure and no derivative; queries within 1e-12 of
   them return a result classed 'excluded' with no value.
+
+Only this engine classifies points (after López Pouso & Rodríguez,
+2015); the FTC harnesses read DerivativeResult.point_class.
 
 Integration is the half-open Stieltjes sum: integral of f over [a, u)
 equals the density part plus the atoms f(tau) * size for tau < u, so
@@ -40,6 +43,7 @@ import numpy as np
 
 from .gauge import (_EPS, SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets,
                     Gauge, _adaptive_quad)
+from .serialize import Record
 
 __all__ = [
     "CalculusError",
@@ -75,7 +79,7 @@ class DerivativeError(CalculusError):
 
 
 @dataclass(frozen=True)
-class DerivativeResult:
+class DerivativeResult(Record):
     """Derivative estimate at one point.
 
     point_class is 'continuity', 'jump', or 'excluded'; value is None
@@ -86,14 +90,6 @@ class DerivativeResult:
     point_class: str
     error_estimate: float
     samples_used: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "point_class": self.point_class,
-            "error_estimate": self.error_estimate,
-            "samples_used": self.samples_used,
-        }
 
 
 def _richardson(values: Sequence[float]) -> tuple[float, float]:
@@ -124,55 +120,34 @@ def _richardson(values: Sequence[float]) -> tuple[float, float]:
     return diag[best_i], best_spread
 
 
-def _right_limit_extrapolate(f: Callable[[float], float], x: float,
-                             reach: float, levels: int) -> tuple[float, float, int]:
-    """Estimate f(x+) from values at x + h with h shrinking geometrically."""
-    h0 = reach
-    values, used = [], 0
-    for k in range(levels):
-        h = h0 * 2.0 ** (-k)
-        if h < 32.0 * _EPS * max(1.0, abs(x)):
-            break
-        values.append(float(f(x + h)))
-        used += 1
-    if len(values) < 2:
-        raise DerivativeError("no room to the right for a one-sided limit", x)
-    estimate, spread = _richardson(values)
-    return estimate, spread, used
-
-
-def _structure_points(dsets: DistinguishedSets,
-                      avoid: Sequence[float]) -> list[float]:
-    pts = list(dsets.d_set) + list(dsets.n_set) + list(avoid)
-    for lo, hi in dsets.c_set:
-        pts.extend((lo, hi))
-    return pts
-
-
-def _reach(x: float, direction: int, g: Gauge, structures: Sequence[float]) -> float:
+def _reach(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
+           avoid: Sequence[float]) -> float:
+    """Half the room on one side of x before the domain end or a structure
+    point: a jump, a flat end point or a point to avoid."""
     a, b = g.domain
     limit = (b - x) if direction > 0 else (x - a)
-    for p in structures:
+    for p in (*dsets.d_set, *dsets.n_set, *avoid,
+              *(end for iv in dsets.c_set for end in iv)):
         d = (p - x) if direction > 0 else (x - p)
         if d > SNAP_RADIUS:
             limit = min(limit, d)
     return 0.5 * limit
 
 
-def _side_quotients(numerator: Callable[[float], float], g: Gauge, x: float,
-                    gx: float, direction: int, reach: float,
-                    levels: int) -> tuple[list[float], int]:
+def _side_samples(sample: Callable[[float], Optional[float]], x: float,
+                  direction: int, reach: float,
+                  levels: int) -> tuple[list[float], int]:
+    """sample(x + direction * h) for h = reach / 2**k until h is rounding;
+    a None sample is dropped but counts as used."""
     values, used = [], 0
     for k in range(levels):
         h = reach * 2.0 ** (-k)
         if h < 32.0 * _EPS * max(1.0, abs(x)):
             break
-        y = x + direction * h
-        den = g(y) - gx
         used += 1
-        if den == 0.0:
-            continue
-        values.append(numerator(y) / den)
+        value = sample(x + direction * h)
+        if value is not None:
+            values.append(value)
     return values, used
 
 
@@ -180,16 +155,20 @@ def _two_sided_limit(numerator: Callable[[float], float], g: Gauge, x: float,
                      shrink_levels: int, dsets: DistinguishedSets,
                      avoid: Sequence[float]) -> tuple[float, float, int]:
     gx = g(x)
-    structures = _structure_points(dsets, avoid)
+
+    def quotient(y: float) -> Optional[float]:
+        den = g(y) - gx
+        return numerator(y) / den if den != 0.0 else None
+
     sides = []
     used_total = 0
     diagnostics = {}
     for direction in (+1, -1):
-        reach = _reach(x, direction, g, structures)
+        reach = _reach(x, direction, g, dsets, avoid)
         if reach < 1e3 * _EPS * max(1.0, abs(x)):
             continue
-        values, used = _side_quotients(numerator, g, x, gx, direction,
-                                       reach, shrink_levels)
+        values, used = _side_samples(quotient, x, direction, reach,
+                                     shrink_levels)
         used_total += used
         key = "right" if direction > 0 else "left"
         diagnostics[key] = list(values)
@@ -238,12 +217,15 @@ def _derivative(f: Callable[[float], float], g: Gauge,
             fplus = float(f.right_limit(tau))
             spread, used = 0.0, 1
         else:
-            structures = _structure_points(dsets, avoid)
-            reach = _reach(tau, +1, g, structures)
+            reach = _reach(tau, +1, g, dsets, avoid)
             if reach < 1e3 * _EPS * max(1.0, abs(tau)):
                 raise DerivativeError("no room to the right of the jump", tau)
-            fplus, spread, used = _right_limit_extrapolate(
-                f, tau, reach, shrink_levels)
+            values, used = _side_samples(lambda y: float(f(y)), tau, +1,
+                                         reach, shrink_levels)
+            if len(values) < 2:
+                raise DerivativeError(
+                    "no room to the right for a one-sided limit", tau)
+            fplus, spread = _richardson(values)
         return DerivativeResult(value=displaced(fx, fplus) / atom,
                                 point_class="jump",
                                 error_estimate=spread / atom,
@@ -369,7 +351,7 @@ def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
 
 
 @dataclass(frozen=True)
-class FtcReport:
+class FtcReport(Record):
     """Grid comparison between a derivative and its target function."""
 
     max_error: float
@@ -377,15 +359,6 @@ class FtcReport:
     checked: int
     excluded: tuple[float, ...]
     violations: tuple[dict, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_error": self.max_error,
-            "worst_point": self.worst_point,
-            "checked": self.checked,
-            "excluded": list(self.excluded),
-            "violations": list(self.violations),
-        }
 
 
 _F_BREAK_GUARD = 1e-6
@@ -398,10 +371,11 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
 
     The running integral F of f is formed first; its derivative against
     g is then evaluated on interior grid points (plus nothing else) and
-    compared with f pointwise.  Points excluded by the distinguished
-    sets, and points within 1e-6 of a declared breakpoint of f where a
-    two-sided derivative cannot exist, are skipped and reported in the
-    excluded list.
+    compared with f pointwise.  Points the derivative classes as
+    excluded, and points within 1e-6 of a declared breakpoint of f where
+    a two-sided derivative cannot exist, are skipped and reported in the
+    excluded list.  A grid on which no point is compared and none fails
+    raises CalculusError: there is nothing to report a verdict on.
     """
     if grid < 1:
         raise CalculusError(f"grid must be at least 1, got {grid!r}")
@@ -416,9 +390,6 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
     checked = 0
     for t in candidates:
         t = float(t)
-        if dsets.excludes(t):
-            excluded.append(t)
-            continue
         if dsets.jump_near(t) is None and any(
                 abs(t - p) < _F_BREAK_GUARD for p in f_breaks):
             excluded.append(t)
@@ -428,7 +399,7 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
         except DerivativeError as exc:
             violations.append({"point": t, "reason": str(exc)})
             continue
-        if d.value is None:
+        if d.point_class == "excluded":
             excluded.append(t)
             continue
         checked += 1
@@ -436,6 +407,9 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
         if err > max_error:
             max_error = err
             worst = t
+    if not checked and not violations:
+        raise CalculusError(
+            f"no grid point can be compared: all {grid} are excluded")
     return FtcReport(max_error=max_error, worst_point=worst, checked=checked,
                      excluded=tuple(excluded), violations=tuple(violations))
 
@@ -465,15 +439,12 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     excluded = []
     violations = []
     for t in sorted(knots):
-        if dsets.excludes(t):
-            excluded.append(t)
-            continue
         try:
             d = delta_derivative(F, g, t, shrink_levels, dsets)
         except DerivativeError as exc:
             violations.append({"point": t, "reason": str(exc)})
             continue
-        if d.value is None:
+        if d.point_class == "excluded":
             excluded.append(t)
             continue
         kx.append(t)

@@ -98,15 +98,16 @@ def main() -> None:
                             format="%(name)s %(levelname)s %(message)s")
 
 
-# check name -> (function, default samples or None for the lattice check,
-# the extra command-line options it takes)
+# check name -> (function, the command-line options it takes besides
+# --tol); an option left unset is not passed, so the check's own default
+# applies
 _CHECKS = {
-    "h1": (displacement.check_h1, 101, ()),
-    "h2usc": (displacement.check_h2_usc, 11, ("shrink_levels",)),
-    "h2prime": (displacement.check_h2prime, 16, ("phi",)),
-    "h3": (displacement.check_h3, 21, ()),
-    "h5": (displacement.check_h5, 21, ()),
-    "d2": (displacement.check_d2_positive, None, ("grid",)),
+    "h1": (displacement.check_h1, ("samples",)),
+    "h2usc": (displacement.check_h2_usc, ("samples", "shrink_levels")),
+    "h2prime": (displacement.check_h2prime, ("samples", "phi")),
+    "h3": (displacement.check_h3, ("samples",)),
+    "h5": (displacement.check_h5, ("samples",)),
+    "d2": (displacement.check_d2_positive, ("grid",)),
 }
 _DEFAULT_CHECKS = {
     "smooth": ("h1", "h2usc", "h2prime", "h3", "h5", "d2"),
@@ -154,18 +155,15 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
                     + ",".join(_CHECKS))
     else:
         names = list(_DEFAULT_CHECKS[spec.kind])
-    extras = {"phi": parse(phi, {"r"}) if phi else None,
-              "shrink_levels": shrink_levels, "grid": grid}
+    given = {"phi": parse(phi, {"r"}) if phi else None, "samples": samples,
+             "shrink_levels": shrink_levels, "grid": grid, "tol": tol}
 
     reports = []
     for name in names:
         log.info("running %s", name)
-        fn, default_samples, options = _CHECKS[name]
-        kwargs = {key: extras[key] for key in options}
-        if default_samples is not None:
-            kwargs["samples"] = default_samples if samples is None else samples
-        if tol is not None:
-            kwargs["tol"] = tol
+        fn, options = _CHECKS[name]
+        kwargs = {key: given[key] for key in options + ("tol",)
+                  if given[key] is not None}
         reports.append(fn(spec, **kwargs))
     text = "\n".join(dumps(r.to_dict()) for r in reports)
     _deliver(text, out)

@@ -40,6 +40,7 @@ import numpy as np
 from . import expr as expr_mod
 from .expr import Expr
 from .gauge import _EPS, Gauge, GaugeError, SNAP_RADIUS
+from .serialize import Record
 
 __all__ = [
     "DisplacementError",
@@ -308,7 +309,7 @@ def make_builtin(name: str) -> DisplacementSpec:
 # --- reports ---
 
 @dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of one hypothesis check.
 
     verdict is 'pass', 'fail', or 'inconclusive'; witnesses carry the
@@ -326,19 +327,9 @@ class AxiomReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_dict(self) -> dict:
-        return {
-            "hypothesis": self.hypothesis,
-            "verdict": self.verdict,
-            "witnesses": list(self.witnesses),
-            "sample_count": self.sample_count,
-            "tolerance": self.tolerance,
-            "stats": dict(self.stats),
-        }
-
 
 @dataclass(frozen=True)
-class GammaEstimate:
+class GammaEstimate(Record):
     """Grid estimate of the comparability factor between two base points."""
 
     z: float
@@ -346,23 +337,15 @@ class GammaEstimate:
     value: float
     grid: int
 
-    def to_dict(self) -> dict:
-        return {"z": self.z, "zbar": self.zbar, "value": self.value,
-                "grid": self.grid}
-
 
 @dataclass(frozen=True)
-class BallInterval:
+class BallInterval(Record):
     """A displacement ball on an interval: endpoints plus membership flags."""
 
     lo: float
     hi: float
     lo_closed: bool
     hi_closed: bool
-
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi,
-                "lo_closed": self.lo_closed, "hi_closed": self.hi_closed}
 
 
 _WITNESS_CAP = 10
@@ -376,6 +359,12 @@ def _require_interval(spec: DisplacementSpec, operation: str) -> None:
     if not _is_interval(spec):
         raise DisplacementError(
             f"{operation} requires an interval variant, got kind {spec.kind!r}")
+
+
+def _require_smooth(spec: DisplacementSpec, operation: str) -> None:
+    if spec.kind != "smooth":
+        raise DisplacementError(
+            f"{operation} requires a smooth variant, got {spec.kind!r}")
 
 
 def _grid_points(spec: DisplacementSpec, samples: int) -> list[float]:
@@ -576,9 +565,7 @@ def check_d2_positive(spec: DisplacementSpec, grid: int = 64,
     lower bound for the derivative; H3, H4 and H5 follow from a positive
     continuous d2.  The witnesses are lattice points with d2 <= tol.
     """
-    if spec.kind != "smooth":
-        raise DisplacementError(
-            f"check_d2_positive requires a smooth variant, got {spec.kind!r}")
+    _require_smooth(spec, "check_d2_positive")
     if grid < 2:
         raise DisplacementError(f"grid must be at least 2, got {grid!r}")
     a, b = spec.domain
@@ -610,9 +597,9 @@ def gamma_estimate(spec: DisplacementSpec, z: float, zbar: float,
     from zbar; it is 1 exactly when z == zbar and tends to 1 as the base
     points merge.
     """
-    if spec.kind != "smooth":
-        raise DisplacementError(
-            f"gamma_estimate requires a smooth variant, got {spec.kind!r}")
+    _require_smooth(spec, "gamma_estimate")
+    if grid < 1:
+        raise DisplacementError(f"grid must be at least 1, got {grid!r}")
     a, b = spec.domain
     z = _check_domain_point("z", z, a, b, _domain_slack(a, b))
     zbar = _check_domain_point("zbar", zbar, a, b, _domain_slack(a, b))
@@ -633,9 +620,7 @@ def rn_density(spec: DisplacementSpec, z: float, zbar: float, t: float) -> float
     Equals d2(z, t) / d2(zbar, t); identically 1 when z == zbar, and its
     product with the swapped density is 1.
     """
-    if spec.kind != "smooth":
-        raise DisplacementError(
-            f"rn_density requires a smooth variant, got {spec.kind!r}")
+    _require_smooth(spec, "rn_density")
     num = spec.d2(z, t)
     den = spec.d2(zbar, t)
     if den <= 0.0:
@@ -699,9 +684,7 @@ def gauge_from_smooth(spec: DisplacementSpec, quad_tol: float = 1e-10) -> Gauge:
     domain.  A callable or finite-difference d2 is called as
     spec.d2(t, t), and the gauge then has no source.
     """
-    if spec.kind != "smooth":
-        raise DisplacementError(
-            f"gauge_from_smooth requires a smooth variant, got {spec.kind!r}")
+    _require_smooth(spec, "gauge_from_smooth")
     if spec.d2_expr is None:
         return Gauge(spec.domain, lambda t: spec.d2(t, t), quad_tol=quad_tol)
     t_var = expr_mod.parse("t", {"t"})

@@ -6,10 +6,11 @@ By convention g(a) = 0 and g(t) is the measure of [a, t), which makes g
 left-continuous and nondecreasing; the jump at tau contributes to g(t)
 only for t > tau.
 
-CumulativeQuadrature owns that rule for gauges and for the running
-integrals in calculus alike: it holds the atoms next to the density
-table and snaps a query within SNAP_RADIUS of the domain onto the end
-point before looking up either.
+CumulativeQuadrature owns that rule: it holds the atoms next to the
+density table and snaps a query within SNAP_RADIUS of the domain onto
+the end point before looking up either.  A Gauge is one, the running
+integral of its density with its jumps as atoms, and so are the running
+integrals in calculus.
 
 Evaluation goes through an insert-only cumulative quadrature cache.  The
 naive alternative, re-running an adaptive quadrature from a to t for
@@ -41,6 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import expr as expr_mod
+from .serialize import Record
 
 __all__ = [
     "GaugeError",
@@ -248,10 +250,10 @@ class CumulativeQuadrature:
         self.hi = float(hi)
         self.tol = float(tol)
         self.nonnegative = nonnegative
-        self._taus = [float(tau) for tau, _ in atoms]
-        self._masses = [float(mass) for _, mass in atoms]
+        self.atoms = tuple((float(tau), float(mass)) for tau, mass in atoms)
+        self._taus = [tau for tau, _ in self.atoms]
         self._prefix = [0.0]
-        for mass in self._masses:
+        for _, mass in self.atoms:
             self._prefix.append(self._prefix[-1] + mass)
         self._ts = [self.lo]
         self._vals = [0.0]
@@ -312,7 +314,7 @@ class CumulativeQuadrature:
         t = self._snap(t)
         i = bisect.bisect_left(self._taus, t)
         if i < len(self._taus) and self._taus[i] == t:
-            return self._masses[i]
+            return self.atoms[i][1]
         return 0.0
 
     def right_limit(self, t: float) -> float:
@@ -323,11 +325,12 @@ class CumulativeQuadrature:
         """jump_at of every point of ts, an array inside [lo, hi]."""
         taus = np.array(self._taus + [math.inf])
         idx = np.searchsorted(taus, ts)
-        return np.where(taus[idx] == ts, np.array(self._masses + [0.0])[idx], 0.0)
+        masses = np.array([mass for _, mass in self.atoms] + [0.0])
+        return np.where(taus[idx] == ts, masses[idx], 0.0)
 
 
 @dataclass(frozen=True)
-class DistinguishedSets:
+class DistinguishedSets(Record):
     """Jump points, constancy intervals, and their endpoints for a gauge.
 
     d_set holds the jump positions, c_set the maximal open constancy
@@ -363,19 +366,14 @@ class DistinguishedSets:
                 return True
         return any(abs(x - p) <= snap for p in self.n_set)
 
-    def to_dict(self) -> dict:
-        return {
-            "d_set": list(self.d_set),
-            "c_set": [list(iv) for iv in self.c_set],
-            "n_set": list(self.n_set),
-        }
-
 
 _MEASURE_KINDS = ("[)", "()", "[]", "(]", "{}")
 
 
-class Gauge:
+class Gauge(CumulativeQuadrature):
     """A left-continuous nondecreasing gauge on [a, b] with g(a) = 0.
+
+    It is the running integral of its density with its jumps as atoms.
 
     Args:
         domain: pair (a, b) with a < b.
@@ -401,7 +399,6 @@ class Gauge:
         a, b = float(domain[0]), float(domain[1])
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise GaugeError(f"invalid domain [{a!r}, {b!r}]")
-        self._domain = (a, b)
         self._density_source = density_source
 
         pairs = []
@@ -414,7 +411,6 @@ class Gauge:
             if pairs and tau <= pairs[-1][0]:
                 raise GaugeError("jump positions must be strictly increasing")
             pairs.append((tau, size))
-        self._jumps = tuple(pairs)
 
         flat_list = []
         for lo, hi in flats:
@@ -433,9 +429,9 @@ class Gauge:
             if float(density(t)) < -1e-9:
                 raise GaugeError(f"density is negative at t = {float(t)!r}")
 
-        self._cum = CumulativeQuadrature(
-            density, a, b, tol=quad_tol, nonnegative=True,
-            breakpoints=[p for iv in flat_list for p in iv], atoms=self._jumps)
+        super().__init__(density, a, b, tol=quad_tol, nonnegative=True,
+                         breakpoints=[p for iv in flat_list for p in iv],
+                         atoms=pairs)
         self._dsets: Optional[DistinguishedSets] = None
         self._dsets_lock = threading.Lock()
 
@@ -443,15 +439,15 @@ class Gauge:
 
     @property
     def domain(self) -> tuple[float, float]:
-        return self._domain
+        return (self.lo, self.hi)
 
     @property
     def density(self) -> Callable[[float], float]:
-        return self._cum.fn
+        return self.fn
 
     @property
     def jumps(self) -> tuple[tuple[float, float], ...]:
-        return self._jumps
+        return self.atoms
 
     @property
     def flats(self) -> tuple[tuple[float, float], ...]:
@@ -459,7 +455,7 @@ class Gauge:
 
     @property
     def quad_tol(self) -> float:
-        return self._cum.tol
+        return self.tol
 
     @property
     def density_source(self) -> Optional[str]:
@@ -469,19 +465,7 @@ class Gauge:
 
     def __call__(self, t: float) -> float:
         """g(t) = measure of [a, t); left-continuous, g(a) = 0."""
-        return self._cum.value(t)
-
-    def jump_at(self, t: float) -> float:
-        """Size of the jump at t, or 0.0; this is the atom mass of {t}."""
-        return self._cum.jump_at(t)
-
-    def right_limit(self, t: float) -> float:
-        """g(t+), i.e. g(t) plus the atom at t."""
-        return self._cum.right_limit(t)
-
-    def jumps_on(self, ts: np.ndarray) -> np.ndarray:
-        """jump_at of every point of ts, an array inside the domain."""
-        return self._cum.jumps_on(ts)
+        return self.value(t)
 
     # --- measures ---
 
@@ -532,7 +516,7 @@ class Gauge:
         return result
 
     def _compute_dsets(self, samples: int) -> DistinguishedSets:
-        a, b = self._domain
+        a, b = self.lo, self.hi
         ts = np.linspace(a, b, samples)
         dens = np.array([abs(float(self.density(t))) for t in ts])
         threshold = SNAP_RADIUS * (1.0 + float(dens.max()))
@@ -550,7 +534,7 @@ class Gauge:
             if j > i:
                 lo, hi = float(ts[i]), float(ts[j])
                 # a jump strictly inside splits the run
-                cuts = [tau for tau, _ in self._jumps if lo < tau < hi]
+                cuts = [tau for tau, _ in self.atoms if lo < tau < hi]
                 pieces = zip([lo] + cuts, cuts + [hi])
                 for plo, phi in pieces:
                     if phi - plo > 2.0 * (b - a) / max(samples - 1, 1):
@@ -560,7 +544,7 @@ class Gauge:
         merged = self._merge_intervals(list(self._flats) + detected)
         endpoints = sorted({p for iv in merged for p in iv})
         n_set = tuple(p for p in endpoints if self.jump_at(p) == 0.0)
-        return DistinguishedSets(d_set=tuple(tau for tau, _ in self._jumps),
+        return DistinguishedSets(d_set=tuple(self._taus),
                                  c_set=tuple(merged),
                                  n_set=n_set)
 
@@ -592,7 +576,7 @@ class Gauge:
             raise GaugeError(
                 "gauge density has no expression form; cannot serialize")
         return {
-            "domain": [self._domain[0], self._domain[1]],
+            "domain": [self.lo, self.hi],
             "density": self._density_source,
             "jumps": [[tau, size] for tau, size in self.jumps],
             "flats": [[lo, hi] for lo, hi in self._flats],

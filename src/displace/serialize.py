@@ -7,12 +7,13 @@ given configuration always produces byte-identical JSON and CSV.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_float", "dumps", "csv_lines"]
+__all__ = ["format_float", "dumps", "csv_lines", "Record"]
 
 
 def format_float(value: float) -> str:
@@ -22,6 +23,22 @@ def format_float(value: float) -> str:
     if math.isinf(value):
         return "Infinity" if value > 0 else "-Infinity"
     return "%.17g" % value
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
+
+
+class Record:
+    """Dataclass base whose to_dict is its fields in order, tuples as lists."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name))
+                for f in dataclasses.fields(self)}
 
 
 def _write(obj: Any, out: list[str]) -> None:

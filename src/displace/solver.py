@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .gauge import Gauge
-from .serialize import format_float
+from .serialize import Record, format_float
 
 __all__ = [
     "SolverError",
@@ -83,14 +83,10 @@ class SurfaceProblem:
 
 
 @dataclass(frozen=True)
-class JumpRecord:
+class JumpRecord(Record):
     tau: float
     u_before: float
     u_after: float
-
-    def to_dict(self) -> dict:
-        return {"tau": self.tau, "u_before": self.u_before,
-                "u_after": self.u_after}
 
 
 @dataclass(frozen=True)
@@ -142,16 +138,12 @@ class IvpSolution:
 
 
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Maximum integral-equation residual of a solution over a grid."""
 
     max_residual: float
     worst_point: float
     grid: int
-
-    def to_dict(self) -> dict:
-        return {"max_residual": self.max_residual,
-                "worst_point": self.worst_point, "grid": self.grid}
 
 
 def _resolve_interval(gauge: Gauge, interval: Optional[tuple[float, float]]

@@ -393,3 +393,54 @@ def test_running_integral_snaps_points_just_outside_the_domain():
     assert F.right_limit(1.0 + 1e-13) == F.right_limit(1.0) == F(1.0) + 1.0
     with pytest.raises(GaugeError):
         F(1.0 + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# which grid points the harnesses exclude, compare and flag
+# ---------------------------------------------------------------------------
+
+def flat_atom_gauge():
+    return Gauge((0.0, 1.0), lambda t: 0.0 if 0.4 < t < 0.6 else 1.0,
+                 jumps=((0.25, 0.5),), flats=((0.4, 0.6),))
+
+
+FLAT_EXCLUDED = (0.4, 0.45, 0.5, 0.55, 0.6000000000000001)
+F_BREAK = 0.6 + 5e-7     # within the 1e-6 guard of the grid point at 0.6
+
+
+def broken(t):
+    return t if t < F_BREAK else 2.0 * t
+
+
+def stepped(t):
+    return t if t < 0.8 else t + 1.0
+
+
+@pytest.mark.parametrize("f, checked, violations", [
+    (broken, 13, ()),
+    (stepped, 12, ({"point": 0.8, "reason": "left and right difference "
+                    "quotients disagree at x = 0.8"},)),
+])
+def test_ftc_forward_exclusions_on_a_flat_and_an_atom(f, checked, violations):
+    # recorded before the engine became the only classifier: the flat's
+    # interior and end points come from the point class, 0.9 from the
+    # guard around the declared breakpoint 0.9 + 1e-7
+    report = ftc_forward_check(f, flat_atom_gauge(), grid=19,
+                               f_breaks=(F_BREAK, 0.9 + 1e-7))
+    assert report.excluded == FLAT_EXCLUDED + (0.9,)
+    assert report.checked == checked
+    assert report.violations == violations
+
+
+@pytest.mark.parametrize("F, checked, violations", [
+    (lambda t: abs(t - 0.7), 14, (
+        {"point": 0.7000000000000001, "reason": "left and right difference "
+         "quotients disagree at x = 0.7000000000000001"},)),
+    ("gauge", 15, ()),
+])
+def test_ftc2_exclusions_on_a_flat_and_an_atom(F, checked, violations):
+    g = flat_atom_gauge()
+    report = ftc2_check(g if F == "gauge" else F, g, grid=19)
+    assert report.excluded == FLAT_EXCLUDED
+    assert report.checked == checked
+    assert report.violations == violations

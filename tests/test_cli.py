@@ -327,6 +327,20 @@ def test_ftc_grid_without_points_is_bad_input(runner):
     assert result.stdout == ""
 
 
+def test_ftc_with_every_grid_point_excluded_is_bad_input(runner, tmp_path):
+    # a pure-jump gauge has flats on both sides of its atom, so no grid
+    # point is compared; this used to exit 0 with "checked": 0
+    path = tmp_path / "pure.json"
+    path.write_text(json.dumps(
+        {"domain": [0, 1], "density": "0", "jumps": [[0.5, 1]]}))
+    result = invoke(runner, "ftc", "--f", "t", "--gauge", str(path),
+                    "--grid", "4")
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: no grid point can be compared: all 4 are excluded\n")
+    assert result.stdout == ""
+
+
 def test_ftc_tight_tolerance_fails(runner):
     result = invoke(runner, "ftc", "--f", "t", "--gauge",
                     "extract:exponential", "--tol", "1e-14")

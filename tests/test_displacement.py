@@ -553,6 +553,27 @@ def test_gamma_rejects_non_smooth():
         gamma_estimate(make_builtin("roundabout"), 0.1, 0.2)
 
 
+@pytest.mark.parametrize("grid", [0, -3])
+def test_gamma_rejects_an_empty_grid(grid):
+    # an empty grid used to report the factor 1.0 over no points
+    with pytest.raises(DisplacementError,
+                       match=f"grid must be at least 1, got {grid}"):
+        gamma_estimate(make_builtin("exponential"), 1.0, 0.0, grid=grid)
+
+
+@pytest.mark.parametrize("operation, call", [
+    ("check_d2_positive", lambda s: check_d2_positive(s)),
+    ("gamma_estimate", lambda s: gamma_estimate(s, 0.1, 0.2)),
+    ("rn_density", lambda s: rn_density(s, 0.1, 0.2, 0.3)),
+    ("gauge_from_smooth", lambda s: gauge_from_smooth(s)),
+])
+def test_smooth_only_operations_name_themselves(operation, call):
+    with pytest.raises(DisplacementError) as info:
+        call(make_builtin("roundabout"))
+    assert str(info.value) == (
+        f"{operation} requires a smooth variant, got 'angular'")
+
+
 def test_rn_density_reciprocity_and_bounds():
     spec = make_builtin("exponential")
     rng = random.Random(33)

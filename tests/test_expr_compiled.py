@@ -5,6 +5,8 @@ replaced, kept verbatim as a reference implementation.  Random trees over
 every node kind and function, on random bindings (zero, negatives, huge
 and non-finite values, unbound variables), must give the same float bit
 for bit, or the same exception with the same message and fragment.
+Rendering a tree the parser can produce and parsing the text again must
+give the same tree.
 """
 
 import math
@@ -17,7 +19,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
                            DomainError, Expr, MissingBindingError, Node, Num,
-                           Unary, Var, _pow, _unparse, as_function, evaluate)
+                           Unary, Var, _pow, _unparse, as_function, evaluate,
+                           parse)
 
 
 def _eval(node: Node, bindings: Mapping[str, float]) -> float:
@@ -156,3 +159,22 @@ def test_as_function_matches_tree_walk(ast, names, given_values):
     expr = _expr(ast)
     expected = _outcome(_eval, ast, dict(zip(names, given_values)))
     assert _outcome(as_function(expr, *names), *given_values) == expected
+
+
+# the parser makes numbers from digit strings, so its trees hold only
+# finite numbers >= 0 (never -0.0); a minus sign is always a Unary node
+parsed_numbers = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 3.0, 1e-300, 1e300, 709.0, 710.0,
+                     5e-324]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs))
+parsed_trees = st.recursive(
+    st.one_of(st.builds(Num, parsed_numbers),
+              st.builds(Var, st.sampled_from(NAMES)),
+              st.builds(Const, st.sampled_from(sorted(_CONSTANTS)))),
+    _extend, max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(ast=parsed_trees)
+def test_parse_inverts_unparse(ast):
+    assert parse(_unparse(ast, 0), NAMES).ast == ast
