@@ -39,10 +39,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .gauge import (_EPS, SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets,
-                    Gauge, _adaptive_quad)
+                    Gauge, _adaptive_quad, _linspace)
 from .serialize import Record
 
 __all__ = [
@@ -382,14 +380,13 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
     F = CumulativeStieltjesIntegral(f, g, f_breaks)
     dsets = g.distinguished_sets()
     a, b = g.domain
-    candidates = np.linspace(a, b, grid + 2)[1:-1]
+    candidates = _linspace(a, b, grid + 2)[1:-1]
     max_error = 0.0
     worst: Optional[float] = None
     excluded = []
     violations = []
     checked = 0
     for t in candidates:
-        t = float(t)
         if dsets.jump_near(t) is None and any(
                 abs(t - p) < _F_BREAK_GUARD for p in f_breaks):
             excluded.append(t)
@@ -432,7 +429,7 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
         raise CalculusError(f"grid must be at least 2, got {grid!r}")
     dsets = g.distinguished_sets()
     a, b = g.domain
-    knots = set(float(t) for t in np.linspace(a, b, grid + 2)[1:-1])
+    knots = set(_linspace(a, b, grid + 2)[1:-1])
     knots.add(a)
     knots.update(tau for tau, _ in g.jumps if tau < b)
     kx, kv = [], []
@@ -452,6 +449,8 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     if len(kx) < 2:
         raise CalculusError(
             "not enough derivative samples to attempt reconstruction")
+    import numpy as np
+
     kx_arr, kv_arr = np.asarray(kx), np.asarray(kv)
 
     def integrand(t: float) -> float:
@@ -461,8 +460,7 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     base = float(F(a))
     max_error = 0.0
     worst: Optional[float] = None
-    for t in np.linspace(a, b, grid):
-        t = float(t)
+    for t in _linspace(a, b, grid):
         err = abs(base + R(t) - float(F(t)))
         if err > max_error:
             max_error = err

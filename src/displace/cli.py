@@ -12,6 +12,7 @@ progress to stderr.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import os
@@ -20,13 +21,12 @@ from pathlib import Path
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import calculus, displacement, solver
 from .displacement import (BUILTIN_NAMES, DisplacementError, gauge_from_smooth,
                            make_builtin, spec_from_dict)
 from .expr import ExprError, as_function, parse
-from .gauge import Gauge, GaugeError
+from .gauge import Gauge, GaugeError, _linspace
 from .serialize import csv_lines, dumps
 
 log = logging.getLogger("displace")
@@ -92,6 +92,10 @@ class _Cli(click.Group):
 @click.group(cls=_Cli)
 def main() -> None:
     """Displacement calculus: axiom checks, gauges, derivatives, solvers."""
+    # no command does BLAS work, so the commands that load numpy ask
+    # OpenBLAS for no worker threads: starting them and their busy-wait
+    # beside the main thread cost those commands 30-60 ms on two vCPUs
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     level = os.environ.get("DISPLACE_LOG", "").upper()
     if level in ("DEBUG", "INFO", "WARNING", "ERROR"):
         logging.basicConfig(stream=sys.stderr, level=getattr(logging, level),
@@ -109,6 +113,13 @@ _CHECKS = {
     "h5": (displacement.check_h5, ("samples",)),
     "d2": (displacement.check_d2_positive, ("grid",)),
 }
+
+
+def _shown_default(fn, name: str) -> str:
+    """fn's default for name, as click's show_default renders it."""
+    return f"[default: {inspect.signature(fn).parameters[name].default}]"
+
+
 _DEFAULT_CHECKS = {
     "smooth": ("h1", "h2usc", "h2prime", "h3", "h5", "d2"),
     "stieltjes": ("h1", "h2usc", "h2prime", "h3", "h5"),
@@ -126,14 +137,16 @@ _DEFAULT_CHECKS = {
               help="Comma-separated subset of h1,h2usc,h2prime,h3,h5,d2.")
 @click.option("--samples", default=None, type=int,
               help="Sample grid size for the hypothesis checks.")
-@click.option("--grid", default=64, type=int, show_default=True,
-              help="Lattice size per axis for the d2 check.")
+@click.option("--grid", default=None, type=int,
+              help="Lattice size per axis for the d2 check.  " + _shown_default(
+                  displacement.check_d2_positive, "grid"))
 @click.option("--tol", default=None, type=float,
               help="Override the check tolerance.")
 @click.option("--phi", default=None,
               help="Rescaling function of r for h2prime (default identity).")
-@click.option("--shrink-levels", default=24, type=int, show_default=True,
-              help="Shrink levels for the h2usc check.")
+@click.option("--shrink-levels", default=None, type=int,
+              help="Shrink levels for the h2usc check.  " + _shown_default(
+                  displacement.check_h2_usc, "shrink_levels"))
 @click.option("--seed", default=0, type=int, show_default=True,
               help="Reserved; no check is randomised, so it has no effect.")
 @click.option("--out", default=None, type=click.Path(),
@@ -207,7 +220,7 @@ def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
             "flats": [[lo, hi] for lo, hi in g.flats],
         }
     a, b = g.domain
-    rows = [(float(t), g(float(t))) for t in np.linspace(a, b, grid)]
+    rows = [(t, g(t)) for t in _linspace(a, b, grid)]
     table_text = csv_lines(("t", "g"), rows)
     if out:
         _deliver(dumps(payload), out)

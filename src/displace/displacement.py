@@ -35,11 +35,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
 from . import expr as expr_mod
 from .expr import Expr
-from .gauge import _EPS, Gauge, GaugeError, SNAP_RADIUS
+from .gauge import _EPS, Gauge, GaugeError, SNAP_RADIUS, _linspace
 from .serialize import Record
 
 __all__ = [
@@ -374,9 +372,9 @@ def _grid_points(spec: DisplacementSpec, samples: int) -> list[float]:
     if spec.kind == "graph":
         return [float(i) for i in range(spec.n)]
     if spec.kind == "angular":
-        return [float(t) for t in np.linspace(0.0, TWO_PI, samples, endpoint=False)]
+        return _linspace(0.0, TWO_PI, samples, endpoint=False)
     a, b = spec.domain
-    return [float(t) for t in np.linspace(a, b, samples)]
+    return _linspace(a, b, samples)
 
 
 # --- H1 ---
@@ -425,12 +423,12 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
                 break
             rho = rho0 * 2.0 ** (-k)
             ball = delta_ball(spec, y, rho, tol=1e-9 * (b - a))
-            zs = [z for z in np.linspace(ball.lo, ball.hi, inner)
-                  if abs(spec.delta(y, float(z))) < rho]
+            zs = [z for z in _linspace(ball.lo, ball.hi, inner)
+                  if abs(spec.delta(y, z)) < rho]
             zs.append(y)
             for i in list(pending):
                 x, bound = bounds[i]
-                m = max(abs(spec.delta(x, float(z))) for z in zs)
+                m = max(abs(spec.delta(x, z)) for z in zs)
                 margins[i].append(m - bound)
                 if m <= bound + tol:
                     del pending[i]
@@ -473,6 +471,8 @@ def check_h2prime(spec: DisplacementSpec,
     else:
         phi_fn = phi
 
+    import numpy as np
+
     points = _grid_points(spec, samples)
     n = len(points)
     absdelta = np.empty((n, n))
@@ -485,7 +485,7 @@ def check_h2prime(spec: DisplacementSpec,
         return AxiomReport("H2'", "inconclusive", (), n ** 3, tol,
                            {"reason": f"phi(0) = {phi0!r} is not 0"})
     grid_vals = np.unique(np.concatenate(
-        [absdelta.ravel(), np.linspace(0.0, float(absdelta.max()) or 1.0, 33)]))
+        [absdelta.ravel(), _linspace(0.0, float(absdelta.max()) or 1.0, 33)]))
     phi_vals = [float(phi_fn(float(r))) for r in grid_vals]
     for r1, r2, p1, p2 in zip(grid_vals, grid_vals[1:], phi_vals, phi_vals[1:]):
         if r2 > r1 and p2 <= p1:
@@ -569,18 +569,18 @@ def check_d2_positive(spec: DisplacementSpec, grid: int = 64,
     if grid < 2:
         raise DisplacementError(f"grid must be at least 2, got {grid!r}")
     a, b = spec.domain
-    xs = np.linspace(a, b, grid)
+    xs = _linspace(a, b, grid)
     r_hat = math.inf
     argmin = (a, a)
     witnesses = []
     for x in xs:
         for y in xs:
-            v = spec.d2(float(x), float(y))
+            v = spec.d2(x, y)
             if v < r_hat:
                 r_hat = v
-                argmin = (float(x), float(y))
+                argmin = (x, y)
             if v <= tol and len(witnesses) < _WITNESS_CAP:
-                witnesses.append({"x": float(x), "y": float(y), "d2": v})
+                witnesses.append({"x": x, "y": y, "d2": v})
     verdict = "pass" if r_hat > tol else "fail"
     stats = {"r_hat": r_hat, "argmin_x": argmin[0], "argmin_y": argmin[1]}
     return AxiomReport("D2-positive", verdict, tuple(witnesses),
@@ -604,12 +604,12 @@ def gamma_estimate(spec: DisplacementSpec, z: float, zbar: float,
     z = _check_domain_point("z", z, a, b, _domain_slack(a, b))
     zbar = _check_domain_point("zbar", zbar, a, b, _domain_slack(a, b))
     value = 1.0
-    for xi in np.linspace(a, b, grid):
-        num = spec.d2(z, float(xi))
-        den = spec.d2(zbar, float(xi))
+    for xi in _linspace(a, b, grid):
+        num = spec.d2(z, xi)
+        den = spec.d2(zbar, xi)
         if num <= 0.0 or den <= 0.0:
             raise DisplacementError(
-                f"nonpositive d2 at xi = {float(xi)!r}; comparability needs d2 > 0")
+                f"nonpositive d2 at xi = {xi!r}; comparability needs d2 > 0")
         value = max(value, num / den)
     return GammaEstimate(z=z, zbar=zbar, value=value, grid=grid)
 

@@ -28,8 +28,9 @@ evaluated twice on the same bindings returns bit-identical results.
 Each expression is compiled once, per order of its variables, into a
 straight-line Python function that performs the same float operations
 in the same order with the same math functions, and the same domain
-checks at the same points, as a walk of the tree would; evaluate,
-Expr.__call__ and as_function all run that function.
+checks at the same points, as a walk of the tree would (a power whose
+exponent is a non-negative integer literal skips the two that cannot
+fire); evaluate, Expr.__call__ and as_function all run that function.
 """
 
 from __future__ import annotations
@@ -369,8 +370,14 @@ class _Unbound:
         raise MissingBindingError(self.name)
 
 
+def _is_natural(node: Node) -> bool:
+    """True for a number that is a finite non-negative integer."""
+    return (isinstance(node, Num) and math.isfinite(node.value)
+            and node.value >= 0.0 and node.value == math.floor(node.value))
+
+
 _HELPERS = {"_F": float, "_D": DomainError, "_pow": _pow, "_inf": math.inf,
-            "_OE": OverflowError}
+            "_OE": OverflowError, "_mpow": math.pow}
 _UNARY_FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin,
                 "cos": math.cos, "sqrt": math.sqrt, "abs": abs}
 # (domain test on the argument, message) of the checked unary functions
@@ -439,7 +446,14 @@ def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
             if node.op == "/":
                 lines.append(f"if {right} == 0.0: "
                              f"raise _D('division by zero', _u({frag}, 0))")
-            if node.op == "^":
+            if node.op == "^" and _is_natural(node.right):
+                # _pow's domain tests cannot fire; its overflow branch
+                # stays, with the parity of the exponent resolved now
+                inf = (f"-_inf if {left} < 0.0 else _inf"
+                       if math.floor(node.right.value) % 2 == 1 else "_inf")
+                lines.extend([f"try: {out} = _mpow({left}, {right})",
+                              f"except _OE: {out} = {inf}"])
+            elif node.op == "^":
                 lines.append(f"{out} = _pow({left}, {right}, {frag})")
             else:
                 lines.append(f"{out} = {left} {node.op} {right}")

@@ -37,12 +37,13 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import expr as expr_mod
 from .serialize import Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GaugeError",
@@ -95,6 +96,32 @@ _G9 = 0.295524224714752870173892994651338
 _EPS = sys.float_info.epsilon
 # dqk21 floors abserr at 50 eps * resabs only above this
 _ERR_FLOOR = sys.float_info.min / (50.0 * _EPS)
+
+
+def _linspace(start: float, stop: float, num: int,
+              endpoint: bool = True) -> list[float]:
+    """np.linspace(start, stop, num, endpoint) as a list, bit for bit.
+
+    It performs numpy's float operations: i * step + start, or
+    (i / div) * delta + start when the step underflows to zero, with the
+    end point set to stop, so grids need not import numpy.
+    """
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    start, stop = float(start), float(stop)
+    div = num - 1 if endpoint else num
+    delta = stop - start
+    if div <= 0:
+        # no step exists: numpy scales the single index 0 by delta
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0.0:
+        ys = [i / div * delta + start for i in range(num)]
+    else:
+        ys = [i * step + start for i in range(num)]
+    if endpoint:
+        ys[-1] = stop
+    return ys
 
 
 def _qk21(f: Callable[[float], float], a: float, b: float
@@ -323,6 +350,8 @@ class CumulativeQuadrature:
 
     def jumps_on(self, ts: np.ndarray) -> np.ndarray:
         """jump_at of every point of ts, an array inside [lo, hi]."""
+        import numpy as np
+
         taus = np.array(self._taus + [math.inf])
         idx = np.searchsorted(taus, ts)
         masses = np.array([mass for _, mass in self.atoms] + [0.0])
@@ -425,9 +454,9 @@ class Gauge(CumulativeQuadrature):
             flat_list.append((lo, hi))
         self._flats = tuple(flat_list)
 
-        for t in np.linspace(a, b, 17):
+        for t in _linspace(a, b, 17):
             if float(density(t)) < -1e-9:
-                raise GaugeError(f"density is negative at t = {float(t)!r}")
+                raise GaugeError(f"density is negative at t = {t!r}")
 
         super().__init__(density, a, b, tol=quad_tol, nonnegative=True,
                          breakpoints=[p for iv in flat_list for p in iv],
@@ -517,10 +546,10 @@ class Gauge(CumulativeQuadrature):
 
     def _compute_dsets(self, samples: int) -> DistinguishedSets:
         a, b = self.lo, self.hi
-        ts = np.linspace(a, b, samples)
-        dens = np.array([abs(float(self.density(t))) for t in ts])
-        threshold = SNAP_RADIUS * (1.0 + float(dens.max()))
-        flat_mask = dens <= threshold
+        ts = _linspace(a, b, samples)
+        dens = [abs(float(self.density(t))) for t in ts]
+        threshold = SNAP_RADIUS * (1.0 + max(dens))
+        flat_mask = [d <= threshold for d in dens]
 
         detected: list[tuple[float, float]] = []
         i = 0
@@ -532,7 +561,7 @@ class Gauge(CumulativeQuadrature):
             while j + 1 < samples and flat_mask[j + 1]:
                 j += 1
             if j > i:
-                lo, hi = float(ts[i]), float(ts[j])
+                lo, hi = ts[i], ts[j]
                 # a jump strictly inside splits the run
                 cuts = [tau for tau, _ in self.atoms if lo < tau < hi]
                 pieces = zip([lo] + cuts, cuts + [hi])

@@ -30,12 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .gauge import Gauge
-from .serialize import Record, format_float
+from .serialize import Record, float_csv
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SolverError",
@@ -48,6 +49,10 @@ __all__ = [
     "solve_surface",
     "verify_solution",
 ]
+
+# ten times the largest mesh measured in use (step 1e-6 on a unit domain);
+# a finer step is refused before anything is allocated
+MAX_MESH_NODES = 10**7
 
 
 class SolverError(Exception):
@@ -105,6 +110,8 @@ class IvpSolution:
 
     def value(self, t: float) -> float:
         """Left-continuous, jump-aware linear interpolation."""
+        import numpy as np
+
         ts, us = self.ts, self.us
         if t < ts[0] or t > ts[-1]:
             raise SolverError(f"point {t!r} outside the solution interval")
@@ -119,14 +126,15 @@ class IvpSolution:
 
     def to_csv(self) -> str:
         """Rows of t,u; jump nodes appear twice, before then after."""
+        import numpy as np
+
         jump_after = self._jump_after
-        lines = ["t,u"]
-        for t, u in zip(self.ts, self.us):
-            t, u = float(t), float(u)
-            lines.append(f"{format_float(t)},{format_float(u)}")
-            if t in jump_after:
-                lines.append(f"{format_float(t)},{format_float(jump_after[t])}")
-        return "\n".join(lines) + "\n"
+        rows = np.column_stack((self.ts, self.us))
+        at = np.flatnonzero(np.isin(self.ts, list(jump_after)))
+        if len(at):
+            rows = np.insert(rows, at + 1, [[t, jump_after[t]] for t
+                                            in self.ts[at].tolist()], axis=0)
+        return float_csv(("t", "u"), rows.ravel().tolist())
 
     def to_dict(self) -> dict:
         return {
@@ -160,17 +168,29 @@ def _resolve_interval(gauge: Gauge, interval: Optional[tuple[float, float]]
 
 
 def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
+    import numpy as np
+
     if not (step > 0.0 and math.isfinite(step)):
         raise SolverError(f"step must be positive and finite, got {step!r}")
-    n = max(1, int(math.ceil((b - a) / step)))
+    panels = (b - a) / step
+    if not panels <= MAX_MESH_NODES - 1:
+        raise SolverError(
+            f"step {step!r} needs {panels + 1:.6g} mesh nodes on "
+            f"[{a!r}, {b!r}]; at most {MAX_MESH_NODES} are allowed")
+    n = max(1, int(math.ceil(panels)))
     base = np.linspace(a, b, n + 1)
     taus = [tau for tau, _ in gauge.jumps if a <= tau <= b]
-    mesh = np.unique(np.concatenate([base, np.asarray(taus, dtype=float)]))
-    return mesh
+    # np.unique's values without its first-call import of numpy.ma; of
+    # two equal values (0.0 and -0.0) the stable sort keeps the first
+    mesh = np.concatenate([base, np.asarray(taus, dtype=float)])
+    mesh.sort(kind="stable")
+    return mesh[np.concatenate(([True], mesh[1:] != mesh[:-1]))]
 
 
 def _mesh_data(gauge: Gauge, mesh: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    import numpy as np
+
     density = gauge.density
     dens = np.array([float(density(t)) for t in mesh.tolist()])
     return dens, gauge.jumps_on(mesh), np.diff(mesh)
@@ -193,6 +213,8 @@ def solve_ivp(problem: IvpProblem, step: float,
         SolverError: on invalid input or when the state leaves the
             finite range; the error names the last good node.
     """
+    import numpy as np
+
     g = problem.gauge
     rhs = problem.rhs
     a, b = _resolve_interval(g, problem.interval)
@@ -233,6 +255,8 @@ def solve_ivp(problem: IvpProblem, step: float,
 
 def _jump_records(rhs, mesh: np.ndarray, us: np.ndarray,
                   atoms: np.ndarray) -> tuple[JumpRecord, ...]:
+    import numpy as np
+
     records = []
     for k in np.flatnonzero(atoms[:-1] > 0.0).tolist():
         t, u_before = float(mesh[k]), float(us[k])
@@ -251,6 +275,8 @@ def _increments(rhs, mesh: np.ndarray, us: np.ndarray, dens: np.ndarray,
     panel.  Increment k is the trapezoid part over [t_k, t_k+1] plus the
     exact atom term rhs(t_k, u_k) * atom_k.
     """
+    import numpy as np
+
     w = np.array([rhs(t, u) for t, u in zip(mesh.tolist(), us.tolist())],
                  dtype=float)
     w_start = w[:-1].copy()
@@ -270,6 +296,8 @@ def verify_solution(problem: IvpProblem, solution: IvpSolution,
     at the mesh node nearest each grid point, so no interpolation error
     enters.
     """
+    import numpy as np
+
     g = problem.gauge
     mesh, us = solution.ts, solution.us
     dens, atoms, dt = _mesh_data(g, mesh)
@@ -301,6 +329,8 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     u(b) = C exact.  Work-gauge jumps produce kinks computed by the
     exact atom expression u_after = u_before - H(tau) * atom.
     """
+    import numpy as np
+
     g = problem.work_gauge
     a, b = _resolve_interval(g, problem.interval)
     mesh = _build_mesh(g, a, b, step)

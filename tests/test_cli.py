@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,9 +19,10 @@ import pytest
 from click.testing import CliRunner
 
 import displace
+import displace.cli as cli_mod
 from displace.cli import main
 from displace.displacement import make_builtin, spec_to_dict
-from displace.serialize import dumps
+from displace.serialize import csv_lines, dumps, float_csv
 
 E = math.e
 E_MINUS_EINV = 2.3504023872876028
@@ -140,6 +142,28 @@ def test_check_too_few_samples_is_bad_input(runner, args):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "at least 2" in lines[0]
     assert result.stdout == ""
+
+
+def test_check_leaves_unset_options_to_the_checks(runner, monkeypatch):
+    # the checks own their defaults: an unset --grid or --shrink-levels is
+    # not passed, a given one is
+    seen = {}
+    for name in ("d2", "h2usc"):
+        fn, options = cli_mod._CHECKS[name]
+
+        def record(spec, fn=fn, name=name, **kwargs):
+            seen[name] = kwargs
+            return fn(spec, **kwargs)
+
+        monkeypatch.setitem(cli_mod._CHECKS, name, (record, options))
+    args = ("check", "--builtin", "exponential", "--which", "d2,h2usc")
+    assert invoke(runner, *args).exit_code == 0
+    assert seen == {"d2": {}, "h2usc": {}}
+    # three shrink levels are too few to settle H2-usc: inconclusive
+    assert invoke(runner, *args, "--grid", "8", "--shrink-levels", "3",
+                  "--samples", "3").exit_code == 3
+    assert seen == {"d2": {"grid": 8},
+                    "h2usc": {"samples": 3, "shrink_levels": 3}}
 
 
 # sha256 of stdout and the exit code: a speed-up of the checks, the
@@ -398,6 +422,24 @@ def test_solve_ivp_bad_expression_is_bad_input(runner):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("step", ["1e-12", "1e-300", "5e-324"])
+@pytest.mark.parametrize("command", [
+    ("solve-ivp", "--rhs", "u", "--u0", "1"),
+    ("solve-surface", "--h", "1"),
+])
+def test_solver_step_too_fine_is_one_error_line(runner, command, step):
+    # refused before the mesh is allocated: no numpy memory error
+    result = invoke(runner, *command, "--gauge", "identity", "--step", step)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: step {step} needs ")
+    assert lines[0].endswith("mesh nodes on [0.0, 1.0]; at most 10000000 "
+                             "are allowed")
+    assert result.stdout == ""
+
+
 def test_solve_surface_parabola(runner):
     result = invoke(runner, "solve-surface", "--h", "1", "--gauge",
                     "identity", "--C", "0", "--step", "1e-3")
@@ -425,17 +467,99 @@ def test_help_exits_zero(runner):
     assert invoke(runner, "check", "--help").exit_code == 0
 
 
-def test_cli_import_does_not_load_scipy():
-    # start-up cost guard: the package needs only numpy and click
+def _fresh_python(source, *argv):
+    """Run source in a new interpreter that imports this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(displace.__file__).parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import displace.cli, sys; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", source, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_cli_import_does_not_load_scipy():
+    # start-up cost guard: the package needs only numpy and click
+    proc = _fresh_python(
+        "import displace.cli, sys; print('scipy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_package_import_loads_every_submodule_but_not_numpy():
+    # perfbench patches the submodules through sys.modules, so they load
+    # eagerly; numpy loads only with the first array operation
+    proc = _fresh_python(
+        "import displace, sys; print(sorted(k for k in sys.modules "
+        "if k.split('.')[0] == 'displace')); print('numpy' in sys.modules); "
+        "import displace.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == [
+        "['displace', 'displace.calculus', 'displace.displacement', "
+        "'displace.expr', 'displace.gauge', 'displace.serialize', "
+        "'displace.solver']", "False", "False"]
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])
+def test_cli_asks_openblas_for_one_thread_unless_told(runner, monkeypatch,
+                                                       preset, expected):
+    # set before any command can load numpy; a value the user set stays
+    # setting first makes monkeypatch restore the variable afterwards
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset or "")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    result = invoke(runner, "derive", "--f", "t", "--gauge", "identity",
+                    "--x", "0.5")
+    assert result.exit_code == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+
+# runs one command and then reports on stderr whether numpy was loaded
+_NUMPY_PROBE = """
+import sys
+from displace.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "--f", "1.5*t^3 + 0.5*t", "--gauge", "identity", "--x", "0.3"],
+    ["derive", "--f", "1.5*t^3 + 0.5*t", "--gauge", "{linear}", "--x", "0.6"],
+    ["derive", "--f", "t^2", "--gauge", "extract:exponential", "--x", "0.4"],
+    ["integrate", "--f", "t", "--gauge", "{linear}"],
+    ["path-integrate", "--f", "t", "--alpha", "t", "--spec", "{spec}"],
+    ["gauge", "--spec", "{spec}", "--out", "{tmp}/extracted.json"],
+    ["gauge", "--gauge", "{linear}", "--format", "csv"],
+    ["ball", "--spec", "{spec}", "--x", "0.5", "--r", "0.2"],
+    ["ftc", "--f", "t", "--gauge", "extract:exponential"],
+], ids=["derive-identity", "derive-file", "derive-extracted", "integrate",
+        "path-integrate", "gauge-write", "gauge-reload", "ball", "ftc"])
+def test_array_free_commands_do_not_load_numpy(tmp_path, argv):
+    linear = tmp_path / "linear.json"
+    linear.write_text(json.dumps({"domain": [0, 1], "density": "1 + 2*t",
+                                  "jumps": [[0.25, 0.5]], "flats": []}),
+                      encoding="utf-8")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "smooth", "domain": [0, 1],
+                                "delta": "y^2 + y - x^2 - x",
+                                "d2": "2*y + 1"}), encoding="utf-8")
+    argv = [arg.format(linear=linear, spec=spec, tmp=tmp_path)
+            for arg in argv]
+    proc = _fresh_python(_NUMPY_PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+def test_float_csv_writes_the_text_of_format_float():
+    rng = random.Random(5)
+    values = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-5, 1e-300, 5e-324, 1e16, 1e17,
+              -1e300, math.inf, -math.inf, math.nan, -math.nan, 2.0 ** 60]
+    values += [rng.uniform(-1e3, 1e3) for _ in range(500)]
+    values += [rng.random() * 10.0 ** rng.randint(-320, 300) for _ in range(500)]
+    rows = list(zip(values[0::2], values[1::2]))
+    assert float_csv(("t", "u"), values) == csv_lines(("t", "u"), rows)
+    assert float_csv(("a", "b", "c"), []) == "a,b,c\n"
 
 
 def test_dumps_accepts_numpy_integers():

@@ -6,7 +6,8 @@ every node kind and function, on random bindings (zero, negatives, huge
 and non-finite values, unbound variables), must give the same float bit
 for bit, or the same exception with the same message and fragment.
 Rendering a tree the parser can produce and parsing the text again must
-give the same tree.
+give the same tree.  A power with a non-negative integer literal exponent
+runs without _pow's domain tests and must still match it bit for bit.
 """
 
 import math
@@ -17,6 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import displace.expr as expr_mod  # noqa: E402
 from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
                            DomainError, Expr, MissingBindingError, Node, Num,
                            Unary, Var, _pow, _unparse, as_function, evaluate,
@@ -178,3 +180,32 @@ parsed_trees = st.recursive(
 @given(ast=parsed_trees)
 def test_parse_inverts_unparse(ast):
     assert parse(_unparse(ast, 0), NAMES).ast == ast
+
+
+# integers of either parity, past the overflow of every base above 1, and
+# past 2**53, where every float is an even integer
+natural_exponents = st.one_of(
+    st.integers(0, 400).map(float),
+    st.sampled_from([-0.0, 1e300, 2.0 ** 53, 2.0 ** 53 + 2.0,
+                     2.0 ** 52 + 1.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(base=values, exponent=natural_exponents)
+def test_natural_power_matches_tree_walk(base, exponent):
+    for ast in (Binary("^", Var("x"), Num(exponent)),
+                Binary("^", Unary("-", Var("x")), Num(exponent))):
+        expected = _outcome(_eval, ast, {"x": base})
+        assert _outcome(evaluate, _expr(ast), {"x": base}) == expected
+
+
+def test_natural_power_skips_pow(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_pow was called")
+
+    monkeypatch.setitem(expr_mod._HELPERS, "_pow", refuse)
+    assert as_function(parse("x^3 - x^0 + x^2", {"x"}), "x")(-2.0) == -5.0
+    # a fractional, negative or non-literal exponent still goes through _pow
+    for source in ("x^2.5", "x^-2", "x^x", "x^pi"):
+        with pytest.raises(AssertionError, match="_pow was called"):
+            as_function(parse(source, {"x"}), "x")(2.0)

@@ -8,17 +8,20 @@ value of the point it snaps to, and must agree bit for bit with the
 running Stieltjes integral of f = 1 against it, which is the same
 half-open measure reached through CumulativeStieltjesIntegral.  A gauge
 read back from its JSON form must give the same values, bit for bit.
+The grids the package builds without numpy must be numpy's grids, bit
+for bit.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from displace.calculus import CumulativeStieltjesIntegral  # noqa: E402
-from displace.gauge import SNAP_RADIUS, Gauge  # noqa: E402
+from displace.gauge import SNAP_RADIUS, Gauge, _linspace  # noqa: E402
 from displace.serialize import dumps  # noqa: E402
 
 unit = st.floats(0.0, 1.0)
@@ -112,3 +115,35 @@ def test_gauge_json_round_trip_keeps_every_value(case):
         assert back.density_source == g.density_source
         assert [back(q).hex() for q in queries] == [g(q).hex() for q in queries]
         assert back.to_dict() == g.to_dict()
+
+
+# equal, negative, huge (their difference overflows) and subnormal ends
+span_ends = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 5e-324, -5e-324, 1e-310,
+                     2.2250738585072014e-308, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(start=span_ends, stop=span_ends, same=st.booleans(),
+       num=st.integers(0, 300), endpoint=st.booleans())
+@example(start=0.0, stop=1.0, same=False, num=0, endpoint=True)
+@example(start=0.0, stop=1.0, same=False, num=1, endpoint=True)
+@example(start=0.0, stop=1.0, same=False, num=1, endpoint=False)
+@example(start=0.0, stop=5e-324, same=False, num=7, endpoint=True)
+@example(start=-1.7976931348623157e308, stop=1.7976931348623157e308,
+         same=False, num=5, endpoint=False)
+def test_linspace_matches_numpy_bit_for_bit(start, stop, same, num, endpoint):
+    if same:
+        stop = start
+    with np.errstate(all="ignore"):   # an infinite span makes inf * 0
+        expected = [float(v).hex()
+                    for v in np.linspace(start, stop, num, endpoint=endpoint)]
+    assert [v.hex() for v in _linspace(start, stop, num, endpoint)] == expected
+
+
+def test_linspace_refuses_a_negative_count_as_numpy_does():
+    with pytest.raises(ValueError, match="Number of samples, -1, must be "
+                                         "non-negative."):
+        _linspace(0.0, 1.0, -1)

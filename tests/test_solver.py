@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import displace.solver as solver_mod
 from displace.gauge import Gauge
 from displace.solver import (
     IvpProblem,
@@ -293,6 +294,32 @@ def test_invalid_step_and_interval():
     with pytest.raises(SolverError):
         solve_ivp(backwards, step=1e-2)
 
+
+
+@pytest.mark.parametrize("domain, step, taus", [
+    ((0.0, 1.0), 0.1, [0.3, 0.5, 1.0]),            # atoms on and off nodes
+    ((-1.0, 2.0), 0.25, [-1.0, 0.1, 2.0]),
+    ((0.0, 3e-323), 5e-324, [1e-323]),             # subnormal nodes
+    # a span of four ulps cut into 45 panels repeats grid values
+    ((1.0, 1.0 + 4 * 2.0 ** -52), 1e-17, [1.0 + 2.0 ** -52]),
+])
+def test_mesh_is_numpys_sorted_union_of_grid_and_atoms(domain, step, taus):
+    g = Gauge(domain, lambda t: 1.0, jumps=[(tau, 0.5) for tau in taus])
+    a, b = domain
+    grid = np.linspace(a, b, max(1, math.ceil((b - a) / step)) + 1)
+    expected = np.unique(np.concatenate([grid, taus]))
+    assert solver_mod._build_mesh(g, a, b, step).tobytes() == expected.tobytes()
+
+
+def test_mesh_node_limit_is_inclusive(monkeypatch):
+    # 10 panels of 0.1 make 11 nodes; one more panel passes the limit
+    monkeypatch.setattr(solver_mod, "MAX_MESH_NODES", 11)
+    prob = exponential_problem(identity_gauge())
+    assert len(solve_ivp(prob, step=0.1).ts) == 11
+    with pytest.raises(SolverError, match=r"step 0\.099 needs 11\.101 mesh "
+                                          r"nodes on \[0\.0, 1\.0\]; at most "
+                                          r"11 are allowed"):
+        solve_ivp(prob, step=0.099)
 
 # ---------------------------------------------------------------------------
 # solution container behavior
