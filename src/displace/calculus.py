@@ -35,6 +35,7 @@ derivative, reporting points where the derivative fails to exist.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -338,6 +339,7 @@ def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
     upper = float(upper)
     if not (a - SNAP_RADIUS <= upper <= b + SNAP_RADIUS):
         raise CalculusError(f"upper limit {upper!r} outside [{a!r}, {b!r}]")
+    upper = min(max(upper, a), b)
 
     def integrand(t: float) -> float:
         return float(f(t)) * spec.d2(path.alpha(t), t)
@@ -411,6 +413,25 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
                      excluded=tuple(excluded), violations=tuple(violations))
 
 
+def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
+    """np.interp(x, xs, ys) for one non-NaN x and increasing xs, bit for bit.
+
+    It performs numpy's float operations: the end values outside the
+    knots, ys[j] on a knot, slope * (x - xs[j]) + ys[j] between knots and,
+    when that is NaN, the same from the right knot.
+    """
+    j = max(bisect.bisect_right(xs, x) - 1, 0)
+    if x <= xs[j] or j == len(xs) - 1:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    value = slope * (x - xs[j]) + ys[j]
+    if math.isnan(value):
+        value = slope * (x - xs[j + 1]) + ys[j + 1]
+        if math.isnan(value) and ys[j] == ys[j + 1]:
+            value = ys[j]
+    return value
+
+
 def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
                shrink_levels: int = DEFAULT_SHRINK_LEVELS) -> FtcReport:
     """Differentiate F and rebuild it from the derivative.
@@ -449,14 +470,8 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     if len(kx) < 2:
         raise CalculusError(
             "not enough derivative samples to attempt reconstruction")
-    import numpy as np
-
-    kx_arr, kv_arr = np.asarray(kx), np.asarray(kv)
-
-    def integrand(t: float) -> float:
-        return float(np.interp(t, kx_arr, kv_arr))
-
-    R = CumulativeStieltjesIntegral(integrand, g, f_breaks=kx)
+    R = CumulativeStieltjesIntegral(lambda t: _interp(t, kx, kv), g,
+                                    f_breaks=kx)
     base = float(F(a))
     max_error = 0.0
     worst: Optional[float] = None

@@ -228,6 +228,9 @@ class FiniteGraph:
             rows = tuple(tuple(float(w) for w in row) for row in weights)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DisplacementError(f"malformed weight matrix: {exc}") from exc
+        if not all(math.isfinite(w) for row in rows for w in row):
+            raise DisplacementError(
+                "malformed weight matrix: every weight must be finite")
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DisplacementError("weight matrix must be square and nonempty")
@@ -461,8 +464,10 @@ def check_h2prime(spec: DisplacementSpec,
 
     phi defaults to the identity.  Preconditions checked first: phi
     vanishes at 0 and is strictly increasing on the sampled value grid;
-    violations make the check inconclusive rather than failed.  On
-    finite graphs the triple check is exhaustive.
+    violations make the check inconclusive rather than failed.  Every
+    sampled |Delta| must be finite; a NaN or infinite one raises
+    DisplacementError naming the pair.  On finite graphs the triple
+    check is exhaustive.
     """
     if phi is None:
         phi_fn: Callable[[float], float] = lambda r: r
@@ -471,44 +476,46 @@ def check_h2prime(spec: DisplacementSpec,
     else:
         phi_fn = phi
 
-    import numpy as np
-
     points = _grid_points(spec, samples)
     n = len(points)
-    absdelta = np.empty((n, n))
-    for i, x in enumerate(points):
-        for j, y in enumerate(points):
-            absdelta[i, j] = abs(spec.delta(x, y))
+    absdelta = [[abs(spec.delta(x, y)) for y in points] for x in points]
+    for x, row in zip(points, absdelta):
+        for y, value in zip(points, row):
+            if not math.isfinite(value):
+                raise DisplacementError(
+                    f"|Delta({x!r}, {y!r})| = {value!r} is not finite")
 
     phi0 = float(phi_fn(0.0))
     if abs(phi0) > tol:
         return AxiomReport("H2'", "inconclusive", (), n ** 3, tol,
                            {"reason": f"phi(0) = {phi0!r} is not 0"})
-    grid_vals = np.unique(np.concatenate(
-        [absdelta.ravel(), _linspace(0.0, float(absdelta.max()) or 1.0, 33)]))
-    phi_vals = [float(phi_fn(float(r))) for r in grid_vals]
+    values = [v for row in absdelta for v in row]
+    grid_vals = sorted(set(values + _linspace(0.0, max(values) or 1.0, 33)))
+    phi_vals = [float(phi_fn(r)) for r in grid_vals]
     for r1, r2, p1, p2 in zip(grid_vals, grid_vals[1:], phi_vals, phi_vals[1:]):
         if r2 > r1 and p2 <= p1:
             return AxiomReport(
                 "H2'", "inconclusive", (), n ** 3, tol,
                 {"reason": "phi not strictly increasing between "
-                           f"{float(r1)!r} and {float(r2)!r}"})
+                           f"{r1!r} and {r2!r}"})
 
-    psi = np.array([[float(phi_fn(float(v))) for v in row] for row in absdelta])
-    # psi[i, k] <= psi[i, j] + psi[j, k] for all triples, vectorized
-    lhs = psi[:, None, :]
-    rhs = psi[:, :, None] + psi[None, :, :]
-    excess = lhs - rhs
-    bad = np.argwhere(excess > tol)
+    psi = [[float(phi_fn(v)) for v in row] for row in absdelta]
+    # psi[i][k] <= psi[i][j] + psi[j][k] for every triple, in (i, j, k) order
+    violations = 0
     witnesses = []
-    for i, j, k in bad[:_WITNESS_CAP]:
-        witnesses.append({
-            "x": points[i], "y": points[j], "z": points[k],
-            "psi_xz": float(psi[i, k]), "psi_xy": float(psi[i, j]),
-            "psi_yz": float(psi[j, k]),
-        })
-    verdict = "fail" if len(bad) else "pass"
-    stats = {"violations": int(len(bad)), "exhaustive": spec.kind == "graph"}
+    for i, psi_x in enumerate(psi):
+        for j, psi_xy in enumerate(psi_x):
+            for k, psi_yz in enumerate(psi[j]):
+                if psi_x[k] - (psi_xy + psi_yz) > tol:
+                    violations += 1
+                    if len(witnesses) < _WITNESS_CAP:
+                        witnesses.append({
+                            "x": points[i], "y": points[j], "z": points[k],
+                            "psi_xz": psi_x[k], "psi_xy": psi_xy,
+                            "psi_yz": psi_yz,
+                        })
+    verdict = "fail" if violations else "pass"
+    stats = {"violations": violations, "exhaustive": spec.kind == "graph"}
     return AxiomReport("H2'", verdict, tuple(witnesses), n ** 3, tol, stats)
 
 

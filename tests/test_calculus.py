@@ -291,6 +291,17 @@ def test_path_integral_upper_outside_domain():
         path_integral(lambda t: 1.0, path, make_builtin("exponential"), 2.0)
 
 
+@pytest.mark.parametrize("end, past", [(1.0, 1.0 + 5e-13), (0.0, -5e-13)])
+def test_path_integral_snaps_upper_just_past_the_end(end, past):
+    # within SNAP_RADIUS outside the domain the upper limit is the end point
+    spec = make_builtin("exponential")
+    path = MeasurePath(alpha=lambda t: t)
+    at_end = path_integral(lambda t: 1.0, path, spec, end)
+    assert path_integral(lambda t: 1.0, path, spec, past).hex() == at_end.hex()
+    with pytest.raises(CalculusError):
+        path_integral(lambda t: 1.0, path, spec, end + 10.0 * (past - end))
+
+
 # ---------------------------------------------------------------------------
 # forward reconstruction: differentiate the running integral
 # ---------------------------------------------------------------------------

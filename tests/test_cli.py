@@ -533,8 +533,13 @@ finally:
     ["gauge", "--gauge", "{linear}", "--format", "csv"],
     ["ball", "--spec", "{spec}", "--x", "0.5", "--r", "0.2"],
     ["ftc", "--f", "t", "--gauge", "extract:exponential"],
+    ["check", "--builtin", "santiago_graph", "--phi", "sqrt(r)"],
+    ["check", "--builtin", "exponential", "--which", "h1,h2prime,h3",
+     "--phi", "sqrt(r)"],
+    ["ftc2", "--f", "t", "--gauge", "identity"],
 ], ids=["derive-identity", "derive-file", "derive-extracted", "integrate",
-        "path-integrate", "gauge-write", "gauge-reload", "ball", "ftc"])
+        "path-integrate", "gauge-write", "gauge-reload", "ball", "ftc",
+        "check-graph", "check-smooth", "ftc2"])
 def test_array_free_commands_do_not_load_numpy(tmp_path, argv):
     linear = tmp_path / "linear.json"
     linear.write_text(json.dumps({"domain": [0, 1], "density": "1 + 2*t",
@@ -589,6 +594,10 @@ _GAUGE = {"domain": [0, 1], "density": "1"}
                            "delta": "y - x"}),
     (("check", "--spec"), {"kind": "stieltjes",
                            "gauge": {**_GAUGE, "flats": [[0, 10 ** 400]]}}),
+    # JSON's NaN and Infinity
+    (("check", "--spec"), {"kind": "graph",
+                           "weights": [[0, math.nan, 1], [1, 0, 1], [1, 1, 0]]}),
+    (("check", "--spec"), {"kind": "graph", "weights": [[0, math.inf], [1, 0]]}),
 ])
 def test_malformed_json_is_one_error_line(runner, tmp_path, command, payload):
     path = tmp_path / "input.json"

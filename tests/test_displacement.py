@@ -377,6 +377,16 @@ def test_h2prime_exponential_identity_phi_fails_sampled():
     assert report.sample_count == 16 ** 3
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_h2prime_refuses_a_non_finite_displacement(bad):
+    # a NaN triple would be skipped and an infinite one would put NaN
+    # into the value grid; either way there is no verdict to give
+    spec = Smooth((0.0, 1.0), lambda x, y: bad if y > 0.5 > x else y - x)
+    with pytest.raises(DisplacementError, match=r"\|Delta\(0\.0, "
+                                                r"0\.5333333333333333\)\| = "):
+        check_h2prime(spec)
+
+
 def test_h2prime_bad_phi_is_inconclusive_with_reason():
     gr = make_builtin("santiago_graph")
     report = check_h2prime(gr, phi=parse("r + 1", {"r"}))
@@ -759,6 +769,10 @@ def test_spec_from_dict_malformed():
     {"kind": "smooth", "domain": [0, 10 ** 400], "delta": "y - x"},
     # a domain end that is no number
     {"kind": "smooth", "domain": [0, "one"], "delta": "y - x"},
+    # JSON's NaN and Infinity are floats, but no travel cost
+    {"kind": "graph", "weights": [[0, math.nan, 1], [1, 0, 1], [1, 1, 0]]},
+    {"kind": "graph", "weights": [[0, math.inf, 1], [1, 0, 1], [1, 1, 0]]},
+    {"kind": "graph", "weights": [[0, 1], [-math.inf, 0]]},
 ])
 def test_spec_from_dict_malformed_shapes_raise_typed_errors(bad):
     with pytest.raises(DisplacementError):

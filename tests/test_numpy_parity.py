@@ -1,0 +1,159 @@
+"""The scalar code that replaced numpy gives numpy's results, bit for bit.
+
+`ftc2_check` interpolates with `calculus._interp` where it used
+`np.interp`, and `check_h2prime` walks its triples in plain loops where
+it built a numpy triple tensor.  Both are compared here with the numpy
+code they replaced: values by `float.hex`, reports by their serialized
+bytes.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from displace.calculus import _interp  # noqa: E402
+from displace.displacement import (  # noqa: E402
+    ALGEBRAIC_TOL, BUILTIN_NAMES, AxiomReport, FiniteGraph, _WITNESS_CAP,
+    _grid_points, check_h2prime, make_builtin)
+from displace.expr import as_function, parse  # noqa: E402
+from displace.gauge import _linspace  # noqa: E402
+from displace.serialize import dumps  # noqa: E402
+
+# ---------------------------------------------------------------------------
+# _interp against np.interp
+# ---------------------------------------------------------------------------
+
+# huge values make infinite slopes and differences, tiny ones subnormal steps
+specials = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308,
+                            1.7976931348623157e308, 5e-324, -5e-324])
+finite = st.one_of(specials, st.floats(allow_nan=False, allow_infinity=False))
+# an infinite value makes inf - inf, which numpy retries from the right knot
+values = st.one_of(finite, st.sampled_from([math.inf, -math.inf]))
+
+
+@st.composite
+def knots_and_queries(draw):
+    xs = sorted(set(draw(st.lists(finite, min_size=2, max_size=8))))
+    if len(xs) < 2:
+        xs = [xs[0], math.nextafter(xs[0], math.inf)]
+    ys = draw(st.lists(values, min_size=len(xs), max_size=len(xs)))
+    for j in draw(st.lists(st.integers(0, len(xs) - 2), max_size=3)):
+        ys[j + 1] = ys[j]                  # equal neighbouring values
+    between = [xs[j] + u * (xs[j + 1] - xs[j]) if math.isfinite(
+                   xs[j + 1] - xs[j]) else (1.0 - u) * xs[j] + u * xs[j + 1]
+               for j in range(len(xs) - 1) for u in (0.25, 0.5, 0.9)]
+    near = [math.nextafter(x, to) for x in xs for to in (-math.inf, math.inf)]
+    outside = [-math.inf, math.inf, xs[0] - 1.0, xs[-1] + 1.0]
+    queries = xs + between + near + outside
+    queries += draw(st.lists(finite, max_size=10))
+    return xs, ys, queries
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=knots_and_queries())
+@example(case=([0.0, 1.0], [1e308, -1e308], [0.25, 0.5, 1.0, 2.0]))
+@example(case=([-1e308, 1e308], [-1e308, 1e308], [0.0, 1.0, -1.0]))
+@example(case=([0.0, 1.0, 2.0], [3.0, 3.0, -1e308], [0.5, 1.5, -0.0]))
+@example(case=([0.0, 1.0, 2.0], [math.inf, 1.0, -math.inf], [0.5, 1.5]))
+@example(case=([0.0, 1.0], [math.inf, math.inf], [0.5]))
+def test_interp_matches_numpy_bit_for_bit(case):
+    xs, ys, queries = case
+    kx, kv = np.asarray(xs), np.asarray(ys)
+    with np.errstate(all="ignore"):        # inf - inf and inf * 0 make NaN
+        expected = [float(np.interp(x, kx, kv)).hex() for x in queries]
+    assert [_interp(x, xs, ys).hex() for x in queries] == expected
+
+
+# ---------------------------------------------------------------------------
+# check_h2prime against the triple tensor it replaced
+# ---------------------------------------------------------------------------
+
+def tensor_h2prime(spec, phi=None, samples=16, tol=ALGEBRAIC_TOL):
+    """check_h2prime as it was computed with numpy arrays."""
+    phi_fn = (lambda r: r) if phi is None else as_function(phi, "r")
+    points = _grid_points(spec, samples)
+    n = len(points)
+    absdelta = np.empty((n, n))
+    for i, x in enumerate(points):
+        for j, y in enumerate(points):
+            absdelta[i, j] = abs(spec.delta(x, y))
+
+    phi0 = float(phi_fn(0.0))
+    if abs(phi0) > tol:
+        return AxiomReport("H2'", "inconclusive", (), n ** 3, tol,
+                           {"reason": f"phi(0) = {phi0!r} is not 0"})
+    grid_vals = np.unique(np.concatenate(
+        [absdelta.ravel(), _linspace(0.0, float(absdelta.max()) or 1.0, 33)]))
+    phi_vals = [float(phi_fn(float(r))) for r in grid_vals]
+    for r1, r2, p1, p2 in zip(grid_vals, grid_vals[1:], phi_vals, phi_vals[1:]):
+        if r2 > r1 and p2 <= p1:
+            return AxiomReport(
+                "H2'", "inconclusive", (), n ** 3, tol,
+                {"reason": "phi not strictly increasing between "
+                           f"{float(r1)!r} and {float(r2)!r}"})
+
+    psi = np.array([[float(phi_fn(float(v))) for v in row] for row in absdelta])
+    lhs = psi[:, None, :]
+    rhs = psi[:, :, None] + psi[None, :, :]
+    excess = lhs - rhs
+    bad = np.argwhere(excess > tol)
+    witnesses = []
+    for i, j, k in bad[:_WITNESS_CAP]:
+        witnesses.append({
+            "x": points[i], "y": points[j], "z": points[k],
+            "psi_xz": float(psi[i, k]), "psi_xy": float(psi[i, j]),
+            "psi_yz": float(psi[j, k]),
+        })
+    verdict = "fail" if len(bad) else "pass"
+    stats = {"violations": int(len(bad)), "exhaustive": spec.kind == "graph"}
+    return AxiomReport("H2'", verdict, tuple(witnesses), n ** 3, tol, stats)
+
+
+PHIS = [None] + [parse(source, {"r"})
+                 for source in ("sqrt(r)", "r^2", "r + 1", "min(r, 0.5)")]
+
+
+def outcome(check, spec, phi, **kwargs):
+    """The serialized report, or the type and text of the error raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return dumps(check(spec, phi=phi, **kwargs).to_dict())
+    except Exception as exc:  # noqa: BLE001  (both must fail alike)
+        return f"{type(exc).__name__}: {exc}"
+
+
+def assert_same_outcomes(spec, **kwargs):
+    for phi in PHIS:
+        expected = outcome(tensor_h2prime, spec, phi, **kwargs)
+        assert outcome(check_h2prime, spec, phi, **kwargs) == expected, \
+            phi and phi.source
+
+
+@pytest.mark.parametrize("samples", [12, 16, 33])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_h2prime_reproduces_the_tensor_on_builtins(name, samples):
+    assert_same_outcomes(make_builtin(name), samples=samples)
+
+
+weights = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 4.0, 0.5, -3.0, 1e-300, 1e300,
+                     1.7976931348623157e308]),
+    st.floats(0.0, 20.0),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 7))
+    return FiniteGraph([draw(st.lists(weights, min_size=n, max_size=n))
+                        for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=graphs())
+def test_h2prime_reproduces_the_tensor_on_random_graphs(spec):
+    assert_same_outcomes(spec)
