@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from .displacement import _require_smooth
 from .gauge import (_EPS, SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets,
                     Gauge, _adaptive_quad, _linspace)
 from .serialize import Record
@@ -77,7 +77,6 @@ class DerivativeError(CalculusError):
         super().__init__(f"{message} at x = {point!r}")
 
 
-@dataclass(frozen=True)
 class DerivativeResult(Record):
     """Derivative estimate at one point.
 
@@ -316,8 +315,7 @@ def stieltjes_integral(f: Callable[[float], float], g: Gauge, upper: float,
     return CumulativeStieltjesIntegral(f, g, f_breaks)(upper)
 
 
-@dataclass(frozen=True)
-class MeasurePath:
+class MeasurePath(Record):
     """A base-point path t -> alpha(t) for path-dependent measures."""
 
     alpha: Callable[[float], float]
@@ -332,9 +330,7 @@ def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
     value is the ordinary integral of f(t) * d2(alpha(t), t) dt from the
     left domain endpoint to upper.
     """
-    if spec.kind != "smooth":
-        raise CalculusError(
-            f"path_integral requires a smooth variant, got {spec.kind!r}")
+    _require_smooth(spec, "path_integral")
     a, b = spec.domain
     upper = float(upper)
     if not (a - SNAP_RADIUS <= upper <= b + SNAP_RADIUS):
@@ -344,13 +340,13 @@ def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
     def integrand(t: float) -> float:
         return float(f(t)) * spec.d2(path.alpha(t), t)
 
-    value = _adaptive_quad(integrand, a, upper, quad_tol)
+    value = _adaptive_quad(integrand, a, upper, quad_tol,
+                           error=CalculusError)
     if not math.isfinite(value):
         raise CalculusError("path integral is not finite")
     return value
 
 
-@dataclass(frozen=True)
 class FtcReport(Record):
     """Grid comparison between a derivative and its target function."""
 
@@ -358,7 +354,7 @@ class FtcReport(Record):
     worst_point: Optional[float]
     checked: int
     excluded: tuple[float, ...]
-    violations: tuple[dict, ...] = field(default_factory=tuple)
+    violations: tuple[dict, ...] = ()
 
 
 _F_BREAK_GUARD = 1e-6

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -29,7 +28,18 @@ from .expr import ExprError, as_function, parse
 from .gauge import Gauge, GaugeError, _linspace
 from .serialize import csv_lines, dumps
 
-log = logging.getLogger("displace")
+
+def _log(message: str, *args) -> None:
+    """Log at info level to the "displace" logger.
+
+    logging is imported only by main, when DISPLACE_LOG asks for it, or
+    by a host program; while no one has imported it, no handler exists
+    that could emit the record, so there is nothing to do.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("displace").info(message, *args)
+
 
 _ERRORS = (ExprError, GaugeError, DisplacementError, calculus.CalculusError,
            solver.SolverError, OSError, ValueError, KeyError,
@@ -40,21 +50,22 @@ def _load_spec(spec_path: Optional[str], builtin: Optional[str]):
     if (spec_path is None) == (builtin is None):
         raise DisplacementError("provide exactly one of --spec or --builtin")
     if builtin is not None:
-        log.info("using builtin spec %s", builtin)
+        _log("using builtin spec %s", builtin)
         return make_builtin(builtin)
-    log.info("loading spec from %s", spec_path)
+    _log("loading spec from %s", spec_path)
     with open(spec_path, "r", encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
 
 
 def _load_gauge(ref: str) -> Gauge:
     if ref == "identity":
+        _log("using the identity gauge")
         return Gauge.identity()
     if ref.startswith("extract:"):
         name = ref.split(":", 1)[1]
-        log.info("extracting gauge from builtin %s", name)
+        _log("extracting gauge from builtin %s", name)
         return gauge_from_smooth(make_builtin(name))
-    log.info("loading gauge from %s", ref)
+    _log("loading gauge from %s", ref)
     with open(ref, "r", encoding="utf-8") as fh:
         return Gauge.from_dict(json.load(fh))
 
@@ -98,6 +109,7 @@ def main() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     level = os.environ.get("DISPLACE_LOG", "").upper()
     if level in ("DEBUG", "INFO", "WARNING", "ERROR"):
+        import logging
         logging.basicConfig(stream=sys.stderr, level=getattr(logging, level),
                             format="%(name)s %(levelname)s %(message)s")
 
@@ -173,7 +185,7 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
 
     reports = []
     for name in names:
-        log.info("running %s", name)
+        _log("running %s", name)
         fn, options = _CHECKS[name]
         kwargs = {key: given[key] for key in options + ("tol",)
                   if given[key] is not None}

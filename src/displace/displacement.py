@@ -32,13 +32,12 @@ sampling procedures, exhaustive only on finite graphs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from . import expr as expr_mod
 from .expr import Expr
 from .gauge import _EPS, Gauge, GaugeError, SNAP_RADIUS, _linspace
-from .serialize import Record
+from .serialize import Fresh, Record
 
 __all__ = [
     "DisplacementError",
@@ -309,7 +308,6 @@ def make_builtin(name: str) -> DisplacementSpec:
 
 # --- reports ---
 
-@dataclass(frozen=True)
 class AxiomReport(Record):
     """Outcome of one hypothesis check.
 
@@ -322,14 +320,13 @@ class AxiomReport(Record):
     witnesses: tuple[dict, ...]
     sample_count: int
     tolerance: float
-    stats: dict = field(default_factory=dict)
+    stats: dict = Fresh(dict)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
 
-@dataclass(frozen=True)
 class GammaEstimate(Record):
     """Grid estimate of the comparability factor between two base points."""
 
@@ -339,7 +336,6 @@ class GammaEstimate(Record):
     grid: int
 
 
-@dataclass(frozen=True)
 class BallInterval(Record):
     """A displacement ball on an interval: endpoints plus membership flags."""
 

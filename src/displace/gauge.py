@@ -36,7 +36,6 @@ import heapq
 import math
 import sys
 import threading
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from . import expr as expr_mod
@@ -209,16 +208,19 @@ def _qk21(f: Callable[[float], float], a: float, b: float
 
 
 def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
-                   epsabs: float, epsrel: float = 1e-12,
-                   limit: int = 200) -> float:
+                   epsabs: float, epsrel: float = 1e-12, limit: int = 200,
+                   error: type[Exception] = GaugeError) -> float:
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     The first panel is accepted exactly when QUADPACK dqagse accepts it,
     so smooth integrands reproduce scipy.integrate.quad bit for bit.
     Otherwise the interval with the largest error estimate is bisected
     (QAG, without Wynn extrapolation) until the summed error meets the
-    tolerance or limit intervals exist.  A non-finite panel is returned
-    at once for the caller to reject.
+    tolerance.  If limit intervals exist first, or the widest-error
+    interval is too small to bisect, with the tolerance still unmet, the
+    sum would be a wrong number: error is raised instead, as dqagse
+    reports ier 1 and ier 3.  A non-finite panel is returned at once for
+    the caller to reject.
     """
     result, err, resabs, resasc = _qk21(f, a, b)
     if not math.isfinite(result):
@@ -245,7 +247,13 @@ def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
         area += r1 + r2 - r
         if errsum <= max(epsabs, epsrel * abs(area)):
             break
-    return math.fsum(item[3] for item in heap)
+    value = math.fsum(item[3] for item in heap)
+    bound = max(epsabs, epsrel * abs(area))
+    if errsum > bound:
+        raise error(f"quadrature over [{a!r}, {b!r}] did not converge: "
+                    f"estimate {value!r} with error estimate {errsum!r} "
+                    f"above the tolerance {bound!r}")
+    return value
 
 
 class CumulativeQuadrature:
@@ -358,7 +366,6 @@ class CumulativeQuadrature:
         return np.where(taus[idx] == ts, masses[idx], 0.0)
 
 
-@dataclass(frozen=True)
 class DistinguishedSets(Record):
     """Jump points, constancy intervals, and their endpoints for a gauge.
 

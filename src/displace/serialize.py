@@ -7,13 +7,13 @@ given configuration always produces byte-identical JSON and CSV.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import numbers
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["format_float", "dumps", "csv_lines", "float_csv", "Record"]
+__all__ = ["format_float", "dumps", "csv_lines", "float_csv", "Record",
+           "Fresh", "FrozenRecordError"]
 
 
 def format_float(value: float) -> str:
@@ -33,12 +33,93 @@ def _plain(value: Any) -> Any:
     return value
 
 
+class FrozenRecordError(AttributeError):
+    """An attempt to assign or delete an attribute of a Record."""
+
+
+class Fresh:
+    """Default of a Record field that is made anew for each instance."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], Any]):
+        self.make = make
+
+
 class Record:
-    """Dataclass base whose to_dict is its fields in order, tuples as lists."""
+    """Immutable value with named fields, compared and serialized by value.
+
+    A subclass declares its fields as public class annotations, those of
+    its base classes first; a class attribute of the same name is the
+    field's default, and a Fresh default is called once per instance.
+    Instances take the fields positionally or by keyword, in that order.
+    repr is Class(field=value, ...); == holds between instances of one
+    class with equal field tuples, and hash is the hash of that tuple;
+    to_dict is the fields in order with tuples as lists.
+    Assigning or deleting an attribute raises FrozenRecordError.  Every
+    method reads the field names __init_subclass__ stores; none is
+    generated, so defining a record class costs no code generation.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        names: dict[str, None] = {}
+        for klass in reversed(cls.__mro__):
+            for name in vars(klass).get("__annotations__", ()):
+                if not name.startswith("_"):
+                    names[name] = None
+        cls._fields = tuple(names)
+        cls._defaults = {name: getattr(cls, name) for name in names
+                         if hasattr(cls, name)}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"positional arguments but {len(args)} were given")
+        state = self.__dict__
+        state.update(zip(fields, args))
+        for name in fields[len(args):]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif name in self._defaults:
+                default = self._defaults[name]
+                state[name] = (default.make() if type(default) is Fresh
+                               else default)
+            else:
+                raise TypeError(
+                    f"{type(self).__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected or "
+                            f"repeated argument {next(iter(kwargs))!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        return (type(self).__qualname__ + "("
+                + ", ".join(f"{name}={getattr(self, name)!r}"
+                            for name in self._fields) + ")")
+
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenRecordError(f"cannot delete field {name!r}")
 
     def to_dict(self) -> dict:
-        return {f.name: _plain(getattr(self, f.name))
-                for f in dataclasses.fields(self)}
+        return {name: _plain(getattr(self, name)) for name in self._fields}
 
 
 def _write(obj: Any, out: list[str]) -> None:

@@ -28,7 +28,6 @@ produces the exact kink u(tau+) - u(tau) = -H(tau) * j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -67,8 +66,7 @@ class SolverError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class IvpProblem:
+class IvpProblem(Record):
     """du = rhs(t, u) dmu with u(a) = u0, on interval or the gauge domain."""
 
     gauge: Gauge
@@ -77,8 +75,7 @@ class IvpProblem:
     interval: Optional[tuple[float, float]] = None
 
 
-@dataclass(frozen=True)
-class SurfaceProblem:
+class SurfaceProblem(Record):
     """Terminal-value decay against a work gauge with source h."""
 
     work_gauge: Gauge
@@ -87,15 +84,13 @@ class SurfaceProblem:
     interval: Optional[tuple[float, float]] = None
 
 
-@dataclass(frozen=True)
 class JumpRecord(Record):
     tau: float
     u_before: float
     u_after: float
 
 
-@dataclass(frozen=True)
-class IvpSolution:
+class IvpSolution(Record):
     """Mesh solution with left-limit node values and explicit jump records."""
 
     ts: np.ndarray
@@ -145,7 +140,6 @@ class IvpSolution:
         }
 
 
-@dataclass(frozen=True)
 class ResidualReport(Record):
     """Maximum integral-equation residual of a solution over a grid."""
 

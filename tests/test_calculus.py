@@ -23,7 +23,8 @@ from displace.calculus import (
     path_integral,
     stieltjes_integral,
 )
-from displace.displacement import Smooth, Stieltjes, gauge_from_smooth, make_builtin
+from displace.displacement import (DisplacementError, Smooth, Stieltjes,
+                                   gauge_from_smooth, make_builtin)
 from displace.expr import parse
 from displace.gauge import Gauge, GaugeError
 
@@ -280,9 +281,24 @@ def test_path_integral_fixed_base_point_closed_form():
 
 
 def test_path_integral_requires_smooth_spec():
+    # the smooth-only rule and its message belong to displacement
     path = MeasurePath(alpha=lambda t: t)
-    with pytest.raises(CalculusError):
+    with pytest.raises(DisplacementError, match="^path_integral requires a "
+                       "smooth variant, got 'stieltjes'$"):
         path_integral(lambda t: 1.0, path, make_builtin("identity_gauge"), 1.0)
+
+
+def test_unconverged_quadrature_is_refused_with_each_modules_error():
+    # 200 intervals cannot resolve sin(1e4 t) on [0, 1]; the partial sum
+    # was returned as the value before
+    f = lambda t: math.sin(10000.0 * t)
+    with pytest.raises(GaugeError, match=r"^quadrature over \[0\.0, 1\.0\] "
+                       "did not converge"):
+        stieltjes_integral(f, Gauge.identity(), 1.0)
+    path = MeasurePath(alpha=lambda t: t)
+    with pytest.raises(CalculusError, match=r"^quadrature over \[0\.0, 1\.0\] "
+                       "did not converge"):
+        path_integral(f, path, make_builtin("exponential"), 1.0)
 
 
 def test_path_integral_upper_outside_domain():

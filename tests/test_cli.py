@@ -304,6 +304,18 @@ def test_derive_kink_reports_computation_error(runner):
     assert "error:" in result.stderr
 
 
+def test_integrate_refuses_an_unconverged_quadrature(runner):
+    # printed -0.0023254250199439162 with exit 0; the integral is 1.95e-4
+    result = invoke(runner, "integrate", "--f", "sin(10000*t)", "--gauge",
+                    "identity", "--upper", "1")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: quadrature over [0.0, 1.0] did not "
+                               "converge: estimate -0.0023")
+
+
 def test_integrate_identity_and_custom_upper(runner):
     result = invoke(runner, "integrate", "--f", "t", "--gauge", "identity")
     assert result.exit_code == 0
@@ -482,6 +494,15 @@ def test_cli_import_does_not_load_scipy():
     proc = _fresh_python(
         "import displace.cli, sys; print('scipy' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_cli_import_generates_no_code_and_skips_unused_stdlib():
+    # records are built without dataclasses' code generation; logging
+    # loads only for DISPLACE_LOG, decimal only to spell out an exponent
+    proc = _fresh_python(
+        "import displace.cli, sys; print([m for m in ('dataclasses', "
+        "'logging', 'decimal') if m in sys.modules])")
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 def test_package_import_loads_every_submodule_but_not_numpy():

@@ -16,6 +16,7 @@ from displace import (
     DisplacementError,
     make_builtin,
 )
+from displace.calculus import MeasurePath, path_integral
 from displace.displacement import (
     ALGEBRAIC_TOL,
     Angular,
@@ -576,6 +577,8 @@ def test_gamma_rejects_an_empty_grid(grid):
     ("gamma_estimate", lambda s: gamma_estimate(s, 0.1, 0.2)),
     ("rn_density", lambda s: rn_density(s, 0.1, 0.2, 0.3)),
     ("gauge_from_smooth", lambda s: gauge_from_smooth(s)),
+    ("path_integral",
+     lambda s: path_integral(lambda t: 1.0, MeasurePath(lambda t: t), s, 1.0)),
 ])
 def test_smooth_only_operations_name_themselves(operation, call):
     with pytest.raises(DisplacementError) as info:

@@ -209,3 +209,28 @@ def test_natural_power_skips_pow(monkeypatch):
     for source in ("x^2.5", "x^-2", "x^x", "x^pi"):
         with pytest.raises(AssertionError, match="_pow was called"):
             as_function(parse(source, {"x"}), "x")(2.0)
+
+
+def test_expressions_of_one_shape_share_a_compile_but_not_their_constants():
+    # the constants live in each expression's own namespace
+    first = as_function(parse("ln(x - 1) / 2", {"x"}), "x")
+    second = as_function(parse("ln(x - 3) / 4", {"x"}), "x")
+    assert first.__code__ is second.__code__
+    assert first(3.0) == math.log(2.0) / 2.0
+    assert second(5.0) == math.log(2.0) / 4.0
+    with pytest.raises(DomainError) as info:
+        first(1.0)
+    assert info.value.fragment == "ln(x - 1.0)"
+    with pytest.raises(DomainError) as info:
+        second(3.0)
+    assert info.value.fragment == "ln(x - 3.0)"
+
+
+def test_code_cache_empties_itself_when_full(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(expr_mod, "_CODE_CACHE", cache)
+    monkeypatch.setattr(expr_mod, "_CODE_CACHE_MAX", 2)
+    for source in ("x + 1", "x * 1", "x - 1"):
+        as_function(parse(source, {"x"}), "x")
+    # the third shape found two entries, emptied the cache and was added
+    assert len(cache) == 1

@@ -340,6 +340,40 @@ def test_quadrature_bisects_kinks_and_steps_to_the_closed_form(density, exact):
     assert abs(cq.value(1.0) - exact) <= 1e-10
 
 
+def test_quadrature_refuses_a_sum_left_unconverged_at_the_interval_limit():
+    # 200 intervals cannot resolve 1592 periods: the partial sum, -2.3e-3
+    # against the exact (1 - cos 1e4)/1e4 = 1.95e-4, is refused
+    f = counted(lambda t: math.sin(10000.0 * t))
+    with pytest.raises(GaugeError, match=r"^quadrature over \[0\.0, 1\.0\] did "
+                       r"not converge: estimate -0\.0023\d* with error "
+                       r"estimate 0\.52\d* above the tolerance 1e-10$"):
+        _adaptive_quad(f, 0.0, 1.0, 1e-10)
+    assert f.calls == 21 * 399
+    # density abs(sin(3000 t)) gave g(1) = 0.64665 where 0.63666 is exact
+    g = Gauge((0.0, 1.0), lambda t: abs(math.sin(3000.0 * t)))
+    with pytest.raises(GaugeError, match="did not converge"):
+        g(1.0)
+
+
+def test_quadrature_refuses_a_sum_left_unconverged_at_the_round_off_stop():
+    # three adjacent doubles: the first panel mixes -1e300 and 1e300 and is
+    # refused; each one-ulp half is constant, but its round-off floor of
+    # 50 eps |f| ulp stays far above the tolerance and it cannot be bisected
+    a = 1.0
+    mid = math.nextafter(a, 2.0)
+    b = math.nextafter(mid, 2.0)
+    f = counted(lambda t: 1e300 if t > mid else -1e300)
+    with pytest.raises(GaugeError, match=r"^quadrature over \[1\.0, "
+                       r"1\.0000000000000004\] did not converge: estimate "
+                       r"0\.0 with error estimate 4\.95\d*e\+270 above the "
+                       r"tolerance 1e-10$"):
+        _adaptive_quad(f, a, b, 1e-10)
+    assert f.calls == 3 * 21  # the first panel and one bisection
+    cq = CumulativeQuadrature(lambda t: 1e300 if t > mid else -1e300, a, b)
+    with pytest.raises(GaugeError, match="did not converge"):
+        cq.value(b)
+
+
 # Recorded from scipy.integrate.quad(f, a, b, epsabs=1e-10, epsrel=1e-12,
 # limit=200), which accepts each first panel (neval 21).  Only + - * /
 # enter, so no libm routine can move the bits.
