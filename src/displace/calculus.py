@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence
 
 from .displacement import _require_smooth
 from .gauge import (_EPS, SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets,
-                    Gauge, _adaptive_quad, _linspace)
+                    Gauge, _adaptive_quad, _linspace, _snap)
 from .serialize import Record
 
 __all__ = [
@@ -121,10 +121,11 @@ def _richardson(values: Sequence[float]) -> tuple[float, float]:
 def _reach(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
            avoid: Sequence[float]) -> float:
     """Half the room on one side of x before the domain end or a structure
-    point: a jump, a flat end point or a point to avoid."""
+    point: a jump, a flat end point or a point to avoid.  n_set is not
+    scanned: its points are flat end points."""
     a, b = g.domain
     limit = (b - x) if direction > 0 else (x - a)
-    for p in (*dsets.d_set, *dsets.n_set, *avoid,
+    for p in (*dsets.d_set, *avoid,
               *(end for iv in dsets.c_set for end in iv)):
         d = (p - x) if direction > 0 else (x - p)
         if d > SNAP_RADIUS:
@@ -203,9 +204,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
     if dsets is None:
         dsets = g.distinguished_sets()
     a, b = g.domain
-    if not (a - SNAP_RADIUS <= x <= b + SNAP_RADIUS):
-        raise CalculusError(f"point {x!r} outside the gauge domain")
-    x = min(max(float(x), a), b)
+    x = _snap(x, a, b, "x", CalculusError)
 
     tau = dsets.jump_near(x)
     if tau is not None and tau < b:
@@ -332,10 +331,7 @@ def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
     """
     _require_smooth(spec, "path_integral")
     a, b = spec.domain
-    upper = float(upper)
-    if not (a - SNAP_RADIUS <= upper <= b + SNAP_RADIUS):
-        raise CalculusError(f"upper limit {upper!r} outside [{a!r}, {b!r}]")
-    upper = min(max(upper, a), b)
+    upper = _snap(upper, a, b, "upper", CalculusError)
 
     def integrand(t: float) -> float:
         return float(f(t)) * spec.d2(path.alpha(t), t)

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import expr as expr_mod
 from .expr import Expr
-from .gauge import _EPS, Gauge, GaugeError, SNAP_RADIUS, _linspace
+from .gauge import _EPS, Gauge, GaugeError, SNAP_RADIUS, _linspace, _snap
 from .serialize import Fresh, Record
 
 __all__ = [
@@ -79,15 +79,6 @@ class DisplacementError(ValueError):
 
 def _domain_slack(a: float, b: float) -> float:
     return SNAP_RADIUS * (1.0 + abs(a) + abs(b))
-
-
-def _check_domain_point(name: str, value: float, a: float, b: float,
-                        slack: float) -> float:
-    value = float(value)
-    if not (a - slack <= value <= b + slack):
-        raise DisplacementError(
-            f"{name} = {value!r} outside the domain [{a!r}, {b!r}]")
-    return min(max(value, a), b)
 
 
 class Smooth:
@@ -155,10 +146,10 @@ class Smooth:
         a, b = self._domain
         x = float(x)
         if not a <= x <= b:
-            x = _check_domain_point("x", x, a, b, self._slack)
+            x = _snap(x, a, b, "x", DisplacementError, self._slack)
         y = float(y)
         if not a <= y <= b:
-            y = _check_domain_point("y", y, a, b, self._slack)
+            y = _snap(y, a, b, "y", DisplacementError, self._slack)
         return float(self._delta_fn(x, y))
 
     def d2(self, x: float, y: float) -> float:
@@ -166,10 +157,10 @@ class Smooth:
         a, b = self._domain
         x = float(x)
         if not a <= x <= b:
-            x = _check_domain_point("x", x, a, b, self._slack)
+            x = _snap(x, a, b, "x", DisplacementError, self._slack)
         y = float(y)
         if not a <= y <= b:
-            y = _check_domain_point("y", y, a, b, self._slack)
+            y = _snap(y, a, b, "y", DisplacementError, self._slack)
         if self._d2_fn is not None:
             return float(self._d2_fn(x, y))
         return self._fd_d2(x, y)
@@ -604,8 +595,8 @@ def gamma_estimate(spec: DisplacementSpec, z: float, zbar: float,
     if grid < 1:
         raise DisplacementError(f"grid must be at least 1, got {grid!r}")
     a, b = spec.domain
-    z = _check_domain_point("z", z, a, b, _domain_slack(a, b))
-    zbar = _check_domain_point("zbar", zbar, a, b, _domain_slack(a, b))
+    z = _snap(z, a, b, "z", DisplacementError, _domain_slack(a, b))
+    zbar = _snap(zbar, a, b, "zbar", DisplacementError, _domain_slack(a, b))
     value = 1.0
     for xi in _linspace(a, b, grid):
         num = spec.d2(z, xi)
@@ -646,7 +637,7 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
     if not r > 0.0:
         raise DisplacementError(f"ball radius must be positive, got {r!r}")
     a, b = spec.domain
-    x = _check_domain_point("x", x, a, b, _domain_slack(a, b))
+    x = _snap(x, a, b, "x", DisplacementError, _domain_slack(a, b))
     value_tol = tol * (1.0 + r)
 
     def bisect(inside: float, outside: float, target: float) -> float:

@@ -326,9 +326,13 @@ def parse(source: str, variables=()) -> Expr:
         variables: iterable of identifier names allowed as free variables.
 
     Raises:
-        ParseError: on syntax errors (with position and expected tokens),
-            unknown identifiers, or arity mismatches.
+        ParseError: on a source that is not a str, syntax errors (with
+            position and expected tokens), unknown identifiers, or arity
+            mismatches.
     """
+    if not isinstance(source, str):
+        raise ParseError(f"{type(source).__name__} value", 0,
+                         ("expression text",))
     declared = frozenset(variables)
     parser = _Parser(_tokenize(source), declared)
     ast = parser.parse_expr()

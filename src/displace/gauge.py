@@ -7,10 +7,12 @@ left-continuous and nondecreasing; the jump at tau contributes to g(t)
 only for t > tau.
 
 CumulativeQuadrature owns that rule: it holds the atoms next to the
-density table and snaps a query within SNAP_RADIUS of the domain onto
-the end point before looking up either.  A Gauge is one, the running
-integral of its density with its jumps as atoms, and so are the running
-integrals in calculus.
+density table and snaps each query into the domain with _snap before
+looking up either.  A Gauge is one, the running integral of its density
+with its jumps as atoms, and so are the running integrals in calculus.
+_snap is every module's domain rule: a point within a slack (SNAP_RADIUS
+by default) outside [a, b] is the end point, and one farther out, NaN
+included, raises that module's error.
 
 Evaluation goes through an insert-only cumulative quadrature cache.  The
 naive alternative, re-running an adaptive quadrature from a to t for
@@ -58,6 +60,20 @@ _FLAT_SAMPLES = 1025
 
 class GaugeError(ValueError):
     """Invalid gauge data or evaluation outside the domain."""
+
+
+def _snap(value: float, lo: float, hi: float, name: str = "point",
+          error: type[Exception] = GaugeError,
+          slack: float = SNAP_RADIUS) -> float:
+    """value clamped into [lo, hi] if it lies within slack of it.
+
+    Otherwise, and for NaN, which no comparison admits, raise error.
+    Hot paths call it only for a point that fails lo <= value <= hi.
+    """
+    value = float(value)
+    if not lo - slack <= value <= hi + slack:
+        raise error(f"{name} = {value!r} outside the domain [{lo!r}, {hi!r}]")
+    return min(max(value, lo), hi)
 
 
 # QUADPACK dqk21 (Piessens et al., 1983), one module name per constant:
@@ -261,9 +277,8 @@ class CumulativeQuadrature:
 
     atoms holds (tau, mass) pairs inside [lo, hi], strictly increasing in
     tau; the atom at tau counts in F(t) only for t > tau, and right_limit
-    adds the atom at t itself.  Each query is first snapped into [lo, hi]:
-    a point within SNAP_RADIUS outside is the end point, one farther out
-    raises GaugeError.
+    adds the atom at t itself.  Each query is first snapped into [lo, hi]
+    by _snap, which raises GaugeError.
 
     The density part is memoized in a sorted breakpoint table, seeded at
     the breakpoints and atoms; a query at a new t integrates fn only
@@ -297,12 +312,6 @@ class CumulativeQuadrature:
             if self.lo < t <= self.hi:
                 self.value(t)
 
-    def _snap(self, t: float) -> float:
-        t = float(t)
-        if t < self.lo - SNAP_RADIUS or t > self.hi + SNAP_RADIUS:
-            raise GaugeError(f"point {t!r} outside [{self.lo!r}, {self.hi!r}]")
-        return min(max(t, self.lo), self.hi)
-
     def _panel(self, lo: float, hi: float) -> float:
         if hi <= lo:
             return 0.0
@@ -322,7 +331,7 @@ class CumulativeQuadrature:
         """F(t): the density part over [lo, t) plus the atoms below t."""
         t = float(t)
         if not self.lo <= t <= self.hi:
-            t = self._snap(t)
+            t = _snap(t, self.lo, self.hi)
         atoms_below = self._prefix[bisect.bisect_left(self._taus, t)]
         with self._lock:
             i = bisect.bisect_left(self._ts, t)
@@ -346,7 +355,7 @@ class CumulativeQuadrature:
 
     def jump_at(self, t: float) -> float:
         """Mass of the atom at t, or 0.0."""
-        t = self._snap(t)
+        t = _snap(t, self.lo, self.hi)
         i = bisect.bisect_left(self._taus, t)
         if i < len(self._taus) and self._taus[i] == t:
             return self.atoms[i][1]
@@ -442,8 +451,9 @@ class Gauge(CumulativeQuadrature):
             tau, size = float(tau), float(size)
             if not (a <= tau <= b):
                 raise GaugeError(f"jump position {tau!r} outside [{a!r}, {b!r}]")
-            if size <= 0.0:
-                raise GaugeError(f"jump size {size!r} must be positive")
+            if not 0.0 < size < math.inf:
+                raise GaugeError(
+                    f"jump size {size!r} must be positive and finite")
             if pairs and tau <= pairs[-1][0]:
                 raise GaugeError("jump positions must be strictly increasing")
             pairs.append((tau, size))
@@ -629,8 +639,6 @@ class Gauge(CumulativeQuadrature):
         except (KeyError, TypeError, IndexError, ValueError,
                 OverflowError) as exc:
             raise GaugeError(f"malformed gauge data: {exc}") from exc
-        if not isinstance(source, str):
-            raise GaugeError("gauge density must be an expression string")
         density_expr = expr_mod.parse(source, {"t"})
         density = expr_mod.as_function(density_expr, "t")
         return cls(domain, density, jumps=jumps, flats=flats,

@@ -2,7 +2,9 @@
 
 All floats are rendered with 17 significant digits, enough to round-trip
 any double exactly, and object keys keep their construction order, so a
-given configuration always produces byte-identical JSON and CSV.
+given configuration always produces byte-identical JSON and CSV.  JSON
+writes a negative zero as -0.0, which reads back as a float; CSV keeps
+the shorter -0, which float() reads back as -0.0 too.
 """
 
 from __future__ import annotations
@@ -132,7 +134,9 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, numbers.Integral):
         out.append(str(int(obj)))
     elif isinstance(obj, float):
-        out.append(format_float(obj))
+        text = format_float(obj)
+        # json reads -0 as the integer 0
+        out.append("-0.0" if text == "-0" else text)
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -162,18 +166,9 @@ def dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def csv_lines(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Simple CSV with deterministic float formatting; ends with a newline."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def csv_lines(header: Sequence[str], rows: Iterable[Sequence[float]]) -> str:
+    """CSV of float rows, each written by format_float; ends with a newline."""
+    return float_csv(header, [value for row in rows for value in row])
 
 
 def float_csv(header: Sequence[str], values: Sequence[float]) -> str:

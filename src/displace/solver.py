@@ -31,7 +31,7 @@ import math
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .gauge import Gauge
+from .gauge import Gauge, _snap
 from .serialize import Record, float_csv
 
 if TYPE_CHECKING:
@@ -108,8 +108,8 @@ class IvpSolution(Record):
         import numpy as np
 
         ts, us = self.ts, self.us
-        if t < ts[0] or t > ts[-1]:
-            raise SolverError(f"point {t!r} outside the solution interval")
+        if not ts[0] <= t <= ts[-1]:
+            t = _snap(t, float(ts[0]), float(ts[-1]), "t", SolverError)
         i = int(np.searchsorted(ts, t, side="right")) - 1
         if i >= len(ts) - 1:
             return float(us[-1])
@@ -183,11 +183,12 @@ def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
 
 def _mesh_data(gauge: Gauge, mesh: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node densities, panel atoms (none at the last node) and widths."""
     import numpy as np
 
     density = gauge.density
     dens = np.array([float(density(t)) for t in mesh.tolist()])
-    return dens, gauge.jumps_on(mesh), np.diff(mesh)
+    return dens, gauge.jumps_on(mesh[:-1]), np.diff(mesh)
 
 
 def solve_ivp(problem: IvpProblem, step: float,
@@ -252,7 +253,7 @@ def _jump_records(rhs, mesh: np.ndarray, us: np.ndarray,
     import numpy as np
 
     records = []
-    for k in np.flatnonzero(atoms[:-1] > 0.0).tolist():
+    for k in np.flatnonzero(atoms > 0.0).tolist():
         t, u_before = float(mesh[k]), float(us[k])
         u_after = float(u_before + rhs(t, u_before) * atoms[k])
         records.append(JumpRecord(tau=t, u_before=u_before,
@@ -275,7 +276,7 @@ def _increments(rhs, mesh: np.ndarray, us: np.ndarray, dens: np.ndarray,
                  dtype=float)
     w_start = w[:-1].copy()
     jump = np.zeros(len(dt))
-    for k in np.flatnonzero(atoms[:-1] > 0.0):
+    for k in np.flatnonzero(atoms > 0.0):
         jump[k] = w[k] * atoms[k]
         w_start[k] = rhs(float(mesh[k]), float(us[k]) + jump[k])
     return 0.5 * (w_start * dens[:-1] + w[1:] * dens[1:]) * dt + jump
@@ -336,7 +337,7 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
         raise SolverError("source is not finite on the mesh")
     H = np.concatenate(([0.0], 0.5 * (h_vals[:-1] + h_vals[1:]) * dt)).cumsum()
     Hd = H * dens
-    jump = H[:-1] * atoms[:-1]
+    jump = H[:-1] * atoms
     S = np.concatenate(([0.0], 0.5 * (Hd[:-1] + Hd[1:]) * dt + jump)).cumsum()
 
     C = float(problem.terminal_value)
@@ -345,7 +346,7 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
 
     records = [JumpRecord(tau=float(mesh[k]), u_before=float(us[k]),
                           u_after=float(us[k] - jump[k]))
-               for k in np.flatnonzero(atoms[:-1] > 0.0)]
+               for k in np.flatnonzero(atoms > 0.0)]
     max_step = float(dt.max()) if len(dt) else 0.0
     return IvpSolution(ts=mesh, us=us, jumps=tuple(records),
                        method="terminal", max_step=max_step)

@@ -8,6 +8,7 @@ quotients computed from stored atom sizes.
 
 import math
 import random
+import re
 
 import pytest
 
@@ -101,8 +102,10 @@ def test_kink_raises_with_side_diagnostics():
 
 
 def test_derivative_point_outside_domain():
-    with pytest.raises(CalculusError):
-        delta_derivative(lambda t: t, identity_gauge(), 1.5)
+    for x in (1.5, -1e-9, math.nan, math.inf):
+        with pytest.raises(CalculusError, match=re.escape(
+                f"x = {x!r} outside the domain [0.0, 1.0]")):
+            delta_derivative(lambda t: t, identity_gauge(), x)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +306,11 @@ def test_unconverged_quadrature_is_refused_with_each_modules_error():
 
 def test_path_integral_upper_outside_domain():
     path = MeasurePath(alpha=lambda t: t)
-    with pytest.raises(CalculusError):
-        path_integral(lambda t: 1.0, path, make_builtin("exponential"), 2.0)
+    for upper in (2.0, math.nan, -math.inf):
+        with pytest.raises(CalculusError, match=re.escape(
+                f"upper = {upper!r} outside the domain [0.0, 1.0]")):
+            path_integral(lambda t: 1.0, path, make_builtin("exponential"),
+                          upper)
 
 
 @pytest.mark.parametrize("end, past", [(1.0, 1.0 + 5e-13), (0.0, -5e-13)])
@@ -418,8 +424,11 @@ def test_running_integral_snaps_points_just_outside_the_domain():
     assert stieltjes_integral(lambda t: t + 1.0, g, 1.0 + 1e-13) == F(1.0)
     assert F.right_limit(0.0 - 1e-13) == F.right_limit(0.0) == 0.25
     assert F.right_limit(1.0 + 1e-13) == F.right_limit(1.0) == F(1.0) + 1.0
-    with pytest.raises(GaugeError):
-        F(1.0 + 1e-9)
+    for t in (1.0 + 1e-9, math.nan):
+        with pytest.raises(GaugeError):
+            F(t)
+        with pytest.raises(GaugeError):
+            F.right_limit(t)
 
 
 # ---------------------------------------------------------------------------

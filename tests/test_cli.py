@@ -22,7 +22,7 @@ import displace
 import displace.cli as cli_mod
 from displace.cli import main
 from displace.displacement import make_builtin, spec_to_dict
-from displace.serialize import csv_lines, dumps, float_csv
+from displace.serialize import csv_lines, dumps, float_csv, format_float
 
 E = math.e
 E_MINUS_EINV = 2.3504023872876028
@@ -585,7 +585,18 @@ def test_float_csv_writes_the_text_of_format_float():
     values += [rng.random() * 10.0 ** rng.randint(-320, 300) for _ in range(500)]
     rows = list(zip(values[0::2], values[1::2]))
     assert float_csv(("t", "u"), values) == csv_lines(("t", "u"), rows)
+    # csv_lines is float_csv over the flattened rows, so spell it out too
+    assert float_csv(("t", "u"), values) == "t,u\n" + "".join(
+        f"{format_float(t)},{format_float(u)}\n" for t, u in rows)
     assert float_csv(("a", "b", "c"), []) == "a,b,c\n"
+
+
+def test_dumps_writes_a_negative_zero_as_a_float():
+    text = dumps({"z": -0.0, "p": 0.0, "n": np.float64(-0.0), "i": 0})
+    assert text == '{"z": -0.0, "p": 0, "n": -0.0, "i": 0}'
+    assert math.copysign(1.0, json.loads(text)["z"]) == -1.0
+    # CSV keeps the shorter text, which float() reads with its sign
+    assert csv_lines(("z",), [(-0.0,)]) == "z\n-0\n"
 
 
 def test_dumps_accepts_numpy_integers():
@@ -619,6 +630,10 @@ _GAUGE = {"domain": [0, 1], "density": "1"}
     (("check", "--spec"), {"kind": "graph",
                            "weights": [[0, math.nan, 1], [1, 0, 1], [1, 1, 0]]}),
     (("check", "--spec"), {"kind": "graph", "weights": [[0, math.inf], [1, 0]]}),
+    # an expression that is not text
+    (("check", "--spec"), {"kind": "smooth", "domain": [0, 1], "delta": 5}),
+    (("check", "--spec"), {"kind": "smooth", "domain": [0, 1],
+                           "delta": "y - x", "d2": 7}),
 ])
 def test_malformed_json_is_one_error_line(runner, tmp_path, command, payload):
     path = tmp_path / "input.json"

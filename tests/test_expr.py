@@ -98,6 +98,13 @@ def test_syntax_error_carries_position_and_expected():
     assert info.value.expected
 
 
+@pytest.mark.parametrize("source", [5, 7.0, None, ["t"], {"t": 1}, b"t"])
+def test_a_source_that_is_not_text_is_a_parse_error(source):
+    with pytest.raises(ParseError, match=f"^{type(source).__name__} value at "
+                       r"position 0 \(expected expression text\)$"):
+        parse(source, {"t"})
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse("1 2")

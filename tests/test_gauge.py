@@ -1,6 +1,7 @@
 """Tests for gauges, their measures, and the distinguished sets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,8 +131,9 @@ def test_constructor_rejects_bad_data():
         Gauge((1.0, 0.0), lambda t: 1.0)
     with pytest.raises(GaugeError):
         Gauge((0.0, 1.0), lambda t: 1.0, jumps=((1.5, 1.0),))
-    with pytest.raises(GaugeError):
-        Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 0.0),))
+    for size in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(GaugeError, match="must be positive and finite"):
+            Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, size),))
     with pytest.raises(GaugeError):
         Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 1.0), (0.5, 1.0)))
     with pytest.raises(GaugeError):
@@ -261,7 +263,8 @@ def test_to_dict_requires_expression_density():
 def test_from_dict_rejects_malformed_data():
     with pytest.raises(GaugeError):
         Gauge.from_dict({"density": "1"})
-    with pytest.raises(GaugeError):
+    # parse decides that the density is text
+    with pytest.raises(expr.ParseError, match="NoneType value"):
         Gauge.from_dict({"domain": [0.0, 1.0], "density": None})
 
 
@@ -497,8 +500,11 @@ def test_points_just_past_the_ends_behave_like_the_ends():
 
 def test_jump_at_beyond_the_snap_radius_raises():
     g = end_atom_gauge()
-    for t in (1.0 + 1e-9, -1e-9, 2.0):
-        with pytest.raises(GaugeError):
+    for t in (1.0 + 1e-9, -1e-9, 2.0, math.nan):
+        text = f"point = {t!r} outside the domain [0.0, 1.0]"
+        with pytest.raises(GaugeError, match=re.escape(text)):
+            g(t)
+        with pytest.raises(GaugeError, match=re.escape(text)):
             g.jump_at(t)
         with pytest.raises(GaugeError):
             g.right_limit(t)

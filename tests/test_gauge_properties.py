@@ -128,10 +128,7 @@ def specs_and_pairs(draw):
     kind = draw(st.sampled_from(["smooth", "stieltjes", "graph", "angular"]))
     if kind == "graph":
         n = draw(st.integers(1, 5))
-        # -0.0 comes back as 0.0: see
-        # test_a_negative_zero_weight_keeps_its_sign_through_json
-        weight = st.floats(allow_nan=False,
-                           allow_infinity=False).map(lambda w: w + 0.0)
+        weight = st.floats(allow_nan=False, allow_infinity=False)
         spec = FiniteGraph([draw(st.lists(weight, min_size=n, max_size=n))
                             for _ in range(n)])
         return spec, [(float(i), float(j)) for i in range(n) for j in range(n)]
@@ -200,8 +197,6 @@ def test_measure_algebra_under_random_query_order(case, order):
         assert abs(whole - (left + right)) <= slack
 
 
-@pytest.mark.xfail(strict=True, reason="dumps writes -0.0 as -0, which JSON "
-                   "reads back as the integer 0")
 def test_a_negative_zero_weight_keeps_its_sign_through_json():
     spec = FiniteGraph([[-0.0]])
     back = spec_from_dict(json.loads(dumps(spec_to_dict(spec))))

@@ -7,6 +7,7 @@ surface problem with unit source and identity work gauge is (1 - x^2)/2.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -331,10 +332,16 @@ def test_value_is_left_continuous_at_jumps():
     assert sol.value(0.5) == rec.u_before
     # immediately to the right the post-jump branch is in force
     assert abs(sol.value(0.5 + 1e-6) - rec.u_after) <= 1e-4
-    with pytest.raises(SolverError):
-        sol.value(-0.1)
-    with pytest.raises(SolverError):
-        sol.value(1.1)
+
+
+def test_value_snaps_points_just_past_the_ends_and_refuses_the_rest():
+    sol = solve_ivp(exponential_problem(kicked_gauge()), step=1e-3)
+    assert sol.value(1.0 + 1e-13) == sol.value(1.0) == float(sol.us[-1])
+    assert sol.value(-1e-13) == sol.value(0.0) == 1.0
+    for t in (-0.1, 1.1, 1.0 + 1e-9, math.nan, math.inf):
+        with pytest.raises(SolverError, match=re.escape(
+                f"t = {t!r} outside the domain [0.0, 1.0]")):
+            sol.value(t)
 
 
 def test_csv_repeats_jump_nodes():
