@@ -13,7 +13,8 @@ go through one engine.  Three point classes arise:
 * jump points of g: the limit reduces to the exact one-sided quotient
   (f(x+) - f(x)) / atom, where atom is the jump size.  f(x+) comes from
   a right_limit method when the callable provides one (gauges and the
-  running integrals below do), otherwise from right-sided extrapolation.
+  running integrals below do), otherwise from right-sided extrapolation
+  that must pass the same convergence test as continuity quotients.
 * excluded points: interiors of constancy intervals and their isolated
   endpoints carry no measure and no derivative; queries within 1e-12 of
   them return a result classed 'excluded' with no value.
@@ -133,11 +134,19 @@ def _reach(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
     return 0.5 * limit
 
 
-def _side_samples(sample: Callable[[float], Optional[float]], x: float,
-                  direction: int, reach: float,
-                  levels: int) -> tuple[list[float], int]:
-    """sample(x + direction * h) for h = reach / 2**k until h is rounding;
-    a None sample is dropped but counts as used."""
+def _side_limit(sample: Callable[[float], Optional[float]], x: float,
+                direction: int, g: Gauge, dsets: DistinguishedSets,
+                avoid: Sequence[float], levels: int,
+                diagnostics: dict) -> Optional[tuple[float, float, int]]:
+    """(estimate, spread, used) of sample(x + direction * h) as h -> 0+,
+    or None when the side has no room.  h = reach / 2**k for k < levels
+    until h is rounding; a None sample is dropped but counts as used.  The
+    samples go into diagnostics under 'right' or 'left'; DerivativeError
+    carries them unless the estimate is finite with spread at most
+    1e-2 * (1 + |estimate|), the one convergence test of every limit."""
+    reach = _reach(x, direction, g, dsets, avoid)
+    if reach < 1e3 * _EPS * max(1.0, abs(x)):
+        return None
     values, used = [], 0
     for k in range(levels):
         h = reach * 2.0 ** (-k)
@@ -147,53 +156,17 @@ def _side_samples(sample: Callable[[float], Optional[float]], x: float,
         value = sample(x + direction * h)
         if value is not None:
             values.append(value)
-    return values, used
-
-
-def _two_sided_limit(numerator: Callable[[float], float], g: Gauge, x: float,
-                     shrink_levels: int, dsets: DistinguishedSets,
-                     avoid: Sequence[float]) -> tuple[float, float, int]:
-    gx = g(x)
-
-    def quotient(y: float) -> Optional[float]:
-        den = g(y) - gx
-        return numerator(y) / den if den != 0.0 else None
-
-    sides = []
-    used_total = 0
-    diagnostics = {}
-    for direction in (+1, -1):
-        reach = _reach(x, direction, g, dsets, avoid)
-        if reach < 1e3 * _EPS * max(1.0, abs(x)):
-            continue
-        values, used = _side_samples(quotient, x, direction, reach,
-                                     shrink_levels)
-        used_total += used
-        key = "right" if direction > 0 else "left"
-        diagnostics[key] = list(values)
-        if not values:
-            raise DerivativeError(
-                "gauge increments vanish on one side", x, diagnostics)
-        estimate, spread = _richardson(values)
-        if not math.isfinite(estimate) or \
-                spread > 1e-2 * (1.0 + abs(estimate)):
-            raise DerivativeError(
-                f"difference quotients do not converge on the {key} side",
-                x, diagnostics)
-        sides.append((estimate, spread))
-    if not sides:
-        raise DerivativeError("no side of x admits difference quotients",
-                              x, diagnostics)
-    if len(sides) == 2:
-        (lr, er), (ll, el) = sides
-        if abs(lr - ll) > 1e-3 * (1.0 + abs(lr) + abs(ll)):
-            raise DerivativeError(
-                "left and right difference quotients disagree", x, diagnostics)
-        value = 0.5 * (lr + ll)
-        error = max(er, el, 0.5 * abs(lr - ll))
-    else:
-        value, error = sides[0]
-    return value, error, used_total
+    key = "right" if direction > 0 else "left"
+    diagnostics[key] = values
+    if not values:
+        raise DerivativeError(
+            "gauge increments vanish on one side", x, diagnostics)
+    estimate, spread = _richardson(values)
+    if not math.isfinite(estimate) or spread > 1e-2 * (1.0 + abs(estimate)):
+        raise DerivativeError(
+            f"difference quotients do not converge on the {key} side",
+            x, diagnostics)
+    return estimate, spread, used
 
 
 def _derivative(f: Callable[[float], float], g: Gauge,
@@ -201,6 +174,10 @@ def _derivative(f: Callable[[float], float], g: Gauge,
                 shrink_levels: int, dsets: Optional[DistinguishedSets],
                 avoid: Sequence[float]) -> DerivativeResult:
     """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x."""
+    # one level gives one sample per side, which no test can call converged
+    if shrink_levels < 2:
+        raise CalculusError(
+            f"shrink_levels must be at least 2, got {shrink_levels!r}")
     if dsets is None:
         dsets = g.distinguished_sets()
     a, b = g.domain
@@ -211,18 +188,13 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         atom = g.jump_at(tau)
         fx = float(f(tau))
         if hasattr(f, "right_limit"):
-            fplus = float(f.right_limit(tau))
-            spread, used = 0.0, 1
+            fplus, spread, used = float(f.right_limit(tau)), 0.0, 1
         else:
-            reach = _reach(tau, +1, g, dsets, avoid)
-            if reach < 1e3 * _EPS * max(1.0, abs(tau)):
+            limit = _side_limit(lambda y: float(f(y)), tau, +1, g, dsets,
+                                avoid, shrink_levels, {})
+            if limit is None:
                 raise DerivativeError("no room to the right of the jump", tau)
-            values, used = _side_samples(lambda y: float(f(y)), tau, +1,
-                                         reach, shrink_levels)
-            if len(values) < 2:
-                raise DerivativeError(
-                    "no room to the right for a one-sided limit", tau)
-            fplus, spread = _richardson(values)
+            fplus, spread, used = limit
         return DerivativeResult(value=displaced(fx, fplus) / atom,
                                 point_class="jump",
                                 error_estimate=spread / atom,
@@ -233,9 +205,29 @@ def _derivative(f: Callable[[float], float], g: Gauge,
                                 error_estimate=0.0, samples_used=0)
 
     fx = float(f(x))
-    value, error, used = _two_sided_limit(
-        lambda y: displaced(fx, float(f(y))), g, x, shrink_levels, dsets,
-        avoid)
+    gx = g(x)
+
+    def quotient(y: float) -> Optional[float]:
+        den = g(y) - gx
+        return displaced(fx, float(f(y))) / den if den != 0.0 else None
+
+    diagnostics: dict = {}
+    limits = [_side_limit(quotient, x, direction, g, dsets, avoid,
+                          shrink_levels, diagnostics) for direction in (+1, -1)]
+    sides = [side for side in limits if side is not None]
+    if not sides:
+        raise DerivativeError("no side of x admits difference quotients",
+                              x, diagnostics)
+    used = sum(side[2] for side in sides)
+    if len(sides) == 2:
+        (lr, er, _), (ll, el, _) = sides
+        if abs(lr - ll) > 1e-3 * (1.0 + abs(lr) + abs(ll)):
+            raise DerivativeError(
+                "left and right difference quotients disagree", x, diagnostics)
+        value = 0.5 * (lr + ll)
+        error = max(er, el, 0.5 * abs(lr - ll))
+    else:
+        value, error, _ = sides[0]
     return DerivativeResult(value=value, point_class="continuity",
                             error_estimate=error, samples_used=used)
 
@@ -251,14 +243,18 @@ def delta_derivative(f: Callable[[float], float], g: Gauge, x: float,
             is used for exact jump quotients.
         g: the gauge.
         x: query point inside the domain.
-        shrink_levels: number of geometric step halvings per side.
+        shrink_levels: number of geometric step halvings per side, at
+            least 2.
         dsets: precomputed distinguished sets (computed if omitted).
         avoid: extra points (e.g. breakpoints of f) that shrink the
             initial step so quotients never straddle them.
 
     Raises:
-        DerivativeError: when the quotient sequences fail to converge or
-            the two sides disagree; the exception carries the sequences.
+        CalculusError: when shrink_levels is below 2 or x is outside the
+            domain.
+        DerivativeError: when the quotient sequences, or the samples of
+            f(x+) at a jump, fail to converge, or the two sides disagree;
+            the exception carries the sequences.
     """
     return _derivative(f, g, lambda u, v: v - u, x, shrink_levels, dsets,
                        avoid)

@@ -12,6 +12,7 @@ progress to stderr.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import os
@@ -44,6 +45,19 @@ def _log(message: str, *args) -> None:
 _ERRORS = (ExprError, GaugeError, DisplacementError, calculus.CalculusError,
            solver.SolverError, OSError, ValueError, KeyError,
            json.JSONDecodeError)
+
+
+def _tolerance(ctx, param, value):
+    """Option callback: a tolerance is finite and non-negative.  It raises
+    ValueError, not click's BadParameter, so the refusal is one error line."""
+    if value is not None and not 0.0 <= value < float("inf"):
+        raise ValueError(f"{param.opts[0]} must be finite and non-negative, "
+                         f"got {value!r}")
+    return value
+
+
+# every tolerance option goes through the one rule above
+_tol_option = functools.partial(click.option, type=float, callback=_tolerance)
 
 
 def _load_spec(spec_path: Optional[str], builtin: Optional[str]):
@@ -152,8 +166,7 @@ _DEFAULT_CHECKS = {
 @click.option("--grid", default=None, type=int,
               help="Lattice size per axis for the d2 check.  " + _shown_default(
                   displacement.check_d2_positive, "grid"))
-@click.option("--tol", default=None, type=float,
-              help="Override the check tolerance.")
+@_tol_option("--tol", default=None, help="Override the check tolerance.")
 @click.option("--phi", default=None,
               help="Rescaling function of r for h2prime (default identity).")
 @click.option("--shrink-levels", default=None, type=int,
@@ -248,8 +261,8 @@ def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
 @click.option("--builtin", type=click.Choice(BUILTIN_NAMES))
 @click.option("--x", required=True, type=float, help="Ball center.")
 @click.option("--r", required=True, type=float, help="Ball radius.")
-@click.option("--tol", default=1e-10, type=float, show_default=True,
-              help="Bisection tolerance for the endpoints.")
+@_tol_option("--tol", default=1e-10, show_default=True,
+             help="Bisection tolerance for the endpoints.")
 @click.option("--out", default=None, type=click.Path())
 def ball(spec_path, builtin, x, r, tol, out):
     """Displacement ball around x of radius r, as an interval."""
@@ -300,7 +313,7 @@ def integrate(f_src, gauge_ref, upper, out):
 @click.option("--spec", "spec_path", type=click.Path(exists=True))
 @click.option("--builtin", type=click.Choice(BUILTIN_NAMES))
 @click.option("--upper", default=None, type=float)
-@click.option("--quad-tol", default=1e-10, type=float, show_default=True)
+@_tol_option("--quad-tol", default=1e-10, show_default=True)
 @click.option("--out", default=None, type=click.Path())
 def path_integrate(f_src, alpha_src, spec_path, builtin, upper, quad_tol, out):
     """Integral of f against the moving-base-point measure of a smooth space."""
@@ -320,8 +333,8 @@ def path_integrate(f_src, alpha_src, spec_path, builtin, upper, quad_tol, out):
 @click.option("--grid", default=101, type=int, show_default=True)
 @click.option("--shrink-levels", default=calculus.DEFAULT_SHRINK_LEVELS,
               type=int, show_default=True)
-@click.option("--tol", default=1e-4, type=float, show_default=True,
-              help="Maximum allowed derivative-vs-integrand error.")
+@_tol_option("--tol", default=1e-4, show_default=True,
+             help="Maximum allowed derivative-vs-integrand error.")
 @click.option("--out", default=None, type=click.Path())
 def ftc(f_src, gauge_ref, grid, shrink_levels, tol, out):
     """Differentiate the running integral of f and compare against f.
@@ -344,8 +357,8 @@ def ftc(f_src, gauge_ref, grid, shrink_levels, tol, out):
 @click.option("--grid", default=101, type=int, show_default=True)
 @click.option("--shrink-levels", default=calculus.DEFAULT_SHRINK_LEVELS,
               type=int, show_default=True)
-@click.option("--tol", default=1e-6, type=float, show_default=True,
-              help="Maximum allowed reconstruction deviation.")
+@_tol_option("--tol", default=1e-6, show_default=True,
+             help="Maximum allowed reconstruction deviation.")
 @click.option("--out", default=None, type=click.Path())
 def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
     """Differentiate f against the gauge and rebuild it from the derivative.
@@ -368,8 +381,8 @@ def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
 @click.option("--step", required=True, type=float)
 @click.option("--picard", default=0, type=int, show_default=True,
               help="Picard refinement sweeps after the Euler pass.")
-@click.option("--verify-tol", default=None, type=float,
-              help="Verify the integral-equation residual; exit 2 above this.")
+@_tol_option("--verify-tol", default=None,
+             help="Verify the integral-equation residual; exit 2 above this.")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="csv", show_default=True)
 @click.option("--out", default=None, type=click.Path())

@@ -81,6 +81,13 @@ def _domain_slack(a: float, b: float) -> float:
     return SNAP_RADIUS * (1.0 + abs(a) + abs(b))
 
 
+def _expr_and_function(value, *names: str) -> tuple[Optional[Expr], Callable]:
+    """(value, value compiled in names) for an Expr, else (None, value)."""
+    if isinstance(value, Expr):
+        return value, expr_mod.as_function(value, *names)
+    return None, value
+
+
 class Smooth:
     """Displacement on [a, b] given by a formula or callable.
 
@@ -102,19 +109,8 @@ class Smooth:
             raise DisplacementError(f"invalid domain [{a!r}, {b!r}]")
         self._domain = (a, b)
         self._slack = _domain_slack(a, b)
-        if isinstance(delta, Expr):
-            self._delta_expr: Optional[Expr] = delta
-            self._delta_fn = expr_mod.as_function(delta, "x", "y")
-        else:
-            self._delta_expr = None
-            self._delta_fn = delta
-        if isinstance(d2, Expr):
-            self._d2_expr: Optional[Expr] = d2
-            self._d2_fn: Optional[Callable[[float, float], float]] = \
-                expr_mod.as_function(d2, "x", "y")
-        else:
-            self._d2_expr = None
-            self._d2_fn = d2
+        self._delta_expr, self._delta_fn = _expr_and_function(delta, "x", "y")
+        self._d2_expr, self._d2_fn = _expr_and_function(d2, "x", "y")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -396,6 +392,10 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     levels run out the check is inconclusive for that pair.
     """
     _require_interval(spec, "check_h2_usc")
+    # with no level every pair stays pending and the check says nothing
+    if shrink_levels < 1:
+        raise DisplacementError(
+            f"shrink_levels must be at least 1, got {shrink_levels!r}")
     a, b = spec.domain
     points = _grid_points(spec, samples)
     inner = 9
@@ -456,12 +456,8 @@ def check_h2prime(spec: DisplacementSpec,
     DisplacementError naming the pair.  On finite graphs the triple
     check is exhaustive.
     """
-    if phi is None:
-        phi_fn: Callable[[float], float] = lambda r: r
-    elif isinstance(phi, Expr):
-        phi_fn = expr_mod.as_function(phi, "r")
-    else:
-        phi_fn = phi
+    _, phi_fn = _expr_and_function(
+        (lambda r: r) if phi is None else phi, "r")
 
     points = _grid_points(spec, samples)
     n = len(points)

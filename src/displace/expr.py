@@ -522,7 +522,6 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
 
 # precedence levels used for minimal parenthesisation
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "u-": 3, "^": 4}
-_ATOM_PREC = 5
 
 
 def _num_source(value: float) -> str:
@@ -532,14 +531,6 @@ def _num_source(value: float) -> str:
         from decimal import Decimal
         text = format(Decimal(text), "f")
     return text
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, Binary):
-        return _PREC[node.op]
-    if isinstance(node, Unary):
-        return _PREC["u-"]
-    return _ATOM_PREC
 
 
 def _unparse(node: Node, parent_prec: int) -> str:
@@ -572,17 +563,23 @@ def substitute(expr: Expr, mapping: Mapping[str, Union[Expr, float]]) -> Expr:
     Returns a new Expr whose source is the rendered result; variables not
     mentioned in the mapping are kept.
     """
-    replacements: dict[str, Node] = {}
+    # name -> (replacement node, its free variables)
+    replacements: dict[str, tuple[Node, frozenset[str]]] = {}
     for name, value in mapping.items():
         if isinstance(value, Expr):
-            replacements[name] = value.ast
+            replacements[name] = (value.ast, value.free)
         else:
             v = float(value)
-            replacements[name] = Unary("-", Num(-v)) if v < 0 else Num(v)
+            replacements[name] = (Unary("-", Num(-v)) if v < 0 else Num(v),
+                                  frozenset())
+    # the free variables of the result, collected as it is built
+    free: set[str] = set()
 
     def walk(node: Node) -> Node:
-        if isinstance(node, Var) and node.name in replacements:
-            return replacements[node.name]
+        if isinstance(node, Var):
+            new, names = replacements.get(node.name, (node, (node.name,)))
+            free.update(names)
+            return new
         if isinstance(node, Unary):
             return Unary(node.op, walk(node.operand))
         if isinstance(node, Binary):
@@ -592,19 +589,6 @@ def substitute(expr: Expr, mapping: Mapping[str, Union[Expr, float]]) -> Expr:
         return node
 
     new_ast = walk(expr.ast)
-    # recompute free variables by walking the new tree
-    free: set[str] = set()
-    stack = [new_ast]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            free.add(node.name)
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, Binary):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Call):
-            stack.extend(node.args)
     source = _unparse(new_ast, 0)
     variables = (expr.variables - set(replacements)) | free
     return Expr(ast=new_ast, source=source, variables=frozenset(variables),

@@ -99,6 +99,14 @@ def test_kink_raises_with_side_diagnostics():
     assert err.point == 0.5
     assert set(err.diagnostics) == {"left", "right"}
     assert "disagree" in str(err)
+    # at an atom the extrapolated f(x+) meets the same convergence test:
+    # sin(1/(t - 0.5)) has no right limit at 0.5
+    g = Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 0.25),),
+              density_source="1")
+    with pytest.raises(DerivativeError, match=re.escape(
+            "do not converge on the right side at x = 0.5")) as exc_info:
+        delta_derivative(lambda t: math.sin(1.0 / max(t - 0.5, 1e-12)), g, 0.5)
+    assert set(exc_info.value.diagnostics) == {"right"}
 
 
 def test_derivative_point_outside_domain():
@@ -106,6 +114,17 @@ def test_derivative_point_outside_domain():
         with pytest.raises(CalculusError, match=re.escape(
                 f"x = {x!r} outside the domain [0.0, 1.0]")):
             delta_derivative(lambda t: t, identity_gauge(), x)
+    # one sample per side can converge to nothing: refused outright, not
+    # reported point by point as a violation
+    for levels in (1, 0, -1):
+        message = f"shrink_levels must be at least 2, got {levels}"
+        for call in (lambda: delta_derivative(lambda t: t, identity_gauge(),
+                                              0.5, shrink_levels=levels),
+                     lambda: ftc_forward_check(lambda t: t, identity_gauge(),
+                                               shrink_levels=levels)):
+            with pytest.raises(CalculusError, match=message) as exc_info:
+                call()
+            assert not isinstance(exc_info.value, DerivativeError)
 
 
 # ---------------------------------------------------------------------------

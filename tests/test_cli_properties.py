@@ -108,6 +108,31 @@ options = st.one_of(
               st.sampled_from(["nan", "inf", "0", "-1"])),
     st.tuples(st.just(("solve-surface", "--h", "t", "--gauge", "identity",
                        "--step")), st.sampled_from(["nan", "inf", "0"])),
+    # every tolerance is finite and non-negative
+    st.tuples(st.sampled_from([
+        ("check", "--builtin", "exponential", "--tol"),
+        ("ball", "--builtin", "exponential", "--x", "0.5", "--r", "0.25",
+         "--tol"),
+        ("ftc", "--f", "t", "--gauge", "identity", "--tol"),
+        ("ftc2", "--f", "t", "--gauge", "identity", "--tol"),
+        ("solve-ivp", "--rhs", "u", "--gauge", "identity", "--u0", "1",
+         "--step", "0.25", "--verify-tol"),
+        ("path-integrate", "--f", "t", "--alpha", "t", "--builtin",
+         "exponential", "--quad-tol"),
+    ]), st.sampled_from(["nan", "inf", "-inf", "-1"])),
+    # parameters that would make a result vacuous or wrong
+    st.tuples(st.sampled_from([
+        ("derive", "--f", "t", "--gauge", "identity", "--x", "0.5",
+         "--shrink-levels"),
+        ("ftc", "--f", "t", "--gauge", "identity", "--shrink-levels"),
+    ]), st.sampled_from(["1", "0", "-1"])),
+    st.tuples(st.just(("check", "--builtin", "exponential", "--which",
+                       "h2usc", "--shrink-levels")), st.sampled_from(["0", "-1"])),
+    st.tuples(st.just(("solve-ivp", "--rhs", "u", "--gauge", "identity",
+                       "--u0", "1", "--step", "0.25", "--picard")),
+              st.just("-1")),
+    st.tuples(st.just(("solve-surface", "--h", "t", "--gauge", "identity",
+                       "--step", "0.25", "--terminal")), not_finite),
 ).map(lambda pair: (list(pair[0]) + [pair[1]], None))
 
 cases = st.one_of(

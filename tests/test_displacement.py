@@ -320,6 +320,11 @@ def test_h2_usc_insufficient_levels_never_fake_a_failure():
                           shrink_levels=8)
     assert report.verdict in ("pass", "inconclusive")
     assert report.witnesses == ()
+    # no level at all leaves every pair inconclusive: that is refused
+    for levels in (0, -1):
+        with pytest.raises(DisplacementError,
+                           match=f"shrink_levels must be at least 1, got {levels}"):
+            check_h2_usc(make_builtin("exponential"), shrink_levels=levels)
 
 
 def test_h2_usc_rejects_graph_variant():

@@ -294,6 +294,13 @@ def test_invalid_step_and_interval():
                            interval=(0.8, 0.2))
     with pytest.raises(SolverError):
         solve_ivp(backwards, step=1e-2)
+    with pytest.raises(SolverError, match="picard_sweeps must be non-negative"):
+        solve_ivp(prob, step=1e-2, picard_sweeps=-1)
+    # a grid of one point compares nothing
+    sol = solve_ivp(prob, step=1e-2)
+    for grid in (1, 0):
+        with pytest.raises(SolverError, match="grid must be at least 2"):
+            verify_solution(prob, sol, grid=grid)
 
 
 
@@ -430,3 +437,8 @@ def test_surface_rejects_non_finite_source():
         solve_surface(SurfaceProblem(work_gauge=identity_gauge(),
                                      source=lambda t: 1.0,
                                      terminal_value=0.0), step=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(SolverError, match="terminal value must be finite"):
+            solve_surface(SurfaceProblem(work_gauge=identity_gauge(),
+                                         source=lambda t: 1.0,
+                                         terminal_value=bad), step=1e-2)
