@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 from .displacement import _require_smooth
 from .gauge import (_EPS, SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets,
-                    Gauge, _adaptive_quad, _linspace, _snap)
+                    Gauge, _adaptive_quad, _check_tolerance, _linspace, _snap)
 from .serialize import Record
 
 __all__ = [
@@ -323,9 +323,11 @@ def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
 
     The measure seen along the path has density d2(alpha(t), t), so the
     value is the ordinary integral of f(t) * d2(alpha(t), t) dt from the
-    left domain endpoint to upper.
+    left domain endpoint to upper, to the finite, non-negative tolerance
+    quad_tol per panel.
     """
     _require_smooth(spec, "path_integral")
+    quad_tol = _check_tolerance(quad_tol, "quad_tol", CalculusError)
     a, b = spec.domain
     upper = _snap(upper, a, b, "upper", CalculusError)
 

@@ -26,7 +26,7 @@ from . import calculus, displacement, solver
 from .displacement import (BUILTIN_NAMES, DisplacementError, gauge_from_smooth,
                            make_builtin, spec_from_dict)
 from .expr import ExprError, as_function, parse
-from .gauge import Gauge, GaugeError, _linspace
+from .gauge import Gauge, GaugeError, _check_tolerance, _linspace
 from .serialize import csv_lines, dumps
 
 
@@ -50,9 +50,8 @@ _ERRORS = (ExprError, GaugeError, DisplacementError, calculus.CalculusError,
 def _tolerance(ctx, param, value):
     """Option callback: a tolerance is finite and non-negative.  It raises
     ValueError, not click's BadParameter, so the refusal is one error line."""
-    if value is not None and not 0.0 <= value < float("inf"):
-        raise ValueError(f"{param.opts[0]} must be finite and non-negative, "
-                         f"got {value!r}")
+    if value is not None:
+        _check_tolerance(value, param.opts[0], ValueError)
     return value
 
 

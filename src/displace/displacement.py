@@ -36,7 +36,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import expr as expr_mod
 from .expr import Expr
-from .gauge import _EPS, Gauge, GaugeError, SNAP_RADIUS, _linspace, _snap
+from .gauge import (_EPS, Gauge, GaugeError, SNAP_RADIUS, _check_tolerance,
+                    _linspace, _snap)
 from .serialize import Fresh, Record
 
 __all__ = [
@@ -627,11 +628,13 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
 
     Under monotonicity in the second argument this is an interval
     containing x; its endpoints are located by bisection to tolerance
-    tol and their membership decided by direct evaluation.
+    tol (finite and non-negative) and their membership decided by
+    direct evaluation.
     """
     _require_interval(spec, "delta_ball")
     if not r > 0.0:
         raise DisplacementError(f"ball radius must be positive, got {r!r}")
+    tol = _check_tolerance(tol, "tol", DisplacementError)
     a, b = spec.domain
     x = _snap(x, a, b, "x", DisplacementError, _domain_slack(a, b))
     value_tol = tol * (1.0 + r)

@@ -31,15 +31,25 @@ in the same order with the same math functions, and the same domain
 checks at the same points, as a walk of the tree would (a power whose
 exponent is a non-negative integer literal skips the two that cannot
 fire); evaluate, Expr.__call__ and as_function all run that function.
+
+on_arrays evaluates a function from as_function over whole numpy columns
+in one walk of the tree, bit for bit as the calls per row would, where
+that is exact: numbers, constants, variables, unary minus, + - * /, abs,
+sqrt, min and max.  Otherwise, and wherever a row would raise, it
+returns None and the caller makes the calls per row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from types import CodeType
-from typing import Callable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 from .serialize import Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ExprError",
@@ -502,6 +512,8 @@ def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
                                              "exec")
     exec(code, ns)
     fn = expr._code[names] = ns["_fn"]
+    # what on_arrays needs to evaluate the same expression over columns
+    fn._expr, fn._names = expr, names
     return fn
 
 
@@ -602,3 +614,84 @@ def as_function(expr: Expr, *names: str) -> Callable[..., float]:
     MissingBindingError when evaluation reaches it.
     """
     return _compiled(expr, names)
+
+
+# --- evaluation over whole columns ---
+
+class _PerRow(Exception):
+    """Raised by _over_arrays where only a call per row is exact."""
+
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+def _over_arrays(node: Node, columns: Mapping[str, "np.ndarray"], np):
+    """node over float64 columns (or a float where it reads none of them).
+
+    Each operation is the compiled code's own, elementwise: IEEE 754
+    rounds + - * / and sqrt correctly, so numpy's and Python's agree bit
+    for bit, and unary minus, abs, min and max only pick or re-sign
+    values.  Where a compiled call would raise on some row, and for '^',
+    exp, ln, sin and cos, which numpy computes differently from libm in
+    the last ulp, _PerRow is raised instead.
+    """
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Const):
+        return _CONSTANTS[node.name]
+    if isinstance(node, Var):
+        return columns[node.name]
+    if isinstance(node, Unary):
+        return -_over_arrays(node.operand, columns, np)
+    if isinstance(node, Binary) and node.op in _ARITH:
+        left = _over_arrays(node.left, columns, np)
+        right = _over_arrays(node.right, columns, np)
+        if node.op == "/" and np.any(right == 0.0):
+            raise _PerRow
+        out = _ARITH[node.op](left, right)
+        if np.isnan(out).any():
+            raise _PerRow
+        return out
+    if isinstance(node, Call) and node.func in ("sqrt", "abs", "min", "max"):
+        args = [_over_arrays(arg, columns, np) for arg in node.args]
+        if node.func == "sqrt":
+            if np.any(args[0] < 0.0):
+                raise _PerRow
+            return np.sqrt(args[0])
+        if node.func == "abs":
+            return np.abs(args[0])
+        # the compiled 'b if b < a else a', which keeps its tie and NaN rule
+        a, b = args
+        return np.where(b < a if node.func == "min" else b > a, b, a)
+    raise _PerRow
+
+
+def on_arrays(fn: Callable[..., float], *columns) -> Optional["np.ndarray"]:
+    """fn applied to each row of the columns, as a new float64 array.
+
+    fn must be a function made by as_function; the k-th element is then
+    bit-identical to fn(columns[0][k], columns[1][k], ...).  None means
+    the caller must make those calls itself, which reproduces every
+    error: it is returned for any other callable, for an expression with
+    '^', exp, ln, sin or cos, an unbound or repeated variable, and
+    wherever some row's call would raise (a zero divisor, a negative
+    sqrt argument, a NaN after a binary operation).
+    """
+    expr = getattr(fn, "_expr", None)
+    if not isinstance(expr, Expr):
+        return None
+    names = fn._names
+    bound = dict(zip(names, columns))
+    if len(set(names)) < len(names) or not expr.free.issubset(bound):
+        return None
+    import numpy as np
+
+    bound = {name: np.asarray(bound[name], dtype=float) for name in expr.free}
+    try:
+        with np.errstate(all="ignore"):
+            out = _over_arrays(expr.ast, bound, np)
+    except _PerRow:
+        return None
+    shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
+    return np.array(np.broadcast_to(out, shape), dtype=float)

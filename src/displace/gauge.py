@@ -76,6 +76,16 @@ def _snap(value: float, lo: float, hi: float, name: str = "point",
     return min(max(value, lo), hi)
 
 
+def _check_tolerance(value: float, name: str,
+                     error: type[Exception] = GaugeError) -> float:
+    """value as a float if it is finite and non-negative (NaN is not);
+    otherwise raise error."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise error(f"{name} must be finite and non-negative, got {value!r}")
+    return value
+
+
 # QUADPACK dqk21 (Piessens et al., 1983), one module name per constant:
 # the Kronrod abscissae _X0 .. _X9 (odd index: also a 10-point Gauss
 # node), their Kronrod weights _W0 .. _W9 and the centre weight _WC, and
@@ -298,7 +308,7 @@ class CumulativeQuadrature:
         self.fn = fn
         self.lo = float(lo)
         self.hi = float(hi)
-        self.tol = float(tol)
+        self.tol = _check_tolerance(tol, "quad_tol")
         self.nonnegative = nonnegative
         self.atoms = tuple((float(tau), float(mass)) for tau, mass in atoms)
         self._taus = [tau for tau, _ in self.atoms]
@@ -427,7 +437,8 @@ class Gauge(CumulativeQuadrature):
             strictly increasing in tau.
         flats: declared open constancy intervals, disjoint, inside (a, b);
             the density is expected to vanish on them.
-        quad_tol: absolute tolerance per quadrature panel.
+        quad_tol: absolute tolerance per quadrature panel, finite and
+            non-negative.
         density_source: optional expression text in the variable t that
             reproduces the density; required only for JSON serialization.
 

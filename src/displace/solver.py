@@ -28,9 +28,12 @@ produces the exact kink u(tau+) - u(tau) = -H(tau) * j.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import cached_property
+from itertools import starmap
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from .expr import on_arrays
 from .gauge import Gauge, _snap
 from .serialize import Record, float_csv
 
@@ -103,21 +106,23 @@ class IvpSolution(Record):
     def _jump_after(self) -> dict:
         return {rec.tau: rec.u_after for rec in self.jumps}
 
+    @cached_property
+    def _nodes(self) -> tuple[list[float], list[float]]:
+        return self.ts.tolist(), self.us.tolist()
+
     def value(self, t: float) -> float:
         """Left-continuous, jump-aware linear interpolation."""
-        import numpy as np
-
-        ts, us = self.ts, self.us
+        ts, us = self._nodes
         if not ts[0] <= t <= ts[-1]:
-            t = _snap(t, float(ts[0]), float(ts[-1]), "t", SolverError)
-        i = int(np.searchsorted(ts, t, side="right")) - 1
+            t = _snap(t, ts[0], ts[-1], "t", SolverError)
+        i = bisect_right(ts, t) - 1
         if i >= len(ts) - 1:
-            return float(us[-1])
+            return us[-1]
         if t == ts[i]:
-            return float(us[i])
-        start = self._jump_after.get(float(ts[i]), float(us[i]))
+            return us[i]
+        start = self._jump_after.get(ts[i], us[i])
         frac = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return start + frac * (float(us[i + 1]) - start)
+        return start + frac * (us[i + 1] - start)
 
     def to_csv(self) -> str:
         """Rows of t,u; jump nodes appear twice, before then after."""
@@ -181,14 +186,29 @@ def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
     return mesh[np.concatenate(([True], mesh[1:] != mesh[:-1]))]
 
 
+def _on_mesh(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """float(fn(...)) at every node, fn taking one value of each column.
+
+    The passes that depend on no earlier step run here: where
+    expr.on_arrays can evaluate fn over the whole columns, bit for bit,
+    they do; otherwise, with every error of fn, one call per node.
+    """
+    values = on_arrays(fn, *columns)
+    if values is None:
+        import numpy as np
+
+        rows = zip(*(column.tolist() for column in columns))
+        values = np.array(list(map(float, starmap(fn, rows))))
+    return values
+
+
 def _mesh_data(gauge: Gauge, mesh: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node densities, panel atoms (none at the last node) and widths."""
     import numpy as np
 
-    density = gauge.density
-    dens = np.array([float(density(t)) for t in mesh.tolist()])
-    return dens, gauge.jumps_on(mesh[:-1]), np.diff(mesh)
+    return (_on_mesh(gauge.density, mesh), gauge.jumps_on(mesh[:-1]),
+            np.diff(mesh))
 
 
 def solve_ivp(problem: IvpProblem, step: float,
@@ -198,7 +218,7 @@ def solve_ivp(problem: IvpProblem, step: float,
     Args:
         problem: gauge, rhs and initial value.
         step: target mesh width; jump positions are always inserted.
-        picard_sweeps: non-negative number of re-integrations of rhs
+        picard_sweeps: non-negative integer number of re-integrations of rhs
             along the previous trajectory after the Euler pass (trapezoid
             panels plus exact atom terms); measured against the
             g-exponential closed form they shrink the error constant
@@ -208,9 +228,9 @@ def solve_ivp(problem: IvpProblem, step: float,
         SolverError: on invalid input or when the state leaves the
             finite range; the error names the last good node.
     """
-    if picard_sweeps < 0:
-        raise SolverError(
-            f"picard_sweeps must be non-negative, got {picard_sweeps!r}")
+    if not (picard_sweeps >= 0 and picard_sweeps % 1 == 0):
+        raise SolverError("picard_sweeps must be a non-negative integer, "
+                          f"got {picard_sweeps!r}")
     import numpy as np
 
     g = problem.gauge
@@ -275,8 +295,7 @@ def _increments(rhs, mesh: np.ndarray, us: np.ndarray, dens: np.ndarray,
     """
     import numpy as np
 
-    w = np.array([rhs(t, u) for t, u in zip(mesh.tolist(), us.tolist())],
-                 dtype=float)
+    w = _on_mesh(rhs, mesh, us)
     w_start = w[:-1].copy()
     jump = np.zeros(len(dt))
     for k in np.flatnonzero(atoms > 0.0):
@@ -341,8 +360,7 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     mesh = _build_mesh(g, a, b, step)
     dens, atoms, dt = _mesh_data(g, mesh)
 
-    source = problem.source
-    h_vals = np.array([float(source(t)) for t in mesh.tolist()])
+    h_vals = _on_mesh(problem.source, mesh)
     if not np.all(np.isfinite(h_vals)):
         raise SolverError("source is not finite on the mesh")
     H = np.concatenate(([0.0], 0.5 * (h_vals[:-1] + h_vals[1:]) * dt)).cumsum()

@@ -323,6 +323,14 @@ def test_unconverged_quadrature_is_refused_with_each_modules_error():
         path_integral(f, path, make_builtin("exponential"), 1.0)
 
 
+def test_path_integral_refuses_a_negative_tolerance():
+    path = MeasurePath(alpha=lambda t: t)
+    with pytest.raises(CalculusError, match="^quad_tol must be finite and "
+                       "non-negative, got -1.0$"):
+        path_integral(lambda t: t, path, make_builtin("exponential"), 1.0,
+                      quad_tol=-1.0)
+
+
 def test_path_integral_upper_outside_domain():
     path = MeasurePath(alpha=lambda t: t)
     for upper in (2.0, math.nan, -math.inf):

@@ -670,6 +670,9 @@ def test_ball_argument_validation():
         delta_ball(make_builtin("identity_gauge"), 0.5, 0.0)
     with pytest.raises(DisplacementError):
         delta_ball(make_builtin("santiago_graph"), 0, 1.0)
+    with pytest.raises(DisplacementError, match="^tol must be finite and "
+                       "non-negative, got nan$"):
+        delta_ball(make_builtin("exponential"), 0.5, 0.25, tol=math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,9 @@ def test_constructor_rejects_bad_data():
               flats=((0.2, 0.4),))
     with pytest.raises(GaugeError):
         Gauge((0.0, 1.0), lambda t: -1.0)
+    with pytest.raises(GaugeError, match="^quad_tol must be finite and "
+                       "non-negative, got nan$"):
+        Gauge((0.0, 1.0), lambda t: 1.0, quad_tol=math.nan)
 
 
 def test_evaluation_outside_domain_raises():

@@ -1,10 +1,12 @@
-"""The scalar code that replaced numpy gives numpy's results, bit for bit.
+"""numpy code and the scalar code beside it give one result, bit for bit.
 
 `ftc2_check` interpolates with `calculus._interp` where it used
 `np.interp`, and `check_h2prime` walks its triples in plain loops where
 it built a numpy triple tensor.  Both are compared here with the numpy
 code they replaced: values by `float.hex`, reports by their serialized
-bytes.
+bytes.  The other way round, `expr.on_arrays` evaluates expressions over
+numpy columns; it is compared with the compiled per-row calls it stands
+in for.
 """
 
 import math
@@ -19,7 +21,9 @@ from displace.calculus import _interp  # noqa: E402
 from displace.displacement import (  # noqa: E402
     ALGEBRAIC_TOL, BUILTIN_NAMES, AxiomReport, FiniteGraph, _WITNESS_CAP,
     _grid_points, check_h2prime, make_builtin)
-from displace.expr import as_function, parse  # noqa: E402
+from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
+                           Expr, Num, Unary, Var, _unparse, as_function,
+                           on_arrays, parse)
 from displace.gauge import _linspace  # noqa: E402
 from displace.serialize import dumps  # noqa: E402
 
@@ -157,3 +161,118 @@ def graphs(draw):
 @given(spec=graphs())
 def test_h2prime_reproduces_the_tensor_on_random_graphs(spec):
     assert_same_outcomes(spec)
+
+
+# ---------------------------------------------------------------------------
+# expr.on_arrays against the compiled calls per row
+# ---------------------------------------------------------------------------
+
+COLUMNS = ("x", "y")
+# signed zeros and subnormals, divisors of zero, products that overflow,
+# infinities whose difference is NaN, and NaN, which min and max may drop
+cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats())
+tree_leaves = st.one_of(
+    st.builds(Var, st.sampled_from(COLUMNS)),
+    st.builds(Num, st.sampled_from([0.0, 1.0, 0.5, 2.0, 1e308, 5e-324])),
+    st.builds(Const, st.sampled_from(sorted(_CONSTANTS))),
+)
+PER_ROW_ONLY = ("exp", "ln", "sin", "cos")
+
+
+def _branches(ops, funcs):
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.just("-"), children),
+            st.builds(Binary, st.sampled_from(ops), children, children),
+            st.builds(lambda f, a: Call(f, (a,)),
+                      st.sampled_from([f for f in funcs if _ARITY[f] == 1]),
+                      children),
+            st.builds(lambda f, a, b: Call(f, (a, b)),
+                      st.sampled_from(["min", "max"]), children, children))
+    return extend
+
+
+exact_trees = st.recursive(tree_leaves, _branches("+-*/", ("sqrt", "abs")),
+                           max_leaves=12)
+any_trees = st.recursive(tree_leaves, _branches("+-*/^", tuple(_ARITY)),
+                         max_leaves=12)
+
+
+def _nodes(node):
+    yield node
+    for child in {Unary: lambda n: (n.operand,),
+                  Binary: lambda n: (n.left, n.right),
+                  Call: lambda n: n.args}.get(type(node), lambda n: ())(node):
+        yield from _nodes(child)
+
+
+def _per_row(fn, columns):
+    """float.hex of each row's call, or None if some call raises."""
+    try:
+        return [fn(*row).hex() for row in zip(*columns)]
+    except Exception:  # noqa: BLE001  (any error means: not over arrays)
+        return None
+
+
+@st.composite
+def array_cases(draw):
+    ast = draw(st.one_of(exact_trees, any_trees))
+    nodes = list(_nodes(ast))
+    expr = Expr(ast=ast, source=_unparse(ast, 0), variables=frozenset(COLUMNS),
+                free=frozenset(n.name for n in nodes if isinstance(n, Var)))
+    names = draw(st.sampled_from([("x", "y"), ("y", "x"), ("x",), ("x", "x")]))
+    rows = draw(st.integers(1, 6))
+    columns = [draw(st.lists(cells, min_size=rows, max_size=rows))
+               for _ in names]
+    return expr, names, columns
+
+
+def _case(source, names, *columns):
+    return (parse(source, COLUMNS), names, list(columns))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=array_cases())
+@example(case=_case("x - y", ("x", "y"), [1.0, math.inf], [2.0, math.inf]))
+@example(case=_case("y / x", ("x", "y"), [1.0, -0.0], [2.0, 3.0]))
+@example(case=_case("sqrt(x)", ("x",), [4.0, -0.0, -1e-310]))
+@example(case=_case("min(x, y) + max(y, x)", ("x", "y"), [1.0, math.nan],
+                    [math.nan, -0.0]))
+@example(case=_case("x*y", ("x",), [1.0]))
+@example(case=_case("x*1", ("x", "x"), [1.0], [2.0]))
+def test_on_arrays_matches_the_calls_per_row_bit_for_bit(case):
+    expr, names, columns = case
+    fn = as_function(expr, *names)
+    got = on_arrays(fn, *(np.array(column) for column in columns))
+    expected = _per_row(fn, columns)
+    per_row_only = len(set(names)) < len(names) or any(
+        (isinstance(n, Binary) and n.op == "^")
+        or (isinstance(n, Call) and n.func in PER_ROW_ONLY)
+        for n in _nodes(expr.ast))
+    if expected is None or per_row_only:
+        assert got is None
+    if got is not None:
+        assert got.dtype == np.float64 and got.shape == (len(columns[0]),)
+        assert [v.hex() for v in got.tolist()] == expected
+
+
+@pytest.mark.parametrize("source, names, columns", [
+    ("(0.5 + 0.25*t)*u", ("t", "u"), ([0.0, 0.5, 1.0], [1.0, -2.0, 3.0])),
+    ("1.3*max(0, abs(t - 0.5) - 0.1)", ("t",), ([0.0, 0.45, 1.0],)),
+    ("1", ("t",), ([0.0, 1.0],)),
+    ("t", ("t",), ([-0.0, 5e-324],)),
+])
+def test_exact_expressions_take_the_array_path(source, names, columns):
+    fn = as_function(parse(source, set(names)), *names)
+    arrays = [np.array(column) for column in columns]
+    got = on_arrays(fn, *arrays)
+    assert got is not None and all(got is not a for a in arrays)
+    assert [v.hex() for v in got.tolist()] == _per_row(fn, columns)
+
+
+def test_other_callables_leave_the_calls_per_row():
+    assert on_arrays(lambda t: t, np.array([0.0, 1.0])) is None

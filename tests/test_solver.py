@@ -3,6 +3,7 @@ surface solver.
 
 Closed forms used: u' = u against the identity gauge gives e at 1; adding
 a single atom of size 0.5 at t = 0.5 multiplies the answer by 1.5; the
+linear equation du = p(t) u dg has the g-exponential as its solution; the
 surface problem with unit source and identity work gauge is (1 - x^2)/2.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import displace.solver as solver_mod
+from displace.expr import as_function, on_arrays, parse
 from displace.gauge import Gauge
 from displace.solver import (
     IvpProblem,
@@ -103,6 +105,64 @@ def test_halving_the_step_roughly_halves_the_error():
     coarse = abs(float(solve_ivp(prob, step=2e-3).us[-1]) - E)
     fine = abs(float(solve_ivp(prob, step=1e-3).us[-1]) - E)
     assert fine / coarse <= 0.6
+
+
+# The g-exponential oracle: du = p(t) u dg with u(0) = u0 has the solution
+# u(t) = u0 exp(integral of p dg_c over [0, t)) * prod over tau < t of
+# (1 + p(tau) dg(tau)) (Lopez Pouso & Rodriguez 2015; Frigon & Lopez Pouso
+# 2017).  The integral of p against the density is a 20-point
+# Gauss-Legendre sum on each piece where the density is smooth, exact to
+# rounding here.  Gauge: density source, jumps and flats on [0, 1].
+ORACLE_GAUGES = {
+    "atoms": ("1 + t", [[0.3, 0.5], [0.7, 0.25]], []),
+    "flat": ("2*max(0, abs(t - 0.5) - 0.1)", [[0.2, 0.5], [0.8, 0.25]],
+             [[0.4, 0.6]]),
+    "atom at a": ("1 + t", [[0.0, 0.4], [0.3, 0.5]], []),
+    # the atom at b is never applied: u(1) is the left limit
+    "atom at b": ("1 + t", [[0.3, 0.5], [1.0, 0.2]], []),
+}
+ORACLE_DENSITIES = {"1 + t": lambda t: 1.0 + t,
+                    "2*max(0, abs(t - 0.5) - 0.1)":
+                    lambda t: 2.0 * max(0.0, abs(t - 0.5) - 0.1)}
+# (0.5 + 0.25 t) u is evaluated over whole meshes, cos(t) u per node
+ORACLE_RHS = {"(0.5 + 0.25*t)*u": lambda t: 0.5 + 0.25 * t,
+              "cos(t)*u": math.cos}
+
+
+def g_exponential_at_1(density, jumps, p):
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    exponent = 0.0
+    for lo, hi in ((0.0, 0.4), (0.4, 0.6), (0.6, 1.0)):
+        s = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        exponent += 0.5 * (hi - lo) * sum(
+            w * p(x) * density(x) for x, w in zip(s.tolist(), weights))
+    value = math.exp(exponent)
+    for tau, size in jumps:
+        if tau < 1.0:
+            value *= 1.0 + p(tau) * size
+    return value
+
+
+@pytest.mark.parametrize("rhs_source", ORACLE_RHS)
+@pytest.mark.parametrize("gauge_name", ORACLE_GAUGES)
+def test_both_euler_methods_are_first_order_against_the_g_exponential(
+        gauge_name, rhs_source):
+    source, jumps, flats = ORACLE_GAUGES[gauge_name]
+    g = Gauge.from_dict({"domain": [0.0, 1.0], "density": source,
+                         "jumps": jumps, "flats": flats})
+    p = ORACLE_RHS[rhs_source]
+    exact = g_exponential_at_1(ORACLE_DENSITIES[source], jumps, p)
+    rhs = as_function(parse(rhs_source, {"t", "u"}), "t", "u")
+    assert (on_arrays(rhs, np.zeros(2), np.ones(2)) is None) == \
+        rhs_source.startswith("cos")
+    problem = IvpProblem(gauge=g, rhs=rhs, u0=1.0)
+    for sweeps in (0, 3):
+        steps = [1e-3 / 2 ** k for k in range(5)]
+        errors = [abs(float(solve_ivp(problem, h, sweeps).us[-1]) - exact)
+                  for h in steps]
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+        # measured: 0.91-1.16 over these 4 halvings, 1.00 for most cases
+        assert all(0.85 <= order <= 1.2 for order in orders), (sweeps, orders)
 
 
 def test_subinterval_restricts_the_march():
@@ -294,8 +354,11 @@ def test_invalid_step_and_interval():
                            interval=(0.8, 0.2))
     with pytest.raises(SolverError):
         solve_ivp(backwards, step=1e-2)
-    with pytest.raises(SolverError, match="picard_sweeps must be non-negative"):
-        solve_ivp(prob, step=1e-2, picard_sweeps=-1)
+    for sweeps in (-1, 0.5):
+        with pytest.raises(SolverError, match=re.escape(
+                "picard_sweeps must be a non-negative integer, "
+                f"got {sweeps!r}")):
+            solve_ivp(prob, step=1e-2, picard_sweeps=sweeps)
     # a grid of one point compares nothing
     sol = solve_ivp(prob, step=1e-2)
     for grid in (1, 0):
