@@ -42,7 +42,8 @@ from typing import Callable, Optional, Sequence
 
 from .displacement import _require_smooth
 from .gauge import (_EPS, SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets,
-                    Gauge, _adaptive_quad, _check_tolerance, _linspace, _snap)
+                    Gauge, _adaptive_quad, _check_count, _check_tolerance,
+                    _linspace, _snap)
 from .serialize import Record
 
 __all__ = [
@@ -175,9 +176,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
                 avoid: Sequence[float]) -> DerivativeResult:
     """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x."""
     # one level gives one sample per side, which no test can call converged
-    if shrink_levels < 2:
-        raise CalculusError(
-            f"shrink_levels must be at least 2, got {shrink_levels!r}")
+    _check_count(shrink_levels, 2, "shrink_levels", CalculusError)
     if dsets is None:
         dsets = g.distinguished_sets()
     a, b = g.domain
@@ -354,6 +353,42 @@ class FtcReport(Record):
 _F_BREAK_GUARD = 1e-6
 
 
+def _derivatives(F: Callable[[float], float], g: Gauge,
+                 points: Sequence[float], shrink_levels: int,
+                 f_breaks: Sequence[float] = ()
+                 ) -> tuple[list, list, list]:
+    """The derivative of F against g at each point, in order, sorted into
+    (point, value) pairs, excluded points and violations.  A point off the
+    jumps within 1e-6 of a breakpoint of f has no two-sided derivative: it
+    is excluded, as are the points the derivative classes so."""
+    dsets = g.distinguished_sets()
+    values, excluded, violations = [], [], []
+    for t in points:
+        if any(abs(t - p) < _F_BREAK_GUARD for p in f_breaks) and \
+                dsets.jump_near(t) is None:
+            excluded.append(t)
+            continue
+        try:
+            d = delta_derivative(F, g, t, shrink_levels, dsets, avoid=f_breaks)
+        except DerivativeError as exc:
+            violations.append({"point": t, "reason": str(exc)})
+            continue
+        if d.point_class == "excluded":
+            excluded.append(t)
+        else:
+            values.append((t, d.value))
+    return values, excluded, violations
+
+
+def _worst(pairs) -> tuple[float, Optional[float]]:
+    """The first (error, point) of largest positive error, or (0.0, None)."""
+    max_error, worst = 0.0, None
+    for err, t in pairs:
+        if err > max_error:
+            max_error, worst = err, t
+    return max_error, worst
+
+
 def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
                       shrink_levels: int = DEFAULT_SHRINK_LEVELS,
                       f_breaks: Sequence[float] = ()) -> FtcReport:
@@ -367,40 +402,18 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
     excluded list.  A grid on which no point is compared and none fails
     raises CalculusError: there is nothing to report a verdict on.
     """
-    if grid < 1:
-        raise CalculusError(f"grid must be at least 1, got {grid!r}")
+    _check_count(grid, 1, "grid", CalculusError)
     F = CumulativeStieltjesIntegral(f, g, f_breaks)
-    dsets = g.distinguished_sets()
     a, b = g.domain
-    candidates = _linspace(a, b, grid + 2)[1:-1]
-    max_error = 0.0
-    worst: Optional[float] = None
-    excluded = []
-    violations = []
-    checked = 0
-    for t in candidates:
-        if dsets.jump_near(t) is None and any(
-                abs(t - p) < _F_BREAK_GUARD for p in f_breaks):
-            excluded.append(t)
-            continue
-        try:
-            d = delta_derivative(F, g, t, shrink_levels, dsets, avoid=f_breaks)
-        except DerivativeError as exc:
-            violations.append({"point": t, "reason": str(exc)})
-            continue
-        if d.point_class == "excluded":
-            excluded.append(t)
-            continue
-        checked += 1
-        err = abs(d.value - float(f(t)))
-        if err > max_error:
-            max_error = err
-            worst = t
-    if not checked and not violations:
+    values, excluded, violations = _derivatives(
+        F, g, _linspace(a, b, grid + 2)[1:-1], shrink_levels, f_breaks)
+    if not values and not violations:
         raise CalculusError(
             f"no grid point can be compared: all {grid} are excluded")
-    return FtcReport(max_error=max_error, worst_point=worst, checked=checked,
-                     excluded=tuple(excluded), violations=tuple(violations))
+    max_error, worst = _worst((abs(v - float(f(t))), t) for t, v in values)
+    return FtcReport(max_error=max_error, worst_point=worst,
+                     checked=len(values), excluded=tuple(excluded),
+                     violations=tuple(violations))
 
 
 def _interp(x: float, xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -436,39 +449,22 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     continuous for the gauge.
     """
     # the comparison grid must reach past a, where the rebuild is exact
-    if grid < 2:
-        raise CalculusError(f"grid must be at least 2, got {grid!r}")
-    dsets = g.distinguished_sets()
+    _check_count(grid, 2, "grid", CalculusError)
     a, b = g.domain
     knots = set(_linspace(a, b, grid + 2)[1:-1])
     knots.add(a)
     knots.update(tau for tau, _ in g.jumps if tau < b)
-    kx, kv = [], []
-    excluded = []
-    violations = []
-    for t in sorted(knots):
-        try:
-            d = delta_derivative(F, g, t, shrink_levels, dsets)
-        except DerivativeError as exc:
-            violations.append({"point": t, "reason": str(exc)})
-            continue
-        if d.point_class == "excluded":
-            excluded.append(t)
-            continue
-        kx.append(t)
-        kv.append(d.value)
-    if len(kx) < 2:
+    values, excluded, violations = _derivatives(F, g, sorted(knots),
+                                                shrink_levels)
+    if len(values) < 2:
         raise CalculusError(
             "not enough derivative samples to attempt reconstruction")
+    kx = [t for t, _ in values]
+    kv = [v for _, v in values]
     R = CumulativeStieltjesIntegral(lambda t: _interp(t, kx, kv), g,
                                     f_breaks=kx)
     base = float(F(a))
-    max_error = 0.0
-    worst: Optional[float] = None
-    for t in _linspace(a, b, grid):
-        err = abs(base + R(t) - float(F(t)))
-        if err > max_error:
-            max_error = err
-            worst = t
+    max_error, worst = _worst((abs(base + R(t) - float(F(t))), t)
+                              for t in _linspace(a, b, grid))
     return FtcReport(max_error=max_error, worst_point=worst, checked=len(kx),
                      excluded=tuple(excluded), violations=tuple(violations))

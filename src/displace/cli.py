@@ -42,9 +42,9 @@ def _log(message: str, *args) -> None:
         logging.getLogger("displace").info(message, *args)
 
 
-_ERRORS = (ExprError, GaugeError, DisplacementError, calculus.CalculusError,
-           solver.SolverError, OSError, ValueError, KeyError,
-           json.JSONDecodeError)
+# GaugeError, DisplacementError and json.JSONDecodeError are ValueErrors
+_ERRORS = (ExprError, calculus.CalculusError, solver.SolverError, OSError,
+           ValueError, KeyError)
 
 
 def _tolerance(ctx, param, value):

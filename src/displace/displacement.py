@@ -36,8 +36,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import expr as expr_mod
 from .expr import Expr
-from .gauge import (_EPS, Gauge, GaugeError, SNAP_RADIUS, _check_tolerance,
-                    _linspace, _snap)
+from .gauge import (_EPS, Gauge, GaugeError, SNAP_RADIUS, _check_count,
+                    _check_tolerance, _linspace, _snap)
 from .serialize import Fresh, Record
 
 __all__ = [
@@ -354,8 +354,7 @@ def _require_smooth(spec: DisplacementSpec, operation: str) -> None:
 
 def _grid_points(spec: DisplacementSpec, samples: int) -> list[float]:
     # fewer than two samples would let a check pass without comparing
-    if samples < 2:
-        raise DisplacementError(f"samples must be at least 2, got {samples!r}")
+    _check_count(samples, 2, "samples", DisplacementError)
     if spec.kind == "graph":
         return [float(i) for i in range(spec.n)]
     if spec.kind == "angular":
@@ -394,9 +393,7 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     """
     _require_interval(spec, "check_h2_usc")
     # with no level every pair stays pending and the check says nothing
-    if shrink_levels < 1:
-        raise DisplacementError(
-            f"shrink_levels must be at least 1, got {shrink_levels!r}")
+    _check_count(shrink_levels, 1, "shrink_levels", DisplacementError)
     a, b = spec.domain
     points = _grid_points(spec, samples)
     inner = 9
@@ -533,14 +530,12 @@ def check_h5(spec: DisplacementSpec, samples: int = 21,
     witnesses = []
     for x in points:
         h0 = min(x - a, (b - a) / 8.0)
-        value = None
-        h = h0
         for k in range(9):
             h = h0 * 10.0 ** (-k)
             value = abs(spec.delta(x, x - h))
             if value <= tol:
                 break
-        if value is not None and value > tol and len(witnesses) < _WITNESS_CAP:
+        if value > tol and len(witnesses) < _WITNESS_CAP:
             witnesses.append({"x": x, "h": h, "value": value})
     verdict = "fail" if witnesses else "pass"
     return AxiomReport("H5", verdict, tuple(witnesses), len(points), tol)
@@ -557,8 +552,7 @@ def check_d2_positive(spec: DisplacementSpec, grid: int = 64,
     continuous d2.  The witnesses are lattice points with d2 <= tol.
     """
     _require_smooth(spec, "check_d2_positive")
-    if grid < 2:
-        raise DisplacementError(f"grid must be at least 2, got {grid!r}")
+    _check_count(grid, 2, "grid", DisplacementError)
     a, b = spec.domain
     xs = _linspace(a, b, grid)
     r_hat = math.inf
@@ -589,8 +583,7 @@ def gamma_estimate(spec: DisplacementSpec, z: float, zbar: float,
     points merge.
     """
     _require_smooth(spec, "gamma_estimate")
-    if grid < 1:
-        raise DisplacementError(f"grid must be at least 1, got {grid!r}")
+    _check_count(grid, 1, "grid", DisplacementError)
     a, b = spec.domain
     z = _snap(z, a, b, "z", DisplacementError, _domain_slack(a, b))
     zbar = _snap(zbar, a, b, "zbar", DisplacementError, _domain_slack(a, b))

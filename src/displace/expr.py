@@ -196,10 +196,10 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
+            while j < n and (source[j].isdecimal() or (source[j] == "." and not seen_dot)):
                 if source[j] == ".":
                     seen_dot = True
                 j += 1

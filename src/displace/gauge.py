@@ -86,6 +86,13 @@ def _check_tolerance(value: float, name: str,
     return value
 
 
+def _check_count(value: int, least: int, name: str,
+                 error: type[Exception] = GaugeError) -> None:
+    """Raise error, naming the count, when value is below least."""
+    if value < least:
+        raise error(f"{name} must be at least {least}, got {value!r}")
+
+
 # QUADPACK dqk21 (Piessens et al., 1983), one module name per constant:
 # the Kronrod abscissae _X0 .. _X9 (odd index: also a 10-point Gauss
 # node), their Kronrod weights _W0 .. _W9 and the centre weight _WC, and
@@ -323,8 +330,6 @@ class CumulativeQuadrature:
                 self.value(t)
 
     def _panel(self, lo: float, hi: float) -> float:
-        if hi <= lo:
-            return 0.0
         value = _adaptive_quad(self.fn, lo, hi, self.tol)
         if not math.isfinite(value):
             raise GaugeError(
@@ -543,13 +548,15 @@ class Gauge(CumulativeQuadrature):
         c, d = float(c), float(d)
         if c > d:
             raise GaugeError(f"endpoints out of order: {c!r} > {d!r}")
-        if kind == "[)":
-            return self(d) - self(c)
-        if kind == "()":
-            return self(d) - self(c) - self.jump_at(c)
-        if kind == "[]":
-            return self(d) + self.jump_at(d) - self(c)
-        return self(d) + self.jump_at(d) - self(c) - self.jump_at(c)
+        # g(t) measures [a, t): a closed right end adds the atom at d, an
+        # open left end takes away the atom at c
+        value = self(d)
+        if kind[1] == "]":
+            value += self.jump_at(d)
+        value -= self(c)
+        if kind[0] == "(":
+            value -= self.jump_at(c)
+        return value
 
     # --- distinguished sets ---
 
@@ -626,7 +633,7 @@ class Gauge(CumulativeQuadrature):
     @classmethod
     def identity(cls, domain: tuple[float, float] = (0.0, 1.0)) -> "Gauge":
         """The gauge with unit density and no jumps: g(t) = t - a."""
-        return cls(domain, lambda t: 1.0, density_source="1")
+        return cls.from_dict({"domain": domain, "density": "1"})
 
     def to_dict(self) -> dict:
         if self._density_source is None:

@@ -34,7 +34,7 @@ from itertools import starmap
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .expr import on_arrays
-from .gauge import Gauge, _snap
+from .gauge import Gauge, _check_count, _snap
 from .serialize import Record, float_csv
 
 if TYPE_CHECKING:
@@ -140,7 +140,7 @@ class IvpSolution(Record):
         return {
             "method": self.method,
             "max_step": self.max_step,
-            "nodes": [[float(t), float(u)] for t, u in zip(self.ts, self.us)],
+            "nodes": [[t, u] for t, u in zip(*self._nodes)],
             "jumps": [rec.to_dict() for rec in self.jumps],
         }
 
@@ -257,18 +257,14 @@ def solve_ivp(problem: IvpProblem, step: float,
         new = np.concatenate(
             ([float(problem.u0)], _increments(rhs, mesh, us, dens, atoms, dt))
         ).cumsum()
-        bad = np.flatnonzero(~np.isfinite(new))
-        if bad.size:
-            k = int(bad[0]) - 1
-            raise SolverError("state is no longer finite during refinement",
-                              t_last=float(mesh[k]), u_last=float(us[k]))
+        _require_finite(new, mesh, us,
+                        "state is no longer finite during refinement")
         us = new
 
     jumps = _jump_records(rhs, mesh, us, atoms)
     method = "g-euler" if picard_sweeps <= 0 else "g-euler+picard"
-    max_step = float(dt.max()) if len(dt) else 0.0
     return IvpSolution(ts=mesh, us=us, jumps=jumps, method=method,
-                       max_step=max_step)
+                       max_step=float(dt.max()))
 
 
 def _jump_records(rhs, mesh: np.ndarray, us: np.ndarray,
@@ -304,42 +300,46 @@ def _increments(rhs, mesh: np.ndarray, us: np.ndarray, dens: np.ndarray,
     return 0.5 * (w_start * dens[:-1] + w[1:] * dens[1:]) * dt + jump
 
 
+def _require_finite(values: np.ndarray, mesh: np.ndarray, us: np.ndarray,
+                    message: str) -> None:
+    """Raise SolverError at the first non-finite values[k], naming node k - 1."""
+    import numpy as np
+
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = int(bad[0]) - 1
+        raise SolverError(message, t_last=float(mesh[k]), u_last=float(us[k]))
+
+
 def verify_solution(problem: IvpProblem, solution: IvpSolution,
                     grid: int = 101) -> ResidualReport:
     """Residual of the integral equation u = u0 + integral rhs dmu.
 
     The right-hand side is re-integrated along the solution with the
     trapezoid rule on the solution's own mesh; the residual is evaluated
-    at the mesh node nearest each grid point, so no interpolation error
-    enters.
+    at the mesh node nearest each grid point (the left one on a tie), so
+    no interpolation error enters.  A re-integration that is not finite
+    raises SolverError naming the last node where it is.
     """
-    # grid 0 reports the -1.0 start value, grid 1 only u(a), exact by
-    # construction
-    if grid < 2:
-        raise SolverError(f"grid must be at least 2, got {grid!r}")
+    # grid 0 has no point to report, grid 1 only u(a), exact by construction
+    _check_count(grid, 2, "grid", SolverError)
     import numpy as np
 
     g = problem.gauge
     mesh, us = solution.ts, solution.us
     dens, atoms, dt = _mesh_data(g, mesh)
-    n = len(mesh)
     S = np.concatenate(
         ([0.0], _increments(problem.rhs, mesh, us, dens, atoms, dt))).cumsum()
+    _require_finite(S, mesh, us, "re-integration is not finite")
     residuals = np.abs(us - float(problem.u0) - S)
 
-    max_residual = -1.0
-    worst = float(mesh[0])
-    for t in np.linspace(mesh[0], mesh[-1], grid):
-        k = int(np.searchsorted(mesh, t))
-        if k >= n:
-            k = n - 1
-        elif k > 0 and abs(mesh[k - 1] - t) <= abs(mesh[k] - t):
-            k -= 1
-        if residuals[k] > max_residual:
-            max_residual = float(residuals[k])
-            worst = float(mesh[k])
-    return ResidualReport(max_residual=max_residual, worst_point=worst,
-                          grid=grid)
+    ts = np.linspace(mesh[0], mesh[-1], grid)
+    k = np.minimum(np.searchsorted(mesh, ts), len(mesh) - 1)
+    left = np.maximum(k - 1, 0)
+    k = np.where(np.abs(mesh[left] - ts) <= np.abs(mesh[k] - ts), left, k)
+    i = int(np.argmax(residuals[k]))
+    return ResidualReport(max_residual=float(residuals[k[i]]),
+                          worst_point=float(mesh[k[i]]), grid=grid)
 
 
 def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
@@ -374,6 +374,5 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     records = [JumpRecord(tau=float(mesh[k]), u_before=float(us[k]),
                           u_after=float(us[k] - jump[k]))
                for k in np.flatnonzero(atoms > 0.0)]
-    max_step = float(dt.max()) if len(dt) else 0.0
     return IvpSolution(ts=mesh, us=us, jumps=tuple(records),
-                       method="terminal", max_step=max_step)
+                       method="terminal", max_step=float(dt.max()))

@@ -495,6 +495,16 @@ def test_ftc_forward_exclusions_on_a_flat_and_an_atom(f, checked, violations):
     assert report.violations == violations
 
 
+def test_ftc_forward_keeps_guarded_and_flat_points_in_grid_order():
+    # the guard holds back the grid point by 0.3 before the flat's points
+    # and 0.9 after them
+    report = ftc_forward_check(lambda t: t, flat_atom_gauge(), grid=19,
+                               f_breaks=(0.3 + 1e-7, 0.9 + 1e-7))
+    assert report.excluded == (0.30000000000000004,) + FLAT_EXCLUDED + (0.9,)
+    assert report.checked == 12
+    assert report.violations == ()
+
+
 @pytest.mark.parametrize("F, checked, violations", [
     (lambda t: abs(t - 0.7), 14, (
         {"point": 0.7000000000000001, "reason": "left and right difference "

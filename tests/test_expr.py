@@ -105,6 +105,14 @@ def test_a_source_that_is_not_text_is_a_parse_error(source):
         parse(source, {"t"})
 
 
+def test_numbers_are_decimal_digits():
+    # '²' is a digit to str.isdigit but no float literal
+    with pytest.raises(ParseError, match="^unexpected character '²' at "
+                       "position 0"):
+        parse("²")
+    assert parse("٣+1")() == 4.0
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse("1 2")

@@ -287,10 +287,18 @@ def test_vectorised_sums_match_plain_loop_references():
               jumps=((0.125, 0.3), (0.3, 0.05), (0.61, 0.4), (1.0, 0.2)))
     prob = IvpProblem(gauge=g, rhs=lambda t, u: math.sin(u) + t * u, u0=0.7)
     sol = solve_ivp(prob, step=1e-3)
-    for grid in (101, 997):
-        report = verify_solution(prob, sol, grid=grid)
+    # grid 401 puts its odd points exactly midway between two nodes, 0.0025
+    # between 0.002 and 0.003 first; raised there, the residual at 0.003 is
+    # the largest, but a tie takes the left node, so it is never seen
+    raised = sol.us.copy()
+    raised[3] += 1.0
+    tied = IvpSolution(ts=sol.ts, us=raised, jumps=sol.jumps,
+                       method=sol.method, max_step=sol.max_step)
+    for s, grid in ((sol, 101), (sol, 997), (tied, 401)):
+        report = verify_solution(prob, s, grid=grid)
         assert (report.max_residual, report.worst_point) == \
-            _reference_residual(prob, sol, grid)
+            _reference_residual(prob, s, grid)
+    assert report.worst_point == 1.0
 
     swept = solve_ivp(prob, step=1e-3, picard_sweeps=1)
     ref = _reference_picard(prob, sol.ts, sol.us)
@@ -338,6 +346,30 @@ def test_blow_up_names_the_last_good_node():
     assert err.t_last is not None and 0.0 < err.t_last < 1.0
     assert math.isfinite(err.u_last)
     assert "last good node" in str(err)
+
+
+def test_verification_refuses_a_re_integration_that_is_not_finite():
+    g = identity_gauge()
+    sol = solve_ivp(exponential_problem(g), step=0.01)
+    half = IvpProblem(gauge=g, rhs=lambda t, u: math.nan if t > 0.5 else u,
+                      u0=1.0)
+    with pytest.raises(SolverError, match=re.escape(
+            "re-integration is not finite (last good node t = 0.5, u = "
+            f"{float(sol.us[50])!r})")):
+        verify_solution(half, sol)
+    with pytest.raises(SolverError, match="re-integration is not finite"):
+        verify_solution(IvpProblem(gauge=g, rhs=lambda t, u: math.inf, u0=1.0),
+                        sol)
+
+
+def test_identity_density_is_evaluated_over_whole_meshes():
+    ident = Gauge.identity()
+    assert on_arrays(ident.density, np.array([0.0, 0.5])).tolist() == [1.0, 1.0]
+    same = Gauge.from_dict({"domain": [0, 1], "density": "1"})
+    a, b = (solve_surface(SurfaceProblem(work_gauge=g, source=lambda t: t,
+                                         terminal_value=0.3), step=1e-3)
+            for g in (ident, same))
+    assert (a.ts.tobytes(), a.us.tobytes()) == (b.ts.tobytes(), b.us.tobytes())
 
 
 def test_invalid_step_and_interval():
