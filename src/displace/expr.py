@@ -31,6 +31,10 @@ in the same order with the same math functions, and the same domain
 checks at the same points, as a walk of the tree would (a power whose
 exponent is a non-negative integer literal skips the two that cannot
 fire); evaluate, Expr.__call__ and as_function all run that function.
+_kernel splices the same statements into a loop that the solver writes
+(its Euler recurrence and its map over mesh nodes), where the
+parameters are known floats, so a node costs no call; each loop and
+shape is compiled once, in the same bounded cache.
 
 on_arrays evaluates a function from as_function over whole numpy columns
 in one walk of the tree, bit for bit as the calls per row would, where
@@ -167,8 +171,9 @@ class Expr(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # compiled evaluators, one per variable order (see _compiled); not
-        # a field, so repr, == and hash ignore it
+        # compiled evaluators, one per variable order (see _compiled), and
+        # loop kernels (see _kernel); not a field, so repr, == and hash
+        # ignore it
         self.__dict__["_code"] = {}
 
     def __call__(self, **bindings: float) -> float:
@@ -401,22 +406,22 @@ _CODE_CACHE: dict[str, CodeType] = {}
 _CODE_CACHE_MAX = 512
 
 
-def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
-    """The evaluator of expr taking the values of names positionally.
+def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
+          ) -> tuple[list[str], str, dict]:
+    """expr as straight-line statements over the parameters p0, p1, ...
 
-    The ast is translated once into straight-line Python source, one
-    local per node in post-order (operands before their operation), with
-    each domain check an inline 'if' at the point where it applies; the
-    function is memoised on the Expr.  Variables become the parameters
-    p0, p1, ...; numbers, constants and nodes are passed through the
-    exec namespace, so no user text enters the source, and the source's
-    code object, compiled once per shape, runs in the Expr's own
-    namespace.  A variable without a value defaults to an _Unbound,
-    which raises MissingBindingError when the variable is first reached.
+    Returns (lines, result, ns): the statements, the name that holds the
+    value after them, and the namespace they run in.  The ast becomes
+    one local per node in post-order (operands before their operation),
+    with each domain check an inline 'if' at the point where it applies.
+    Parameter pI holds the value of names[I] and reads through float(),
+    unless floats says that every parameter is a Python float already;
+    its default is ns['_dI'], an _Unbound that raises MissingBindingError
+    when the variable is first reached, as does any free variable with no
+    parameter.  Numbers, constants and nodes are passed through ns, so no
+    user text enters the lines, and every expression of one shape gets
+    the same lines.
     """
-    fn = expr._code.get(names)
-    if fn is not None:
-        return fn
     ns = {**_HELPERS, "_u": _unparse}
     lines: list[str] = []
     loaded: dict[str, str] = {}
@@ -431,6 +436,9 @@ def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
         if name not in unbound:
             unbound[name] = value(_Unbound(name))
         return unbound[name]
+
+    for i, name in enumerate(names):
+        ns[f"_d{i}"] = ns[missing(name)]
 
     def local() -> str:
         # unique: each local's assignment is appended before the next call
@@ -449,7 +457,8 @@ def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
                 for i in spots[1:]:
                     src = f"(p{i} if p{i} is not {missing(node.name)} else {src})"
                 loaded[node.name] = out = local()
-                lines.append(f"{out} = _F({src})")
+                lines.append(f"{out} = {src}" if floats and spots
+                             else f"{out} = _F({src})")
             return loaded[node.name]
         if isinstance(node, Unary):
             operand = emit(node.operand)
@@ -500,21 +509,80 @@ def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
         raise TypeError(f"not an expression node: {node!r}")
 
     result = emit(expr.ast)
-    params = "".join(f"p{i}={missing(name)}, " for i, name in enumerate(names))
-    source = "\n".join([f"def _fn({params}{'/, ' if names else ''}*_):",
-                        *("    " + line for line in lines),
-                        f"    return {result}"])
+    return lines, result, ns
+
+
+def _code(source: str) -> CodeType:
+    """The code object of source, compiled once while it stays cached."""
     code = _CODE_CACHE.get(source)
     if code is None:
         if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
             _CODE_CACHE.clear()
         code = _CODE_CACHE[source] = compile(source, "<displace.expr>",
                                              "exec")
-    exec(code, ns)
+    return code
+
+
+def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
+    """The evaluator of expr taking the values of names positionally.
+
+    The function _fn runs _body's lines and returns its result; it is
+    memoised on the Expr, and its code object, compiled once per shape,
+    runs in the Expr's own namespace.  A variable without a value
+    defaults to an _Unbound.
+    """
+    fn = expr._code.get(names)
+    if fn is not None:
+        return fn
+    lines, result, ns = _body(expr, names)
+    params = "".join(f"p{i}=_d{i}, " for i in range(len(names)))
+    exec(_code("\n".join([f"def _fn({params}{'/, ' if names else ''}*_):",
+                          *("    " + line for line in lines),
+                          f"    return {result}"])), ns)
     fn = expr._code[names] = ns["_fn"]
-    # what on_arrays needs to evaluate the same expression over columns
+    # what on_arrays and _kernel need to evaluate the same expression
     fn._expr, fn._names = expr, names
     return fn
+
+
+def _kernel(fn: Callable[..., float], loop: str, arity: int,
+            convert: bool = False) -> Callable:
+    """The function _loop defined by the source loop, with fn spliced in.
+
+    Wherever RHS appears in loop, p0 ... p<arity-1> must hold Python
+    floats, and RHS stands for fn(p0, ..., p<arity-1>), or float() of it
+    when convert is true.  A function from as_function whose names the
+    loop all binds is spliced as its _body: the lines go in before the
+    line with RHS, at its indentation, and RHS becomes the name of their
+    result, so no call is made and no parameter goes through float();
+    every check, default and repeated-name rule of _fn stays.  Any other
+    callable is called in place of RHS.  The source is compiled once per
+    loop and shape, in the cache that _fn's code shares; the function is
+    memoised on the Expr.
+    """
+    expr, names = getattr(fn, "_expr", None), getattr(fn, "_names", None)
+    spliced = isinstance(expr, Expr) and len(names) <= arity
+    if spliced:
+        key = (loop, names, convert)
+        if key in expr._code:
+            return expr._code[key]
+        lines, result, ns = _body(expr, names, floats=True)
+    else:
+        call = f"_rhs({', '.join(f'p{i}' for i in range(arity))})"
+        lines, result, ns = [], f"_F({call})" if convert else call, {
+            "_F": float, "_rhs": fn}
+    source = []
+    for line in loop.splitlines():
+        head, rhs, tail = line.partition("RHS")
+        if rhs:
+            indent = head[:len(head) - len(head.lstrip())]
+            source.extend(indent + body_line for body_line in lines)
+            line = head + result + tail
+        source.append(line)
+    exec(_code("\n".join(source)), ns)
+    if spliced:
+        expr._code[key] = ns["_loop"]
+    return ns["_loop"]
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:

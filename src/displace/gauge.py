@@ -381,13 +381,23 @@ class CumulativeQuadrature:
         return self.value(t) + self.jump_at(t)
 
     def jumps_on(self, ts: np.ndarray) -> np.ndarray:
-        """jump_at of every point of ts, an array inside [lo, hi]."""
+        """jump_at of every point of ts, a strictly increasing array
+        inside [lo, hi].
+
+        Each of the few atoms is looked up among the points, not each
+        point among the atoms; an atom lands on the first point not below
+        it, if that point equals it.
+        """
         import numpy as np
 
-        taus = np.array(self._taus + [math.inf])
-        idx = np.searchsorted(taus, ts)
-        masses = np.array([mass for _, mass in self.atoms] + [0.0])
-        return np.where(taus[idx] == ts, masses[idx], 0.0)
+        taus = np.array(self._taus, dtype=float)
+        idx = np.searchsorted(ts, taus)
+        hit = idx < len(ts)
+        hit[hit] = ts[idx[hit]] == taus[hit]
+        out = np.zeros(len(ts))
+        out[idx[hit]] = np.array([mass for _, mass in self.atoms],
+                                 dtype=float)[hit]
+        return out
 
 
 class DistinguishedSets(Record):

@@ -23,6 +23,15 @@ against a work gauge W: given a source h and terminal value C,
 
 computed so that u(b) equals C exactly and each work-gauge jump j at tau
 produces the exact kink u(tau+) - u(tau) = -H(tau) * j.
+
+Where a pass over the nodes depends on no earlier step (the density, the
+source, and rhs along a trajectory for Picard sweeps and
+verify_solution), expr.on_arrays computes it over the whole mesh in
+numpy when that is exact.  Every other pass runs in one of two loops
+owned here: _EULER, the recurrence, and _MAP, one value per node.
+expr._kernel splices an expression's own straight-line code into them,
+so a node costs no Python call; any other callable is called per node.
+The values and errors are those of one call per node, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,10 +39,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import cached_property
-from itertools import starmap
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .expr import on_arrays
+from .expr import _kernel, on_arrays
 from .gauge import Gauge, _check_count, _snap
 from .serialize import Record, float_csv
 
@@ -51,6 +59,47 @@ __all__ = [
     "solve_surface",
     "verify_solution",
 ]
+
+# The two per-node loops, the right-hand side spliced in by expr._kernel
+# wherever RHS stands, with p0 the node t and p1 the state u or the
+# second column.  _EULER is the explicit recurrence: nodes yields (t,
+# continuous weight) of each panel, and each segment is the number of
+# panels before an atom node and its atom (0.0 for the panels after the
+# last one).  It returns the node values and, once the state is not
+# finite, the node it left from.
+_EULER = """\
+from itertools import islice
+from math import isfinite
+
+
+def _loop(nodes, segments, p1):
+    path = []
+    append = path.append
+    for plain, atom in segments:
+        for p0, cont in islice(nodes, plain):
+            append(p1)
+            p1 = p1 + RHS * cont
+            if not isfinite(p1):
+                return path, p0
+        if atom > 0.0:
+            p0, cont = next(nodes)
+            append(p1)
+            p1 = p1 + RHS * atom
+            p1 = p1 + RHS * cont
+            if not isfinite(p1):
+                return path, p0
+    append(p1)
+    return path, None
+"""
+# float(fn(row)) of each row of the columns (formatted per arity)
+_MAP = """\
+def _loop(*columns):
+    out = []
+    append = out.append
+    for ({params},) in zip(*columns):
+        append(RHS)
+    return out
+"""
 
 # ten times the largest mesh measured in use (step 1e-6 on a unit domain);
 # a finer step is refused before anything is allocated
@@ -191,14 +240,18 @@ def _on_mesh(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
 
     The passes that depend on no earlier step run here: where
     expr.on_arrays can evaluate fn over the whole columns, bit for bit,
-    they do; otherwise, with every error of fn, one call per node.
+    they do; otherwise, with every error of fn, node by node in _MAP,
+    which runs an expression's body inline and calls any other callable.
     """
     values = on_arrays(fn, *columns)
     if values is None:
         import numpy as np
 
-        rows = zip(*(column.tolist() for column in columns))
-        values = np.array(list(map(float, starmap(fn, rows))))
+        params = ", ".join(f"p{i}" for i in range(len(columns)))
+        loop = _kernel(fn, _MAP.format(params=params), len(columns),
+                       convert=True)
+        values = np.array(loop(*(column.tolist() for column in columns)),
+                          dtype=float)
     return values
 
 
@@ -239,18 +292,15 @@ def solve_ivp(problem: IvpProblem, step: float,
     mesh = _build_mesh(g, a, b, step)
     dens, atoms, dt = _mesh_data(g, mesh)
     conts = (0.5 * (dens[:-1] + dens[1:]) * dt).tolist()
-
-    path = []
-    u = float(problem.u0)
-    for t, atom, cont in zip(mesh.tolist(), atoms.tolist(), conts):
-        path.append(u)
-        if atom > 0.0:
-            u = u + rhs(t, u) * atom
-        u = u + rhs(t, u) * cont
-        if not math.isfinite(u):
-            raise SolverError("state is no longer finite",
-                              t_last=t, u_last=float(path[-1]))
-    path.append(u)
+    # the panels before each atom node, and those after the last one
+    at = np.flatnonzero(atoms > 0.0)
+    plain = np.diff(at, prepend=-1, append=len(conts)) - 1
+    segments = list(zip(plain.tolist(), atoms[at].tolist() + [0.0]))
+    euler = _kernel(rhs, _EULER, 2)
+    path, t = euler(zip(mesh.tolist(), conts), segments, float(problem.u0))
+    if t is not None:
+        raise SolverError("state is no longer finite",
+                          t_last=t, u_last=float(path[-1]))
     us = np.array(path, dtype=float)
 
     for _ in range(int(picard_sweeps)):

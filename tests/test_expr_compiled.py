@@ -8,6 +8,8 @@ for bit, or the same exception with the same message and fragment.
 Rendering a tree the parser can produce and parsing the text again must
 give the same tree.  A power with a non-negative integer literal exponent
 runs without _pow's domain tests and must still match it bit for bit.
+Code objects are compiled once per shape, for evaluators and for the
+solver's loop kernels alike, in one bounded cache.
 """
 
 import math
@@ -21,8 +23,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import displace.expr as expr_mod  # noqa: E402
 from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
                            DomainError, Expr, MissingBindingError, Node, Num,
-                           Unary, Var, _pow, _unparse, as_function, evaluate,
-                           parse)
+                           Unary, Var, _kernel, _pow, _unparse, as_function,
+                           evaluate, parse)
+from displace.solver import _EULER  # noqa: E402
 
 
 def _eval(node: Node, bindings: Mapping[str, float]) -> float:
@@ -232,5 +235,29 @@ def test_code_cache_empties_itself_when_full(monkeypatch):
     monkeypatch.setattr(expr_mod, "_CODE_CACHE_MAX", 2)
     for source in ("x + 1", "x * 1", "x - 1"):
         as_function(parse(source, {"x"}), "x")
+    # the third shape found two entries, emptied the cache and was added
+    assert len(cache) == 1
+
+
+def test_loop_kernels_of_one_shape_share_a_compile_but_not_their_constants():
+    first = as_function(parse("(0.5 + 0.25*t)*u", {"t", "u"}), "t", "u")
+    second = as_function(parse("(2 + 0.125*t)*u", {"t", "u"}), "t", "u")
+    kernels = [_kernel(fn, _EULER, 2) for fn in (first, second)]
+    assert kernels[0].__code__ is kernels[1].__code__
+    assert _kernel(first, _EULER, 2) is kernels[0]    # memoised on the Expr
+    # two panels of width 0.5, no atom: u = 1.25, 1.640625 and 2, 4.0625
+    runs = [kernel(iter([(0.0, 0.5), (0.5, 0.5)]), [(2, 0.0)], 1.0)
+            for kernel in kernels]
+    assert runs == [([1.0, 1.25, 1.640625], None), ([1.0, 2.0, 4.0625], None)]
+
+
+def test_loop_kernels_share_the_bounded_code_cache(monkeypatch):
+    fns = [as_function(parse(source, {"t", "u"}), "t", "u")
+           for source in ("t + u", "t * u", "t - u")]
+    cache = {}
+    monkeypatch.setattr(expr_mod, "_CODE_CACHE", cache)
+    monkeypatch.setattr(expr_mod, "_CODE_CACHE_MAX", 2)
+    for fn in fns:
+        _kernel(fn, _EULER, 2)
     # the third shape found two entries, emptied the cache and was added
     assert len(cache) == 1

@@ -6,10 +6,13 @@ it built a numpy triple tensor.  Both are compared here with the numpy
 code they replaced: values by `float.hex`, reports by their serialized
 bytes.  The other way round, `expr.on_arrays` evaluates expressions over
 numpy columns; it is compared with the compiled per-row calls it stands
-in for.
+in for.  The solver's Euler pass and mesh map run each expression's body
+inline (`expr._kernel`); they are compared with the loops of one call
+per node they replaced, and `Gauge.jumps_on` with its old lookup.
 """
 
 import math
+from itertools import starmap
 
 import numpy as np
 import pytest
@@ -24,8 +27,11 @@ from displace.displacement import (  # noqa: E402
 from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
                            Expr, Num, Unary, Var, _unparse, as_function,
                            on_arrays, parse)
-from displace.gauge import _linspace  # noqa: E402
+from displace.gauge import Gauge, _linspace  # noqa: E402
 from displace.serialize import dumps  # noqa: E402
+from displace.solver import (IvpProblem, SolverError,  # noqa: E402
+                             _build_mesh, _jump_records, _mesh_data,
+                             _on_mesh, solve_ivp)
 
 # ---------------------------------------------------------------------------
 # _interp against np.interp
@@ -276,3 +282,146 @@ def test_exact_expressions_take_the_array_path(source, names, columns):
 
 def test_other_callables_leave_the_calls_per_row():
     assert on_arrays(lambda t: t, np.array([0.0, 1.0])) is None
+
+
+# ---------------------------------------------------------------------------
+# the solver's spliced loops against the per-node loops they replaced
+# ---------------------------------------------------------------------------
+
+def old_jumps_on(gauge, ts):
+    """Gauge.jumps_on as it looked up every point among the atoms."""
+    taus = np.array([tau for tau, _ in gauge.jumps] + [math.inf])
+    idx = np.searchsorted(taus, ts)
+    masses = np.array([mass for _, mass in gauge.jumps] + [0.0])
+    return np.where(taus[idx] == ts, masses[idx], 0.0)
+
+
+def old_euler(problem, step):
+    """solve_ivp's Euler pass as one rhs call per node: ts, us, jumps."""
+    g, rhs = problem.gauge, problem.rhs
+    mesh = _build_mesh(g, *g.domain, step)
+    dens, _, dt = _mesh_data(g, mesh)
+    atoms = old_jumps_on(g, mesh[:-1])
+    conts = (0.5 * (dens[:-1] + dens[1:]) * dt).tolist()
+    path = []
+    u = float(problem.u0)
+    for t, atom, cont in zip(mesh.tolist(), atoms.tolist(), conts):
+        path.append(u)
+        if atom > 0.0:
+            u = u + rhs(t, u) * atom
+        u = u + rhs(t, u) * cont
+        if not math.isfinite(u):
+            raise SolverError("state is no longer finite",
+                              t_last=t, u_last=float(path[-1]))
+    path.append(u)
+    us = np.array(path, dtype=float)
+    return mesh, us, _jump_records(rhs, mesh, us, atoms)
+
+
+def old_map(fn, *columns):
+    """_on_mesh's fallback as one call per row through starmap."""
+    rows = zip(*(column.tolist() for column in columns))
+    return np.array(list(map(float, starmap(fn, rows))))
+
+
+def _hexed(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def result_or_error(run):
+    """float.hex of every value run returns, or what it raised."""
+    try:
+        return [value.hex() for value in run()]
+    except Exception as exc:  # noqa: BLE001  (both must fail alike)
+        return (type(exc).__name__, str(exc),
+                _hexed(getattr(exc, "t_last", None)),
+                _hexed(getattr(exc, "u_last", None)))
+
+
+def _values(ts, us, jumps):
+    """Every node and every jump record as one list of floats."""
+    return [*ts.tolist(), *us.tolist(),
+            *(x for rec in jumps for x in (rec.tau, rec.u_before, rec.u_after))]
+
+
+# atoms at a, inside and at b; one density over whole meshes, one per node
+SOLVER_GAUGES = [
+    Gauge.from_dict({"domain": [0, 1], "density": "1 + t",
+                     "jumps": [[0, 0.5], [0.3, 0.25], [1, 2]]}),
+    Gauge((0.0, 1.0), lambda t: 0.5, jumps=((0.0, 1.5), (0.6, 0.125))),
+    Gauge.from_dict({"domain": [0, 1], "density": "1", "jumps": [[1, 0.5]]}),
+]
+RHS_NAMES = [("x", "y"), ("y", "x"), ("x",), ("x", "x"), ("x", "y", "z"), ()]
+
+
+@st.composite
+def solver_cases(draw):
+    ast = draw(any_trees)
+    expr = Expr(ast=ast, source=_unparse(ast, 0),
+                variables=frozenset(COLUMNS + ("z",)),
+                free=frozenset(n.name for n in _nodes(ast)
+                               if isinstance(n, Var)))
+    fn = as_function(expr, *draw(st.sampled_from(RHS_NAMES)))
+    rhs = (lambda t, u: fn(t, u)) if draw(st.booleans()) else fn
+    # u0 from 1.5 to 5 makes u^3 overflow at a node inside the domain
+    u0 = draw(st.one_of(cells, st.sampled_from([1.5, 2.0, 5.0, 1e50])))
+    return (IvpProblem(gauge=draw(st.sampled_from(SOLVER_GAUGES)), rhs=rhs,
+                       u0=u0),
+            draw(st.sampled_from([0.3, 0.1, 0.04])))
+
+
+def _ivp_case(source, names, u0, step=0.1, gauge=0, wrap=False):
+    fn = as_function(parse(source, COLUMNS + ("z",)), *names)
+    return (IvpProblem(gauge=SOLVER_GAUGES[gauge], u0=u0,
+                       rhs=(lambda t, u: fn(t, u)) if wrap else fn), step)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=solver_cases())
+@example(case=_ivp_case("(0.5 + 0.25*x)*y", ("x", "y"), 1.0))
+@example(case=_ivp_case("y*y*y", ("x", "y"), 1e100))       # overflows
+@example(case=_ivp_case("y*y*y", ("x", "y"), 2.0, gauge=2))   # at t = 0.8
+@example(case=_ivp_case("y*y*y", ("x", "y"), 5.0))            # at an atom
+@example(case=_ivp_case("y*y*y", ("x", "y"), 1.5, gauge=1, wrap=True))
+@example(case=_ivp_case("ln(0.5 - x)*y", ("x", "y"), 1.0))  # raises
+@example(case=_ivp_case("exp(y)", ("x", "y"), 700.0, gauge=1))
+@example(case=_ivp_case("y^0.5 - sin(x)", ("x", "y"), 2.0, wrap=True))
+@example(case=_ivp_case("z + y", ("x", "y", "z"), 1.0))     # unbound z
+@example(case=_ivp_case("x*2", ("x", "x"), 1.0))            # x is u
+@example(case=_ivp_case("-min(y, 3) / max(x, 0)", ("x", "y"), 1.0, gauge=2))
+@example(case=_ivp_case("y", ("x", "y"), math.inf))
+# float() refuses None where numpy would read NaN
+@example(case=(IvpProblem(gauge=SOLVER_GAUGES[2], u0=1.0,
+                          rhs=lambda t, u: None if t > 0.5 else u), 0.1))
+def test_spliced_loops_reproduce_the_calls_per_node(case):
+    problem, step = case
+    g, rhs = problem.gauge, problem.rhs
+
+    def new():
+        sol = solve_ivp(problem, step)
+        return _values(sol.ts, sol.us, sol.jumps)
+
+    assert result_or_error(new) == \
+        result_or_error(lambda: _values(*old_euler(problem, step)))
+    mesh = _build_mesh(g, *g.domain, step)
+    us = np.resize(np.array([float(problem.u0), -0.0, 0.5, 1e308, math.nan]),
+                   len(mesh))
+    for columns in ((mesh, us), (us,)):
+        assert result_or_error(lambda: _on_mesh(rhs, *columns).tolist()) == \
+            result_or_error(lambda: old_map(rhs, *columns).tolist())
+
+
+@pytest.mark.parametrize("taus, ts", [
+    ((), [0.0, 0.5, 1.0]),
+    ((0.0,), [0.0, 0.25, 0.5]),
+    ((1.0,), [0.0, 0.5]),                   # b, dropped with the last node
+    ((0.3, 0.6), [0.0, math.nextafter(0.3, 1.0), 0.6, 0.9]),
+    ((0.3,), [0.0, math.nextafter(0.3, 0.0), 0.5]),
+    ((0.0, 0.3, 1.0), [-0.0, 0.3, 0.7, 1.0]),
+])
+def test_jumps_on_looks_up_the_atoms_in_the_mesh(taus, ts):
+    g = Gauge((0.0, 1.0), lambda t: 1.0,
+              jumps=tuple((tau, 0.125 * (k + 1)) for k, tau in enumerate(taus)))
+    ts = np.array(ts)
+    assert [v.hex() for v in g.jumps_on(ts).tolist()] == \
+        [v.hex() for v in old_jumps_on(g, ts).tolist()]
