@@ -92,22 +92,33 @@ class DerivativeResult(Record):
     samples_used: int
 
 
+# the Richardson divisors 2.0 ** j - 1.0, for every j whose power is finite
+_RICHARDSON_DIV = tuple(2.0 ** j - 1.0 for j in range(1024))
+
+
 def _richardson(values: Sequence[float]) -> tuple[float, float]:
     """Extrapolate a step-halving sequence; return (estimate, spread).
 
     Assumes the error expands in integer powers of the step.  The
     estimate is taken from the tableau diagonal at the index where
     consecutive diagonal entries agree best, which keeps rounding noise
-    from the deepest levels out of the answer.
+    from the deepest levels out of the answer.  The tableau is built row
+    by row, keeping only the row above.
     """
     n = len(values)
-    tableau = [[v] for v in values]
+    # past the table, 2.0 ** j raises OverflowError where it always did
+    div = _RICHARDSON_DIV if n <= len(_RICHARDSON_DIV) else [
+        2.0 ** j - 1.0 for j in range(n)]
+    above = list(values[:1])
+    diag = above[:]
     for i in range(1, n):
+        row = [values[i]]
+        prev = row[0]
         for j in range(1, i + 1):
-            prev = tableau[i][j - 1]
-            tableau[i].append(prev + (prev - tableau[i - 1][j - 1])
-                              / (2.0 ** j - 1.0))
-    diag = [tableau[i][i] for i in range(n)]
+            prev = prev + (prev - above[j - 1]) / div[j]
+            row.append(prev)
+        diag.append(prev)
+        above = row
     if n == 1:
         return diag[0], math.inf
     best_i = 1

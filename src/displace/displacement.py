@@ -27,6 +27,18 @@ The axioms checked here, tagged H1 through H5 in reports:
 
 Checks report pass, fail (with witnesses), or inconclusive; they are
 sampling procedures, exhaustive only on finite graphs.
+
+The battery's hot loops run in three loops owned here: _BISECT, one edge
+of delta_ball; _ROW, Delta(x, .) or d2(x, .) over a list of points; and
+_MAX, the largest |Delta(x, .)| over one.  They run the bisections of
+delta_ball, the H2-usc candidate filter and maxima, the rows of H3 and
+the lattice of D2-positive.  expr._kernel splices a Smooth space's
+compiled Delta or d2 into them, so a point costs no Python call; any
+other Delta or d2 (a callable, finite differences, a gauge) is called as
+spec.delta or spec.d2 per point.  Every point they pass lies in [a, b],
+so only the call, float() and domain test of spec.delta are left out:
+the values and errors are those of one call per point, bit for bit.
+Smooth.delta and Smooth.d2 refuse a NaN value with DisplacementError.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ import math
 from typing import Callable, Optional, Sequence, Union
 
 from . import expr as expr_mod
-from .expr import Expr
+from .expr import Expr, _kernel
 from .gauge import (_EPS, Gauge, GaugeError, SNAP_RADIUS, _check_count,
                     _check_tolerance, _linspace, _snap)
 from .serialize import Fresh, Record
@@ -73,6 +85,51 @@ LIMIT_TOL = 1e-6
 TWO_PI = 2.0 * math.pi
 _CBRT_EPS = _EPS ** (1.0 / 3.0)
 
+# The battery's loops, Delta or d2 spliced in by expr._kernel wherever RHS
+# stands, with p0 the base point x and p1 the second argument (see
+# _inline).  _BISECT is one edge of delta_ball: it moves inside towards
+# outside while |Delta(x, mid)| < r, and stops when the bracket is within
+# tol and, where continuity allows, the value at the inside edge is
+# within value_tol of target, or when the bracket is rounding (stop is
+# 8 * eps).
+_BISECT = """\
+def _loop(p0, inside, outside, target, r, tol, value_tol, stop):
+    for _ in range(200):
+        width = abs(outside - inside)
+        if width <= tol:
+            p1 = inside
+            if abs(RHS - target) <= value_tol:
+                break
+        if width <= stop * max(1.0, abs(inside), abs(outside)):
+            break
+        p1 = 0.5 * (outside + inside)
+        if abs(RHS) < r:
+            inside = p1
+        else:
+            outside = p1
+    return inside
+"""
+# the values at (p0, p1) for each p1 of points, in order
+_ROW = """\
+def _loop(p0, points):
+    out = []
+    append = out.append
+    for p1 in points:
+        append(RHS)
+    return out
+"""
+# max(abs(value) for each p1 of points), with max's rule: the first
+# largest value wins
+_MAX = """\
+def _loop(p0, points):
+    top = None
+    for p1 in points:
+        value = abs(RHS)
+        if top is None or value > top:
+            top = value
+    return top
+"""
+
 
 class DisplacementError(ValueError):
     """Invalid displacement data, unsupported variant, or bad query."""
@@ -98,6 +155,8 @@ class Smooth:
         d2: optional partial derivative of delta in its second argument,
             again an Expr in x, y or a callable; when absent it is
             approximated by extrapolated central differences.
+
+    delta and d2 refuse a NaN value with DisplacementError.
     """
 
     kind = "smooth"
@@ -147,7 +206,11 @@ class Smooth:
         y = float(y)
         if not a <= y <= b:
             y = _snap(y, a, b, "y", DisplacementError, self._slack)
-        return float(self._delta_fn(x, y))
+        value = float(self._delta_fn(x, y))
+        if value != value:
+            raise DisplacementError(
+                f"|Delta({x!r}, {y!r})| = {value!r} is not finite")
+        return value
 
     def d2(self, x: float, y: float) -> float:
         """Partial derivative of delta in the second argument at (x, y)."""
@@ -159,8 +222,13 @@ class Smooth:
         if not a <= y <= b:
             y = _snap(y, a, b, "y", DisplacementError, self._slack)
         if self._d2_fn is not None:
-            return float(self._d2_fn(x, y))
-        return self._fd_d2(x, y)
+            value = float(self._d2_fn(x, y))
+        else:
+            value = self._fd_d2(x, y)
+        if value != value:
+            raise DisplacementError(
+                f"d2({x!r}, {y!r}) = {value!r} is not finite")
+        return value
 
     def _fd_d2(self, x: float, y: float) -> float:
         a, b = self._domain
@@ -352,6 +420,19 @@ def _require_smooth(spec: DisplacementSpec, operation: str) -> None:
             f"{operation} requires a smooth variant, got {spec.kind!r}")
 
 
+def _inline(spec: DisplacementSpec, loop: str, d2: bool = False) -> Callable:
+    """loop with spec's Delta, or its d2, at RHS.
+
+    A Smooth space's expression is spliced in as its compiled body; any
+    other Delta or d2 is called there as spec.delta or spec.d2.  Each
+    point passed must lie in the domain.
+    """
+    if spec.kind == "smooth" and (spec.d2_expr if d2
+                                  else spec.delta_expr) is not None:
+        return _kernel(spec._d2_fn if d2 else spec._delta_fn, loop, 2)
+    return _kernel(spec.d2 if d2 else spec.delta, loop, 2)
+
+
 def _grid_points(spec: DisplacementSpec, samples: int) -> list[float]:
     # fewer than two samples would let a check pass without comparing
     _check_count(samples, 2, "samples", DisplacementError)
@@ -396,6 +477,7 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     _check_count(shrink_levels, 1, "shrink_levels", DisplacementError)
     a, b = spec.domain
     points = _grid_points(spec, samples)
+    row, top = _inline(spec, _ROW), _inline(spec, _MAX)
     inner = 9
     witnesses = []
     inconclusive = 0
@@ -411,12 +493,12 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
                 break
             rho = rho0 * 2.0 ** (-k)
             ball = delta_ball(spec, y, rho, tol=1e-9 * (b - a))
-            zs = [z for z in _linspace(ball.lo, ball.hi, inner)
-                  if abs(spec.delta(y, z)) < rho]
+            ts = _linspace(ball.lo, ball.hi, inner)
+            zs = [z for z, v in zip(ts, row(y, ts)) if abs(v) < rho]
             zs.append(y)
             for i in list(pending):
                 x, bound = bounds[i]
-                m = max(abs(spec.delta(x, z)) for z in zs)
+                m = top(x, zs)
                 margins[i].append(m - bound)
                 if m <= bound + tol:
                     del pending[i]
@@ -507,9 +589,10 @@ def check_h3(spec: DisplacementSpec, samples: int = 21,
     """Delta(x, .) nondecreasing, checked along a sample grid."""
     _require_interval(spec, "check_h3")
     points = _grid_points(spec, samples)
+    row = _inline(spec, _ROW)
     witnesses = []
     for x in points:
-        values = [spec.delta(x, y) for y in points]
+        values = row(x, points)
         for (y1, v1), (y2, v2) in zip(zip(points, values),
                                       zip(points[1:], values[1:])):
             if v2 < v1 - tol and len(witnesses) < _WITNESS_CAP:
@@ -555,12 +638,12 @@ def check_d2_positive(spec: DisplacementSpec, grid: int = 64,
     _check_count(grid, 2, "grid", DisplacementError)
     a, b = spec.domain
     xs = _linspace(a, b, grid)
+    row = _inline(spec, _ROW, d2=True)
     r_hat = math.inf
     argmin = (a, a)
     witnesses = []
     for x in xs:
-        for y in xs:
-            v = spec.d2(x, y)
+        for y, v in zip(xs, row(x, xs)):
             if v < r_hat:
                 r_hat = v
                 argmin = (x, y)
@@ -622,7 +705,8 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
     Under monotonicity in the second argument this is an interval
     containing x; its endpoints are located by bisection to tolerance
     tol (finite and non-negative) and their membership decided by
-    direct evaluation.
+    direct evaluation.  The bisections run in _BISECT, with a Smooth
+    space's Delta inline; the end and membership tests call spec.delta.
     """
     _require_interval(spec, "delta_ball")
     if not r > 0.0:
@@ -631,26 +715,14 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
     a, b = spec.domain
     x = _snap(x, a, b, "x", DisplacementError, _domain_slack(a, b))
     value_tol = tol * (1.0 + r)
+    # keep points with delta strictly inside the ball on the inside edge
+    bisect = _inline(spec, _BISECT)
+    stop = 8.0 * _EPS
 
-    def bisect(inside: float, outside: float, target: float) -> float:
-        # keep points with delta strictly inside the ball on the inside
-        # edge; stop when both the bracket and, where continuity allows,
-        # the value gap at the inside edge are below tolerance
-        for _ in range(200):
-            width = abs(outside - inside)
-            if width <= tol and abs(spec.delta(x, inside) - target) <= value_tol:
-                break
-            if width <= 8.0 * _EPS * max(1.0, abs(inside), abs(outside)):
-                break
-            mid = 0.5 * (outside + inside)
-            if abs(spec.delta(x, mid)) < r:
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    lo = a if spec.delta(x, a) > -r else bisect(x, a, -r)
-    hi = b if spec.delta(x, b) < r else bisect(x, b, r)
+    lo = (a if spec.delta(x, a) > -r
+          else bisect(x, x, a, -r, r, tol, value_tol, stop))
+    hi = (b if spec.delta(x, b) < r
+          else bisect(x, x, b, r, r, tol, value_tol, stop))
 
     return BallInterval(lo=lo, hi=hi,
                         lo_closed=abs(spec.delta(x, lo)) < r,

@@ -393,6 +393,30 @@ def test_h2prime_refuses_a_non_finite_displacement(bad):
         check_h2prime(spec)
 
 
+# NaN near y = 0.5 in Delta, and for y > 0.5 in d2
+NAN_SPACE = Smooth((0.0, 1.0),
+                   lambda x, y: math.nan if abs(y - 0.5) < 0.2 else y - x,
+                   lambda x, y: math.nan if y > 0.5 else 1.0)
+NAN_DELTA = r"^\|Delta\(.*\)\| = nan is not finite$"
+NAN_D2 = r"^d2\(.*\) = nan is not finite$"
+
+
+@pytest.mark.parametrize("run, message", [
+    (check_h1, NAN_DELTA),
+    (check_h2_usc, NAN_DELTA),
+    (check_h3, NAN_DELTA),
+    (check_h5, NAN_DELTA),
+    (lambda spec: delta_ball(spec, 0.5, 0.1), NAN_DELTA),
+    (check_d2_positive, NAN_D2),
+    (lambda spec: gamma_estimate(spec, 0.2, 0.8), NAN_D2),
+], ids=["H1", "H2-usc", "H3", "H5", "ball", "D2-positive", "gamma"])
+def test_a_nan_delta_or_d2_is_refused_not_judged(run, message):
+    # NaN fails every comparison, so a check would pass it by, and a ball
+    # would leave out its own centre
+    with pytest.raises(DisplacementError, match=message):
+        run(NAN_SPACE)
+
+
 def test_h2prime_bad_phi_is_inconclusive_with_reason():
     gr = make_builtin("santiago_graph")
     report = check_h2prime(gr, phi=parse("r + 1", {"r"}))

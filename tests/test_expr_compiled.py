@@ -9,7 +9,8 @@ Rendering a tree the parser can produce and parsing the text again must
 give the same tree.  A power with a non-negative integer literal exponent
 runs without _pow's domain tests and must still match it bit for bit.
 Code objects are compiled once per shape, for evaluators and for the
-solver's loop kernels alike, in one bounded cache.
+loop kernels of the solver and of the check battery alike, in one
+bounded cache.
 """
 
 import math
@@ -25,6 +26,8 @@ from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E40
                            DomainError, Expr, MissingBindingError, Node, Num,
                            Unary, Var, _kernel, _pow, _unparse, as_function,
                            evaluate, parse)
+from displace.displacement import (_BISECT, _MAX, _ROW, Smooth,  # noqa: E402
+                                   _inline)
 from displace.solver import _EULER  # noqa: E402
 
 
@@ -249,6 +252,31 @@ def test_loop_kernels_of_one_shape_share_a_compile_but_not_their_constants():
     runs = [kernel(iter([(0.0, 0.5), (0.5, 0.5)]), [(2, 0.0)], 1.0)
             for kernel in kernels]
     assert runs == [([1.0, 1.25, 1.640625], None), ([1.0, 2.0, 4.0625], None)]
+
+
+def test_battery_loops_of_one_shape_share_a_compile_but_not_their_constants():
+    first, second = (Smooth((0.0, 1.0), parse(f"{c}*y - x", {"x", "y"}))
+                     for c in (2, 3))
+    plain = Smooth((0.0, 1.0), lambda x, y: 2.0 * y - x)
+    points = [0.0, 0.25, 1.0]
+    for loop in (_BISECT, _ROW, _MAX):
+        kernels = [_inline(spec, loop) for spec in (first, second)]
+        assert kernels[0].__code__ is kernels[1].__code__
+        assert _inline(first, loop) is kernels[0]    # memoised on the Expr
+    assert [_inline(spec, _ROW)(0.5, points) for spec in (first, second)] == \
+        [[-0.5, 0.0, 1.5], [-0.5, 0.25, 2.5]]
+    assert [_inline(spec, _MAX)(0.5, points) for spec in (first, second)] == \
+        [1.5, 2.5]
+    # a callable runs through the same loop, called once per point
+    calls = []
+    spy = Smooth((0.0, 1.0), lambda x, y: calls.append(y) or 2.0 * y - x)
+    assert _inline(spy, _ROW)(0.5, points) == [-0.5, 0.0, 1.5]
+    assert calls == points
+    assert _inline(plain, _MAX).__code__ is _inline(spy, _MAX).__code__
+    # bisecting 2y - 0.5 < 1 from 0.5 towards 1: the edge 0.75
+    edge = [_inline(spec, _BISECT)(0.5, 0.5, 1.0, 1.0, 1.0, 1e-12, 2e-12,
+                                   8.0 * 2.0 ** -52) for spec in (first, plain)]
+    assert edge[0] == edge[1] and abs(edge[0] - 0.75) <= 1e-12
 
 
 def test_loop_kernels_share_the_bounded_code_cache(monkeypatch):

@@ -8,7 +8,11 @@ bytes.  The other way round, `expr.on_arrays` evaluates expressions over
 numpy columns; it is compared with the compiled per-row calls it stands
 in for.  The solver's Euler pass and mesh map run each expression's body
 inline (`expr._kernel`); they are compared with the loops of one call
-per node they replaced, and `Gauge.jumps_on` with its old lookup.
+per node they replaced, and `Gauge.jumps_on` with its old lookup.  So do
+the check battery's bisections, rows and maxima, compared with the
+checks that called `spec.delta` and `spec.d2` per point, and a gauge's
+cache after each; and `calculus._richardson`'s two rows with the whole
+tableau it built.
 """
 
 import math
@@ -20,14 +24,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from displace.calculus import _interp  # noqa: E402
+from displace.calculus import _interp, _richardson  # noqa: E402
 from displace.displacement import (  # noqa: E402
-    ALGEBRAIC_TOL, BUILTIN_NAMES, AxiomReport, FiniteGraph, _WITNESS_CAP,
-    _grid_points, check_h2prime, make_builtin)
+    ALGEBRAIC_TOL, BUILTIN_NAMES, LIMIT_TOL, AxiomReport, BallInterval,
+    DisplacementError, FiniteGraph, Smooth, Stieltjes, _WITNESS_CAP,
+    _domain_slack, _grid_points, _require_interval, _require_smooth,
+    check_d2_positive, check_h2_usc, check_h2prime, check_h3, delta_ball,
+    make_builtin)
 from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
                            Expr, Num, Unary, Var, _unparse, as_function,
                            on_arrays, parse)
-from displace.gauge import Gauge, _linspace  # noqa: E402
+from displace.gauge import (_EPS, Gauge, _check_count,  # noqa: E402
+                            _check_tolerance, _linspace, _snap)
 from displace.serialize import dumps  # noqa: E402
 from displace.solver import (IvpProblem, SolverError,  # noqa: E402
                              _build_mesh, _jump_records, _mesh_data,
@@ -425,3 +433,245 @@ def test_jumps_on_looks_up_the_atoms_in_the_mesh(taus, ts):
     ts = np.array(ts)
     assert [v.hex() for v in g.jumps_on(ts).tolist()] == \
         [v.hex() for v in old_jumps_on(g, ts).tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the check battery's spliced loops against the calls per point they replaced
+# ---------------------------------------------------------------------------
+
+def old_delta_ball(spec, x, r, tol=1e-10):
+    """delta_ball with one spec.delta call per bisection step."""
+    _require_interval(spec, "delta_ball")
+    if not r > 0.0:
+        raise DisplacementError(f"ball radius must be positive, got {r!r}")
+    tol = _check_tolerance(tol, "tol", DisplacementError)
+    a, b = spec.domain
+    x = _snap(x, a, b, "x", DisplacementError, _domain_slack(a, b))
+    value_tol = tol * (1.0 + r)
+
+    def bisect(inside, outside, target):
+        for _ in range(200):
+            width = abs(outside - inside)
+            if width <= tol and abs(spec.delta(x, inside) - target) <= value_tol:
+                break
+            if width <= 8.0 * _EPS * max(1.0, abs(inside), abs(outside)):
+                break
+            mid = 0.5 * (outside + inside)
+            if abs(spec.delta(x, mid)) < r:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    lo = a if spec.delta(x, a) > -r else bisect(x, a, -r)
+    hi = b if spec.delta(x, b) < r else bisect(x, b, r)
+    return BallInterval(lo=lo, hi=hi,
+                        lo_closed=abs(spec.delta(x, lo)) < r,
+                        hi_closed=abs(spec.delta(x, hi)) < r)
+
+
+def old_h2_usc(spec, samples=11, shrink_levels=24, tol=LIMIT_TOL):
+    """check_h2_usc with one spec.delta call per point, and old_delta_ball."""
+    _require_interval(spec, "check_h2_usc")
+    _check_count(shrink_levels, 1, "shrink_levels", DisplacementError)
+    a, b = spec.domain
+    points = _grid_points(spec, samples)
+    witnesses = []
+    inconclusive = 0
+    for y in points:
+        rho0 = max(abs(spec.delta(y, a)), abs(spec.delta(y, b)))
+        if rho0 == 0.0:
+            rho0 = 1.0
+        bounds = [(x, abs(spec.delta(x, y))) for x in points]
+        pending = {i: None for i in range(len(points))}
+        margins = {i: [] for i in range(len(points))}
+        for k in range(1, shrink_levels + 1):
+            if not pending:
+                break
+            rho = rho0 * 2.0 ** (-k)
+            ball = old_delta_ball(spec, y, rho, tol=1e-9 * (b - a))
+            zs = [z for z in _linspace(ball.lo, ball.hi, 9)
+                  if abs(spec.delta(y, z)) < rho]
+            zs.append(y)
+            for i in list(pending):
+                x, bound = bounds[i]
+                m = max(abs(spec.delta(x, z)) for z in zs)
+                margins[i].append(m - bound)
+                if m <= bound + tol:
+                    del pending[i]
+        for i in pending:
+            x, bound = bounds[i]
+            seq = margins[i]
+            if len(seq) >= 2 and seq[-1] > 0.6 * seq[-2] and seq[-2] > tol:
+                if len(witnesses) < _WITNESS_CAP:
+                    witnesses.append({"x": x, "y": y, "bound": bound,
+                                      "excess": seq[-1]})
+            else:
+                inconclusive += 1
+    verdict = "fail" if witnesses else "inconclusive" if inconclusive else "pass"
+    stats = {"pairs": len(points) ** 2, "inconclusive_pairs": inconclusive}
+    return AxiomReport("H2-usc", verdict, tuple(witnesses),
+                       len(points) ** 2, tol, stats)
+
+
+def old_h3(spec, samples=21, tol=ALGEBRAIC_TOL):
+    """check_h3 with one spec.delta call per point."""
+    _require_interval(spec, "check_h3")
+    points = _grid_points(spec, samples)
+    witnesses = []
+    for x in points:
+        values = [spec.delta(x, y) for y in points]
+        for (y1, v1), (y2, v2) in zip(zip(points, values),
+                                      zip(points[1:], values[1:])):
+            if v2 < v1 - tol and len(witnesses) < _WITNESS_CAP:
+                witnesses.append({"x": x, "y": y1, "z": y2,
+                                  "delta_xy": v1, "delta_xz": v2})
+    verdict = "fail" if witnesses else "pass"
+    return AxiomReport("H3", verdict, tuple(witnesses), len(points) ** 2, tol)
+
+
+def old_d2_positive(spec, grid=64, tol=ALGEBRAIC_TOL):
+    """check_d2_positive with one spec.d2 call per lattice point."""
+    _require_smooth(spec, "check_d2_positive")
+    _check_count(grid, 2, "grid", DisplacementError)
+    a, b = spec.domain
+    xs = _linspace(a, b, grid)
+    r_hat = math.inf
+    argmin = (a, a)
+    witnesses = []
+    for x in xs:
+        for y in xs:
+            v = spec.d2(x, y)
+            if v < r_hat:
+                r_hat = v
+                argmin = (x, y)
+            if v <= tol and len(witnesses) < _WITNESS_CAP:
+                witnesses.append({"x": x, "y": y, "d2": v})
+    verdict = "pass" if r_hat > tol else "fail"
+    stats = {"r_hat": r_hat, "argmin_x": argmin[0], "argmin_y": argmin[1]}
+    return AxiomReport("D2-positive", verdict, tuple(witnesses),
+                       grid * grid, tol, stats)
+
+
+def _report_or_error(run):
+    """The serialized result of run, or the type and text of its error."""
+    try:
+        return dumps(run().to_dict())
+    except Exception as exc:  # noqa: BLE001  (both must fail alike)
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _tree_expr(ast):
+    return Expr(ast=ast, source=_unparse(ast, 0),
+                variables=frozenset(COLUMNS + ("z",)),
+                free=frozenset(n.name for n in _nodes(ast) if isinstance(n, Var)))
+
+
+BATTERY_GAUGES = [
+    {"domain": [0, 1], "density": "1 + t", "jumps": [[0.25, 0.5], [0.75, 0.125]]},
+    {"domain": [-1, 2], "density": "0.5", "jumps": [[0, 1], [2, 0.25]]},
+]
+# y - x with a random tree added, so that balls have edges to bisect
+_SHIFT = parse("y - x", COLUMNS).ast
+
+
+@st.composite
+def battery_specs(draw):
+    """(make, sizes): make() builds a fresh spec, equal on every call."""
+    kind = draw(st.sampled_from(["expr", "callable", "stieltjes"]))
+    if kind == "stieltjes":
+        data = draw(st.sampled_from(BATTERY_GAUGES))
+        return (lambda: Stieltjes(Gauge.from_dict(data))), kind
+    tree = draw(any_trees)
+    delta = _tree_expr(Binary("+", _SHIFT, tree) if draw(st.booleans()) else tree)
+    d2 = draw(st.one_of(st.none(), any_trees.map(_tree_expr)))
+    domain = draw(st.sampled_from([(0.0, 1.0), (-1.0, 2.0), (0.5, 0.75)]))
+    if kind == "callable":
+        delta_fn, d2_fn = as_function(delta, "x", "y"), d2 and as_function(
+            d2, "x", "y")
+        return (lambda: Smooth(domain, lambda x, y: delta_fn(x, y),
+                               d2_fn and (lambda x, y: d2_fn(x, y)))), kind
+    return (lambda: Smooth(domain, delta, d2)), kind
+
+
+def _smooth_case(delta, d2=None, domain=(0.0, 1.0)):
+    names = COLUMNS + ("z",)
+    return (lambda: Smooth(domain, parse(delta, names),
+                           d2 and parse(d2, names))), "expr"
+
+
+def _gauge_state(spec):
+    if spec.kind != "stieltjes":
+        return None
+    return ([t.hex() for t in spec.gauge._ts], [v.hex() for v in spec.gauge._vals])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=battery_specs(), samples=st.integers(2, 4), levels=st.integers(1, 5),
+       x=st.floats(0.0, 1.0), r=st.sampled_from([0.05, 0.3, 1.0, 4.0]))
+@example(case=_smooth_case("y - x + 0*sqrt(abs(y - 0.25) - 0.05)", "1"),
+         samples=3, levels=4, x=0.5, r=0.3)         # raises at midpoint 0.25
+@example(case=_smooth_case("exp(y^2 - x^2) - exp(x - y)",
+                           "2*y*exp(y^2 - x^2) + exp(x - y)"),
+         samples=4, levels=5, x=0.3, r=0.4)
+@example(case=_smooth_case("y - x + z", None), samples=2, levels=1, x=0.0,
+         r=1.0)                                       # unbound z
+@example(case=_smooth_case("sin(6*y) - x", None), samples=4, levels=3, x=0.9,
+         r=0.3)                                       # H3 fails
+@example(case=(lambda: Stieltjes(Gauge.from_dict(BATTERY_GAUGES[0])),
+               "stieltjes"), samples=3, levels=4, x=0.25, r=0.5)
+def test_battery_loops_reproduce_the_calls_per_point(case, samples, levels,
+                                                     x, r):
+    make, kind = case
+    old, new = make(), make()
+    a, b = old.domain
+    x = a + x * (b - a)
+    runs = [
+        (lambda s: old_h2_usc(s, samples, levels),
+         lambda s: check_h2_usc(s, samples, levels)),
+        (lambda s: old_h3(s, samples + 3), lambda s: check_h3(s, samples + 3)),
+        (lambda s: old_delta_ball(s, x, r), lambda s: delta_ball(s, x, r)),
+    ]
+    if kind != "stieltjes":
+        runs.append((lambda s: old_d2_positive(s, samples + 1),
+                     lambda s: check_d2_positive(s, samples + 1)))
+    for run_old, run_new in runs:
+        assert _report_or_error(lambda: run_new(new)) == \
+            _report_or_error(lambda: run_old(old))
+        assert _gauge_state(new) == _gauge_state(old)
+
+
+# ---------------------------------------------------------------------------
+# _richardson's two rows against the whole tableau
+# ---------------------------------------------------------------------------
+
+def old_richardson(values):
+    """_richardson as it built the whole tableau."""
+    n = len(values)
+    tableau = [[v] for v in values]
+    for i in range(1, n):
+        for j in range(1, i + 1):
+            prev = tableau[i][j - 1]
+            tableau[i].append(prev + (prev - tableau[i - 1][j - 1])
+                              / (2.0 ** j - 1.0))
+    diag = [tableau[i][i] for i in range(n)]
+    if n == 1:
+        return diag[0], math.inf
+    best_i = 1
+    best_spread = abs(diag[1] - diag[0])
+    for i in range(2, n):
+        spread = abs(diag[i] - diag[i - 1])
+        if spread <= best_spread:
+            best_spread = spread
+            best_i = i
+    return diag[best_i], best_spread
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(cells, st.floats(-4.0, 4.0)), min_size=1,
+                       max_size=30))
+@example(values=[1.0])
+@example(values=[0.0, -0.0, math.nan, math.inf, -math.inf])
+@example(values=[1.0 + 2.0 ** -k for k in range(30)])
+def test_richardson_rows_reproduce_the_tableau(values):
+    assert repr(_richardson(values)) == repr(old_richardson(values))
