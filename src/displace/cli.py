@@ -3,24 +3,28 @@
 Exit codes follow one convention everywhere: 0 success, 1 bad input or
 computation error, 2 a check failed or a verification report exceeded
 its tolerance, 3 checks were inconclusive but none failed.  Commands
-return 0, 2 or 3 and raise on bad input; _Cli.main alone turns that into
-the exit status and the single "error: ..." line.  Reports are emitted
-as deterministic JSON (17 significant digits, fixed key order),
-solutions as CSV or JSON.  Set DISPLACE_LOG=debug|info|warning to log
-progress to stderr.
+return 0, 2 or 3 and raise on bad input; main alone turns that into
+the exit status and the single "error: ..." line, for a bad command
+line as for bad data.  Reports are emitted as deterministic JSON (17
+significant digits, fixed key order), solutions as CSV or JSON.  Set
+DISPLACE_LOG=debug|info|warning to log progress to stderr.
+
+The command line is parsed by a small table-driven parser on the
+standard library alone, which parses as click did: each command's
+options are one table of _Option rows, an option takes the next token
+verbatim ("--f -t" is f = "-t") or the text after "=", the last
+occurrence wins, names match only in full, and --help anywhere prints
+the command's help.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
-
-import click
+from typing import Callable, Optional
 
 from . import calculus, displacement, solver
 from .displacement import (BUILTIN_NAMES, DisplacementError, gauge_from_smooth,
@@ -42,21 +46,261 @@ def _log(message: str, *args) -> None:
         logging.getLogger("displace").info(message, *args)
 
 
-# GaugeError, DisplacementError and json.JSONDecodeError are ValueErrors
+# GaugeError, DisplacementError and json.JSONDecodeError are ValueErrors,
+# and so is every refusal of the command line
 _ERRORS = (ExprError, calculus.CalculusError, solver.SolverError, OSError,
            ValueError, KeyError)
 
 
-def _tolerance(ctx, param, value):
-    """Option callback: a tolerance is finite and non-negative.  It raises
-    ValueError, not click's BadParameter, so the refusal is one error line."""
-    if value is not None:
-        _check_tolerance(value, param.opts[0], ValueError)
-    return value
+def _echo(text: str, err: bool = False) -> None:
+    """Write text to the sys.stdout (or sys.stderr) of this moment, flushed."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(text)
+    stream.flush()
+
+
+def _tolerance(value: float, name: str) -> None:
+    """Option check: a tolerance is finite and non-negative."""
+    _check_tolerance(value, name, ValueError)
+
+
+def _default(fn: Callable, name: str):
+    """fn's default for its parameter name, read from the function."""
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount]
+    return fn.__defaults__[names.index(name) - len(names)]
+
+
+# metavar and, for a conversion that can fail, the word its error uses
+_KINDS = {str: ("TEXT", None), float: ("FLOAT", "float"),
+          int: ("INTEGER", "integer")}
+
+
+class _Option:
+    """One row of a command's option table: --name VALUE.
+
+    kind converts the text (str, float or int: float() and int() are
+    click's own conversions); choices limits it to a list; path marks a
+    file name, which must exist when path is "exists"; check, given the
+    converted value and the option's name, raises ValueError to refuse
+    it.  An option not given takes default, or is refused if required.
+    show_default puts the default into the help, or, as a function, the
+    value it returns when the help is built.
+    """
+
+    def __init__(self, *names: str, dest: Optional[str] = None,
+                 kind: type = str, choices: Optional[tuple] = None,
+                 path: object = False, default=None, required: bool = False,
+                 help: str = "", show_default: object = False,
+                 check: Optional[Callable] = None):
+        self.names = names
+        self.dest = dest or names[0][2:].replace("-", "_")
+        self.kind = kind
+        self.choices = choices
+        self.path = path
+        self.default = default
+        self.required = required
+        self.help = help
+        self.show_default = show_default
+        self.check = check
+
+    def convert(self, text: str):
+        """text as this option's value; a ValueError names the option."""
+        name = self.names[0]
+        if self.choices is not None and text not in self.choices:
+            raise ValueError(
+                f"invalid value for {name}: {text!r} is not one of "
+                + ", ".join(map(repr, self.choices)))
+        if self.path == "exists" and not os.path.exists(text):
+            raise ValueError(
+                f"invalid value for {name}: path {text!r} does not exist")
+        try:
+            value = self.kind(text)
+        except ValueError:
+            raise ValueError(f"invalid value for {name}: {text!r} is not a "
+                             f"valid {_KINDS[self.kind][1]}") from None
+        if self.check is not None:
+            self.check(value, name)
+        return value
+
+    def help_row(self) -> tuple[str, str]:
+        """The option's two help columns, as click laid them out."""
+        if self.choices is not None:
+            metavar = "[" + "|".join(self.choices) + "]"
+        else:
+            metavar = "PATH" if self.path else _KINDS[self.kind][0]
+        notes = []
+        if self.show_default:
+            shown = (self.show_default() if callable(self.show_default)
+                     else self.default)
+            notes.append(f"default: {shown}")
+        if self.required:
+            notes.append("required")
+        text = self.help
+        if notes:
+            text = f"{text}  [{'; '.join(notes)}]".lstrip()
+        return f"{', '.join(self.names)} {metavar}", text
 
 
 # every tolerance option goes through the one rule above
-_tol_option = functools.partial(click.option, type=float, callback=_tolerance)
+_tol_option = functools.partial(_Option, kind=float, check=_tolerance)
+
+# command name -> (function, its option table), in definition order
+_COMMANDS: dict[str, tuple[Callable, tuple[_Option, ...]]] = {}
+
+
+def _command(name: str, *options: _Option) -> Callable:
+    """Register the decorated function as command name with options."""
+    def register(fn: Callable) -> Callable:
+        _COMMANDS[name] = (fn, options)
+        return fn
+    return register
+
+
+def _parse(options: tuple[_Option, ...], argv: list[str]) -> Optional[dict]:
+    """A command's keyword arguments from its tokens, or None for --help.
+
+    Options are converted in the order of their first occurrence, then
+    the others take their defaults in table order; an argument that is
+    no option's value is refused last.  After "--" every token is such
+    an argument.
+    """
+    by_name = {name: opt for opt in options for name in opt.names}
+    given: dict[_Option, str] = {}
+    extra: list[str] = []
+    wants_help = False
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            extra.extend(tokens)
+        elif token == "--help":
+            wants_help = True
+        elif token.startswith("-") and token != "-":
+            name, equals, text = token.partition("=")
+            opt = by_name.get(name)
+            if opt is None:
+                raise ValueError(f"no such option {name}")
+            if not equals:
+                text = next(tokens, None)
+                if text is None:
+                    raise ValueError(f"option {name} requires a value")
+            given[opt] = text
+        else:
+            extra.append(token)
+    if wants_help:
+        return None
+    kwargs = {opt.dest: opt.convert(text) for opt, text in given.items()}
+    for opt in options:
+        if opt.dest not in kwargs:
+            if opt.required:
+                raise ValueError(f"missing option {opt.names[0]}")
+            kwargs[opt.dest] = opt.default
+    if extra:
+        raise ValueError(f"unexpected argument {extra[0]!r}")
+    return kwargs
+
+
+_SUMMARY = "Displacement calculus: axiom checks, gauges, derivatives, solvers."
+_HELP_ROW = ("--help", "Show this message and exit.")
+
+
+def _help(usage: str, doc: str, sections: list) -> str:
+    """Help text in click's layout: usage, doc, then (title, rows) lists."""
+    import textwrap
+    first, _, rest = doc.strip().partition("\n")
+    out = [f"Usage: {usage}", ""]
+    for paragraph in [first] + textwrap.dedent(rest).strip().split("\n\n"):
+        if paragraph:
+            out += [textwrap.fill(" ".join(paragraph.split()), 78,
+                                  initial_indent="  ", subsequent_indent="  "),
+                    ""]
+    for title, rows in sections:
+        width = min(max(len(left) for left, _ in rows), 30) + 2
+        out.append(title)
+        for left, text in rows:
+            lines = textwrap.wrap(text, 76 - width) or [""]
+            if len(left) > width - 2:
+                out.append("  " + left)
+            else:
+                first = lines.pop(0)
+                out.append(("  " + left.ljust(width) + first).rstrip())
+            out += [" " * (width + 2) + line for line in lines]
+        out.append("")
+    return "\n".join(out[:-1]) + "\n"
+
+
+def _setup() -> None:
+    """Process settings every command runs under."""
+    # no command does BLAS work, so the commands that load numpy ask
+    # OpenBLAS for no worker threads: starting them and their busy-wait
+    # beside the main thread cost those commands 30-60 ms on two vCPUs
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    level = os.environ.get("DISPLACE_LOG", "").upper()
+    if level in ("DEBUG", "INFO", "WARNING", "ERROR"):
+        import logging
+        logging.basicConfig(stream=sys.stderr, level=getattr(logging, level),
+                            format="%(name)s %(levelname)s %(message)s")
+
+
+def _run(prog: str, argv: list[str]) -> int:
+    """The exit code of one command line; a bad one raises ValueError."""
+    lead = 0
+    while lead < len(argv) and argv[lead].startswith("-"):
+        if argv[lead] != "--help":
+            raise ValueError(f"no such option {argv[lead]}")
+        lead += 1
+    if lead or not argv:
+        # --help lists the commands; no command at all is a usage error
+        rows = [(name, fn.__doc__.strip().partition("\n")[0])
+                for name, (fn, _) in sorted(_COMMANDS.items())]
+        _echo(_help(f"{prog} [OPTIONS] COMMAND [ARGS]...", _SUMMARY,
+                    [("Options:", [_HELP_ROW]), ("Commands:", rows)]),
+              err=not lead)
+        return 0 if lead else 1
+    name = argv[0]
+    if name not in _COMMANDS:
+        raise ValueError(f"no such command {name!r}")
+    fn, options = _COMMANDS[name]
+    _setup()
+    kwargs = _parse(options, argv[1:])
+    if kwargs is None:
+        rows = [opt.help_row() for opt in options] + [_HELP_ROW]
+        _echo(_help(f"{prog} {name} [OPTIONS]", fn.__doc__,
+                    [("Options:", rows)]))
+        return 0
+    return fn(**kwargs)
+
+
+def main(args: Optional[list[str]] = None, prog_name: str = "displace",
+         standalone_mode: bool = True) -> None:
+    """Run one command line, sys.argv[1:] when args is None, and exit.
+
+    Every call ends in SystemExit with the exit code.  The signature is
+    click's Command.main, which click.testing.CliRunner calls as
+    main.main; standalone_mode is accepted for it and changes nothing.
+    """
+    try:
+        code = _run(prog_name, sys.argv[1:] if args is None else list(args))
+    except BrokenPipeError:
+        # the reader is gone (displace ... | head): exit 1 quietly, and
+        # point stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    except _ERRORS as exc:
+        _echo(f"error: {exc}\n", err=True)
+        code = 1
+    except (EOFError, KeyboardInterrupt):
+        # the blank line ends the terminal's ^C
+        _echo("\naborted\n", err=True)
+        code = 1
+    sys.exit(code)
+
+
+# click's calling convention, for CliRunner and in-process replays
+main.main = main
+main.name = "displace"
 
 
 def _load_spec(spec_path: Optional[str], builtin: Optional[str]):
@@ -89,42 +333,7 @@ def _deliver(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        click.echo(text, nl=False)
-
-
-class _Cli(click.Group):
-    """Group whose main is the only exit path of every command.
-
-    Click's default usage-error code is 2, which this interface reserves
-    for failed checks, so parsing problems are remapped onto the bad
-    input code.
-    """
-
-    def main(self, *args, **kwargs):  # noqa: D102 (click's signature)
-        kwargs["standalone_mode"] = False
-        try:
-            sys.exit(super().main(*args, **kwargs))
-        except _ERRORS as exc:
-            click.echo(f"error: {exc}", err=True)
-        except click.exceptions.Abort:
-            click.echo("aborted", err=True)
-        except click.ClickException as exc:
-            exc.show()
-        sys.exit(1)
-
-
-@click.group(cls=_Cli)
-def main() -> None:
-    """Displacement calculus: axiom checks, gauges, derivatives, solvers."""
-    # no command does BLAS work, so the commands that load numpy ask
-    # OpenBLAS for no worker threads: starting them and their busy-wait
-    # beside the main thread cost those commands 30-60 ms on two vCPUs
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    level = os.environ.get("DISPLACE_LOG", "").upper()
-    if level in ("DEBUG", "INFO", "WARNING", "ERROR"):
-        import logging
-        logging.basicConfig(stream=sys.stderr, level=getattr(logging, level),
-                            format="%(name)s %(levelname)s %(message)s")
+        _echo(text)
 
 
 # check name -> (function, the command-line options it takes besides
@@ -140,11 +349,6 @@ _CHECKS = {
 }
 
 
-def _shown_default(fn, name: str) -> str:
-    """fn's default for name, as click's show_default renders it."""
-    return f"[default: {inspect.signature(fn).parameters[name].default}]"
-
-
 _DEFAULT_CHECKS = {
     "smooth": ("h1", "h2usc", "h2prime", "h3", "h5", "d2"),
     "stieltjes": ("h1", "h2usc", "h2prime", "h3", "h5"),
@@ -153,28 +357,31 @@ _DEFAULT_CHECKS = {
 }
 
 
-@main.command()
-@click.option("--spec", "spec_path", type=click.Path(exists=True),
-              help="JSON displacement spec.")
-@click.option("--builtin", type=click.Choice(BUILTIN_NAMES),
-              help="Named example space.")
-@click.option("--which", default=None,
-              help="Comma-separated subset of h1,h2usc,h2prime,h3,h5,d2.")
-@click.option("--samples", default=None, type=int,
-              help="Sample grid size for the hypothesis checks.")
-@click.option("--grid", default=None, type=int,
-              help="Lattice size per axis for the d2 check.  " + _shown_default(
-                  displacement.check_d2_positive, "grid"))
-@_tol_option("--tol", default=None, help="Override the check tolerance.")
-@click.option("--phi", default=None,
-              help="Rescaling function of r for h2prime (default identity).")
-@click.option("--shrink-levels", default=None, type=int,
-              help="Shrink levels for the h2usc check.  " + _shown_default(
-                  displacement.check_h2_usc, "shrink_levels"))
-@click.option("--seed", default=0, type=int, show_default=True,
-              help="Reserved; no check is randomised, so it has no effect.")
-@click.option("--out", default=None, type=click.Path(),
-              help="Write reports to a file instead of stdout.")
+@_command(
+    "check",
+    _Option("--spec", dest="spec_path", path="exists",
+            help="JSON displacement spec."),
+    _Option("--builtin", choices=BUILTIN_NAMES, help="Named example space."),
+    _Option("--which",
+            help="Comma-separated subset of h1,h2usc,h2prime,h3,h5,d2."),
+    _Option("--samples", kind=int,
+            help="Sample grid size for the hypothesis checks."),
+    _Option("--grid", kind=int,
+            help="Lattice size per axis for the d2 check.",
+            show_default=lambda: _default(displacement.check_d2_positive,
+                                          "grid")),
+    _tol_option("--tol", help="Override the check tolerance."),
+    _Option("--phi",
+            help="Rescaling function of r for h2prime (default identity)."),
+    _Option("--shrink-levels", kind=int,
+            help="Shrink levels for the h2usc check.",
+            show_default=lambda: _default(displacement.check_h2_usc,
+                                          "shrink_levels")),
+    _Option("--seed", kind=int, default=0, show_default=True,
+            help="Reserved; no check is randomised, so it has no effect."),
+    _Option("--out", path=True,
+            help="Write reports to a file instead of stdout."),
+)
 def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
           seed, out):
     """Run hypothesis checks; one JSON report per line.
@@ -212,21 +419,21 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
     return 0
 
 
-@main.command()
-@click.option("--spec", "spec_path", type=click.Path(exists=True),
-              help="JSON smooth spec to extract a gauge from.")
-@click.option("--builtin", type=click.Choice(BUILTIN_NAMES),
-              help="Builtin smooth spec to extract a gauge from.")
-@click.option("--gauge", "gauge_ref", default=None,
-              help="Load an existing gauge: path, extract:NAME, or identity.")
-@click.option("--grid", default=101, type=int, show_default=True,
-              help="Number of points in the sampled (t, g) table.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", show_default=True)
-@click.option("--out", default=None, type=click.Path(),
-              help="Write the gauge JSON here.")
-@click.option("--table", default=None, type=click.Path(),
-              help="Write the sampled (t, g) CSV here.")
+@_command(
+    "gauge",
+    _Option("--spec", dest="spec_path", path="exists",
+            help="JSON smooth spec to extract a gauge from."),
+    _Option("--builtin", choices=BUILTIN_NAMES,
+            help="Builtin smooth spec to extract a gauge from."),
+    _Option("--gauge", dest="gauge_ref",
+            help="Load an existing gauge: path, extract:NAME, or identity."),
+    _Option("--grid", kind=int, default=101, show_default=True,
+            help="Number of points in the sampled (t, g) table."),
+    _Option("--format", dest="fmt", choices=("json", "csv"), default="json",
+            show_default=True),
+    _Option("--out", path=True, help="Write the gauge JSON here."),
+    _Option("--table", path=True, help="Write the sampled (t, g) CSV here."),
+)
 def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
     """Extract or load a gauge; emit its JSON and a sampled value table."""
     if gauge_ref is not None:
@@ -255,14 +462,16 @@ def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
     return 0
 
 
-@main.command()
-@click.option("--spec", "spec_path", type=click.Path(exists=True))
-@click.option("--builtin", type=click.Choice(BUILTIN_NAMES))
-@click.option("--x", required=True, type=float, help="Ball center.")
-@click.option("--r", required=True, type=float, help="Ball radius.")
-@_tol_option("--tol", default=1e-10, show_default=True,
-             help="Bisection tolerance for the endpoints.")
-@click.option("--out", default=None, type=click.Path())
+@_command(
+    "ball",
+    _Option("--spec", dest="spec_path", path="exists"),
+    _Option("--builtin", choices=BUILTIN_NAMES),
+    _Option("--x", kind=float, required=True, help="Ball center."),
+    _Option("--r", kind=float, required=True, help="Ball radius."),
+    _tol_option("--tol", default=1e-10, show_default=True,
+                help="Bisection tolerance for the endpoints."),
+    _Option("--out", path=True),
+)
 def ball(spec_path, builtin, x, r, tol, out):
     """Displacement ball around x of radius r, as an interval."""
     spec = _load_spec(spec_path, builtin)
@@ -271,14 +480,16 @@ def ball(spec_path, builtin, x, r, tol, out):
     return 0
 
 
-@main.command()
-@click.option("--f", "f_src", required=True, help="Function of t.")
-@click.option("--gauge", "gauge_ref", required=True,
-              help="Gauge: path, extract:NAME, or identity.")
-@click.option("--x", required=True, type=float)
-@click.option("--shrink-levels", default=calculus.DEFAULT_SHRINK_LEVELS,
-              type=int, show_default=True)
-@click.option("--out", default=None, type=click.Path())
+@_command(
+    "derive",
+    _Option("--f", dest="f_src", required=True, help="Function of t."),
+    _Option("--gauge", dest="gauge_ref", required=True,
+            help="Gauge: path, extract:NAME, or identity."),
+    _Option("--x", kind=float, required=True),
+    _Option("--shrink-levels", kind=int,
+            default=calculus.DEFAULT_SHRINK_LEVELS, show_default=True),
+    _Option("--out", path=True),
+)
 def derive(f_src, gauge_ref, x, shrink_levels, out):
     """Derivative of f against the gauge at x."""
     g = _load_gauge(gauge_ref)
@@ -288,13 +499,16 @@ def derive(f_src, gauge_ref, x, shrink_levels, out):
     return 0
 
 
-@main.command()
-@click.option("--f", "f_src", required=True, help="Integrand, function of t.")
-@click.option("--gauge", "gauge_ref", required=True)
-@click.option("--upper", default=None, type=float,
-              help="Upper limit (default: right end of the domain); the "
-                   "atom there is excluded.")
-@click.option("--out", default=None, type=click.Path())
+@_command(
+    "integrate",
+    _Option("--f", dest="f_src", required=True,
+            help="Integrand, function of t."),
+    _Option("--gauge", dest="gauge_ref", required=True),
+    _Option("--upper", kind=float,
+            help="Upper limit (default: right end of the domain); the atom "
+                 "there is excluded."),
+    _Option("--out", path=True),
+)
 def integrate(f_src, gauge_ref, upper, out):
     """Half-open Stieltjes integral of f from the left end to upper."""
     g = _load_gauge(gauge_ref)
@@ -305,15 +519,18 @@ def integrate(f_src, gauge_ref, upper, out):
     return 0
 
 
-@main.command("path-integrate")
-@click.option("--f", "f_src", required=True, help="Integrand, function of t.")
-@click.option("--alpha", "alpha_src", required=True,
-              help="Base-point path, function of t.")
-@click.option("--spec", "spec_path", type=click.Path(exists=True))
-@click.option("--builtin", type=click.Choice(BUILTIN_NAMES))
-@click.option("--upper", default=None, type=float)
-@_tol_option("--quad-tol", default=1e-10, show_default=True)
-@click.option("--out", default=None, type=click.Path())
+@_command(
+    "path-integrate",
+    _Option("--f", dest="f_src", required=True,
+            help="Integrand, function of t."),
+    _Option("--alpha", dest="alpha_src", required=True,
+            help="Base-point path, function of t."),
+    _Option("--spec", dest="spec_path", path="exists"),
+    _Option("--builtin", choices=BUILTIN_NAMES),
+    _Option("--upper", kind=float),
+    _tol_option("--quad-tol", default=1e-10, show_default=True),
+    _Option("--out", path=True),
+)
 def path_integrate(f_src, alpha_src, spec_path, builtin, upper, quad_tol, out):
     """Integral of f against the moving-base-point measure of a smooth space."""
     spec = _load_spec(spec_path, builtin)
@@ -326,15 +543,18 @@ def path_integrate(f_src, alpha_src, spec_path, builtin, upper, quad_tol, out):
     return 0
 
 
-@main.command()
-@click.option("--f", "f_src", required=True, help="Integrand, function of t.")
-@click.option("--gauge", "gauge_ref", required=True)
-@click.option("--grid", default=101, type=int, show_default=True)
-@click.option("--shrink-levels", default=calculus.DEFAULT_SHRINK_LEVELS,
-              type=int, show_default=True)
-@_tol_option("--tol", default=1e-4, show_default=True,
-             help="Maximum allowed derivative-vs-integrand error.")
-@click.option("--out", default=None, type=click.Path())
+@_command(
+    "ftc",
+    _Option("--f", dest="f_src", required=True,
+            help="Integrand, function of t."),
+    _Option("--gauge", dest="gauge_ref", required=True),
+    _Option("--grid", kind=int, default=101, show_default=True),
+    _Option("--shrink-levels", kind=int,
+            default=calculus.DEFAULT_SHRINK_LEVELS, show_default=True),
+    _tol_option("--tol", default=1e-4, show_default=True,
+                help="Maximum allowed derivative-vs-integrand error."),
+    _Option("--out", path=True),
+)
 def ftc(f_src, gauge_ref, grid, shrink_levels, tol, out):
     """Differentiate the running integral of f and compare against f.
 
@@ -349,16 +569,18 @@ def ftc(f_src, gauge_ref, grid, shrink_levels, tol, out):
     return 2 if (report.max_error > tol or report.violations) else 0
 
 
-@main.command()
-@click.option("--f", "f_src", required=True,
-              help="Function of t to differentiate and rebuild.")
-@click.option("--gauge", "gauge_ref", required=True)
-@click.option("--grid", default=101, type=int, show_default=True)
-@click.option("--shrink-levels", default=calculus.DEFAULT_SHRINK_LEVELS,
-              type=int, show_default=True)
-@_tol_option("--tol", default=1e-6, show_default=True,
-             help="Maximum allowed reconstruction deviation.")
-@click.option("--out", default=None, type=click.Path())
+@_command(
+    "ftc2",
+    _Option("--f", dest="f_src", required=True,
+            help="Function of t to differentiate and rebuild."),
+    _Option("--gauge", dest="gauge_ref", required=True),
+    _Option("--grid", kind=int, default=101, show_default=True),
+    _Option("--shrink-levels", kind=int,
+            default=calculus.DEFAULT_SHRINK_LEVELS, show_default=True),
+    _tol_option("--tol", default=1e-6, show_default=True,
+                help="Maximum allowed reconstruction deviation."),
+    _Option("--out", path=True),
+)
 def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
     """Differentiate f against the gauge and rebuild it from the derivative.
 
@@ -373,18 +595,22 @@ def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
     return 2 if (report.max_error > tol or report.violations) else 0
 
 
-@main.command("solve-ivp")
-@click.option("--rhs", "rhs_src", required=True, help="Function of t and u.")
-@click.option("--gauge", "gauge_ref", required=True)
-@click.option("--u0", required=True, type=float)
-@click.option("--step", required=True, type=float)
-@click.option("--picard", default=0, type=int, show_default=True,
-              help="Picard refinement sweeps after the Euler pass.")
-@_tol_option("--verify-tol", default=None,
-             help="Verify the integral-equation residual; exit 2 above this.")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="csv", show_default=True)
-@click.option("--out", default=None, type=click.Path())
+@_command(
+    "solve-ivp",
+    _Option("--rhs", dest="rhs_src", required=True,
+            help="Function of t and u."),
+    _Option("--gauge", dest="gauge_ref", required=True),
+    _Option("--u0", kind=float, required=True),
+    _Option("--step", kind=float, required=True),
+    _Option("--picard", kind=int, default=0, show_default=True,
+            help="Picard refinement sweeps after the Euler pass."),
+    _tol_option("--verify-tol",
+                help="Verify the integral-equation residual; exit 2 above "
+                     "this."),
+    _Option("--format", dest="fmt", choices=("json", "csv"), default="csv",
+            show_default=True),
+    _Option("--out", path=True),
+)
 def solve_ivp_cmd(rhs_src, gauge_ref, u0, step, picard, verify_tol, fmt, out):
     """Integrate du = rhs dmu from the left end of the gauge domain."""
     g = _load_gauge(gauge_ref)
@@ -397,7 +623,7 @@ def solve_ivp_cmd(rhs_src, gauge_ref, u0, step, picard, verify_tol, fmt, out):
     if fmt == "csv":
         _deliver(sol.to_csv(), out)
         if residual is not None:
-            click.echo(f"max_residual {residual.max_residual}", err=True)
+            _echo(f"max_residual {residual.max_residual}\n", err=True)
     else:
         payload = sol.to_dict()
         if residual is not None:
@@ -408,15 +634,18 @@ def solve_ivp_cmd(rhs_src, gauge_ref, u0, step, picard, verify_tol, fmt, out):
     return 0
 
 
-@main.command("solve-surface")
-@click.option("--h", "h_src", required=True, help="Source term, function of t.")
-@click.option("--gauge", "gauge_ref", required=True, help="Work gauge.")
-@click.option("--terminal", "--C", "terminal", default=0.0, type=float,
-              show_default=True, help="Terminal value at the right end.")
-@click.option("--step", required=True, type=float)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="csv", show_default=True)
-@click.option("--out", default=None, type=click.Path())
+@_command(
+    "solve-surface",
+    _Option("--h", dest="h_src", required=True,
+            help="Source term, function of t."),
+    _Option("--gauge", dest="gauge_ref", required=True, help="Work gauge."),
+    _Option("--terminal", "--C", kind=float, default=0.0, show_default=True,
+            help="Terminal value at the right end."),
+    _Option("--step", kind=float, required=True),
+    _Option("--format", dest="fmt", choices=("json", "csv"), default="csv",
+            show_default=True),
+    _Option("--out", path=True),
+)
 def solve_surface_cmd(h_src, gauge_ref, terminal, step, fmt, out):
     """Solve the terminal-value decay problem against a work gauge."""
     g = _load_gauge(gauge_ref)

@@ -478,11 +478,13 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     a, b = spec.domain
     points = _grid_points(spec, samples)
     row, top = _inline(spec, _ROW), _inline(spec, _MAX)
+    bisect = _inline(spec, _BISECT)
     inner = 9
     witnesses = []
     inconclusive = 0
     for y in points:
-        rho0 = max(abs(spec.delta(y, a)), abs(spec.delta(y, b)))
+        at_a, at_b = spec.delta(y, a), spec.delta(y, b)
+        rho0 = max(abs(at_a), abs(at_b))
         if rho0 == 0.0:
             rho0 = 1.0
         bounds = [(x, abs(spec.delta(x, y))) for x in points]
@@ -492,8 +494,11 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
             if not pending:
                 break
             rho = rho0 * 2.0 ** (-k)
-            ball = delta_ball(spec, y, rho, tol=1e-9 * (b - a))
-            ts = _linspace(ball.lo, ball.hi, inner)
+            # delta_ball's ends, from Delta(y, a) and Delta(y, b) above
+            ball_tol = _check_ball(rho, 1e-9 * (b - a))
+            ts = _linspace(
+                _ball_edge(bisect, y, a, at_a, -1.0, rho, ball_tol),
+                _ball_edge(bisect, y, b, at_b, 1.0, rho, ball_tol), inner)
             zs = [z for z, v in zip(ts, row(y, ts)) if abs(v) < rho]
             zs.append(y)
             for i in list(pending):
@@ -698,6 +703,29 @@ def rn_density(spec: DisplacementSpec, z: float, zbar: float, t: float) -> float
 
 # --- displacement balls ---
 
+def _check_ball(r: float, tol: float) -> float:
+    """tol as a float, for a ball of radius r > 0 and a finite,
+    non-negative tol; otherwise raise DisplacementError."""
+    if not r > 0.0:
+        raise DisplacementError(f"ball radius must be positive, got {r!r}")
+    return _check_tolerance(tol, "tol", DisplacementError)
+
+
+def _ball_edge(bisect: Callable, x: float, end: float, at_end: float,
+               sign: float, r: float, tol: float) -> float:
+    """One end of the ball of radius r around x: towards the domain's end
+    (sign -1.0 for a, 1.0 for b), where Delta(x, end) is at_end.
+
+    end itself when at_end lies inside the ball on that side; otherwise
+    the edge bisected by bisect, spec's _BISECT, which keeps points with
+    Delta strictly inside the ball on the inside edge.  r and tol are
+    checked (_check_ball).
+    """
+    if sign * at_end < r:
+        return end
+    return bisect(x, x, end, sign * r, r, tol, tol * (1.0 + r), 8.0 * _EPS)
+
+
 def delta_ball(spec: DisplacementSpec, x: float, r: float,
                tol: float = 1e-10) -> BallInterval:
     """The set of points within displacement less than r of x.
@@ -709,21 +737,12 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
     space's Delta inline; the end and membership tests call spec.delta.
     """
     _require_interval(spec, "delta_ball")
-    if not r > 0.0:
-        raise DisplacementError(f"ball radius must be positive, got {r!r}")
-    tol = _check_tolerance(tol, "tol", DisplacementError)
+    tol = _check_ball(r, tol)
     a, b = spec.domain
     x = _snap(x, a, b, "x", DisplacementError, _domain_slack(a, b))
-    value_tol = tol * (1.0 + r)
-    # keep points with delta strictly inside the ball on the inside edge
     bisect = _inline(spec, _BISECT)
-    stop = 8.0 * _EPS
-
-    lo = (a if spec.delta(x, a) > -r
-          else bisect(x, x, a, -r, r, tol, value_tol, stop))
-    hi = (b if spec.delta(x, b) < r
-          else bisect(x, x, b, r, r, tol, value_tol, stop))
-
+    lo = _ball_edge(bisect, x, a, spec.delta(x, a), -1.0, r, tol)
+    hi = _ball_edge(bisect, x, b, spec.delta(x, b), 1.0, r, tol)
     return BallInterval(lo=lo, hi=hi,
                         lo_closed=abs(spec.delta(x, lo)) < r,
                         hi_closed=abs(spec.delta(x, hi)) < r)

@@ -479,6 +479,153 @@ def test_help_exits_zero(runner):
     assert invoke(runner, "check", "--help").exit_code == 0
 
 
+_BUILTINS = ("exponential", "roundabout", "santiago_graph", "identity_gauge")
+_FORMATS = ("json", "csv")
+# every command's options as click declared them: (names, destination,
+# kind: text, int, float, path, an existing path or the choices,
+# required, default, whether the tolerance rule checks it)
+_OPTION_SURFACE = {
+    "ball": [
+        (("--spec",), "spec_path", "path-exists", False, None, False),
+        (("--builtin",), "builtin", _BUILTINS, False, None, False),
+        (("--x",), "x", "float", True, None, False),
+        (("--r",), "r", "float", True, None, False),
+        (("--tol",), "tol", "float", False, 1e-10, True),
+        (("--out",), "out", "path", False, None, False),
+    ],
+    "check": [
+        (("--spec",), "spec_path", "path-exists", False, None, False),
+        (("--builtin",), "builtin", _BUILTINS, False, None, False),
+        (("--which",), "which", "text", False, None, False),
+        (("--samples",), "samples", "int", False, None, False),
+        (("--grid",), "grid", "int", False, None, False),
+        (("--tol",), "tol", "float", False, None, True),
+        (("--phi",), "phi", "text", False, None, False),
+        (("--shrink-levels",), "shrink_levels", "int", False, None, False),
+        (("--seed",), "seed", "int", False, 0, False),
+        (("--out",), "out", "path", False, None, False),
+    ],
+    "derive": [
+        (("--f",), "f_src", "text", True, None, False),
+        (("--gauge",), "gauge_ref", "text", True, None, False),
+        (("--x",), "x", "float", True, None, False),
+        (("--shrink-levels",), "shrink_levels", "int", False, 12, False),
+        (("--out",), "out", "path", False, None, False),
+    ],
+    "ftc": [
+        (("--f",), "f_src", "text", True, None, False),
+        (("--gauge",), "gauge_ref", "text", True, None, False),
+        (("--grid",), "grid", "int", False, 101, False),
+        (("--shrink-levels",), "shrink_levels", "int", False, 12, False),
+        (("--tol",), "tol", "float", False, 0.0001, True),
+        (("--out",), "out", "path", False, None, False),
+    ],
+    "ftc2": [
+        (("--f",), "f_src", "text", True, None, False),
+        (("--gauge",), "gauge_ref", "text", True, None, False),
+        (("--grid",), "grid", "int", False, 101, False),
+        (("--shrink-levels",), "shrink_levels", "int", False, 12, False),
+        (("--tol",), "tol", "float", False, 1e-06, True),
+        (("--out",), "out", "path", False, None, False),
+    ],
+    "gauge": [
+        (("--spec",), "spec_path", "path-exists", False, None, False),
+        (("--builtin",), "builtin", _BUILTINS, False, None, False),
+        (("--gauge",), "gauge_ref", "text", False, None, False),
+        (("--grid",), "grid", "int", False, 101, False),
+        (("--format",), "fmt", _FORMATS, False, "json", False),
+        (("--out",), "out", "path", False, None, False),
+        (("--table",), "table", "path", False, None, False),
+    ],
+    "integrate": [
+        (("--f",), "f_src", "text", True, None, False),
+        (("--gauge",), "gauge_ref", "text", True, None, False),
+        (("--upper",), "upper", "float", False, None, False),
+        (("--out",), "out", "path", False, None, False),
+    ],
+    "path-integrate": [
+        (("--f",), "f_src", "text", True, None, False),
+        (("--alpha",), "alpha_src", "text", True, None, False),
+        (("--spec",), "spec_path", "path-exists", False, None, False),
+        (("--builtin",), "builtin", _BUILTINS, False, None, False),
+        (("--upper",), "upper", "float", False, None, False),
+        (("--quad-tol",), "quad_tol", "float", False, 1e-10, True),
+        (("--out",), "out", "path", False, None, False),
+    ],
+    "solve-ivp": [
+        (("--rhs",), "rhs_src", "text", True, None, False),
+        (("--gauge",), "gauge_ref", "text", True, None, False),
+        (("--u0",), "u0", "float", True, None, False),
+        (("--step",), "step", "float", True, None, False),
+        (("--picard",), "picard", "int", False, 0, False),
+        (("--verify-tol",), "verify_tol", "float", False, None, True),
+        (("--format",), "fmt", _FORMATS, False, "csv", False),
+        (("--out",), "out", "path", False, None, False),
+    ],
+    "solve-surface": [
+        (("--h",), "h_src", "text", True, None, False),
+        (("--gauge",), "gauge_ref", "text", True, None, False),
+        (("--terminal", "--C"), "terminal", "float", False, 0.0, False),
+        (("--step",), "step", "float", True, None, False),
+        (("--format",), "fmt", _FORMATS, False, "csv", False),
+        (("--out",), "out", "path", False, None, False),
+    ],
+}
+
+
+def _surface(opt):
+    if opt.choices is not None:
+        kind = tuple(opt.choices)
+    elif opt.path:
+        kind = "path-exists" if opt.path == "exists" else "path"
+    else:
+        kind = {str: "text", int: "int", float: "float"}[opt.kind]
+    return (opt.names, opt.dest, kind, opt.required, opt.default,
+            opt.check is cli_mod._tolerance)
+
+
+def test_option_tables_match_the_click_declarations():
+    assert {name: [_surface(opt) for opt in options]
+            for name, (_, options) in cli_mod._COMMANDS.items()} \
+        == _OPTION_SURFACE
+
+
+def test_command_help_shows_the_checks_own_defaults(runner):
+    result = invoke(runner, "check", "--help")
+    assert result.exit_code == 0 and result.stderr == ""
+    assert "[default: 64]" in result.stdout      # check_d2_positive's grid
+    assert "[default: 24]" in result.stdout      # check_h2_usc's levels
+    for names, *_ in _OPTION_SURFACE["check"]:
+        assert names[0] + " " in result.stdout
+
+
+def test_bare_command_lists_the_commands_on_stderr(runner):
+    result = invoke(runner)
+    assert result.exit_code == 1 and result.stdout == ""
+    assert all(name in result.stderr for name in _OPTION_SURFACE)
+
+
+def test_options_parse_as_click_parsed_them(runner, tmp_path):
+    # an option takes the next token verbatim, even one that starts with
+    # "-", and the last occurrence wins
+    result = invoke(runner, "derive", "--f", "-t", "--gauge", "identity",
+                    "--x", "0.5")
+    assert result.exit_code == 0 and json.loads(result.stdout)["value"] == -1
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"domain": [-1, 1], "density": "1"}),
+                    encoding="utf-8")
+    result = invoke(runner, "derive", "--f", "t^2", "--gauge", str(wide),
+                    "--x", "-0.5")
+    assert result.exit_code == 0
+    assert abs(json.loads(result.stdout)["value"] + 1.0) < 1e-9
+    last = invoke(runner, "derive", "--f", "t^2", "--gauge", "identity",
+                  "--x=0.25", "--x", "0.5")
+    once = invoke(runner, "derive", "--f", "t^2", "--gauge", "identity",
+                  "--x", "0.5")
+    assert last.exit_code == once.exit_code == 0
+    assert last.stdout == once.stdout
+
+
 def _fresh_python(source, *argv):
     """Run source in a new interpreter that imports this checkout."""
     env = dict(os.environ)
@@ -490,7 +637,7 @@ def _fresh_python(source, *argv):
 
 
 def test_cli_import_does_not_load_scipy():
-    # start-up cost guard: the package needs only numpy and click
+    # start-up cost guard: the package needs only numpy
     proc = _fresh_python(
         "import displace.cli, sys; print('scipy' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
@@ -533,7 +680,8 @@ def test_cli_asks_openblas_for_one_thread_unless_told(runner, monkeypatch,
     assert os.environ["OPENBLAS_NUM_THREADS"] == expected
 
 
-# runs one command and then reports on stderr whether numpy was loaded
+# runs one command and then reports on stderr whether numpy was loaded,
+# and whether click or inspect was, which the stdlib parser does not need
 _NUMPY_PROBE = """
 import sys
 from displace.cli import main
@@ -541,6 +689,8 @@ try:
     main(sys.argv[1:])
 finally:
     print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+    print("click or inspect loaded:",
+          bool({"click", "inspect"} & set(sys.modules)), file=sys.stderr)
 """
 
 
@@ -574,7 +724,8 @@ def test_array_free_commands_do_not_load_numpy(tmp_path, argv):
             for arg in argv]
     proc = _fresh_python(_NUMPY_PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+    assert proc.stderr.splitlines()[-2:] == [
+        "numpy loaded: False", "click or inspect loaded: False"]
 
 
 def test_float_csv_writes_the_text_of_format_float():

@@ -1,8 +1,9 @@
 """Property test of the CLI exit-code contract.
 
-Malformed gauge and spec JSON and bad option values are drawn at random
-and run in process; every one must exit 1 with exactly one "error: ..."
-line on stderr, nothing on stdout and no traceback.
+Malformed gauge and spec JSON, bad option values and command lines the
+parser refuses are drawn at random and run in process; every one must
+exit 1 with exactly one "error: ..." line on stderr, nothing on stdout
+and no traceback.
 """
 
 import json
@@ -87,6 +88,21 @@ _SPEC_COMMANDS = [
     ("path-integrate", "--f", "t", "--alpha", "t", "--spec"),
 ]
 
+# command lines the parser refuses, as (all tokens but the last, the last)
+_DERIVE = ("derive", "--f", "t", "--gauge", "identity")
+_USAGE_ERRORS = [
+    (_DERIVE[:-1], "identity"),                            # no --x
+    (_DERIVE + ("--x", "0.5", "--bogus"), "1"),            # unknown option
+    (_DERIVE + ("--x",), "abc"),                           # not a float
+    (_DERIVE + ("--x", "0.5", "--shrink-levels"), "1.5"),  # not an integer
+    (("check", "--builtin"), "nope"),                      # not a choice
+    (("gauge", "--gauge", "identity", "--format"), "xml"),
+    (("check", "--spec"), "/no/such/file"),                # no such file
+    (("frobnicate", "--x"), "1"),                          # unknown command
+    (_DERIVE + ("--x", "0.5"), "extra"),                   # extra argument
+    (_DERIVE, "--x"),                                      # no value
+]
+
 # non-finite text for a float option, and a finite point off the domain
 off_domain = st.sampled_from(["nan", "inf", "-inf", "1.5", "-1e-9"])
 not_finite = st.sampled_from(["nan", "inf", "-inf"])
@@ -133,6 +149,8 @@ options = st.one_of(
               st.just("-1")),
     st.tuples(st.just(("solve-surface", "--h", "t", "--gauge", "identity",
                        "--step", "0.25", "--terminal")), not_finite),
+    # the command line itself
+    st.sampled_from(_USAGE_ERRORS),
 ).map(lambda pair: (list(pair[0]) + [pair[1]], None))
 
 cases = st.one_of(

@@ -641,6 +641,15 @@ def test_battery_loops_reproduce_the_calls_per_point(case, samples, levels,
         assert _gauge_state(new) == _gauge_state(old)
 
 
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_h2_usc_reproduces_the_calls_per_point_on_builtins(name):
+    # check_h2_usc reuses Delta(y, a) and Delta(y, b) for each level's ball
+    old, new = make_builtin(name), make_builtin(name)
+    assert _report_or_error(lambda: check_h2_usc(new)) == \
+        _report_or_error(lambda: old_h2_usc(old))
+    assert _gauge_state(new) == _gauge_state(old)
+
 # ---------------------------------------------------------------------------
 # _richardson's two rows against the whole tableau
 # ---------------------------------------------------------------------------
