@@ -28,26 +28,25 @@ The axioms checked here, tagged H1 through H5 in reports:
 Checks report pass, fail (with witnesses), or inconclusive; they are
 sampling procedures, exhaustive only on finite graphs.
 
-The battery's hot loops run in three loops owned here: _BISECT, one edge
-of delta_ball; _ROW, Delta(x, .) or d2(x, .) over a list of points; and
-_MAX, the largest |Delta(x, .)| over one.  They run the bisections of
-delta_ball, the H2-usc candidate filter and maxima, the rows of H3 and
-the lattice of D2-positive.  expr._kernel splices a Smooth space's
-compiled Delta or d2 into them, so a point costs no Python call; any
-other Delta or d2 (a callable, finite differences, a gauge) is called as
-spec.delta or spec.d2 per point.  Every point they pass lies in [a, b],
-so only the call, float() and domain test of spec.delta are left out:
-the values and errors are those of one call per point, bit for bit.
+The battery runs Delta or d2 in loops that expr._kernel splices a Smooth
+space's compiled expression into (see expr): _BISECT, one edge of
+delta_ball, and _MAX, the largest |Delta(x, .)| over a list of points,
+are owned here; the H2-usc candidate filter, the rows of H3 and the
+lattice of D2-positive run in expr's map over rows.  Any other Delta or
+d2 (a callable, finite differences, a gauge) is called there as
+spec.delta or spec.d2.  Every point they pass lies in [a, b], so only
+the call, float() and domain test of spec.delta are left out.
 Smooth.delta and Smooth.d2 refuse a NaN value with DisplacementError.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Callable, Optional, Sequence, Union
 
 from . import expr as expr_mod
-from .expr import Expr, _kernel
+from .expr import _MAP, Expr, _kernel
 from .gauge import (_EPS, Gauge, GaugeError, SNAP_RADIUS, _check_count,
                     _check_tolerance, _linspace, _snap)
 from .serialize import Fresh, Record
@@ -108,15 +107,6 @@ def _loop(p0, inside, outside, target, r, tol, value_tol, stop):
         else:
             outside = p1
     return inside
-"""
-# the values at (p0, p1) for each p1 of points, in order
-_ROW = """\
-def _loop(p0, points):
-    out = []
-    append = out.append
-    for p1 in points:
-        append(RHS)
-    return out
 """
 # max(abs(value) for each p1 of points), with max's rule: the first
 # largest value wins
@@ -477,7 +467,7 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     _check_count(shrink_levels, 1, "shrink_levels", DisplacementError)
     a, b = spec.domain
     points = _grid_points(spec, samples)
-    row, top = _inline(spec, _ROW), _inline(spec, _MAX)
+    row, top = _inline(spec, _MAP), _inline(spec, _MAX)
     bisect = _inline(spec, _BISECT)
     inner = 9
     witnesses = []
@@ -499,7 +489,7 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
             ts = _linspace(
                 _ball_edge(bisect, y, a, at_a, -1.0, rho, ball_tol),
                 _ball_edge(bisect, y, b, at_b, 1.0, rho, ball_tol), inner)
-            zs = [z for z, v in zip(ts, row(y, ts)) if abs(v) < rho]
+            zs = [z for z, v in zip(ts, row(repeat(y), ts)) if abs(v) < rho]
             zs.append(y)
             for i in list(pending):
                 x, bound = bounds[i]
@@ -594,10 +584,10 @@ def check_h3(spec: DisplacementSpec, samples: int = 21,
     """Delta(x, .) nondecreasing, checked along a sample grid."""
     _require_interval(spec, "check_h3")
     points = _grid_points(spec, samples)
-    row = _inline(spec, _ROW)
+    row = _inline(spec, _MAP)
     witnesses = []
     for x in points:
-        values = row(x, points)
+        values = row(repeat(x), points)
         for (y1, v1), (y2, v2) in zip(zip(points, values),
                                       zip(points[1:], values[1:])):
             if v2 < v1 - tol and len(witnesses) < _WITNESS_CAP:
@@ -643,12 +633,12 @@ def check_d2_positive(spec: DisplacementSpec, grid: int = 64,
     _check_count(grid, 2, "grid", DisplacementError)
     a, b = spec.domain
     xs = _linspace(a, b, grid)
-    row = _inline(spec, _ROW, d2=True)
+    row = _inline(spec, _MAP, d2=True)
     r_hat = math.inf
     argmin = (a, a)
     witnesses = []
     for x in xs:
-        for y, v in zip(xs, row(x, xs)):
+        for y, v in zip(xs, row(repeat(x), xs)):
             if v < r_hat:
                 r_hat = v
                 argmin = (x, y)

@@ -31,16 +31,21 @@ in the same order with the same math functions, and the same domain
 checks at the same points, as a walk of the tree would (a power whose
 exponent is a non-negative integer literal skips the two that cannot
 fire); evaluate, Expr.__call__ and as_function all run that function.
-_kernel splices the same statements into a loop that the solver writes
-(its Euler recurrence and its map over mesh nodes), where the
-parameters are known floats, so a node costs no call; each loop and
-shape is compiled once, in the same bounded cache.
 
-on_arrays evaluates a function from as_function over whole numpy columns
-in one walk of the tree, bit for bit as the calls per row would, where
-that is exact: numbers, constants, variables, unary minus, + - * /, abs,
-sqrt, min and max.  Otherwise, and wherever a row would raise, it
-returns None and the caller makes the calls per row.
+Callers that run such a function many times (the solver's Euler
+recurrence, the check battery's bisection and maximum, and _MAP, the
+map over rows here) hand _kernel a loop source in which RHS stands for
+fn(p0, p1, ...) and PARAMS for the list p0, p1, ...; wherever RHS
+stands, the loop must bind those to Python floats.  _kernel splices
+fn's statements in before each line with RHS, so a row costs no call,
+or calls any other callable there: the values and errors are those of
+one call per row, bit for bit.  Each (loop, shape) is compiled once, in
+the bounded cache that the functions share.
+
+on_arrays(fn, *columns) is fn at every row, as a float64 array: over
+whole numpy columns in one walk of the tree where that is exact
+(numbers, constants, variables, unary minus, + - * /, abs, sqrt, min
+and max), otherwise in _MAP.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from __future__ import annotations
 import math
 import operator
 from types import CodeType
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 from .serialize import Record
 
@@ -512,65 +517,13 @@ def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
     return lines, result, ns
 
 
-def _code(source: str) -> CodeType:
-    """The code object of source, compiled once while it stays cached."""
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
-            _CODE_CACHE.clear()
-        code = _CODE_CACHE[source] = compile(source, "<displace.expr>",
-                                             "exec")
-    return code
+def _splice(loop: str, lines: list[str], result: str, ns: dict) -> None:
+    """Run the source loop in ns with lines spliced in at RHS.
 
-
-def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
-    """The evaluator of expr taking the values of names positionally.
-
-    The function _fn runs _body's lines and returns its result; it is
-    memoised on the Expr, and its code object, compiled once per shape,
-    runs in the Expr's own namespace.  A variable without a value
-    defaults to an _Unbound.
+    The lines go in before each line with RHS, at its indentation, and
+    RHS becomes result.  Each source is compiled once while it stays in
+    the cache.
     """
-    fn = expr._code.get(names)
-    if fn is not None:
-        return fn
-    lines, result, ns = _body(expr, names)
-    params = "".join(f"p{i}=_d{i}, " for i in range(len(names)))
-    exec(_code("\n".join([f"def _fn({params}{'/, ' if names else ''}*_):",
-                          *("    " + line for line in lines),
-                          f"    return {result}"])), ns)
-    fn = expr._code[names] = ns["_fn"]
-    # what on_arrays and _kernel need to evaluate the same expression
-    fn._expr, fn._names = expr, names
-    return fn
-
-
-def _kernel(fn: Callable[..., float], loop: str, arity: int,
-            convert: bool = False) -> Callable:
-    """The function _loop defined by the source loop, with fn spliced in.
-
-    Wherever RHS appears in loop, p0 ... p<arity-1> must hold Python
-    floats, and RHS stands for fn(p0, ..., p<arity-1>), or float() of it
-    when convert is true.  A function from as_function whose names the
-    loop all binds is spliced as its _body: the lines go in before the
-    line with RHS, at its indentation, and RHS becomes the name of their
-    result, so no call is made and no parameter goes through float();
-    every check, default and repeated-name rule of _fn stays.  Any other
-    callable is called in place of RHS.  The source is compiled once per
-    loop and shape, in the cache that _fn's code shares; the function is
-    memoised on the Expr.
-    """
-    expr, names = getattr(fn, "_expr", None), getattr(fn, "_names", None)
-    spliced = isinstance(expr, Expr) and len(names) <= arity
-    if spliced:
-        key = (loop, names, convert)
-        if key in expr._code:
-            return expr._code[key]
-        lines, result, ns = _body(expr, names, floats=True)
-    else:
-        call = f"_rhs({', '.join(f'p{i}' for i in range(arity))})"
-        lines, result, ns = [], f"_F({call})" if convert else call, {
-            "_F": float, "_rhs": fn}
     source = []
     for line in loop.splitlines():
         head, rhs, tail = line.partition("RHS")
@@ -579,10 +532,73 @@ def _kernel(fn: Callable[..., float], loop: str, arity: int,
             source.extend(indent + body_line for body_line in lines)
             line = head + result + tail
         source.append(line)
-    exec(_code("\n".join(source)), ns)
+    source = "\n".join(source)
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+            _CODE_CACHE.clear()
+        code = _CODE_CACHE[source] = compile(source, "<displace.expr>",
+                                             "exec")
+    exec(code, ns)
+
+
+def _compiled(expr: Expr, names: tuple[str, ...]) -> Callable[..., float]:
+    """The evaluator of expr taking the values of names positionally.
+
+    The function _fn returns _body's result; it is memoised on the Expr,
+    and its code object, compiled once per shape, runs in the Expr's own
+    namespace.  A variable without a value defaults to an _Unbound.
+    """
+    fn = expr._code.get(names)
+    if fn is not None:
+        return fn
+    lines, result, ns = _body(expr, names)
+    params = "".join(f"p{i}=_d{i}, " for i in range(len(names)))
+    _splice(f"def _fn({params}{'/, ' if names else ''}*_):\n    return RHS",
+            lines, result, ns)
+    fn = expr._code[names] = ns["_fn"]
+    # what on_arrays and _kernel need to evaluate the same expression
+    fn._expr, fn._names = expr, names
+    return fn
+
+
+def _kernel(fn: Callable[..., float], loop: str, arity: int,
+            convert: bool = False) -> Callable:
+    """The function _loop defined by loop, with fn of arity arguments at
+    RHS (see the module docstring), or float() of it when convert is true.
+
+    A function from as_function whose names the loop all binds is spliced
+    in as its _body, with no parameter read through float(); every check,
+    default and repeated-name rule of _fn stays.  Any other callable is
+    called at RHS.  The kernel of an expression is memoised on the Expr.
+    """
+    params = ", ".join(f"p{i}" for i in range(arity))
+    expr, names = getattr(fn, "_expr", None), getattr(fn, "_names", None)
+    spliced = isinstance(expr, Expr) and len(names) <= arity
+    if spliced:
+        key = (loop, arity, names)
+        if key in expr._code:
+            return expr._code[key]
+        lines, result, ns = _body(expr, names, floats=True)
+    else:
+        call = f"_rhs({params})"
+        lines, result, ns = [], f"_F({call})" if convert else call, {
+            "_F": float, "_rhs": fn}
+    _splice(loop.replace("PARAMS", params), lines, result, ns)
     if spliced:
         expr._code[key] = ns["_loop"]
     return ns["_loop"]
+
+
+# fn at every row of the columns, in order, through _kernel
+_MAP = """\
+def _loop(*columns):
+    out = []
+    append = out.append
+    for (PARAMS,) in zip(*columns):
+        append(RHS)
+    return out
+"""
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
@@ -735,31 +751,32 @@ def _over_arrays(node: Node, columns: Mapping[str, "np.ndarray"], np):
     raise _PerRow
 
 
-def on_arrays(fn: Callable[..., float], *columns) -> Optional["np.ndarray"]:
-    """fn applied to each row of the columns, as a new float64 array.
+def on_arrays(fn: Callable[..., float], *columns) -> "np.ndarray":
+    """float(fn(...)) at each row of the columns, as a new float64 array.
 
-    fn must be a function made by as_function; the k-th element is then
-    bit-identical to fn(columns[0][k], columns[1][k], ...).  None means
-    the caller must make those calls itself, which reproduces every
-    error: it is returned for any other callable, for an expression with
-    '^', exp, ln, sin or cos, an unbound or repeated variable, and
-    wherever some row's call would raise (a zero divisor, a negative
-    sqrt argument, a NaN after a binary operation).
+    Element k is bit-identical to float(fn(columns[0][k], ...)), and an
+    error is that of the first row whose call raises.  A function from
+    as_function runs over the whole columns where _over_arrays is exact;
+    any other callable, and an expression with an unbound or repeated
+    variable or that _over_arrays refuses, runs row by row in _MAP.
     """
-    expr = getattr(fn, "_expr", None)
-    if not isinstance(expr, Expr):
-        return None
-    names = fn._names
-    bound = dict(zip(names, columns))
-    if len(set(names)) < len(names) or not expr.free.issubset(bound):
-        return None
     import numpy as np
 
-    bound = {name: np.asarray(bound[name], dtype=float) for name in expr.free}
+    expr = getattr(fn, "_expr", None)
     try:
+        if not isinstance(expr, Expr):
+            raise _PerRow
+        names = fn._names
+        bound = dict(zip(names, columns))
+        if len(set(names)) < len(names) or not expr.free.issubset(bound):
+            raise _PerRow
+        bound = {name: np.asarray(bound[name], dtype=float)
+                 for name in expr.free}
         with np.errstate(all="ignore"):
             out = _over_arrays(expr.ast, bound, np)
     except _PerRow:
-        return None
+        loop = _kernel(fn, _MAP, len(columns), convert=True)
+        return np.array(loop(*(np.asarray(column, dtype=float).tolist()
+                               for column in columns)), dtype=float)
     shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
     return np.array(np.broadcast_to(out, shape), dtype=float)

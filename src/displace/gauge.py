@@ -252,12 +252,11 @@ def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
     tolerance.  If limit intervals exist first, or the widest-error
     interval is too small to bisect, with the tolerance still unmet, the
     sum would be a wrong number: error is raised instead, as dqagse
-    reports ier 1 and ier 3.  A non-finite panel is returned at once for
-    the caller to reject.
+    reports ier 1 and ier 3.  A non-finite panel raises error at once.
     """
     result, err, resabs, resasc = _qk21(f, a, b)
     if not math.isfinite(result):
-        return result
+        raise error(f"non-finite integral over [{a!r}, {b!r}]")
     errbnd = max(epsabs, epsrel * abs(result))
     if (err == 0.0 or (err <= errbnd and err != resasc)
             or errbnd < err <= (100.0 * _EPS) * resabs):
@@ -273,7 +272,7 @@ def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
         r1, e1, _, _ = _qk21(f, lo, mid)
         r2, e2, _, _ = _qk21(f, mid, hi)
         if not (math.isfinite(r1) and math.isfinite(r2)):
-            return r1 + r2
+            raise error(f"non-finite integral over [{a!r}, {b!r}]")
         heapq.heappush(heap, (-e1, lo, mid, r1))
         heapq.heappush(heap, (-e2, mid, hi, r2))
         errsum += e1 + e2 + neg_err
@@ -331,9 +330,6 @@ class CumulativeQuadrature:
 
     def _panel(self, lo: float, hi: float) -> float:
         value = _adaptive_quad(self.fn, lo, hi, self.tol)
-        if not math.isfinite(value):
-            raise GaugeError(
-                f"non-finite integral over [{lo!r}, {hi!r}]")
         if self.nonnegative and value < 0.0:
             if value < -self.tol:
                 raise GaugeError(

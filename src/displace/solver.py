@@ -26,12 +26,10 @@ produces the exact kink u(tau+) - u(tau) = -H(tau) * j.
 
 Where a pass over the nodes depends on no earlier step (the density, the
 source, and rhs along a trajectory for Picard sweeps and
-verify_solution), expr.on_arrays computes it over the whole mesh in
-numpy when that is exact.  Every other pass runs in one of two loops
-owned here: _EULER, the recurrence, and _MAP, one value per node.
-expr._kernel splices an expression's own straight-line code into them,
-so a node costs no Python call; any other callable is called per node.
-The values and errors are those of one call per node, bit for bit.
+verify_solution), expr.on_arrays evaluates it at every node.  The
+recurrence runs in _EULER, the loop owned here, with the rhs spliced in
+by expr._kernel.  The values and errors are those of one call per node,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -60,9 +58,8 @@ __all__ = [
     "verify_solution",
 ]
 
-# The two per-node loops, the right-hand side spliced in by expr._kernel
-# wherever RHS stands, with p0 the node t and p1 the state u or the
-# second column.  _EULER is the explicit recurrence: nodes yields (t,
+# The Euler recurrence, the rhs spliced in by expr._kernel wherever RHS
+# stands, with p0 the node t and p1 the state u: nodes yields (t,
 # continuous weight) of each panel, and each segment is the number of
 # panels before an atom node and its atom (0.0 for the panels after the
 # last one).  It returns the node values and, once the state is not
@@ -91,16 +88,6 @@ def _loop(nodes, segments, p1):
     append(p1)
     return path, None
 """
-# float(fn(row)) of each row of the columns (formatted per arity)
-_MAP = """\
-def _loop(*columns):
-    out = []
-    append = out.append
-    for ({params},) in zip(*columns):
-        append(RHS)
-    return out
-"""
-
 # ten times the largest mesh measured in use (step 1e-6 on a unit domain);
 # a finer step is refused before anything is allocated
 MAX_MESH_NODES = 10**7
@@ -235,32 +222,12 @@ def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
     return mesh[np.concatenate(([True], mesh[1:] != mesh[:-1]))]
 
 
-def _on_mesh(fn: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
-    """float(fn(...)) at every node, fn taking one value of each column.
-
-    The passes that depend on no earlier step run here: where
-    expr.on_arrays can evaluate fn over the whole columns, bit for bit,
-    they do; otherwise, with every error of fn, node by node in _MAP,
-    which runs an expression's body inline and calls any other callable.
-    """
-    values = on_arrays(fn, *columns)
-    if values is None:
-        import numpy as np
-
-        params = ", ".join(f"p{i}" for i in range(len(columns)))
-        loop = _kernel(fn, _MAP.format(params=params), len(columns),
-                       convert=True)
-        values = np.array(loop(*(column.tolist() for column in columns)),
-                          dtype=float)
-    return values
-
-
 def _mesh_data(gauge: Gauge, mesh: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node densities, panel atoms (none at the last node) and widths."""
     import numpy as np
 
-    return (_on_mesh(gauge.density, mesh), gauge.jumps_on(mesh[:-1]),
+    return (on_arrays(gauge.density, mesh), gauge.jumps_on(mesh[:-1]),
             np.diff(mesh))
 
 
@@ -341,7 +308,7 @@ def _increments(rhs, mesh: np.ndarray, us: np.ndarray, dens: np.ndarray,
     """
     import numpy as np
 
-    w = _on_mesh(rhs, mesh, us)
+    w = on_arrays(rhs, mesh, us)
     w_start = w[:-1].copy()
     jump = np.zeros(len(dt))
     for k in np.flatnonzero(atoms > 0.0):
@@ -410,7 +377,7 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     mesh = _build_mesh(g, a, b, step)
     dens, atoms, dt = _mesh_data(g, mesh)
 
-    h_vals = _on_mesh(problem.source, mesh)
+    h_vals = on_arrays(problem.source, mesh)
     if not np.all(np.isfinite(h_vals)):
         raise SolverError("source is not finite on the mesh")
     H = np.concatenate(([0.0], 0.5 * (h_vals[:-1] + h_vals[1:]) * dt)).cumsum()

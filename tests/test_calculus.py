@@ -26,7 +26,7 @@ from displace.calculus import (
 )
 from displace.displacement import (DisplacementError, Smooth, Stieltjes,
                                    gauge_from_smooth, make_builtin)
-from displace.expr import parse
+from displace.expr import as_function, parse
 from displace.gauge import Gauge, GaugeError
 
 E_MINUS_EINV = 2.3504023872876028
@@ -68,6 +68,21 @@ def test_derivative_of_identity_function_against_quadratic_gauge():
         assert abs(d.value - 1.0 / (2.0 * x + 1.0)) <= 1e-9
         assert d.error_estimate <= 1e-6
         assert d.samples_used > 0
+
+
+def test_error_estimate_covers_the_error_just_past_a_flat():
+    # t = 7/11 is 5.6e-6 right of the flat's end, where the density is
+    # about 7e-6: the running integral's derivative is off by 1.53e-4,
+    # and the derivative reports so (error_estimate 1.57e-4)
+    g = Gauge.from_dict({
+        "domain": [0, 1],
+        "density": "1.216136*max(0, abs(t - 0.525568) - 0.110790)",
+        "jumps": [[0.748339, 0.180371]], "flats": [[0.414778, 0.636358]]})
+    f = as_function(parse("1.758397*sin(t) + 0.520739*t^2", {"t"}), "t")
+    t = 7 / 11
+    d = delta_derivative(CumulativeStieltjesIntegral(f, g), g, t)
+    assert d.point_class == "continuity"
+    assert d.error_estimate >= abs(d.value - f(t))
 
 
 def test_derivative_result_to_dict():

@@ -16,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import displace
 import displace.cli as cli_mod
 from displace.cli import main
 from displace.displacement import make_builtin, spec_to_dict
 from displace.serialize import csv_lines, dumps, float_csv, format_float
+
+CliRunner = pytest.importorskip("click.testing").CliRunner
 
 E = math.e
 E_MINUS_EINV = 2.3504023872876028
@@ -339,6 +340,18 @@ def test_path_integrate_requires_smooth(runner):
     result = invoke(runner, "path-integrate", "--f", "1", "--alpha", "t",
                     "--builtin", "roundabout")
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("command", [
+    ("integrate", "--gauge", "identity"),
+    ("path-integrate", "--alpha", "0", "--builtin", "exponential"),
+])
+def test_non_finite_integral_is_one_error_line(runner, command):
+    # both commands refuse it by one rule, in the adaptive quadrature
+    result = invoke(runner, command[0], "--f", "10^400", *command[1:])
+    assert result.exit_code == 1
+    assert result.stderr == "error: non-finite integral over [0.0, 1.0]\n"
+    assert result.stdout == ""
 
 
 # ---------------------------------------------------------------------------

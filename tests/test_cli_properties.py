@@ -10,10 +10,10 @@ import json
 import math
 
 import pytest
-from click.testing import CliRunner
 
 from displace.cli import main
 
+CliRunner = pytest.importorskip("click.testing").CliRunner
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 

@@ -14,6 +14,7 @@ bounded cache.
 """
 
 import math
+from itertools import repeat
 from typing import Mapping
 
 import pytest
@@ -24,10 +25,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import displace.expr as expr_mod  # noqa: E402
 from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
                            DomainError, Expr, MissingBindingError, Node, Num,
-                           Unary, Var, _kernel, _pow, _unparse, as_function,
-                           evaluate, parse)
-from displace.displacement import (_BISECT, _MAX, _ROW, Smooth,  # noqa: E402
-                                   _inline)
+                           Unary, Var, _MAP, _kernel, _pow, _unparse,
+                           as_function, evaluate, parse)
+from displace.displacement import _BISECT, _MAX, Smooth, _inline  # noqa: E402
 from displace.solver import _EULER  # noqa: E402
 
 
@@ -259,18 +259,19 @@ def test_battery_loops_of_one_shape_share_a_compile_but_not_their_constants():
                      for c in (2, 3))
     plain = Smooth((0.0, 1.0), lambda x, y: 2.0 * y - x)
     points = [0.0, 0.25, 1.0]
-    for loop in (_BISECT, _ROW, _MAX):
+    for loop in (_BISECT, _MAP, _MAX):
         kernels = [_inline(spec, loop) for spec in (first, second)]
         assert kernels[0].__code__ is kernels[1].__code__
         assert _inline(first, loop) is kernels[0]    # memoised on the Expr
-    assert [_inline(spec, _ROW)(0.5, points) for spec in (first, second)] == \
+    assert [_inline(spec, _MAP)(repeat(0.5), points)
+            for spec in (first, second)] == \
         [[-0.5, 0.0, 1.5], [-0.5, 0.25, 2.5]]
     assert [_inline(spec, _MAX)(0.5, points) for spec in (first, second)] == \
         [1.5, 2.5]
     # a callable runs through the same loop, called once per point
     calls = []
     spy = Smooth((0.0, 1.0), lambda x, y: calls.append(y) or 2.0 * y - x)
-    assert _inline(spy, _ROW)(0.5, points) == [-0.5, 0.0, 1.5]
+    assert _inline(spy, _MAP)(repeat(0.5), points) == [-0.5, 0.0, 1.5]
     assert calls == points
     assert _inline(plain, _MAX).__code__ is _inline(spy, _MAX).__code__
     # bisecting 2y - 0.5 < 1 from 0.5 towards 1: the edge 0.75

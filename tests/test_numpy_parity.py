@@ -17,6 +17,7 @@ tableau it built.
 
 import math
 from itertools import starmap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from displace.displacement import (  # noqa: E402
     _domain_slack, _grid_points, _require_interval, _require_smooth,
     check_d2_positive, check_h2_usc, check_h2prime, check_h3, delta_ball,
     make_builtin)
+import displace.expr as expr_mod  # noqa: E402
 from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
                            Expr, Num, Unary, Var, _unparse, as_function,
                            on_arrays, parse)
@@ -39,7 +41,7 @@ from displace.gauge import (_EPS, Gauge, _check_count,  # noqa: E402
 from displace.serialize import dumps  # noqa: E402
 from displace.solver import (IvpProblem, SolverError,  # noqa: E402
                              _build_mesh, _jump_records, _mesh_data,
-                             _on_mesh, solve_ivp)
+                             solve_ivp)
 
 # ---------------------------------------------------------------------------
 # _interp against np.interp
@@ -225,11 +227,16 @@ def _nodes(node):
 
 
 def _per_row(fn, columns):
-    """float.hex of each row's call, or None if some call raises."""
-    try:
-        return [fn(*row).hex() for row in zip(*columns)]
-    except Exception:  # noqa: BLE001  (any error means: not over arrays)
-        return None
+    """float.hex of each row's call, or the error of the first that raises."""
+    return result_or_error(lambda: [float(fn(*row)) for row in zip(*columns)])
+
+
+def _on_arrays(fn, arrays):
+    """(float.hex of each value on_arrays returns or its error, whether
+    it went row by row through _kernel)."""
+    with mock.patch.object(expr_mod, "_kernel", wraps=expr_mod._kernel) as spy:
+        got = result_or_error(lambda: on_arrays(fn, *arrays))
+    return got, spy.called
 
 
 @st.composite
@@ -261,17 +268,19 @@ def _case(source, names, *columns):
 def test_on_arrays_matches_the_calls_per_row_bit_for_bit(case):
     expr, names, columns = case
     fn = as_function(expr, *names)
-    got = on_arrays(fn, *(np.array(column) for column in columns))
+    arrays = [np.array(column) for column in columns]
+    got, per_row = _on_arrays(fn, arrays)
     expected = _per_row(fn, columns)
     per_row_only = len(set(names)) < len(names) or any(
         (isinstance(n, Binary) and n.op == "^")
         or (isinstance(n, Call) and n.func in PER_ROW_ONLY)
         for n in _nodes(expr.ast))
-    if expected is None or per_row_only:
-        assert got is None
-    if got is not None:
-        assert got.dtype == np.float64 and got.shape == (len(columns[0]),)
-        assert [v.hex() for v in got.tolist()] == expected
+    if not isinstance(expected, list) or per_row_only:
+        assert per_row
+    assert got == expected
+    if isinstance(got, list):
+        out = on_arrays(fn, *arrays)
+        assert out.dtype == np.float64 and out.shape == (len(columns[0]),)
 
 
 @pytest.mark.parametrize("source, names, columns", [
@@ -283,13 +292,15 @@ def test_on_arrays_matches_the_calls_per_row_bit_for_bit(case):
 def test_exact_expressions_take_the_array_path(source, names, columns):
     fn = as_function(parse(source, set(names)), *names)
     arrays = [np.array(column) for column in columns]
-    got = on_arrays(fn, *arrays)
-    assert got is not None and all(got is not a for a in arrays)
-    assert [v.hex() for v in got.tolist()] == _per_row(fn, columns)
+    assert _on_arrays(fn, arrays) == (_per_row(fn, columns), False)
+    assert all(on_arrays(fn, *arrays) is not a for a in arrays)
 
 
 def test_other_callables_leave_the_calls_per_row():
-    assert on_arrays(lambda t: t, np.array([0.0, 1.0])) is None
+    calls = []
+    got = on_arrays(lambda t: calls.append(t) or 2 * t, np.array([0.0, 1.0]))
+    assert calls == [0.0, 1.0]
+    assert got.dtype == np.float64 and got.tolist() == [0.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +338,7 @@ def old_euler(problem, step):
 
 
 def old_map(fn, *columns):
-    """_on_mesh's fallback as one call per row through starmap."""
+    """on_arrays's row-by-row pass as one call per row through starmap."""
     rows = zip(*(column.tolist() for column in columns))
     return np.array(list(map(float, starmap(fn, rows))))
 
@@ -415,7 +426,7 @@ def test_spliced_loops_reproduce_the_calls_per_node(case):
     us = np.resize(np.array([float(problem.u0), -0.0, 0.5, 1e308, math.nan]),
                    len(mesh))
     for columns in ((mesh, us), (us,)):
-        assert result_or_error(lambda: _on_mesh(rhs, *columns).tolist()) == \
+        assert result_or_error(lambda: on_arrays(rhs, *columns).tolist()) == \
             result_or_error(lambda: old_map(rhs, *columns).tolist())
 
 
