@@ -295,6 +295,9 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
 
     def __init__(self, f: Callable[[float], float], g: Gauge,
                  f_breaks: Sequence[float] = ()):
+        # g's first query refuses a density that integrates below zero;
+        # refuse it here too, since this integral may never query g
+        g._seed()
         self.f = f
         self.g = g
         atoms = []

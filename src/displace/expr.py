@@ -755,13 +755,18 @@ def on_arrays(fn: Callable[..., float], *columns) -> "np.ndarray":
     """float(fn(...)) at each row of the columns, as a new float64 array.
 
     Element k is bit-identical to float(fn(columns[0][k], ...)), and an
-    error is that of the first row whose call raises.  A function from
-    as_function runs over the whole columns where _over_arrays is exact;
-    any other callable, and an expression with an unbound or repeated
-    variable or that _over_arrays refuses, runs row by row in _MAP.
+    error is that of the first row whose call raises.  Columns of unequal
+    lengths raise ValueError before fn runs.  A function from as_function
+    runs over the whole columns where _over_arrays is exact; any other
+    callable, and an expression with an unbound or repeated variable or
+    that _over_arrays refuses, runs row by row in _MAP.
     """
     import numpy as np
 
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal lengths {lengths}")
     expr = getattr(fn, "_expr", None)
     try:
         if not isinstance(expr, Expr):
@@ -770,13 +775,10 @@ def on_arrays(fn: Callable[..., float], *columns) -> "np.ndarray":
         bound = dict(zip(names, columns))
         if len(set(names)) < len(names) or not expr.free.issubset(bound):
             raise _PerRow
-        bound = {name: np.asarray(bound[name], dtype=float)
-                 for name in expr.free}
         with np.errstate(all="ignore"):
             out = _over_arrays(expr.ast, bound, np)
     except _PerRow:
         loop = _kernel(fn, _MAP, len(columns), convert=True)
-        return np.array(loop(*(np.asarray(column, dtype=float).tolist()
-                               for column in columns)), dtype=float)
-    shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
-    return np.array(np.broadcast_to(out, shape), dtype=float)
+        return np.array(loop(*(column.tolist() for column in columns)),
+                        dtype=float)
+    return np.array(np.broadcast_to(out, lengths[:1]), dtype=float)

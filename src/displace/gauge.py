@@ -20,15 +20,17 @@ every query, produces values that are individually accurate but not
 jointly monotone: two nearby queries can come back in the wrong order by
 an ulp or two, which is enough to break interval bisection and the sign
 of small increments g(y) - g(x).  The cache instead keeps a sorted
-breakpoint table seeded with the domain endpoints, jump positions and
-flat endpoints.  A new query point t is integrated only over the gap
-from its nearest cached neighbor below, and the resulting cumulative
-value is clamped into the interval spanned by the neighbors, so the
-stored table is monotone by construction and differences of cached
-values telescope exactly.  The clamp only absorbs rounding: a gap
-larger than the quadrature tolerance means the density is negative
-somewhere between the 17 construction probes, and raises GaugeError
-instead of silently dropping mass.
+breakpoint table that holds the left end until the first query, which
+seeds it with the jump positions and flat endpoints first.  A new query
+point t is integrated only over the gap from its nearest cached
+neighbor below, and the resulting cumulative value is clamped into the
+interval spanned by the neighbors, so the stored table is monotone by
+construction and differences of cached values telescope exactly.  The
+clamp only absorbs rounding: a gap larger than the quadrature tolerance
+means the density is negative somewhere between the 17 construction
+probes, and raises GaugeError instead of silently dropping mass.  The
+solvers never query the table; they refuse a negative density at their
+own mesh nodes, with the probes' threshold and message.
 """
 
 from __future__ import annotations
@@ -74,6 +76,15 @@ def _snap(value: float, lo: float, hi: float, name: str = "point",
     if not lo - slack <= value <= hi + slack:
         raise error(f"{name} = {value!r} outside the domain [{lo!r}, {hi!r}]")
     return min(max(value, lo), hi)
+
+
+# a density value below this is negative, not rounding: the construction
+# probes and the solvers' mesh nodes refuse it with _negative_density
+_NEGATIVE_DENSITY = -1e-9
+
+
+def _negative_density(t: float) -> GaugeError:
+    return GaugeError(f"density is negative at t = {t!r}")
 
 
 def _check_tolerance(value: float, name: str,
@@ -296,15 +307,19 @@ class CumulativeQuadrature:
     adds the atom at t itself.  Each query is first snapped into [lo, hi]
     by _snap, which raises GaugeError.
 
-    The density part is memoized in a sorted breakpoint table, seeded at
-    the breakpoints and atoms; a query at a new t integrates fn only
-    across the gap from the nearest cached point below and clamps the
-    result between the neighboring cached values.  With nonnegative=True
-    the table must stay nondecreasing: a panel that integrates below
-    -tol, or a new value above its right neighbor by more than tol, means
-    the integrand is negative somewhere and raises GaugeError; smaller
-    violations are rounding and are clamped away.  Thread-safe; behaves
-    as if the cache were absent.
+    The density part is memoized in a sorted breakpoint table.  It holds
+    only lo until the first query, which seeds it at the breakpoints and
+    atoms inside (lo, hi], in increasing order, before its own point: a
+    caller that never queries, such as the solvers, integrates nothing,
+    and a seed panel's error is raised by every query, not by the
+    constructor.  A query at a new t integrates fn only across the gap
+    from the nearest cached point below and clamps the result between
+    the neighboring cached values.  With nonnegative=True the table must
+    stay nondecreasing: a panel that integrates below -tol, or a new
+    value above its right neighbor by more than tol, means the integrand
+    is negative somewhere and raises GaugeError; smaller violations are
+    rounding and are clamped away.  Thread-safe; behaves as if the cache
+    were absent.
     """
 
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float,
@@ -324,9 +339,28 @@ class CumulativeQuadrature:
         self._ts = [self.lo]
         self._vals = [0.0]
         self._lock = threading.RLock()
-        for t in sorted(set(float(p) for p in breakpoints) | set(self._taus)):
-            if self.lo < t <= self.hi:
-                self.value(t)
+        # integrated, in this order, by _seed at the first query
+        self._seeds = [t for t in sorted(set(float(p) for p in breakpoints)
+                                         | set(self._taus))
+                       if self.lo < t <= self.hi]
+
+    def _seed(self) -> None:
+        """Integrate the pending seeds, if any, in increasing order, each
+        from the one before.  The first query calls it, and so does a
+        running integral against a gauge, which may never query it.
+
+        On an error the table goes back to [lo] and the seeds stay
+        pending, so every later call raises it again.
+        """
+        with self._lock:
+            seeds, self._seeds = self._seeds, []
+            try:
+                for t in seeds:
+                    self.value(t)
+            except BaseException:
+                self._seeds = seeds
+                del self._ts[1:], self._vals[1:]
+                raise
 
     def _panel(self, lo: float, hi: float) -> float:
         value = _adaptive_quad(self.fn, lo, hi, self.tol)
@@ -345,6 +379,8 @@ class CumulativeQuadrature:
             t = _snap(t, self.lo, self.hi)
         atoms_below = self._prefix[bisect.bisect_left(self._taus, t)]
         with self._lock:
+            if self._seeds:
+                self._seed()
             i = bisect.bisect_left(self._ts, t)
             if i < len(self._ts) and self._ts[i] == t:
                 return self._vals[i] + atoms_below
@@ -454,7 +490,10 @@ class Gauge(CumulativeQuadrature):
             reproduces the density; required only for JSON serialization.
 
     Instances are immutable apart from the internal quadrature cache and
-    are callable: g(t) evaluates the gauge.
+    are callable: g(t) evaluates the gauge.  The constructor probes the
+    density at 17 points and integrates nothing; the first query seeds
+    the cache at the jumps and flat ends, and raises GaugeError if a
+    panel between them integrates below zero.
     """
 
     def __init__(self, domain: tuple[float, float],
@@ -494,8 +533,8 @@ class Gauge(CumulativeQuadrature):
         self._flats = tuple(flat_list)
 
         for t in _linspace(a, b, 17):
-            if float(density(t)) < -1e-9:
-                raise GaugeError(f"density is negative at t = {t!r}")
+            if float(density(t)) < _NEGATIVE_DENSITY:
+                raise _negative_density(t)
 
         super().__init__(density, a, b, tol=quad_tol, nonnegative=True,
                          breakpoints=[p for iv in flat_list for p in iv],

@@ -30,6 +30,13 @@ verify_solution), expr.on_arrays evaluates it at every node.  The
 recurrence runs in _EULER, the loop owned here, with the rhs spliced in
 by expr._kernel.  The values and errors are those of one call per node,
 bit for bit.
+
+The solvers read a gauge's density and atoms, never its value table, so
+they integrate no quadrature panel.  The table's first query is what
+refuses a density that integrates below zero between the gauge's
+construction probes; in its place, each solver refuses the first mesh
+node where the density is below the probes' threshold, with their
+GaugeError.  A mesh that steps over a negative stretch does not see it.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .expr import _kernel, on_arrays
-from .gauge import Gauge, _check_count, _snap
+from .gauge import (_NEGATIVE_DENSITY, Gauge, _check_count,
+                    _negative_density, _snap)
 from .serialize import Record, float_csv
 
 if TYPE_CHECKING:
@@ -224,11 +232,18 @@ def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
 
 def _mesh_data(gauge: Gauge, mesh: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node densities, panel atoms (none at the last node) and widths."""
+    """Node densities, panel atoms (none at the last node) and widths.
+
+    A density below _NEGATIVE_DENSITY raises GaugeError at the first such
+    node.
+    """
     import numpy as np
 
-    return (on_arrays(gauge.density, mesh), gauge.jumps_on(mesh[:-1]),
-            np.diff(mesh))
+    dens = on_arrays(gauge.density, mesh)
+    negative = np.flatnonzero(dens < _NEGATIVE_DENSITY)
+    if negative.size:
+        raise _negative_density(float(mesh[negative[0]]))
+    return dens, gauge.jumps_on(mesh[:-1]), np.diff(mesh)
 
 
 def solve_ivp(problem: IvpProblem, step: float,
@@ -247,6 +262,8 @@ def solve_ivp(problem: IvpProblem, step: float,
     Raises:
         SolverError: on invalid input or when the state leaves the
             finite range; the error names the last good node.
+        GaugeError: at the first mesh node where the density is
+            negative.
     """
     if not (picard_sweeps >= 0 and picard_sweeps % 1 == 0):
         raise SolverError("picard_sweeps must be a non-negative integer, "
@@ -335,8 +352,13 @@ def verify_solution(problem: IvpProblem, solution: IvpSolution,
     The right-hand side is re-integrated along the solution with the
     trapezoid rule on the solution's own mesh; the residual is evaluated
     at the mesh node nearest each grid point (the left one on a tie), so
-    no interpolation error enters.  A re-integration that is not finite
-    raises SolverError naming the last node where it is.
+    no interpolation error enters.
+
+    Raises:
+        SolverError: when the re-integration is not finite; the error
+            names the last node where it is.
+        GaugeError: at the first mesh node where the density is
+            negative.
     """
     # grid 0 has no point to report, grid 1 only u(a), exact by construction
     _check_count(grid, 2, "grid", SolverError)
@@ -366,6 +388,12 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     work integral S of H, and sets u = C + (S(b) - S(.)), which makes
     u(b) = C exact.  Work-gauge jumps produce kinks computed by the
     exact atom expression u_after = u_before - H(tau) * atom.
+
+    Raises:
+        SolverError: on invalid input or a source that is not finite on
+            the mesh.
+        GaugeError: at the first mesh node where the work gauge's
+            density is negative.
     """
     C = float(problem.terminal_value)
     if not math.isfinite(C):

@@ -2,11 +2,14 @@
 
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from displace import expr
+from displace.calculus import stieltjes_integral
 from displace.displacement import Smooth, gauge_from_smooth, make_builtin
 from displace.gauge import (CumulativeQuadrature, DistinguishedSets, Gauge,
                             GaugeError, _adaptive_quad, _qk21)
@@ -291,6 +294,69 @@ def test_density_negative_between_probes_raises_in_any_query_order(order):
         g(t)
     with pytest.raises(GaugeError):
         g(order[-1])
+
+
+# negative on (0.01, 0.02), between the 17 construction probes
+NEGATIVE_BUMP = "1 - 200000*max(0, 0.005 - abs(t - 0.015))"
+
+
+@pytest.mark.parametrize("jumps, text", [
+    # the atom at 0.5 seeds the panel [0, 0.5], which integrates below zero
+    ([[0.5, 0.1]], "density integrates to -4.500000000000105 over [0.0, 0.5]"),
+    # the seed at 0.005 integrates, the next one does not
+    ([[0.005, 0.1], [0.5, 0.1]],
+     "density integrates to -4.504999999999436 over [0.005, 0.5]"),
+])
+def test_a_failed_seeding_raises_again_at_every_query(jumps, text):
+    g = Gauge.from_dict({"domain": [0, 1], "density": NEGATIVE_BUMP,
+                         "jumps": jumps})
+    text += "; it must be nonnegative"
+    for t in (0.9, 0.0, 0.003, 0.3, 0.9):
+        with pytest.raises(GaugeError, match=f"^{re.escape(text)}$"):
+            g(t)
+        assert g._ts == [0.0] and g._vals == [0.0]
+    # a running integral against g never queries it, but refuses it too
+    with pytest.raises(GaugeError, match=f"^{re.escape(text)}$"):
+        stieltjes_integral(lambda t: t, g, 0.003)
+    cq = CumulativeQuadrature(g.density, 0.0, 1.0, nonnegative=True,
+                              breakpoints=[tau for tau, _ in jumps])
+    with pytest.raises(GaugeError, match=f"^{re.escape(text)}$"):
+        cq.value(1.0)
+
+
+def test_threads_racing_to_the_first_query_seed_the_table_once():
+    # the density is no polynomial, so a point integrated from another
+    # left neighbour than the seeded table's would move in the last bits
+    def make():
+        return Gauge((0.0, 1.0), lambda t: 1.0 / (1.0 + t),
+                     jumps=tuple((k / 50.0, 0.01) for k in range(1, 50)))
+
+    points = [k / 37.0 for k in range(38)]
+    twin = make()
+    want = [twin(t).hex() for t in points]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g, got = make(), {}
+            start = threading.Barrier(4, timeout=30)
+
+            def query(k):
+                start.wait()
+                got[k] = [g(t).hex() for t in points[k:] + points[:k]]
+
+            workers = [threading.Thread(target=query, args=(k,))
+                       for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+            assert not any(w.is_alive() for w in workers)
+            for k in range(4):
+                assert got[k] == want[k:] + want[:k]
+            assert g._ts == twin._ts and g._vals == twin._vals
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_cumulative_quadrature_rejects_outside_queries():

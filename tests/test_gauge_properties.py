@@ -3,15 +3,17 @@
 Random gauges carry atoms (also at either end point) and a flat; random
 query sequences, taken in random order, include the exact end points,
 the atom positions and points within SNAP_RADIUS outside the domain.
-The gauge must be nondecreasing, must give every query exactly the
-value of the point it snaps to, and must agree bit for bit with the
-running Stieltjes integral of f = 1 against it, which is the same
-half-open measure reached through CumulativeStieltjesIntegral.  A gauge
-read back from its JSON form must give the same values, bit for bit,
-and so must a displacement spec of any kind.  Interval measures queried
-in random order are nonnegative, grow with the right end and add up
-over adjacent intervals.  The grids the package builds without numpy
-must be numpy's grids, bit for bit.
+The table a gauge seeds at its first query must be, bit for bit, the
+one seeded before any query.  The gauge must be nondecreasing, must
+give every query exactly the value of the point it snaps to, and must
+agree bit for bit with the running Stieltjes integral of f = 1 against
+it, which is the same half-open measure reached through
+CumulativeStieltjesIntegral.  A gauge read back from its JSON form
+must give the same values, bit for bit, and so must a displacement spec
+of any kind.  Interval measures queried in random order are
+nonnegative, grow with the right end and add up over adjacent
+intervals.  The grids the package builds without numpy must be numpy's
+grids, bit for bit.
 """
 
 import json
@@ -80,6 +82,38 @@ def test_half_open_gauge_snaps_and_matches_the_running_integral(case):
     assert [g(s).hex() for s in snapped] == [v.hex() for v in values]
     ordered = [v for _, v in sorted(zip(snapped, values))]
     assert all(lo <= hi for lo, hi in zip(ordered, ordered[1:]))
+
+
+def _seeded_twin(g):
+    """g's twin with its table built at every seed first, in increasing
+    order, as the constructor once did."""
+    twin = Gauge(g.domain, g.density, jumps=g.jumps, flats=g.flats)
+    a, b = g.domain
+    for t in sorted({p for iv in g.flats for p in iv}
+                    | {tau for tau, _ in g.jumps}):
+        if a < t <= b:
+            twin(t)
+    return twin
+
+
+def _bump(t):
+    return 0.0 if 0.2 < t < 0.4 else 1.0 + t * t
+
+
+# atoms at a and inside, flat ends as seeds; the last seed, 0.55, is
+# below b: the first query lies below the first seed, then above the last
+@example(case=(Gauge((0.0, 1.0), _bump, jumps=((0.0, 0.3), (0.55, 0.2)),
+                     flats=((0.2, 0.4),)),
+               [0.1, 0.9, 0.4, 0.0, 1.0, 0.55, 0.3]))
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=gauges_and_queries())
+def test_a_table_seeded_at_the_first_query_is_the_table_seeded_first(case):
+    g, queries = case
+    twin = _seeded_twin(g)
+    for q in queries:
+        assert g(q).hex() == twin(q).hex()
+        assert [t.hex() for t in g._ts] == [t.hex() for t in twin._ts]
+        assert [v.hex() for v in g._vals] == [v.hex() for v in twin._vals]
 
 
 @st.composite

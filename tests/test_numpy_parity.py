@@ -296,6 +296,20 @@ def test_exact_expressions_take_the_array_path(source, names, columns):
     assert all(on_arrays(fn, *arrays) is not a for a in arrays)
 
 
+@pytest.mark.parametrize("fn", [
+    as_function(parse("x + y", COLUMNS), "x", "y"),      # over whole columns
+    as_function(parse("sin(x) + y", COLUMNS), "x", "y"),  # row by row
+    lambda x, y: x + y,
+])
+def test_columns_of_unequal_lengths_are_refused_before_any_row(fn):
+    with mock.patch.object(expr_mod, "_kernel", wraps=expr_mod._kernel) as spy, \
+            mock.patch.object(expr_mod, "_over_arrays") as walk:
+        with pytest.raises(ValueError,
+                           match=r"^columns of unequal lengths \[3, 2\]$"):
+            on_arrays(fn, np.zeros(3), np.ones(2))
+    assert not spy.called and not walk.called
+
+
 def test_other_callables_leave_the_calls_per_row():
     calls = []
     got = on_arrays(lambda t: calls.append(t) or 2 * t, np.array([0.0, 1.0]))

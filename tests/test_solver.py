@@ -11,14 +11,16 @@ import math
 import re
 import warnings
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import displace.gauge as gauge_mod
 import displace.solver as solver_mod
 from displace.expr import (_over_arrays, _PerRow, as_function, on_arrays,
                            parse)
-from displace.gauge import Gauge
+from displace.gauge import Gauge, GaugeError
 from displace.solver import (
     IvpProblem,
     IvpSolution,
@@ -541,3 +543,56 @@ def test_surface_rejects_non_finite_source():
             solve_surface(SurfaceProblem(work_gauge=identity_gauge(),
                                          source=lambda t: 1.0,
                                          terminal_value=bad), step=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# the gauge's table is the solvers' to leave alone; its density is not
+# ---------------------------------------------------------------------------
+
+def test_the_solvers_never_build_the_gauge_table():
+    g = Gauge((0.0, 1.0), lambda t: 0.0 if 0.2 < t < 0.4 else 1.0 + t,
+              jumps=((0.0, 0.3), (0.5, 0.25), (1.0, 0.5)),
+              flats=((0.2, 0.4),))
+    problem = IvpProblem(gauge=g, rhs=lambda t, u: 0.5 * u, u0=1.0)
+    surface = SurfaceProblem(work_gauge=g, source=lambda t: t,
+                             terminal_value=1.0)
+    with mock.patch.object(gauge_mod, "_qk21", wraps=gauge_mod._qk21) as spy:
+        sol = solve_ivp(problem, step=0.01, picard_sweeps=2)
+        verify_solution(problem, sol)
+        solve_surface(surface, step=0.01)
+        assert spy.call_count == 0
+        assert g._ts == [0.0] and g._vals == [0.0]
+        g(0.5)
+        assert spy.call_count > 0
+
+
+NEGATIVE_BUMP = "1 - 200000*max(0, 0.005 - abs(t - 0.015))"
+
+
+@pytest.mark.parametrize("jumps", [[], [[0.5, 0.1]]])
+def test_a_mesh_node_where_the_density_is_negative_is_refused(jumps):
+    # negative on (0.01, 0.02), between the 17 construction probes; the
+    # first node there on a 0.001 mesh is 0.011
+    g = Gauge.from_dict({"domain": [0, 1], "density": NEGATIVE_BUMP,
+                         "jumps": jumps})
+    problem = IvpProblem(gauge=g, rhs=lambda t, u: u, u0=1.0)
+    def refused():
+        return pytest.raises(GaugeError,
+                             match=r"^density is negative at t = 0\.011$")
+
+    with refused():
+        solve_ivp(problem, step=0.001)
+    with refused():
+        solve_surface(SurfaceProblem(work_gauge=g, source=lambda t: 1.0,
+                                     terminal_value=0.0), step=0.001)
+    fine = solve_ivp(IvpProblem(gauge=Gauge.identity(), rhs=lambda t, u: u,
+                                u0=1.0), step=0.001)
+    with refused():
+        verify_solution(problem, fine)
+    # a mesh that steps over the negative part sees a unit density
+    unit = Gauge.from_dict({"domain": [0, 1], "density": "1", "jumps": jumps})
+    coarse = solve_ivp(problem, step=0.1)
+    assert coarse.to_dict() == solve_ivp(
+        IvpProblem(gauge=unit, rhs=problem.rhs, u0=1.0), step=0.1).to_dict()
+    assert verify_solution(problem, coarse) == verify_solution(
+        IvpProblem(gauge=unit, rhs=problem.rhs, u0=1.0), coarse)
