@@ -9,7 +9,22 @@ go through one engine.  Three point classes arise:
 * continuity points: the limit is two-sided and is estimated here from
   geometrically shrinking one-sided difference quotients, extrapolated
   by a Richardson tableau; the sides must agree or DerivativeError is
-  raised carrying the diagnostic sequences.
+  raised carrying the diagnostic sequences.  Where g has a positive
+  density rho, the limit equals the slope limit of f over rho (after
+  López Pouso & Rodríguez, 2015), so for a plain f each side is taken
+  from two slopes on the same points y: v = s / r, with s the limit of
+  delta2(f(x), f(y)) / (y - x) and r the limit of rho(y), and error
+  e_s / r + |v| * e_r / r from their spreads.  That costs one density
+  call per point where the quotient pays a quadrature panel for
+  g(y).  The quotient is kept for an f that is itself a
+  CumulativeQuadrature (a gauge or a running integral), whose f(y)
+  costs a panel anyway and whose quotient is the definition the FTC
+  harnesses test.  It also decides the whole point whenever two slopes
+  cannot: a limit that fails the convergence test or lies farther from
+  the nearest sample than the test allows, a density limit not above
+  1e-2 of the largest density sample on its side, a value whose error
+  fails the test, or two sides that disagree.  Errors and their
+  diagnostics are therefore always the quotient's.
 * jump points of g: the limit reduces to the exact one-sided quotient
   (f(x+) - f(x)) / atom, where atom is the jump size.  f(x+) comes from
   a right_limit method when the callable provides one (gauges and the
@@ -146,39 +161,91 @@ def _reach(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
     return 0.5 * limit
 
 
-def _side_limit(sample: Callable[[float], Optional[float]], x: float,
-                direction: int, g: Gauge, dsets: DistinguishedSets,
-                avoid: Sequence[float], levels: int,
-                diagnostics: dict) -> Optional[tuple[float, float, int]]:
-    """(estimate, spread, used) of sample(x + direction * h) as h -> 0+,
-    or None when the side has no room.  h = reach / 2**k for k < levels
-    until h is rounding; a None sample is dropped but counts as used.  The
-    samples go into diagnostics under 'right' or 'left'; DerivativeError
-    carries them unless the estimate is finite with spread at most
-    1e-2 * (1 + |estimate|), the one convergence test of every limit."""
+def _side_points(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
+                 avoid: Sequence[float], levels: int) -> list[float]:
+    """The points x + direction * h of one side, h = reach / 2**k for
+    k < levels until h is rounding; none when the side has no room."""
     reach = _reach(x, direction, g, dsets, avoid)
     if reach < 1e3 * _EPS * max(1.0, abs(x)):
-        return None
-    values, used = [], 0
+        return []
+    ys = []
     for k in range(levels):
         h = reach * 2.0 ** (-k)
         if h < 32.0 * _EPS * max(1.0, abs(x)):
             break
-        used += 1
-        value = sample(x + direction * h)
-        if value is not None:
-            values.append(value)
-    key = "right" if direction > 0 else "left"
+        ys.append(x + direction * h)
+    return ys
+
+
+def _converges(estimate: float, spread: float) -> bool:
+    """The one convergence test of every limit: the estimate is finite
+    with spread at most 1e-2 * (1 + |estimate|)."""
+    return math.isfinite(estimate) and spread <= 1e-2 * (1.0 + abs(estimate))
+
+
+def _side_limit(samples: Sequence[Optional[float]], key: str, x: float,
+                diagnostics: dict) -> tuple[float, float]:
+    """(estimate, spread) of one side's samples, taken at its points in
+    order, by _richardson; a None sample is dropped.  The samples go into
+    diagnostics under key ('right' or 'left'); DerivativeError carries
+    them unless the estimate passes _converges."""
+    values = [v for v in samples if v is not None]
     diagnostics[key] = values
     if not values:
         raise DerivativeError(
             "gauge increments vanish on one side", x, diagnostics)
     estimate, spread = _richardson(values)
-    if not math.isfinite(estimate) or spread > 1e-2 * (1.0 + abs(estimate)):
+    if not _converges(estimate, spread):
         raise DerivativeError(
             f"difference quotients do not converge on the {key} side",
             x, diagnostics)
-    return estimate, spread, used
+    return estimate, spread
+
+
+# a density side limit at most this fraction of the largest density
+# sample on that side is not clearly positive: a zero of the density that
+# near, against the reach, also keeps the quotient's limit from settling
+_DENSITY_FLOOR = 1e-2
+
+
+def _settled(values: Sequence[float]) -> Optional[tuple[float, float]]:
+    """(estimate, spread) of values by _richardson if the spread, and the
+    distance from the estimate to the nearest sample, pass _converges;
+    otherwise None.  Two early samples that agree by chance, as on both
+    sides of a kink, are not taken for a limit."""
+    estimate, spread = _richardson(values)
+    if _converges(estimate, max(spread, abs(values[-1] - estimate))):
+        return estimate, spread
+    return None
+
+
+def _two_slopes(nums: Sequence[float], ys: Sequence[float], x: float,
+                density: Callable[[float], float]
+                ) -> Optional[tuple[float, float]]:
+    """(value, error) of one side as lim nums / (y - x) over lim density(y),
+    or None where the quotient has to decide: when either limit is not
+    _settled, the density's is not clearly positive, or the value with its
+    error would fail _converges."""
+    slope = _settled([num / (y - x) for num, y in zip(nums, ys)])
+    if slope is None:
+        return None
+    dens = [float(density(y)) for y in ys]
+    rho = _settled(dens)
+    if rho is None or not rho[0] > _DENSITY_FLOOR * max(map(abs, dens)):
+        return None
+    (s, e_s), (r, e_r) = slope, rho
+    value = s / r
+    error = e_s / r + abs(value) * e_r / r
+    return (value, error) if _converges(value, error) else None
+
+
+def _disagree(limits: Sequence[tuple[float, float]]) -> bool:
+    """True when a left and a right limit differ by more than
+    1e-3 * (1 + |right| + |left|)."""
+    if len(limits) < 2:
+        return False
+    (lr, _), (ll, _) = limits
+    return abs(lr - ll) > 1e-3 * (1.0 + abs(lr) + abs(ll))
 
 
 def _derivative(f: Callable[[float], float], g: Gauge,
@@ -200,11 +267,12 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         if hasattr(f, "right_limit"):
             fplus, spread, used = float(f.right_limit(tau)), 0.0, 1
         else:
-            limit = _side_limit(lambda y: float(f(y)), tau, +1, g, dsets,
-                                avoid, shrink_levels, {})
-            if limit is None:
+            ys = _side_points(tau, +1, g, dsets, avoid, shrink_levels)
+            if not ys:
                 raise DerivativeError("no room to the right of the jump", tau)
-            fplus, spread, used = limit
+            fplus, spread = _side_limit([float(f(y)) for y in ys], "right",
+                                        tau, {})
+            used = len(ys)
         return DerivativeResult(value=displaced(fx, fplus) / atom,
                                 point_class="jump",
                                 error_estimate=spread / atom,
@@ -215,31 +283,49 @@ def _derivative(f: Callable[[float], float], g: Gauge,
                                 error_estimate=0.0, samples_used=0)
 
     fx = float(f(x))
-    gx = g(x)
-
-    def quotient(y: float) -> Optional[float]:
-        den = g(y) - gx
-        return displaced(fx, float(f(y))) / den if den != 0.0 else None
-
+    # a density that integrates below zero is refused here, as g(x) would
+    g._seed()
+    sides = []
+    for key, direction in (("right", +1), ("left", -1)):
+        ys = _side_points(x, direction, g, dsets, avoid, shrink_levels)
+        if ys:
+            sides.append((key, ys))
     diagnostics: dict = {}
-    limits = [_side_limit(quotient, x, direction, g, dsets, avoid,
-                          shrink_levels, diagnostics) for direction in (+1, -1)]
-    sides = [side for side in limits if side is not None]
     if not sides:
         raise DerivativeError("no side of x admits difference quotients",
                               x, diagnostics)
-    used = sum(side[2] for side in sides)
-    if len(sides) == 2:
-        (lr, er, _), (ll, el, _) = sides
-        if abs(lr - ll) > 1e-3 * (1.0 + abs(lr) + abs(ll)):
+    nums: list[list[float]] = []
+    limits: list = []
+    # a gauge or running integral pays a panel for each f(y) anyway, and
+    # its quotient is the definition the FTC harnesses test
+    if not isinstance(f, CumulativeQuadrature):
+        for _, ys in sides:
+            nums.append([displaced(fx, float(f(y))) for y in ys])
+            limits.append(_two_slopes(nums[-1], ys, x, g.density))
+            if limits[-1] is None:
+                break
+    if not limits or None in limits or _disagree(limits):
+        gx = g(x)
+        limits = []
+        for i, (key, ys) in enumerate(sides):
+            num = nums[i] if i < len(nums) else [
+                displaced(fx, float(f(y))) for y in ys]
+            den = [g(y) - gx for y in ys]
+            limits.append(_side_limit(
+                [n / d if d != 0.0 else None for n, d in zip(num, den)],
+                key, x, diagnostics))
+        if _disagree(limits):
             raise DerivativeError(
                 "left and right difference quotients disagree", x, diagnostics)
+    if len(limits) == 2:
+        (lr, er), (ll, el) = limits
         value = 0.5 * (lr + ll)
         error = max(er, el, 0.5 * abs(lr - ll))
     else:
-        value, error, _ = sides[0]
+        (value, error), = limits
     return DerivativeResult(value=value, point_class="continuity",
-                            error_estimate=error, samples_used=used)
+                            error_estimate=error,
+                            samples_used=sum(len(ys) for _, ys in sides))
 
 
 def delta_derivative(f: Callable[[float], float], g: Gauge, x: float,

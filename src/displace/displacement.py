@@ -90,9 +90,13 @@ _CBRT_EPS = _EPS ** (1.0 / 3.0)
 # outside while |Delta(x, mid)| < r, and stops when the bracket is within
 # tol and, where continuity allows, the value at the inside edge is
 # within value_tol of target, or when the bracket is rounding (stop is
-# 8 * eps).
+# 8 * eps).  It returns the edge and the outside bound it held when it
+# first moved inside (its last one if it never did): every midpoint up
+# to there had |Delta| >= r, so a bisection for a smaller radius from
+# the same inside point may start there (see _ball_edge).
 _BISECT = """\
 def _loop(p0, inside, outside, target, r, tol, value_tol, stop):
+    resume = None
     for _ in range(200):
         width = abs(outside - inside)
         if width <= tol:
@@ -103,10 +107,12 @@ def _loop(p0, inside, outside, target, r, tol, value_tol, stop):
             break
         p1 = 0.5 * (outside + inside)
         if abs(RHS) < r:
+            if resume is None:
+                resume = outside
             inside = p1
         else:
             outside = p1
-    return inside
+    return inside, outside if resume is None else resume
 """
 # max(abs(value) for each p1 of points), with max's rule: the first
 # largest value wins
@@ -461,6 +467,11 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     |Delta(x, y)| + tol.  If the excess persists without shrinking the
     pair is a failure witness; if it is still collapsing when the
     levels run out the check is inconclusive for that pair.
+
+    Each level's ball edges are bisected from where the level before
+    first moved inside: the midpoints it skips lie outside the larger
+    ball, so outside this one, and the edges come out as a bisection
+    from the domain's ends would find them.
     """
     _require_interval(spec, "check_h2_usc")
     # with no level every pair stays pending and the check says nothing
@@ -480,15 +491,18 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
         bounds = [(x, abs(spec.delta(x, y))) for x in points]
         pending = {i: None for i in range(len(points))}
         margins: dict[int, list[float]] = {i: [] for i in range(len(points))}
+        lo_from, hi_from = a, b
         for k in range(1, shrink_levels + 1):
             if not pending:
                 break
             rho = rho0 * 2.0 ** (-k)
             # delta_ball's ends, from Delta(y, a) and Delta(y, b) above
             ball_tol = _check_ball(rho, 1e-9 * (b - a))
-            ts = _linspace(
-                _ball_edge(bisect, y, a, at_a, -1.0, rho, ball_tol),
-                _ball_edge(bisect, y, b, at_b, 1.0, rho, ball_tol), inner)
+            lo, lo_from = _ball_edge(bisect, y, a, at_a, -1.0, rho, ball_tol,
+                                     lo_from)
+            hi, hi_from = _ball_edge(bisect, y, b, at_b, 1.0, rho, ball_tol,
+                                     hi_from)
+            ts = _linspace(lo, hi, inner)
             zs = [z for z, v in zip(ts, row(repeat(y), ts)) if abs(v) < rho]
             zs.append(y)
             for i in list(pending):
@@ -702,18 +716,23 @@ def _check_ball(r: float, tol: float) -> float:
 
 
 def _ball_edge(bisect: Callable, x: float, end: float, at_end: float,
-               sign: float, r: float, tol: float) -> float:
+               sign: float, r: float, tol: float,
+               start: Optional[float] = None) -> tuple[float, float]:
     """One end of the ball of radius r around x: towards the domain's end
     (sign -1.0 for a, 1.0 for b), where Delta(x, end) is at_end.
 
-    end itself when at_end lies inside the ball on that side; otherwise
-    the edge bisected by bisect, spec's _BISECT, which keeps points with
-    Delta strictly inside the ball on the inside edge.  r and tol are
-    checked (_check_ball).
+    Returns (edge, resume).  The edge is end itself when at_end lies
+    inside the ball on that side; otherwise the edge bisected by bisect,
+    spec's _BISECT, from x towards start (end by default), which keeps
+    points with Delta strictly inside the ball on the inside edge.
+    resume is where a bisection for a smaller radius around x may start;
+    start must be end or a resume that a ball of radius at least r around
+    x returned.  r and tol are checked (_check_ball).
     """
     if sign * at_end < r:
-        return end
-    return bisect(x, x, end, sign * r, r, tol, tol * (1.0 + r), 8.0 * _EPS)
+        return end, end
+    return bisect(x, x, end if start is None else start, sign * r, r, tol,
+                  tol * (1.0 + r), 8.0 * _EPS)
 
 
 def delta_ball(spec: DisplacementSpec, x: float, r: float,
@@ -731,8 +750,8 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
     a, b = spec.domain
     x = _snap(x, a, b, "x", DisplacementError, _domain_slack(a, b))
     bisect = _inline(spec, _BISECT)
-    lo = _ball_edge(bisect, x, a, spec.delta(x, a), -1.0, r, tol)
-    hi = _ball_edge(bisect, x, b, spec.delta(x, b), 1.0, r, tol)
+    lo, _ = _ball_edge(bisect, x, a, spec.delta(x, a), -1.0, r, tol)
+    hi, _ = _ball_edge(bisect, x, b, spec.delta(x, b), 1.0, r, tol)
     return BallInterval(lo=lo, hi=hi,
                         lo_closed=abs(spec.delta(x, lo)) < r,
                         hi_closed=abs(spec.delta(x, hi)) < r)

@@ -11,8 +11,10 @@ inline (`expr._kernel`); they are compared with the loops of one call
 per node they replaced, and `Gauge.jumps_on` with its old lookup.  So do
 the check battery's bisections, rows and maxima, compared with the
 checks that called `spec.delta` and `spec.d2` per point, and a gauge's
-cache after each; and `calculus._richardson`'s two rows with the whole
-tableau it built.
+cache after each; `check_h2_usc`, which bisects each level's ball edges
+from where the level before first moved inside, with bisections from
+the domain's ends, edge by edge; and `calculus._richardson`'s two rows
+with the whole tableau it built.
 """
 
 import math
@@ -26,6 +28,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from displace.calculus import _interp, _richardson  # noqa: E402
+import displace.displacement as displacement_mod  # noqa: E402
 from displace.displacement import (  # noqa: E402
     ALGEBRAIC_TOL, BUILTIN_NAMES, LIMIT_TOL, AxiomReport, BallInterval,
     DisplacementError, FiniteGraph, Smooth, Stieltjes, _WITNESS_CAP,
@@ -495,8 +498,10 @@ def old_delta_ball(spec, x, r, tol=1e-10):
                         hi_closed=abs(spec.delta(x, hi)) < r)
 
 
-def old_h2_usc(spec, samples=11, shrink_levels=24, tol=LIMIT_TOL):
-    """check_h2_usc with one spec.delta call per point, and old_delta_ball."""
+def old_h2_usc(spec, samples=11, shrink_levels=24, tol=LIMIT_TOL, edges=None):
+    """check_h2_usc with one spec.delta call per point, and old_delta_ball,
+    which bisects every level's ball edges from a and b; edges, when
+    given, collects (rho, edge) of each, lower edge first."""
     _require_interval(spec, "check_h2_usc")
     _check_count(shrink_levels, 1, "shrink_levels", DisplacementError)
     a, b = spec.domain
@@ -515,6 +520,8 @@ def old_h2_usc(spec, samples=11, shrink_levels=24, tol=LIMIT_TOL):
                 break
             rho = rho0 * 2.0 ** (-k)
             ball = old_delta_ball(spec, y, rho, tol=1e-9 * (b - a))
+            if edges is not None:
+                edges += [(rho, ball.lo), (rho, ball.hi)]
             zs = [z for z in _linspace(ball.lo, ball.hi, 9)
                   if abs(spec.delta(y, z)) < rho]
             zs.append(y)
@@ -674,6 +681,76 @@ def test_h2_usc_reproduces_the_calls_per_point_on_builtins(name):
     assert _report_or_error(lambda: check_h2_usc(new)) == \
         _report_or_error(lambda: old_h2_usc(old))
     assert _gauge_state(new) == _gauge_state(old)
+
+# ---------------------------------------------------------------------------
+# H2-usc's ball edges, each level bisected from the one before, against
+# bisections from the domain's ends
+# ---------------------------------------------------------------------------
+
+def assert_h2_usc_replays_the_cold_edges(make, samples, levels):
+    """Reports by their bytes and every level's edges by float.hex, and
+    delta_ball, which bisects from the ends, by its bytes."""
+    cold_edges, edges = [], []
+    real = displacement_mod._ball_edge
+
+    def spy(*args):
+        edge, resume = real(*args)
+        edges.append((args[5], edge))
+        return edge, resume
+
+    cold = _report_or_error(lambda: old_h2_usc(make(), samples, levels,
+                                               edges=cold_edges))
+    with mock.patch.object(displacement_mod, "_ball_edge", spy):
+        assert _report_or_error(lambda: check_h2_usc(make(), samples,
+                                                     levels)) == cold
+    assert [(r.hex(), e.hex()) for r, e in edges] == \
+        [(r.hex(), e.hex()) for r, e in cold_edges]
+    spec = make()
+    if spec.kind in ("smooth", "stieltjes"):
+        a, b = spec.domain
+        for u, r in ((0.3, 0.05), (0.5, 0.4), (0.9, 3.0)):
+            x = a + u * (b - a)
+            assert _report_or_error(lambda: delta_ball(make(), x, r)) == \
+                _report_or_error(lambda: old_delta_ball(make(), x, r))
+
+
+@pytest.mark.parametrize("levels", [24, 40])
+@pytest.mark.parametrize("samples", [3, 5, 11])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_h2_usc_levels_replay_the_cold_bisections_on_builtins(name, samples,
+                                                              levels):
+    assert_h2_usc_replays_the_cold_edges(lambda: make_builtin(name), samples,
+                                         levels)
+
+
+# the pipeline's family exp(a*(y^2 - x^2)) - exp(b*(x - y)), scaled by
+# 1e-12 to 1e3, and a non-monotone Delta, whose balls are no intervals
+_FAMILY = "{c}*(exp({a}*(y^2 - x^2)) - exp({b}*(x - y)))"
+h2_usc_deltas = st.one_of(
+    st.builds(lambda a, b, c: _FAMILY.format(a=a, b=b, c=c),
+              st.sampled_from(["0.5", "1", "1.4"]),
+              st.sampled_from(["0.5", "1", "1.5"]),
+              st.sampled_from(["0.000000000001", "0.001", "1", "1000"])),
+    st.sampled_from(["sin(7*(y - x))", "0.000000000001*sin(7*(y - x))",
+                     "1000*sin(7*(y - x))"]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(delta=h2_usc_deltas, samples=st.sampled_from([3, 5, 11]),
+       levels=st.sampled_from([24, 40]))
+@example(delta="sin(7*(y - x))", samples=11, levels=40)
+def test_h2_usc_levels_replay_the_cold_bisections(delta, samples, levels):
+    assert_h2_usc_replays_the_cold_edges(
+        lambda: Smooth((0.0, 1.0), parse(delta, COLUMNS)), samples, levels)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=battery_specs(), samples=st.sampled_from([3, 5]),
+       levels=st.sampled_from([24, 40]))
+def test_h2_usc_levels_replay_the_cold_bisections_on_random_specs(
+        case, samples, levels):
+    assert_h2_usc_replays_the_cold_edges(case[0], samples, levels)
+
 
 # ---------------------------------------------------------------------------
 # _richardson's two rows against the whole tableau
