@@ -16,15 +16,18 @@ go through one engine.  Three point classes arise:
   delta2(f(x), f(y)) / (y - x) and r the limit of rho(y), and error
   e_s / r + |v| * e_r / r from their spreads.  That costs one density
   call per point where the quotient pays a quadrature panel for
-  g(y).  The quotient is kept for an f that is itself a
-  CumulativeQuadrature (a gauge or a running integral), whose f(y)
-  costs a panel anyway and whose quotient is the definition the FTC
-  harnesses test.  It also decides the whole point whenever two slopes
-  cannot: a limit that fails the convergence test or lies farther from
-  the nearest sample than the test allows, a density limit not above
-  1e-2 of the largest density sample on its side, a value whose error
-  fails the test, or two sides that disagree.  Errors and their
-  diagnostics are therefore always the quotient's.
+  g(y).  g is still queried at x and at each side's farthest point, the
+  quotient's first panels, so a density that integrates below zero on
+  them is refused as the quotient refuses it.  The quotient is kept
+  for an f that is itself a CumulativeQuadrature (a gauge or a running
+  integral), whose f(y) costs a panel anyway, and for every derivative
+  the FTC harnesses take: they test the theorem through its definition.
+  It also decides the whole point whenever two slopes cannot: a limit
+  that fails the convergence test or lies farther from the nearest
+  sample than that test allows, a density limit not above 1e-2 of the
+  largest density sample on its side, a value whose error fails the
+  test, or two sides that disagree.  Errors and their diagnostics are
+  therefore always the quotient's.
 * jump points of g: the limit reduces to the exact one-sided quotient
   (f(x+) - f(x)) / atom, where atom is the jump size.  f(x+) comes from
   a right_limit method when the callable provides one (gauges and the
@@ -52,6 +55,7 @@ derivative, reporting points where the derivative fails to exist.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import math
 from typing import Callable, Optional, Sequence
 
@@ -178,8 +182,10 @@ def _side_points(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
 
 
 def _converges(estimate: float, spread: float) -> bool:
-    """The one convergence test of every limit: the estimate is finite
-    with spread at most 1e-2 * (1 + |estimate|)."""
+    """The convergence test every limit passes: the estimate is finite
+    with spread at most 1e-2 * (1 + |estimate|).  The quotient's limits
+    pass it on their spread alone (_side_limit), the two slopes' on the
+    spread and on the distance to the nearest sample (_settled)."""
     return math.isfinite(estimate) and spread <= 1e-2 * (1.0 + abs(estimate))
 
 
@@ -210,9 +216,9 @@ _DENSITY_FLOOR = 1e-2
 
 def _settled(values: Sequence[float]) -> Optional[tuple[float, float]]:
     """(estimate, spread) of values by _richardson if the spread, and the
-    distance from the estimate to the nearest sample, pass _converges;
-    otherwise None.  Two early samples that agree by chance, as on both
-    sides of a kink, are not taken for a limit."""
+    distance from the estimate to the nearest sample, each pass
+    _converges; otherwise None.  Two early samples that agree by chance,
+    as on both sides of a kink, are not taken for a limit."""
     estimate, spread = _richardson(values)
     if _converges(estimate, max(spread, abs(values[-1] - estimate))):
         return estimate, spread
@@ -246,6 +252,12 @@ def _disagree(limits: Sequence[tuple[float, float]]) -> bool:
         return False
     (lr, _), (ll, _) = limits
     return abs(lr - ll) > 1e-3 * (1.0 + abs(lr) + abs(ll))
+
+
+# True while an FTC harness differentiates: the harnesses test the theorem
+# through its definition, so every continuity limit is then the quotient's
+_DEFINITION: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "definition", default=False)
 
 
 def _derivative(f: Callable[[float], float], g: Gauge,
@@ -283,8 +295,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
                                 error_estimate=0.0, samples_used=0)
 
     fx = float(f(x))
-    # a density that integrates below zero is refused here, as g(x) would
-    g._seed()
+    gx = g(x)
     sides = []
     for key, direction in (("right", +1), ("left", -1)):
         ys = _side_points(x, direction, g, dsets, avoid, shrink_levels)
@@ -296,16 +307,18 @@ def _derivative(f: Callable[[float], float], g: Gauge,
                               x, diagnostics)
     nums: list[list[float]] = []
     limits: list = []
-    # a gauge or running integral pays a panel for each f(y) anyway, and
-    # its quotient is the definition the FTC harnesses test
-    if not isinstance(f, CumulativeQuadrature):
+    # a gauge or running integral pays a panel for each f(y) anyway
+    if not (_DEFINITION.get() or isinstance(f, CumulativeQuadrature)):
+        # the quotient's first panels, up to x and out to each side's
+        # farthest point, refuse a density that integrates below zero there
+        for _, ys in sides:
+            g(ys[0])
         for _, ys in sides:
             nums.append([displaced(fx, float(f(y))) for y in ys])
             limits.append(_two_slopes(nums[-1], ys, x, g.density))
             if limits[-1] is None:
                 break
     if not limits or None in limits or _disagree(limits):
-        gx = g(x)
         limits = []
         for i, (key, ys) in enumerate(sides):
             num = nums[i] if i < len(nums) else [
@@ -456,23 +469,29 @@ def _derivatives(F: Callable[[float], float], g: Gauge,
     """The derivative of F against g at each point, in order, sorted into
     (point, value) pairs, excluded points and violations.  A point off the
     jumps within 1e-6 of a breakpoint of f has no two-sided derivative: it
-    is excluded, as are the points the derivative classes so."""
+    is excluded, as are the points the derivative classes so.  Each
+    continuity limit is a quotient of increments, even for a plain F."""
     dsets = g.distinguished_sets()
     values, excluded, violations = [], [], []
-    for t in points:
-        if any(abs(t - p) < _F_BREAK_GUARD for p in f_breaks) and \
-                dsets.jump_near(t) is None:
-            excluded.append(t)
-            continue
-        try:
-            d = delta_derivative(F, g, t, shrink_levels, dsets, avoid=f_breaks)
-        except DerivativeError as exc:
-            violations.append({"point": t, "reason": str(exc)})
-            continue
-        if d.point_class == "excluded":
-            excluded.append(t)
-        else:
-            values.append((t, d.value))
+    definition = _DEFINITION.set(True)
+    try:
+        for t in points:
+            if any(abs(t - p) < _F_BREAK_GUARD for p in f_breaks) and \
+                    dsets.jump_near(t) is None:
+                excluded.append(t)
+                continue
+            try:
+                d = delta_derivative(F, g, t, shrink_levels, dsets,
+                                     avoid=f_breaks)
+            except DerivativeError as exc:
+                violations.append({"point": t, "reason": str(exc)})
+                continue
+            if d.point_class == "excluded":
+                excluded.append(t)
+            else:
+                values.append((t, d.value))
+    finally:
+        _DEFINITION.reset(definition)
     return values, excluded, violations
 
 

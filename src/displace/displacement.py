@@ -716,23 +716,22 @@ def _check_ball(r: float, tol: float) -> float:
 
 
 def _ball_edge(bisect: Callable, x: float, end: float, at_end: float,
-               sign: float, r: float, tol: float,
-               start: Optional[float] = None) -> tuple[float, float]:
+               sign: float, r: float, tol: float, start: float
+               ) -> tuple[float, float]:
     """One end of the ball of radius r around x: towards the domain's end
     (sign -1.0 for a, 1.0 for b), where Delta(x, end) is at_end.
 
     Returns (edge, resume).  The edge is end itself when at_end lies
     inside the ball on that side; otherwise the edge bisected by bisect,
-    spec's _BISECT, from x towards start (end by default), which keeps
-    points with Delta strictly inside the ball on the inside edge.
+    spec's _BISECT, from x towards start, which keeps points with Delta
+    strictly inside the ball on the inside edge.
     resume is where a bisection for a smaller radius around x may start;
     start must be end or a resume that a ball of radius at least r around
     x returned.  r and tol are checked (_check_ball).
     """
     if sign * at_end < r:
         return end, end
-    return bisect(x, x, end if start is None else start, sign * r, r, tol,
-                  tol * (1.0 + r), 8.0 * _EPS)
+    return bisect(x, x, start, sign * r, r, tol, tol * (1.0 + r), 8.0 * _EPS)
 
 
 def delta_ball(spec: DisplacementSpec, x: float, r: float,
@@ -750,8 +749,8 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
     a, b = spec.domain
     x = _snap(x, a, b, "x", DisplacementError, _domain_slack(a, b))
     bisect = _inline(spec, _BISECT)
-    lo, _ = _ball_edge(bisect, x, a, spec.delta(x, a), -1.0, r, tol)
-    hi, _ = _ball_edge(bisect, x, b, spec.delta(x, b), 1.0, r, tol)
+    lo, _ = _ball_edge(bisect, x, a, spec.delta(x, a), -1.0, r, tol, a)
+    hi, _ = _ball_edge(bisect, x, b, spec.delta(x, b), 1.0, r, tol, b)
     return BallInterval(lo=lo, hi=hi,
                         lo_closed=abs(spec.delta(x, lo)) < r,
                         hi_closed=abs(spec.delta(x, hi)) < r)

@@ -2,8 +2,9 @@
 
 At a continuity point the engine takes the derivative of a plain f as
 the limit of Delta2(f(x), f(y)) / (y - x) over the limit of the density,
-and keeps the quotient of increments for gauges and running integrals
-and wherever the two slopes cannot settle the point.  The quotient is
+and keeps the quotient of increments for gauges and running integrals,
+in the FTC harnesses and wherever the two slopes cannot settle the
+point.  The quotient is
 copied here as the engine computed it at every point before, and the two
 are compared on random smooth f, plain and through a Smooth Delta2,
 against gauges whose densities have kinks, interior zeros, flats and
@@ -27,8 +28,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from displace.calculus import (DEFAULT_SHRINK_LEVELS,  # noqa: E402
-                               DerivativeError, DerivativeResult, _reach,
-                               _richardson, delta_derivative, pair_derivative)
+                               DerivativeError, DerivativeResult, _derivatives,
+                               _reach, _richardson, delta_derivative,
+                               ftc2_check, pair_derivative)
 from displace.displacement import Smooth  # noqa: E402
 from displace.expr import parse  # noqa: E402
 from displace.gauge import _EPS, Gauge, GaugeError, _snap  # noqa: E402
@@ -256,22 +258,73 @@ def test_an_interior_zero_of_the_density_falls_back_to_the_quotient():
     assert (d.value, d.point_class, d.samples_used) == (1.0, "continuity", 24)
 
 
-def test_a_density_negative_between_the_probes_is_still_refused():
-    g = Gauge.from_dict({"domain": [0, 1], "density":
-                         "1 - 200000*max(0, 0.005 - abs(t - 0.015))",
-                         "jumps": [[0.5, 0.1]]})
-    text = ("density integrates to -4.500000000000105 over [0.0, 0.5]; "
-            "it must be nonnegative")
+# the density dips below zero on (0.01, 0.02), where a panel from 0 that
+# samples the dip integrates below zero: with an atom at 0.5 the seed
+# panel [0, 0.5] refuses it, without one the panel up to x or, where
+# that misses the dip, the one out to the left side's farthest point
+DIP = "1 - 200000*max(0, 0.005 - abs(t - 0.015))"
+
+
+@pytest.mark.parametrize("jumps, x, text", [
+    ([[0.5, 0.1]], 0.7, "density integrates to -4.500000000000105 over "
+     "[0.0, 0.5]; it must be nonnegative"),
+    ([], 0.5, "density integrates to -4.500000000000105 over [0.0, 0.5]; "
+     "it must be nonnegative"),
+    ([], 0.7, "density integrates to -4.6500000000043595 over [0.0, 0.35]; "
+     "it must be nonnegative"),
+], ids=["seed-panel", "panel-to-x", "panel-to-the-left-end"])
+def test_a_density_negative_between_the_probes_is_still_refused(jumps, x,
+                                                                text):
+    def make():
+        return Gauge.from_dict({"domain": [0, 1], "density": DIP,
+                                "jumps": jumps})
+    f = lambda t: t  # noqa: E731
     with pytest.raises(GaugeError, match=f"^{re.escape(text)}$"):
-        delta_derivative(lambda t: t, g, 0.7)
+        delta_derivative(f, make(), x)
+    assert outcome(lambda: quotient_derivative(f, make(), lambda u, v: v - u,
+                                               x)) == f"GaugeError: {text}"
+    # the harness takes quotients, whose panels refuse it as they did
+    seed = ("density integrates to -4.500000000000105 over [0.0, 0.5]; "
+            "it must be nonnegative")
+    with pytest.raises(GaugeError, match=f"^{re.escape(seed)}$"):
+        ftc2_check(f, make(), grid=5)
 
 
 def test_two_slopes_report_their_error_and_count_the_points():
     # t^2 against the density 2t + 1 at 0.25: 0.5 / 1.5, from 12 points
-    # on each side, none of them a gauge query
+    # on each side; the gauge is queried only at x and at the sides'
+    # farthest points
     g = Gauge.from_dict({"domain": [0, 1], "density": "2*t + 1"})
     d = delta_derivative(lambda t: t * t, g, 0.25)
     assert d.point_class == "continuity" and d.samples_used == 24
     assert abs(d.value - 1.0 / 3.0) <= max(d.error_estimate, 1e-15)
     assert d.error_estimate <= 1e-12
-    assert g._ts == [0.0]
+    assert g._ts == [0.0, 0.125, 0.25, 0.625]
+
+
+@pytest.mark.parametrize("data", [
+    {"domain": [0, 1], "density": "exp(t)"},
+    {"domain": [0, 1], "density": "1.905*abs(t - 0.625) + 0.758",
+     "jumps": [[0.3, 0.25]]},
+    {"domain": [0, 1], "density": "2*max(0, abs(t - 0.5) - 0.1)",
+     "flats": [[0.4, 0.6]]},
+], ids=["exp", "kink-atom", "flat"])
+def test_the_ftc_harnesses_differentiate_a_plain_f_by_its_quotient(data):
+    # they test the theorem through its definition: point after point on
+    # one gauge, bit for bit the quotient's, where two slopes give other bits
+    F = lambda t: math.sin(3.0 * t) + t * t  # noqa: E731
+    points = [i / 16 for i in range(17)]
+    values, excluded, violations = _derivatives(
+        F, Gauge.from_dict(data), points, DEFAULT_SHRINK_LEVELS)
+    g = Gauge.from_dict(data)
+    quotients = [(t, outcome(lambda: quotient_derivative(
+        F, g, lambda u, v: v - u, t))) for t in points]
+    assert [(t, d.value.hex()) for t, d in quotients
+            if not isinstance(d, str) and d.value is not None] == \
+        [(t, v.hex()) for t, v in values]
+    assert [t for t, d in quotients if not isinstance(d, str)
+            and d.value is None] == excluded
+    assert [{"point": t, "reason": d.split(": ", 1)[1]}
+            for t, d in quotients if isinstance(d, str)] == violations
+    fresh = Gauge.from_dict(data)
+    assert any(delta_derivative(F, fresh, t).value != v for t, v in values)
