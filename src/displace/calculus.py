@@ -21,18 +21,20 @@ go through one engine.  Three point classes arise:
   them is refused as the quotient refuses it.  The quotient is kept
   for an f that is itself a CumulativeQuadrature (a gauge or a running
   integral), whose f(y) costs a panel anyway, and for every derivative
-  the FTC harnesses take: they test the theorem through its definition.
-  It also decides the whole point whenever two slopes cannot: a limit
-  that fails the convergence test or lies farther from the nearest
-  sample than that test allows, a density limit not above 1e-2 of the
-  largest density sample on its side, a value whose error fails the
-  test, or two sides that disagree.  Errors and their diagnostics are
-  therefore always the quotient's.
+  the FTC harnesses take, which ask for it by argument: they test the
+  theorem through its definition.  The two rules share each side's
+  samples of f.  The quotient also decides the whole point whenever
+  two slopes cannot: a limit that fails the convergence test or lies
+  farther from the nearest sample than that test allows, a density
+  limit not above 1e-2 of the largest density sample on its side, a
+  value whose error fails the test, or two sides that disagree.  Errors
+  and their diagnostics are therefore always the quotient's.
 * jump points of g: the limit reduces to the exact one-sided quotient
   (f(x+) - f(x)) / atom, where atom is the jump size.  f(x+) comes from
   a right_limit method when the callable provides one (gauges and the
   running integrals below do), otherwise from right-sided extrapolation
-  that must pass the same convergence test as continuity quotients.
+  that must settle as a slope does: its spread, and its distance to the
+  nearest sample, must pass the convergence test.
 * excluded points: interiors of constancy intervals and their isolated
   endpoints carry no measure and no derivative; queries within 1e-12 of
   them return a result classed 'excluded' with no value.
@@ -55,7 +57,6 @@ derivative, reporting points where the derivative fails to exist.
 from __future__ import annotations
 
 import bisect
-import contextvars
 import math
 from typing import Callable, Optional, Sequence
 
@@ -111,7 +112,7 @@ class DerivativeResult(Record):
     samples_used: int
 
 
-# the Richardson divisors 2.0 ** j - 1.0, for every j whose power is finite
+# the Richardson divisors 2.0 ** j - 1.0 for every j whose power is finite
 _RICHARDSON_DIV = tuple(2.0 ** j - 1.0 for j in range(1024))
 
 
@@ -125,9 +126,7 @@ def _richardson(values: Sequence[float]) -> tuple[float, float]:
     by row, keeping only the row above.
     """
     n = len(values)
-    # past the table, 2.0 ** j raises OverflowError where it always did
-    div = _RICHARDSON_DIV if n <= len(_RICHARDSON_DIV) else [
-        2.0 ** j - 1.0 for j in range(n)]
+    div = _RICHARDSON_DIV
     above = list(values[:1])
     diag = above[:]
     for i in range(1, n):
@@ -140,13 +139,11 @@ def _richardson(values: Sequence[float]) -> tuple[float, float]:
         above = row
     if n == 1:
         return diag[0], math.inf
-    best_i = 1
-    best_spread = abs(diag[1] - diag[0])
+    best_i, best_spread = 1, abs(diag[1] - diag[0])
     for i in range(2, n):
         spread = abs(diag[i] - diag[i - 1])
         if spread <= best_spread:
-            best_spread = spread
-            best_i = i
+            best_i, best_spread = i, spread
     return diag[best_i], best_spread
 
 
@@ -167,13 +164,14 @@ def _reach(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
 
 def _side_points(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
                  avoid: Sequence[float], levels: int) -> list[float]:
-    """The points x + direction * h of one side, h = reach / 2**k for
-    k < levels until h is rounding; none when the side has no room."""
+    """The points x + direction * h of one side, h = reach / 2**k for k <
+    levels until h is rounding, at most one per Richardson divisor; none
+    when the side has no room."""
     reach = _reach(x, direction, g, dsets, avoid)
     if reach < 1e3 * _EPS * max(1.0, abs(x)):
         return []
     ys = []
-    for k in range(levels):
+    for k in range(min(levels, len(_RICHARDSON_DIV))):
         h = reach * 2.0 ** (-k)
         if h < 32.0 * _EPS * max(1.0, abs(x)):
             break
@@ -184,45 +182,45 @@ def _side_points(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
 def _converges(estimate: float, spread: float) -> bool:
     """The convergence test every limit passes: the estimate is finite
     with spread at most 1e-2 * (1 + |estimate|).  The quotient's limits
-    pass it on their spread alone (_side_limit), the two slopes' on the
-    spread and on the distance to the nearest sample (_settled)."""
+    pass it on their spread alone, the two slopes and f(x+) at a jump on
+    the spread and on the distance to the nearest sample (_settled)."""
     return math.isfinite(estimate) and spread <= 1e-2 * (1.0 + abs(estimate))
 
 
+def _settled(values: Sequence[float], near: bool = True
+             ) -> Optional[tuple[float, float]]:
+    """(estimate, spread) of values by _richardson if the spread and, when
+    near, the distance from the estimate to the nearest sample pass
+    _converges; otherwise None.  Two early samples that agree by chance,
+    as on both sides of a kink, are not taken for a limit."""
+    estimate, spread = _richardson(values)
+    test = max(spread, abs(values[-1] - estimate)) if near else spread
+    return (estimate, spread) if _converges(estimate, test) else None
+
+
 def _side_limit(samples: Sequence[Optional[float]], key: str, x: float,
-                diagnostics: dict) -> tuple[float, float]:
-    """(estimate, spread) of one side's samples, taken at its points in
-    order, by _richardson; a None sample is dropped.  The samples go into
-    diagnostics under key ('right' or 'left'); DerivativeError carries
-    them unless the estimate passes _converges."""
+                diagnostics: dict, near: bool = False) -> tuple[float, float]:
+    """_settled(values, near) of one side's samples, taken at its points in
+    order; a None sample is dropped.  The samples go into diagnostics
+    under key ('right' or 'left'); DerivativeError carries them where
+    _settled finds no limit."""
     values = [v for v in samples if v is not None]
     diagnostics[key] = values
     if not values:
         raise DerivativeError(
             "gauge increments vanish on one side", x, diagnostics)
-    estimate, spread = _richardson(values)
-    if not _converges(estimate, spread):
+    limit = _settled(values, near)
+    if limit is None:
         raise DerivativeError(
             f"difference quotients do not converge on the {key} side",
             x, diagnostics)
-    return estimate, spread
+    return limit
 
 
 # a density side limit at most this fraction of the largest density
 # sample on that side is not clearly positive: a zero of the density that
 # near, against the reach, also keeps the quotient's limit from settling
 _DENSITY_FLOOR = 1e-2
-
-
-def _settled(values: Sequence[float]) -> Optional[tuple[float, float]]:
-    """(estimate, spread) of values by _richardson if the spread, and the
-    distance from the estimate to the nearest sample, each pass
-    _converges; otherwise None.  Two early samples that agree by chance,
-    as on both sides of a kink, are not taken for a limit."""
-    estimate, spread = _richardson(values)
-    if _converges(estimate, max(spread, abs(values[-1] - estimate))):
-        return estimate, spread
-    return None
 
 
 def _two_slopes(nums: Sequence[float], ys: Sequence[float], x: float,
@@ -254,17 +252,12 @@ def _disagree(limits: Sequence[tuple[float, float]]) -> bool:
     return abs(lr - ll) > 1e-3 * (1.0 + abs(lr) + abs(ll))
 
 
-# True while an FTC harness differentiates: the harnesses test the theorem
-# through its definition, so every continuity limit is then the quotient's
-_DEFINITION: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "definition", default=False)
-
-
 def _derivative(f: Callable[[float], float], g: Gauge,
                 displaced: Callable[[float, float], float], x: float,
                 shrink_levels: int, dsets: Optional[DistinguishedSets],
-                avoid: Sequence[float]) -> DerivativeResult:
-    """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x."""
+                avoid: Sequence[float], quotient: bool) -> DerivativeResult:
+    """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x, by two
+    slopes where they decide it and quotient is false."""
     # one level gives one sample per side, which no test can call converged
     _check_count(shrink_levels, 2, "shrink_levels", CalculusError)
     if dsets is None:
@@ -283,7 +276,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
             if not ys:
                 raise DerivativeError("no room to the right of the jump", tau)
             fplus, spread = _side_limit([float(f(y)) for y in ys], "right",
-                                        tau, {})
+                                        tau, {}, near=True)
             used = len(ys)
         return DerivativeResult(value=displaced(fx, fplus) / atom,
                                 point_class="jump",
@@ -301,39 +294,31 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         ys = _side_points(x, direction, g, dsets, avoid, shrink_levels)
         if ys:
             sides.append((key, ys))
-    diagnostics: dict = {}
+            if not quotient:
+                # with g(x), the quotient's first panels: they refuse a
+                # density that integrates below zero there
+                g(ys[0])
     if not sides:
-        raise DerivativeError("no side of x admits difference quotients",
-                              x, diagnostics)
-    nums: list[list[float]] = []
+        raise DerivativeError("no side of x admits difference quotients", x)
+    nums = [[displaced(fx, float(f(y))) for y in ys] for _, ys in sides]
     limits: list = []
-    # a gauge or running integral pays a panel for each f(y) anyway
-    if not (_DEFINITION.get() or isinstance(f, CumulativeQuadrature)):
-        # the quotient's first panels, up to x and out to each side's
-        # farthest point, refuse a density that integrates below zero there
-        for _, ys in sides:
-            g(ys[0])
-        for _, ys in sides:
-            nums.append([displaced(fx, float(f(y))) for y in ys])
-            limits.append(_two_slopes(nums[-1], ys, x, g.density))
+    if not quotient:
+        for (_, ys), num in zip(sides, nums):
+            limits.append(_two_slopes(num, ys, x, g.density))
             if limits[-1] is None:
                 break
     if not limits or None in limits or _disagree(limits):
-        limits = []
-        for i, (key, ys) in enumerate(sides):
-            num = nums[i] if i < len(nums) else [
-                displaced(fx, float(f(y))) for y in ys]
-            den = [g(y) - gx for y in ys]
-            limits.append(_side_limit(
-                [n / d if d != 0.0 else None for n, d in zip(num, den)],
-                key, x, diagnostics))
+        diagnostics: dict = {}
+        limits = [_side_limit([n / d if d != 0.0 else None for n, d in
+                               zip(num, [g(y) - gx for y in ys])],
+                              key, x, diagnostics)
+                  for (key, ys), num in zip(sides, nums)]
         if _disagree(limits):
             raise DerivativeError(
                 "left and right difference quotients disagree", x, diagnostics)
     if len(limits) == 2:
         (lr, er), (ll, el) = limits
-        value = 0.5 * (lr + ll)
-        error = max(er, el, 0.5 * abs(lr - ll))
+        value, error = 0.5 * (lr + ll), max(er, el, 0.5 * abs(lr - ll))
     else:
         (value, error), = limits
     return DerivativeResult(value=value, point_class="continuity",
@@ -366,7 +351,7 @@ def delta_derivative(f: Callable[[float], float], g: Gauge, x: float,
             the exception carries the sequences.
     """
     return _derivative(f, g, lambda u, v: v - u, x, shrink_levels, dsets,
-                       avoid)
+                       avoid, isinstance(f, CumulativeQuadrature))
 
 
 def pair_derivative(f: Callable[[float], float], g1: Gauge, delta2,
@@ -380,7 +365,8 @@ def pair_derivative(f: Callable[[float], float], g1: Gauge, delta2,
     delta2, the denominator is the source gauge increment.  Point
     classes and convergence rules match delta_derivative.
     """
-    return _derivative(f, g1, delta2.delta, x, shrink_levels, dsets, avoid)
+    return _derivative(f, g1, delta2.delta, x, shrink_levels, dsets, avoid,
+                       isinstance(f, CumulativeQuadrature))
 
 
 class CumulativeStieltjesIntegral(CumulativeQuadrature):
@@ -473,25 +459,21 @@ def _derivatives(F: Callable[[float], float], g: Gauge,
     continuity limit is a quotient of increments, even for a plain F."""
     dsets = g.distinguished_sets()
     values, excluded, violations = [], [], []
-    definition = _DEFINITION.set(True)
-    try:
-        for t in points:
-            if any(abs(t - p) < _F_BREAK_GUARD for p in f_breaks) and \
-                    dsets.jump_near(t) is None:
-                excluded.append(t)
-                continue
-            try:
-                d = delta_derivative(F, g, t, shrink_levels, dsets,
-                                     avoid=f_breaks)
-            except DerivativeError as exc:
-                violations.append({"point": t, "reason": str(exc)})
-                continue
-            if d.point_class == "excluded":
-                excluded.append(t)
-            else:
-                values.append((t, d.value))
-    finally:
-        _DEFINITION.reset(definition)
+    for t in points:
+        if any(abs(t - p) < _F_BREAK_GUARD for p in f_breaks) and \
+                dsets.jump_near(t) is None:
+            excluded.append(t)
+            continue
+        try:
+            d = _derivative(F, g, lambda u, v: v - u, t, shrink_levels,
+                            dsets, f_breaks, True)
+        except DerivativeError as exc:
+            violations.append({"point": t, "reason": str(exc)})
+            continue
+        if d.point_class == "excluded":
+            excluded.append(t)
+        else:
+            values.append((t, d.value))
     return values, excluded, violations
 
 
@@ -566,16 +548,14 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     # the comparison grid must reach past a, where the rebuild is exact
     _check_count(grid, 2, "grid", CalculusError)
     a, b = g.domain
-    knots = set(_linspace(a, b, grid + 2)[1:-1])
-    knots.add(a)
-    knots.update(tau for tau, _ in g.jumps if tau < b)
+    knots = {a, *_linspace(a, b, grid + 2)[1:-1],
+             *(tau for tau, _ in g.jumps if tau < b)}
     values, excluded, violations = _derivatives(F, g, sorted(knots),
                                                 shrink_levels)
     if len(values) < 2:
         raise CalculusError(
             "not enough derivative samples to attempt reconstruction")
-    kx = [t for t, _ in values]
-    kv = [v for _, v in values]
+    kx, kv = zip(*values)
     R = CumulativeStieltjesIntegral(lambda t: _interp(t, kx, kv), g,
                                     f_breaks=kx)
     base = float(F(a))

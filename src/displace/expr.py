@@ -338,6 +338,10 @@ class _Parser:
         )
 
 
+# the error of a tree too deep for the recursive parser or compiler
+_TOO_DEEP = "expression nested too deeply"
+
+
 def parse(source: str, variables=()) -> Expr:
     """Parse source text into an Expr.
 
@@ -349,13 +353,17 @@ def parse(source: str, variables=()) -> Expr:
         ParseError: on a source that is not a str, syntax errors (with
             position and expected tokens), unknown identifiers, or arity
             mismatches.
+        ExprError: on nesting too deep for the recursive descent.
     """
     if not isinstance(source, str):
         raise ParseError(f"{type(source).__name__} value", 0,
                          ("expression text",))
     declared = frozenset(variables)
     parser = _Parser(_tokenize(source), declared)
-    ast = parser.parse_expr()
+    try:
+        ast = parser.parse_expr()
+    except RecursionError:
+        raise ExprError(_TOO_DEEP) from None
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(
@@ -425,7 +433,7 @@ def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
     when the variable is first reached, as does any free variable with no
     parameter.  Numbers, constants and nodes are passed through ns, so no
     user text enters the lines, and every expression of one shape gets
-    the same lines.
+    the same lines.  A tree too deep to walk raises ExprError.
     """
     ns = {**_HELPERS, "_u": _unparse}
     lines: list[str] = []
@@ -513,7 +521,10 @@ def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
             return out
         raise TypeError(f"not an expression node: {node!r}")
 
-    result = emit(expr.ast)
+    try:
+        result = emit(expr.ast)
+    except RecursionError:
+        raise ExprError(_TOO_DEEP) from None
     return lines, result, ns
 
 

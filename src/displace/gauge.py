@@ -318,8 +318,9 @@ class CumulativeQuadrature:
     stay nondecreasing: a panel that integrates below -tol, or a new
     value above its right neighbor by more than tol, means the integrand
     is negative somewhere and raises GaugeError; smaller violations are
-    rounding and are clamped away.  Thread-safe; behaves as if the cache
-    were absent.
+    rounding and are clamped away.  Thread-safe.  The cache is not
+    invisible: a value is a sum of panels from the points cached before
+    it, so its last bits depend on the points queried before it.
     """
 
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float,

@@ -124,6 +124,34 @@ def test_kink_raises_with_side_diagnostics():
     assert set(exc_info.value.diagnostics) == {"right"}
 
 
+def test_a_right_limit_at_an_atom_must_settle_near_its_samples():
+    # cos(8 (t - 0.6875)) takes one value at 0.75 and 0.625, the first two
+    # points right of the atom, so their Richardson spread is 0; the
+    # extrapolation 0.877 lies far from the last sample 0.0717, and f is
+    # continuous at 0.5, where the jump quotient is 0, not 3.2273814408906794
+    g = Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 0.25),))
+    f = lambda t: math.cos(8.0 * (t - 0.6875))  # noqa: E731
+    with pytest.raises(DerivativeError, match=re.escape(
+            "difference quotients do not converge on the right side at "
+            "x = 0.5")) as exc_info:
+        delta_derivative(f, g, 0.5)
+    samples = exc_info.value.diagnostics["right"]
+    assert set(exc_info.value.diagnostics) == {"right"} and len(samples) == 12
+    assert samples[0] == samples[1] == f(0.75)
+    # a right limit that settles keeps the extrapolation's bits
+    d = delta_derivative(lambda t: t * t, g, 0.5)
+    assert d.point_class == "jump" and abs(d.value) <= 1e-12
+
+
+def test_a_side_has_at_most_one_point_per_richardson_divisor():
+    # on [0, 1e300] the right side of 0.5 halves 5e299 about 1050 times
+    # before the step is rounding; 2.0 ** j overflows past j = 1023
+    g = Gauge((0.0, 1e300), lambda t: 1.0)
+    d = delta_derivative(lambda t: t, g, 0.5, shrink_levels=2000)
+    assert (d.value, d.point_class, d.samples_used) == \
+        (1.0, "continuity", 1024 + 46)
+
+
 def test_derivative_point_outside_domain():
     for x in (1.5, -1e-9, math.nan, math.inf):
         with pytest.raises(CalculusError, match=re.escape(

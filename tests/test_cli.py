@@ -305,6 +305,37 @@ def test_derive_kink_reports_computation_error(runner):
     assert "error:" in result.stderr
 
 
+@pytest.mark.parametrize("f", [
+    "+".join(["t"] * 3000),
+    "(" * 400 + "t" + ")" * 400,
+    "-" * 1500 + "t",
+], ids=["sum-of-3000", "400-parentheses", "1500-minus-signs"])
+def test_nesting_too_deep_is_one_error_line(runner, f):
+    result = invoke(runner, "derive", "--f", f, "--gauge", "identity",
+                    "--x", "0.5")
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == "error: expression nested too deeply\n"
+
+
+def test_a_sum_of_900_terms_still_differentiates(runner):
+    result = invoke(runner, "derive", "--f", "+".join(["t"] * 900),
+                    "--gauge", "identity", "--x", "0.5")
+    assert result.exit_code == 0 and json.loads(result.stdout)["value"] == 900
+
+
+def test_derive_on_a_huge_domain_with_many_levels(runner, tmp_path):
+    # the right side of 0.5 would have about 1050 points, more than the
+    # Richardson tableau has divisors; it stops at 1024
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"domain": [0, 1e300], "density": "1"}),
+                    encoding="utf-8")
+    for levels in ("2000", "1100"):
+        result = invoke(runner, "derive", "--f", "t", "--gauge", str(huge),
+                        "--x", "0.5", "--shrink-levels", levels)
+        assert result.exit_code == 0, result.stderr
+        assert json.loads(result.stdout)["value"] == 1
+
+
 def test_integrate_refuses_an_unconverged_quadrature(runner):
     # printed -0.0023254250199439162 with exit 0; the integral is 1.95e-4
     result = invoke(runner, "integrate", "--f", "sin(10000*t)", "--gauge",

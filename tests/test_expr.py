@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from displace.expr import (ArityError, DomainError, MissingBindingError,
-                           ParseError, UnknownIdentifierError, as_function,
-                           evaluate, parse, substitute)
+from displace.expr import (ArityError, DomainError, ExprError,
+                           MissingBindingError, ParseError,
+                           UnknownIdentifierError, as_function, evaluate,
+                           parse, substitute)
 
 
 def test_parse_displacement_formula_free_vars():
@@ -330,3 +331,19 @@ def test_expr_pickles_after_evaluation():
     again = pickle.loads(pickle.dumps(e))
     assert again == e
     assert again(x=3.0) == 8.0
+
+
+@pytest.mark.parametrize("source", [
+    "+".join(["t"] * 3000),
+    "(" * 400 + "t" + ")" * 400,
+    "-" * 1500 + "t",
+], ids=["sum-of-3000", "400-parentheses", "1500-minus-signs"])
+def test_nesting_too_deep_is_an_expression_error(source):
+    # the sum parses into a tree too deep to compile; the others are too
+    # deep to parse
+    with pytest.raises(ExprError, match="^expression nested too deeply$"):
+        as_function(parse(source, {"t"}), "t")
+
+
+def test_a_sum_of_900_terms_still_evaluates():
+    assert as_function(parse("+".join(["t"] * 900), {"t"}), "t")(0.5) == 450.0
