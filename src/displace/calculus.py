@@ -22,19 +22,19 @@ go through one engine.  Three point classes arise:
   for an f that is itself a CumulativeQuadrature (a gauge or a running
   integral), whose f(y) costs a panel anyway, and for every derivative
   the FTC harnesses take, which ask for it by argument: they test the
-  theorem through its definition.  The two rules share each side's
-  samples of f.  The quotient also decides the whole point whenever
-  two slopes cannot: a limit that fails the convergence test or lies
-  farther from the nearest sample than that test allows, a density
-  limit not above 1e-2 of the largest density sample on its side, a
-  value whose error fails the test, or two sides that disagree.  Errors
-  and their diagnostics are therefore always the quotient's.
+  theorem through its definition.  Where two slopes are tried, both
+  rules read the same samples of f.  The quotient also decides the whole
+  point whenever two slopes cannot: a limit that fails the convergence
+  test or lies farther from the nearest sample than that test allows, a
+  density limit not above 1e-2 of the largest density sample on its
+  side, a value whose error fails the test, or two sides that disagree.
+  Errors and their diagnostics are therefore always the quotient's.
 * jump points of g: the limit reduces to the exact one-sided quotient
   (f(x+) - f(x)) / atom, where atom is the jump size.  f(x+) comes from
   a right_limit method when the callable provides one (gauges and the
   running integrals below do), otherwise from right-sided extrapolation
-  that must settle as a slope does: its spread, and its distance to the
-  nearest sample, must pass the convergence test.
+  whose spread must pass the convergence test, and so must its distance
+  to the nearest sample less four of the samples' last steps.
 * excluded points: interiors of constancy intervals and their isolated
   endpoints carry no measure and no derivative; queries within 1e-12 of
   them return a result classed 'excluded' with no value.
@@ -112,7 +112,7 @@ class DerivativeResult(Record):
     samples_used: int
 
 
-# the Richardson divisors 2.0 ** j - 1.0 for every j whose power is finite
+# the Richardson divisors 2.0 ** j - 1.0, for every j whose power is finite
 _RICHARDSON_DIV = tuple(2.0 ** j - 1.0 for j in range(1024))
 
 
@@ -126,24 +126,25 @@ def _richardson(values: Sequence[float]) -> tuple[float, float]:
     by row, keeping only the row above.
     """
     n = len(values)
-    div = _RICHARDSON_DIV
     above = list(values[:1])
     diag = above[:]
     for i in range(1, n):
         row = [values[i]]
         prev = row[0]
         for j in range(1, i + 1):
-            prev = prev + (prev - above[j - 1]) / div[j]
+            prev = prev + (prev - above[j - 1]) / _RICHARDSON_DIV[j]
             row.append(prev)
         diag.append(prev)
         above = row
     if n == 1:
         return diag[0], math.inf
-    best_i, best_spread = 1, abs(diag[1] - diag[0])
+    best_i = 1
+    best_spread = abs(diag[1] - diag[0])
     for i in range(2, n):
         spread = abs(diag[i] - diag[i - 1])
         if spread <= best_spread:
-            best_i, best_spread = i, spread
+            best_spread = spread
+            best_i = i
     return diag[best_i], best_spread
 
 
@@ -182,45 +183,54 @@ def _side_points(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
 def _converges(estimate: float, spread: float) -> bool:
     """The convergence test every limit passes: the estimate is finite
     with spread at most 1e-2 * (1 + |estimate|).  The quotient's limits
-    pass it on their spread alone, the two slopes and f(x+) at a jump on
-    the spread and on the distance to the nearest sample (_settled)."""
+    pass it on their spread (_side_limit; at a jump also on the distance
+    to the nearest sample, less four last steps), the two slopes' on the
+    spread and on the distance to the nearest sample (_settled)."""
     return math.isfinite(estimate) and spread <= 1e-2 * (1.0 + abs(estimate))
 
 
-def _settled(values: Sequence[float], near: bool = True
-             ) -> Optional[tuple[float, float]]:
-    """(estimate, spread) of values by _richardson if the spread and, when
-    near, the distance from the estimate to the nearest sample pass
-    _converges; otherwise None.  Two early samples that agree by chance,
-    as on both sides of a kink, are not taken for a limit."""
-    estimate, spread = _richardson(values)
-    test = max(spread, abs(values[-1] - estimate)) if near else spread
-    return (estimate, spread) if _converges(estimate, test) else None
-
-
 def _side_limit(samples: Sequence[Optional[float]], key: str, x: float,
-                diagnostics: dict, near: bool = False) -> tuple[float, float]:
-    """_settled(values, near) of one side's samples, taken at its points in
-    order; a None sample is dropped.  The samples go into diagnostics
-    under key ('right' or 'left'); DerivativeError carries them where
-    _settled finds no limit."""
+                diagnostics: dict, near: bool) -> tuple[float, float]:
+    """(estimate, spread) of one side's samples, taken at its points in
+    order, by _richardson; a None sample is dropped.  The samples go into
+    diagnostics under key ('right' or 'left'); DerivativeError carries
+    them unless the spread passes _converges and, when near, so does the
+    estimate's distance to the nearest sample less four last steps: a
+    limit the samples approach linearly lies one last step from the
+    nearest, so this refuses only an estimate they are not heading for,
+    such as one taken from two early samples that agree by chance."""
     values = [v for v in samples if v is not None]
     diagnostics[key] = values
     if not values:
         raise DerivativeError(
             "gauge increments vanish on one side", x, diagnostics)
-    limit = _settled(values, near)
-    if limit is None:
+    estimate, spread = _richardson(values)
+    test = spread
+    if near:
+        test = max(spread, abs(values[-1] - estimate)
+                   - 4.0 * abs(values[-1] - values[-2]))
+    if not _converges(estimate, test):
         raise DerivativeError(
             f"difference quotients do not converge on the {key} side",
             x, diagnostics)
-    return limit
+    return estimate, spread
 
 
 # a density side limit at most this fraction of the largest density
 # sample on that side is not clearly positive: a zero of the density that
 # near, against the reach, also keeps the quotient's limit from settling
 _DENSITY_FLOOR = 1e-2
+
+
+def _settled(values: Sequence[float]) -> Optional[tuple[float, float]]:
+    """(estimate, spread) of values by _richardson if the spread, and the
+    distance from the estimate to the nearest sample, each pass
+    _converges; otherwise None.  Two early samples that agree by chance,
+    as on both sides of a kink, are not taken for a limit."""
+    estimate, spread = _richardson(values)
+    if _converges(estimate, max(spread, abs(values[-1] - estimate))):
+        return estimate, spread
+    return None
 
 
 def _two_slopes(nums: Sequence[float], ys: Sequence[float], x: float,
@@ -255,9 +265,12 @@ def _disagree(limits: Sequence[tuple[float, float]]) -> bool:
 def _derivative(f: Callable[[float], float], g: Gauge,
                 displaced: Callable[[float, float], float], x: float,
                 shrink_levels: int, dsets: Optional[DistinguishedSets],
-                avoid: Sequence[float], quotient: bool) -> DerivativeResult:
+                avoid: Sequence[float], quotient: bool = False
+                ) -> DerivativeResult:
     """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x, by two
-    slopes where they decide it and quotient is false."""
+    slopes where they decide it, unless quotient is true or f is a
+    CumulativeQuadrature (a gauge or running integral, which pays a panel
+    for each f(y) anyway)."""
     # one level gives one sample per side, which no test can call converged
     _check_count(shrink_levels, 2, "shrink_levels", CalculusError)
     if dsets is None:
@@ -276,7 +289,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
             if not ys:
                 raise DerivativeError("no room to the right of the jump", tau)
             fplus, spread = _side_limit([float(f(y)) for y in ys], "right",
-                                        tau, {}, near=True)
+                                        tau, {}, True)
             used = len(ys)
         return DerivativeResult(value=displaced(fx, fplus) / atom,
                                 point_class="jump",
@@ -287,6 +300,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         return DerivativeResult(value=None, point_class="excluded",
                                 error_estimate=0.0, samples_used=0)
 
+    quotient = quotient or isinstance(f, CumulativeQuadrature)
     fx = float(f(x))
     gx = g(x)
     sides = []
@@ -298,27 +312,35 @@ def _derivative(f: Callable[[float], float], g: Gauge,
                 # with g(x), the quotient's first panels: they refuse a
                 # density that integrates below zero there
                 g(ys[0])
+    diagnostics: dict = {}
     if not sides:
-        raise DerivativeError("no side of x admits difference quotients", x)
-    nums = [[displaced(fx, float(f(y))) for y in ys] for _, ys in sides]
+        raise DerivativeError("no side of x admits difference quotients",
+                              x, diagnostics)
+    nums: list[list[float]] = []
     limits: list = []
     if not quotient:
+        nums = [[displaced(fx, float(f(y))) for y in ys] for _, ys in sides]
         for (_, ys), num in zip(sides, nums):
             limits.append(_two_slopes(num, ys, x, g.density))
             if limits[-1] is None:
                 break
     if not limits or None in limits or _disagree(limits):
-        diagnostics: dict = {}
-        limits = [_side_limit([n / d if d != 0.0 else None for n, d in
-                               zip(num, [g(y) - gx for y in ys])],
-                              key, x, diagnostics)
-                  for (key, ys), num in zip(sides, nums)]
+        limits = []
+        for i, (key, ys) in enumerate(sides):
+            # without two slopes a side is sampled as its limit is taken,
+            # so an f that raises on the left cannot mask the right's refusal
+            num = nums[i] if nums else [displaced(fx, float(f(y))) for y in ys]
+            den = [g(y) - gx for y in ys]
+            limits.append(_side_limit(
+                [n / d if d != 0.0 else None for n, d in zip(num, den)],
+                key, x, diagnostics, False))
         if _disagree(limits):
             raise DerivativeError(
                 "left and right difference quotients disagree", x, diagnostics)
     if len(limits) == 2:
         (lr, er), (ll, el) = limits
-        value, error = 0.5 * (lr + ll), max(er, el, 0.5 * abs(lr - ll))
+        value = 0.5 * (lr + ll)
+        error = max(er, el, 0.5 * abs(lr - ll))
     else:
         (value, error), = limits
     return DerivativeResult(value=value, point_class="continuity",
@@ -351,7 +373,7 @@ def delta_derivative(f: Callable[[float], float], g: Gauge, x: float,
             the exception carries the sequences.
     """
     return _derivative(f, g, lambda u, v: v - u, x, shrink_levels, dsets,
-                       avoid, isinstance(f, CumulativeQuadrature))
+                       avoid)
 
 
 def pair_derivative(f: Callable[[float], float], g1: Gauge, delta2,
@@ -365,8 +387,7 @@ def pair_derivative(f: Callable[[float], float], g1: Gauge, delta2,
     delta2, the denominator is the source gauge increment.  Point
     classes and convergence rules match delta_derivative.
     """
-    return _derivative(f, g1, delta2.delta, x, shrink_levels, dsets, avoid,
-                       isinstance(f, CumulativeQuadrature))
+    return _derivative(f, g1, delta2.delta, x, shrink_levels, dsets, avoid)
 
 
 class CumulativeStieltjesIntegral(CumulativeQuadrature):
@@ -548,14 +569,16 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     # the comparison grid must reach past a, where the rebuild is exact
     _check_count(grid, 2, "grid", CalculusError)
     a, b = g.domain
-    knots = {a, *_linspace(a, b, grid + 2)[1:-1],
-             *(tau for tau, _ in g.jumps if tau < b)}
+    knots = set(_linspace(a, b, grid + 2)[1:-1])
+    knots.add(a)
+    knots.update(tau for tau, _ in g.jumps if tau < b)
     values, excluded, violations = _derivatives(F, g, sorted(knots),
                                                 shrink_levels)
     if len(values) < 2:
         raise CalculusError(
             "not enough derivative samples to attempt reconstruction")
-    kx, kv = zip(*values)
+    kx = [t for t, _ in values]
+    kv = [v for _, v in values]
     R = CumulativeStieltjesIntegral(lambda t: _interp(t, kx, kv), g,
                                     f_breaks=kx)
     base = float(F(a))

@@ -143,6 +143,24 @@ def test_a_right_limit_at_an_atom_must_settle_near_its_samples():
     assert d.point_class == "jump" and abs(d.value) <= 1e-12
 
 
+def test_a_steep_right_limit_at_an_atom_still_settles():
+    # the samples of a linear f lie one last step from its right limit,
+    # however far that step is in absolute terms: 100 (t - 0.5) reaches
+    # 0.0122 at the nearest point, t - 50 on [0, 100] the same
+    for g, f, x in (
+            (Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 0.25),)),
+             lambda t: 100.0 * (t - 0.5), 0.5),
+            (Gauge((0.0, 100.0), lambda t: 1.0, jumps=((50.0, 0.25),)),
+             lambda t: t - 50.0, 50.0)):
+        d = delta_derivative(f, g, x)
+        assert (d.value, d.point_class, d.error_estimate, d.samples_used) \
+            == (0.0, "jump", 0.0, 13)
+    # a curved f: f(x+) - f(x) over the atom, to the estimate
+    g = Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 0.25),))
+    d = delta_derivative(lambda t: math.exp(9.0 * t), g, 0.5)
+    assert d.point_class == "jump" and abs(d.value) <= 1e-9
+
+
 def test_a_side_has_at_most_one_point_per_richardson_divisor():
     # on [0, 1e300] the right side of 0.5 halves 5e299 about 1050 times
     # before the step is rounding; 2.0 ** j overflows past j = 1023
@@ -484,6 +502,21 @@ def test_ftc2_flags_function_with_foreign_jump():
     report = ftc2_check(H, identity_gauge(), grid=101)
     assert report.max_error > 0.5
     assert len(report.violations) >= 1
+
+
+def test_ftc2_takes_the_right_side_before_it_samples_the_left():
+    # F oscillates right of 0.5 and is undefined at the left points
+    # nearest it, 0.5 - 0.25 / 2**k for k >= 9: the right side's refusal
+    # is a violation, and the left side is never sampled
+    def F(t):
+        if 0.4995 < t < 0.5:
+            raise ValueError("F is undefined here")
+        return (t - 0.5) * math.sin(1.0 / (t - 0.5)) if t > 0.5 else 0.0
+    report = ftc2_check(F, identity_gauge())
+    assert report.violations[0] == {
+        "point": 0.5,
+        "reason": "difference quotients do not converge on the right side "
+                  "at x = 0.5"}
 
 
 def test_running_integral_snaps_points_just_outside_the_domain():
