@@ -26,11 +26,18 @@ DomainError naming the offending sub-expression.  A finite expression
 evaluated twice on the same bindings returns bit-identical results.
 
 Each expression is compiled once, per order of its variables, into a
-straight-line Python function that performs the same float operations
-in the same order with the same math functions, and the same domain
-checks at the same points, as a walk of the tree would (a power whose
-exponent is a non-negative integer literal skips the two that cannot
-fire); evaluate, Expr.__call__ and as_function all run that function.
+Python function; evaluate, Expr.__call__ and as_function all run it.
+Its fast form is the whole tree as one Python expression, with the same
+float operations in the same order and the same math functions as a
+walk of the tree, and no checks.  A row on which it raises or gives NaN
+runs again in the checked lines, compiled the first time a row needs
+them: the same operations as straight-line statements, with each domain
+check at the point where the walk makes it (a power whose exponent is a
+non-negative integer literal skips the two that cannot fire).  Values
+and errors, with their text, are therefore those of the checked lines.
+A tree with min, max or a '^' other than a natural power of at least 1,
+which can turn a NaN operand into a number, or one nested too deeply
+for one Python expression, runs the checked lines alone.
 
 Callers that run such a function many times (the solver's Euler
 recurrence, the check battery's bisection and maximum, and _MAP, the
@@ -53,7 +60,7 @@ from __future__ import annotations
 import math
 import operator
 from types import CodeType
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 from .serialize import Record
 
@@ -406,7 +413,7 @@ def _is_natural(node: Node) -> bool:
 
 
 _HELPERS = {"_F": float, "_D": DomainError, "_pow": _pow, "_inf": math.inf,
-            "_OE": OverflowError, "_mpow": math.pow}
+            "_OE": OverflowError, "_mpow": math.pow, "_nan": math.nan}
 _UNARY_FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin,
                 "cos": math.cos, "sqrt": math.sqrt, "abs": abs}
 # (domain test on the argument, message) of the checked unary functions
@@ -417,6 +424,9 @@ _CALL_CHECKS = {"ln": ("<= 0.0", "ln of a non-positive number"),
 # shape shares one compile; the cache is emptied when full, as re does
 _CODE_CACHE: dict[str, CodeType] = {}
 _CODE_CACHE_MAX = 512
+# the deepest nesting of parentheses in a fast form; a tree that needs
+# more keeps the checked lines alone (Python's parser stops at 200)
+_FAST_NESTING = 100
 
 
 def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
@@ -424,20 +434,34 @@ def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
     """expr as straight-line statements over the parameters p0, p1, ...
 
     Returns (lines, result, ns): the statements, the name that holds the
-    value after them, and the namespace they run in.  The ast becomes
-    one local per node in post-order (operands before their operation),
-    with each domain check an inline 'if' at the point where it applies.
-    Parameter pI holds the value of names[I] and reads through float(),
-    unless floats says that every parameter is a Python float already;
-    its default is ns['_dI'], an _Unbound that raises MissingBindingError
-    when the variable is first reached, as does any free variable with no
-    parameter.  Numbers, constants and nodes are passed through ns, so no
-    user text enters the lines, and every expression of one shape gets
-    the same lines.  A tree too deep to walk raises ExprError.
+    value after them, and the namespace they run in.  The checked lines
+    hold one local per node in post-order (operands before their
+    operation), with each domain check an inline 'if' at the point where
+    it applies.  Parameter pI holds the value of names[I] and reads
+    through float(), unless floats says that every parameter is a Python
+    float already; its default is ns['_dI'], an _Unbound that raises
+    MissingBindingError when the variable is first reached, as does any
+    free variable with no parameter.  Numbers, constants and nodes are
+    passed through ns, so no user text enters the lines, and every
+    expression of one shape gets the same lines.  A tree too deep to walk
+    raises ExprError.
+
+    The same walk writes the fast form: the tree as one Python expression
+    with the same operations in the same order and no checks.  Where it
+    exists, the lines returned are the fast form, and a row that raises
+    there or ends in NaN is handed to ns['_R'], the checked lines as a
+    function of p0, p1, ..., compiled in ns on its first call.  A tree
+    with min, max, a '^' other than a natural power of at least 1, or
+    parentheses nested deeper than _FAST_NESTING has no fast form.  Every
+    other operation carries a NaN operand to its result, and raises where
+    a check would (exp and the natural power raise OverflowError where the
+    lines give inf): so a row that ends in a number in the fast form has
+    the value of the checked lines, and they decide every other row.
     """
     ns = {**_HELPERS, "_u": _unparse}
     lines: list[str] = []
-    loaded: dict[str, str] = {}
+    # name -> (its local, its fast text after the first use)
+    loaded: dict[str, tuple[str, str]] = {}
     unbound: dict[str, str] = {}
 
     def value(obj) -> str:
@@ -457,29 +481,48 @@ def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
         # unique: each local's assignment is appended before the next call
         return f"v{len(lines)}"
 
-    def emit(node: Node) -> str:
+    def emit(node: Node, depth: int) -> tuple[str, Optional[str]]:
+        """node's local in the checked lines, and its text in the fast
+        form inside depth parentheses (None where there is none)."""
+
+        def fast(text: str, *parts: Optional[str]) -> Optional[str]:
+            # text opens one more parenthesis around its parts
+            return None if None in parts or depth >= _FAST_NESTING else text
+
         if isinstance(node, Num):
-            return value(node.value)
+            key = value(node.value)
+            return key, key
         if isinstance(node, Const):
-            return value(_CONSTANTS[node.name])
+            key = value(_CONSTANTS[node.name])
+            return key, key
         if isinstance(node, Var):
-            if node.name not in loaded:
-                spots = [i for i, name in enumerate(names) if name == node.name]
-                src = f"p{spots[0]}" if spots else missing(node.name)
-                # the last value given for a repeated name wins, as in a dict
-                for i in spots[1:]:
-                    src = f"(p{i} if p{i} is not {missing(node.name)} else {src})"
-                loaded[node.name] = out = local()
-                lines.append(f"{out} = {src}" if floats and spots
-                             else f"{out} = _F({src})")
-            return loaded[node.name]
+            if node.name in loaded:
+                return loaded[node.name]
+            spots = [i for i, name in enumerate(names) if name == node.name]
+            src = f"p{spots[0]}" if spots else missing(node.name)
+            # the last value given for a repeated name wins, as in a dict
+            for i in spots[1:]:
+                src = f"(p{i} if p{i} is not {missing(node.name)} else {src})"
+            out = local()
+            if floats and spots:
+                lines.append(f"{out} = {src}")
+                loaded[node.name] = (out, src)
+                text = src
+            else:
+                lines.append(f"{out} = _F({src})")
+                loaded[node.name] = (out, out)
+                text = f"({out} := _F({src}))"
+            # every parenthesis in text encloses the ones after it
+            return out, (text if depth + text.count("(") <= _FAST_NESTING
+                         else None)
         if isinstance(node, Unary):
-            operand = emit(node.operand)
+            operand, text = emit(node.operand, depth + 1)
             out = local()
             lines.append(f"{out} = -{operand}")
-            return out
+            return out, fast(f"(-{text})", text)
         if isinstance(node, Binary):
-            left, right = emit(node.left), emit(node.right)
+            (left, lt), (right, rt) = (emit(node.left, depth + 1),
+                                       emit(node.right, depth + 1))
             frag = value(node)
             out = local()
             if node.op == "/":
@@ -492,40 +535,58 @@ def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
                        if math.floor(node.right.value) % 2 == 1 else "_inf")
                 lines.extend([f"try: {out} = _mpow({left}, {right})",
                               f"except _OE: {out} = {inf}"])
+                # x^0 is 1 at a NaN x, so it has no fast form
+                text = (fast(f"_mpow({lt}, {rt})", lt)
+                        if node.right.value >= 1.0 else None)
             elif node.op == "^":
                 lines.append(f"{out} = _pow({left}, {right}, {frag})")
+                text = None
             else:
                 lines.append(f"{out} = {left} {node.op} {right}")
+                text = fast(f"({lt} {node.op} {rt})", lt, rt)
             lines.append(f"if {out} != {out}: "
                          f"raise _D('indeterminate value', _u({frag}, 0))")
-            return out
+            return out, text
         if isinstance(node, Call):
-            args = [emit(arg) for arg in node.args]
+            args = [emit(arg, depth + 1) for arg in node.args]
             out = local()
             func = node.func
             if func in ("min", "max"):
                 # exactly what the builtins do with two arguments
                 cmp = "<" if func == "min" else ">"
-                a, b = args
+                (a, _), (b, _) = args
                 lines.append(f"{out} = {b} if {b} {cmp} {a} else {a}")
-                return out
+                return out, None
+            (arg, text), = args
             if func in _CALL_CHECKS:
                 test, message = _CALL_CHECKS[func]
-                lines.append(f"if {args[0]} {test}: raise _D({message!r}, "
+                lines.append(f"if {arg} {test}: raise _D({message!r}, "
                              f"_u({value(node)}, 0))")
-            call = f"{out} = {value(_UNARY_FUNCS[func])}({args[0]})"
+            key = value(_UNARY_FUNCS[func])
+            call = f"{out} = {key}({arg})"
             if func == "exp":
                 lines.extend([f"try: {call}", f"except _OE: {out} = _inf"])
             else:
                 lines.append(call)
-            return out
+            return out, fast(f"{key}({text})", text)
         raise TypeError(f"not an expression node: {node!r}")
 
     try:
-        result = emit(expr.ast)
+        result, text = emit(expr.ast, 0)
     except RecursionError:
         raise ExprError(_TOO_DEEP) from None
-    return lines, result, ns
+    if text is None:
+        return lines, result, ns
+    params = ", ".join(f"p{i}" for i in range(len(names)))
+
+    def twin(*args: object) -> float:
+        # defines ns['_R'] in its own place, so it runs once
+        _splice(f"def _R({params}):\n    return RHS", lines, result, ns)
+        return ns["_R"](*args)
+
+    ns["_R"] = twin
+    return [f"try: vr = {text}", "except Exception: vr = _nan",
+            f"if vr != vr: vr = _R({params})"], "vr", ns
 
 
 def _splice(loop: str, lines: list[str], result: str, ns: dict) -> None:

@@ -10,7 +10,12 @@ give the same tree.  A power with a non-negative integer literal exponent
 runs without _pow's domain tests and must still match it bit for bit.
 Code objects are compiled once per shape, for evaluators and for the
 loop kernels of the solver and of the check battery alike, in one
-bounded cache.
+bounded cache.  A tree without min, max or a '^' other than a natural
+power of at least 1 runs as one Python expression, its fast form, and
+hands a row that raises or gives NaN to its checked lines, which are
+compiled when a row first needs them: on adversarial values the two
+must agree with each other and with the oracle, in a function and in a
+loop kernel alike, up to the nesting bound of the fast form.
 """
 
 import math
@@ -20,7 +25,7 @@ from typing import Mapping
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import displace.expr as expr_mod  # noqa: E402
 from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E402
@@ -291,3 +296,128 @@ def test_loop_kernels_share_the_bounded_code_cache(monkeypatch):
         _kernel(fn, _EULER, 2)
     # the third shape found two entries, emptied the cache and was added
     assert len(cache) == 1
+
+
+# the values where the fast form and the checked lines part ways: signed
+# zeros and infinities, NaN, the extremes of the doubles, and arguments
+# past the overflow of exp and of a square or cube
+adversarial = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308,
+                     5e-324, -5e-324, 1.0, -1.0, 2.0, 0.5, 710.0, -710.0,
+                     1e160, -1e160]),
+    st.floats())
+
+
+def _extend_fast(children):
+    # every node that carries a NaN operand to its result: no min or max,
+    # and '^' only with a natural exponent of at least 1, odd or even
+    return st.one_of(
+        st.builds(Unary, st.just("-"), children),
+        st.builds(Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(lambda a, k: Binary("^", a, Num(k)), children,
+                  st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 400.0, 401.0,
+                                   2.0 ** 53])),
+        st.builds(lambda f, a: Call(f, (a,)),
+                  st.sampled_from(["exp", "ln", "sin", "cos", "sqrt", "abs"]),
+                  children),
+    )
+
+
+fast_trees = st.recursive(leaves, _extend_fast, max_leaves=24)
+
+
+def _takes_fast_form(fn) -> bool:
+    return "_R" in fn.__code__.co_names
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(ast=fast_trees,
+       names=st.lists(st.sampled_from(NAMES), max_size=4),
+       given_values=st.lists(adversarial, max_size=5))
+@example(ast=Binary("/", Var("x"), Binary("-", Var("x"), Num(1.0))),
+         names=["x", "x"], given_values=[2.0, 1.0])
+@example(ast=Binary("*", Call("ln", (Var("x"),)), Var("x")),
+         names=["x", "x"], given_values=[0.0])
+@example(ast=Binary("^", Unary("-", Var("x")), Num(3.0)),
+         names=["x"], given_values=[1e308])
+@example(ast=Binary("*", Call("exp", (Var("x"),)), Num(0.0)),
+         names=["x"], given_values=[1000.0])
+def test_fast_form_matches_its_checked_lines(ast, names, given_values):
+    expr = _expr(ast)
+    fn = as_function(expr, *names)
+    assert _takes_fast_form(fn)
+    expected = _outcome(_eval, ast, dict(zip(names, given_values)))
+    assert _outcome(fn, *given_values) == expected
+    # the checked lines alone, called with the values the fast form has
+    args = [*given_values[:len(names)],
+            *(fn.__globals__[f"_d{i}"]
+              for i in range(len(given_values), len(names)))]
+    assert _outcome(fn.__globals__["_R"], *args) == expected
+    if not names:
+        return
+    # one row of _MAP, where the fast form reads its floats unconverted
+    row = (given_values + [1.0] * len(names))[:len(names)]
+    expected = _outcome(_eval, ast, dict(zip(names, row)))
+    loop = _kernel(fn, _MAP, len(names))
+    assert _takes_fast_form(loop)
+    assert _outcome(lambda: loop(*([v] for v in row))[0]) == expected
+    assert _outcome(loop.__globals__["_R"], *row) == expected
+
+
+def test_the_checked_lines_compile_on_the_first_row_that_needs_them(
+        monkeypatch):
+    cache = {}
+    monkeypatch.setattr(expr_mod, "_CODE_CACHE", cache)
+    fn = as_function(parse("ln(x) / (x - 2) + 0.25 * x", {"x"}), "x")
+    assert [fn(x) for x in (1.0, 4.0, 0.5)] == [
+        0.25, math.log(4.0) / 2.0 + 1.0, math.log(0.5) / -1.5 + 0.125]
+    assert len(cache) == 1
+    with pytest.raises(DomainError, match=r"^division by zero in 'ln\(x\)"):
+        fn(2.0)
+    assert len(cache) == 2
+    with pytest.raises(DomainError, match="^ln of a non-positive number"):
+        fn(0.0)
+    assert len(cache) == 2
+    # a loop kernel reads floats, so its checked lines are a shape of their own
+    loop = _kernel(fn, _MAP, 1)
+    assert loop([1.0, 4.0]) == [fn(1.0), fn(4.0)]
+    assert len(cache) == 3
+    with pytest.raises(DomainError, match="^division by zero"):
+        loop([1.0, 2.0])
+    assert len(cache) == 4
+
+
+def _nested(node: Node, count: int, wrap) -> Node:
+    for _ in range(count):
+        node = wrap(node)
+    return node
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+def test_trees_at_the_nesting_bound_of_the_fast_form(extra):
+    depth = expr_mod._FAST_NESTING + extra
+    fast = extra <= 0
+    numbers = [
+        # depth + 1 numbers in a left-leaning sum open depth parentheses
+        _nested(Num(0.5), depth, lambda node: Binary("+", node, Num(0.5))),
+        # as does a chain of depth minus signs over a number
+        _nested(Num(2.0), depth, lambda node: Unary("-", node)),
+        _nested(Num(2.0), depth, lambda node: Call("abs", (node,))),
+    ]
+    for ast in numbers:
+        fn = as_function(_expr(ast), "x")
+        assert _takes_fast_form(fn) is fast
+        assert _outcome(fn, 0.5) == _outcome(_eval, ast, {"x": 0.5})
+    # a variable loaded through float() opens two more, (v0 := _F(p0)); a
+    # loop kernel reads it as it is
+    chain = _nested(Var("x"), depth - 2, lambda node: Unary("-", node))
+    fn = as_function(_expr(chain), "x")
+    assert _takes_fast_form(fn) is fast
+    assert _takes_fast_form(_kernel(fn, _MAP, 1)) is (extra <= 2)
+    assert _outcome(fn, 0.5) == _outcome(_eval, chain, {"x": 0.5})
+    assert _kernel(fn, _MAP, 1)([0.5, -math.inf]) == [
+        _eval(chain, {"x": 0.5}), _eval(chain, {"x": -math.inf})]
+    # a parsed sum of variables: depth - 1 terms nest depth deep
+    fn = as_function(parse("+".join(["t"] * (depth - 1)), {"t"}), "t")
+    assert _takes_fast_form(fn) is fast
+    assert fn(0.5) == 0.5 * (depth - 1)
