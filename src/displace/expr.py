@@ -27,17 +27,15 @@ evaluated twice on the same bindings returns bit-identical results.
 
 Each expression is compiled once, per order of its variables, into a
 Python function; evaluate, Expr.__call__ and as_function all run it.
-Its fast form is the whole tree as one Python expression, with the same
-float operations in the same order and the same math functions as a
-walk of the tree, and no checks.  A row on which it raises or gives NaN
-runs again in the checked lines, compiled the first time a row needs
-them: the same operations as straight-line statements, with each domain
-check at the point where the walk makes it (a power whose exponent is a
-non-negative integer literal skips the two that cannot fire).  Values
-and errors, with their text, are therefore those of the checked lines.
-A tree with min, max or a '^' other than a natural power of at least 1,
-which can turn a NaN operand into a number, or one nested too deeply
-for one Python expression, runs the checked lines alone.
+It computes the fast form: the whole tree as one Python expression, with
+the same float operations in the same order and the same math functions
+as a walk of the tree, and no checks.  A row on which it raises or gives
+NaN runs again in _walk, a loop over the tree's nodes that makes each
+domain check at the point where the walk makes it.  Values and errors,
+with their text, are therefore the walk's.  min, max and the powers that
+could turn a NaN operand into a number give NaN for one in the fast
+form, so that the row runs again; a subtree nested too deeply for one
+Python expression is computed in a statement before it.
 
 Callers that run such a function many times (the solver's Euler
 recurrence, the check battery's bisection and maximum, and _MAP, the
@@ -59,8 +57,10 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import partial
+from itertools import count
 from types import CodeType
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
 from .serialize import Record
 
@@ -202,7 +202,9 @@ class Expr(Record):
 
 # --- tokenizer ---
 
-_OPS = "+-*/^"
+# the kind of each one-character token
+_PUNCTUATION = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen",
+                ",": "comma"}
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
@@ -230,20 +232,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             tokens.append(("ident", source[i:j], i))
             i = j
             continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(("rparen", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(("comma", ch, i))
+        if ch in _PUNCTUATION:
+            tokens.append((_PUNCTUATION[ch], ch, i))
             i += 1
             continue
         raise ParseError(f"unexpected character '{ch}'", i)
@@ -268,15 +258,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def unexpected(self, expected: tuple[str, ...]) -> ParseError:
+        kind, text, pos = self.peek()
+        return ParseError(
+            f"unexpected {kind if kind != 'end' else 'end of input'}"
+            + (f" '{text}'" if text else ""), pos, expected)
+
     def expect(self, kind: str, expected: tuple[str, ...]) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(
-                f"unexpected {tok[0] if tok[0] != 'end' else 'end of input'}"
-                + (f" '{tok[1]}'" if tok[1] else ""),
-                tok[2],
-                expected,
-            )
+        if self.peek()[0] != kind:
+            raise self.unexpected(expected)
         return self.take()
 
     def parse_expr(self) -> Node:
@@ -337,12 +327,7 @@ class _Parser:
                 self.free.add(text)
                 return Var(text)
             raise UnknownIdentifierError(text, pos)
-        raise ParseError(
-            f"unexpected {kind if kind != 'end' else 'end of input'}"
-            + (f" '{text}'" if text else ""),
-            pos,
-            ("number", "identifier", "(", "-"),
-        )
+        raise self.unexpected(("number", "identifier", "(", "-"))
 
 
 # the error of a tree too deep for the recursive parser or compiler
@@ -406,63 +391,52 @@ class _Unbound:
         raise MissingBindingError(self.name)
 
 
-def _is_natural(node: Node) -> bool:
-    """True for a number that is a finite non-negative integer."""
-    return (isinstance(node, Num) and math.isfinite(node.value)
-            and node.value >= 0.0 and node.value == math.floor(node.value))
-
-
-_HELPERS = {"_F": float, "_D": DomainError, "_pow": _pow, "_inf": math.inf,
-            "_OE": OverflowError, "_mpow": math.pow, "_nan": math.nan}
+_HELPERS = {"_F": float, "_pow": _pow, "_mpow": math.pow, "_nan": math.nan}
 _UNARY_FUNCS = {"exp": math.exp, "ln": math.log, "sin": math.sin,
                 "cos": math.cos, "sqrt": math.sqrt, "abs": abs}
-# (domain test on the argument, message) of the checked unary functions
-_CALL_CHECKS = {"ln": ("<= 0.0", "ln of a non-positive number"),
-                "sqrt": ("< 0.0", "sqrt of a negative number")}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
 # generated source -> its code object.  The source depends only on the
 # shape of the ast and the variable order, so every expression of one
 # shape shares one compile; the cache is emptied when full, as re does
 _CODE_CACHE: dict[str, CodeType] = {}
 _CODE_CACHE_MAX = 512
-# the deepest nesting of parentheses in a fast form; a tree that needs
-# more keeps the checked lines alone (Python's parser stops at 200)
-_FAST_NESTING = 100
+# every _FAST_NESTING-th level of a tree starts a statement of its own in
+# the fast form: a level opens at most three parentheses, and Python's
+# parser stops at 200
+_FAST_NESTING = 50
 
 
 def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
           ) -> tuple[list[str], str, dict]:
-    """expr as straight-line statements over the parameters p0, p1, ...
+    """expr's fast form as statements over the parameters p0, p1, ...
 
     Returns (lines, result, ns): the statements, the name that holds the
-    value after them, and the namespace they run in.  The checked lines
-    hold one local per node in post-order (operands before their
-    operation), with each domain check an inline 'if' at the point where
-    it applies.  Parameter pI holds the value of names[I] and reads
-    through float(), unless floats says that every parameter is a Python
-    float already; its default is ns['_dI'], an _Unbound that raises
-    MissingBindingError when the variable is first reached, as does any
-    free variable with no parameter.  Numbers, constants and nodes are
-    passed through ns, so no user text enters the lines, and every
-    expression of one shape gets the same lines.  A tree too deep to walk
-    raises ExprError.
+    value after them, and the namespace they run in.  Parameter pI holds
+    the value of names[I], read as it is where floats says that every
+    parameter is a Python float and otherwise through float() in a
+    statement before the expression, as is each subtree at a level that
+    is a multiple of _FAST_NESTING.  Its default is ns['_dI'], an
+    _Unbound, as is a free variable with no parameter.  Numbers,
+    constants and nodes are passed through ns, so every expression of one
+    shape gets the same lines.  A tree too deep to walk raises ExprError.
 
-    The same walk writes the fast form: the tree as one Python expression
-    with the same operations in the same order and no checks.  Where it
-    exists, the lines returned are the fast form, and a row that raises
-    there or ends in NaN is handed to ns['_R'], the checked lines as a
-    function of p0, p1, ..., compiled in ns on its first call.  A tree
-    with min, max, a '^' other than a natural power of at least 1, or
-    parentheses nested deeper than _FAST_NESTING has no fast form.  Every
-    other operation carries a NaN operand to its result, and raises where
-    a check would (exp and the natural power raise OverflowError where the
-    lines give inf): so a row that ends in a number in the fast form has
-    the value of the checked lines, and they decide every other row.
+    A row that raises or ends in NaN runs again in ns['_R'], _walk over
+    the nodes this pass lists.  Each operation of the fast form carries a
+    NaN operand to its result, and raises where a check would (exp and
+    the natural power raise OverflowError where the walk gives inf); min,
+    max, and a power that math.pow could take from NaN to a number, test
+    their operands.  So a row that ends in a number has the walk's value,
+    and the walk decides every other row.
     """
-    ns = {**_HELPERS, "_u": _unparse}
+    ns = dict(_HELPERS)
     lines: list[str] = []
-    # name -> (its local, its fast text after the first use)
-    loaded: dict[str, tuple[str, str]] = {}
+    # the nodes in post-order, each with its number, or with its default
+    # and parameters where it is a Var
+    steps: list[tuple[Node, object]] = []
+    loaded: dict[str, str] = {}
     unbound: dict[str, str] = {}
+    fresh = count()
 
     def value(obj) -> str:
         key = f"_k{len(ns)}"
@@ -477,116 +451,134 @@ def _body(expr: Expr, names: tuple[str, ...], floats: bool = False
     for i, name in enumerate(names):
         ns[f"_d{i}"] = ns[missing(name)]
 
-    def local() -> str:
-        # unique: each local's assignment is appended before the next call
-        return f"v{len(lines)}"
+    def bind(text: str) -> tuple[str, str]:
+        # (the text that assigns text's value to a new local, that local)
+        out = f"v{next(fresh)}"
+        return f"({out} := {text})", out
 
-    def emit(node: Node, depth: int) -> tuple[str, Optional[str]]:
-        """node's local in the checked lines, and its text in the fast
-        form inside depth parentheses (None where there is none)."""
+    def guard(op: Callable[..., str], *texts: str) -> str:
+        # op of the values of texts, or NaN where one of them is NaN
+        pairs = [bind(text) for text in texts]
+        test = " and ".join(f"{first} == {out}" for first, out in pairs)
+        return f"({op(*(out for _, out in pairs))} if {test} else _nan)"
 
-        def fast(text: str, *parts: Optional[str]) -> Optional[str]:
-            # text opens one more parenthesis around its parts
-            return None if None in parts or depth >= _FAST_NESTING else text
-
-        if isinstance(node, Num):
-            key = value(node.value)
-            return key, key
-        if isinstance(node, Const):
-            key = value(_CONSTANTS[node.name])
-            return key, key
+    def emit(node: Node, depth: int) -> str:
+        """node's text in the fast form; depth is its level, the root's 1."""
         if isinstance(node, Var):
-            if node.name in loaded:
-                return loaded[node.name]
             spots = [i for i, name in enumerate(names) if name == node.name]
-            src = f"p{spots[0]}" if spots else missing(node.name)
-            # the last value given for a repeated name wins, as in a dict
-            for i in spots[1:]:
-                src = f"(p{i} if p{i} is not {missing(node.name)} else {src})"
-            out = local()
-            if floats and spots:
-                lines.append(f"{out} = {src}")
-                loaded[node.name] = (out, src)
-                text = src
-            else:
-                lines.append(f"{out} = _F({src})")
-                loaded[node.name] = (out, out)
-                text = f"({out} := _F({src}))"
-            # every parenthesis in text encloses the ones after it
-            return out, (text if depth + text.count("(") <= _FAST_NESTING
-                         else None)
+            default = missing(node.name)
+            steps.append((node, (ns[default], spots)))
+            if node.name not in loaded:
+                src = f"p{spots[0]}" if spots else default
+                # the last value given for a repeated name wins, as in a dict
+                for i in spots[1:]:
+                    src = f"(p{i} if p{i} is not {default} else {src})"
+                if floats and spots:
+                    loaded[node.name] = src
+                else:
+                    loaded[node.name] = f"v{next(fresh)}"
+                    lines.append(f"{loaded[node.name]} = _F({src})")
+            return loaded[node.name]
+        if isinstance(node, (Num, Const)):
+            number = (node.value if isinstance(node, Num)
+                      else _CONSTANTS[node.name])
+            steps.append((node, number))
+            return value(number)
         if isinstance(node, Unary):
-            operand, text = emit(node.operand, depth + 1)
-            out = local()
-            lines.append(f"{out} = -{operand}")
-            return out, fast(f"(-{text})", text)
-        if isinstance(node, Binary):
-            (left, lt), (right, rt) = (emit(node.left, depth + 1),
-                                       emit(node.right, depth + 1))
-            frag = value(node)
-            out = local()
-            if node.op == "/":
-                lines.append(f"if {right} == 0.0: "
-                             f"raise _D('division by zero', _u({frag}, 0))")
-            if node.op == "^" and _is_natural(node.right):
-                # _pow's domain tests cannot fire; its overflow branch
-                # stays, with the parity of the exponent resolved now
-                inf = (f"-_inf if {left} < 0.0 else _inf"
-                       if math.floor(node.right.value) % 2 == 1 else "_inf")
-                lines.extend([f"try: {out} = _mpow({left}, {right})",
-                              f"except _OE: {out} = {inf}"])
-                # x^0 is 1 at a NaN x, so it has no fast form
-                text = (fast(f"_mpow({lt}, {rt})", lt)
-                        if node.right.value >= 1.0 else None)
-            elif node.op == "^":
-                lines.append(f"{out} = _pow({left}, {right}, {frag})")
-                text = None
+            text = f"(-{emit(node.operand, depth + 1)})"
+        elif isinstance(node, Binary):
+            left = emit(node.left, depth + 1)
+            right = emit(node.right, depth + 1)
+            k = node.right.value if isinstance(node.right, Num) else math.nan
+            if node.op != "^":
+                text = f"({left} {node.op} {right})"
+            elif k >= 1.0 and k % 1.0 == 0.0:
+                # a natural power, which _pow's domain tests pass
+                text = f"_mpow({left}, {right})"
+            elif k == 0.0:
+                # x^0 is 1 at a NaN x
+                text = guard(lambda x: f"_mpow({x}, {right})", left)
             else:
-                lines.append(f"{out} = {left} {node.op} {right}")
-                text = fast(f"({lt} {node.op} {rt})", lt, rt)
-            lines.append(f"if {out} != {out}: "
-                         f"raise _D('indeterminate value', _u({frag}, 0))")
-            return out, text
-        if isinstance(node, Call):
-            args = [emit(arg, depth + 1) for arg in node.args]
-            out = local()
-            func = node.func
-            if func in ("min", "max"):
-                # exactly what the builtins do with two arguments
-                cmp = "<" if func == "min" else ">"
-                (a, _), (b, _) = args
-                lines.append(f"{out} = {b} if {b} {cmp} {a} else {a}")
-                return out, None
-            (arg, text), = args
-            if func in _CALL_CHECKS:
-                test, message = _CALL_CHECKS[func]
-                lines.append(f"if {arg} {test}: raise _D({message!r}, "
-                             f"_u({value(node)}, 0))")
-            key = value(_UNARY_FUNCS[func])
-            call = f"{out} = {key}({arg})"
-            if func == "exp":
-                lines.extend([f"try: {call}", f"except _OE: {out} = _inf"])
-            else:
-                lines.append(call)
-            return out, fast(f"{key}({text})", text)
-        raise TypeError(f"not an expression node: {node!r}")
+                frag = value(node)
+                text = guard(lambda x, y: f"_pow({x}, {y}, {frag})",
+                             left, right)
+        elif not isinstance(node, Call):
+            raise TypeError(f"not an expression node: {node!r}")
+        elif node.func in ("min", "max"):
+            a, b = emit(node.args[0], depth + 1), emit(node.args[1], depth + 1)
+            # what the builtins do with two arguments, but NaN for a NaN b
+            cmp = "<" if node.func == "min" else ">"
+            first, a = bind(a)
+            text = guard(lambda y: f"({y} if {y} {cmp} {first} else {a})", b)
+        else:
+            arg = emit(node.args[0], depth + 1)
+            text = f"{value(_UNARY_FUNCS[node.func])}({arg})"
+        steps.append((node, None))
+        if depth % _FAST_NESTING:
+            return text
+        out = f"v{next(fresh)}"
+        lines.append(f"{out} = {text}")
+        return out
 
     try:
-        result, text = emit(expr.ast, 0)
+        text = emit(expr.ast, 1)
     except RecursionError:
         raise ExprError(_TOO_DEEP) from None
-    if text is None:
-        return lines, result, ns
+    ns["_R"] = partial(_walk, steps, ns["_pow"])
     params = ", ".join(f"p{i}" for i in range(len(names)))
+    return (["try:", *(f"    {line}" for line in lines), f"    vr = {text}",
+             "except Exception: vr = _nan", f"if vr != vr: vr = _R({params})"],
+            "vr", ns)
 
-    def twin(*args: object) -> float:
-        # defines ns['_R'] in its own place, so it runs once
-        _splice(f"def _R({params}):\n    return RHS", lines, result, ns)
-        return ns["_R"](*args)
 
-    ns["_R"] = twin
-    return [f"try: vr = {text}", "except Exception: vr = _nan",
-            f"if vr != vr: vr = _R({params})"], "vr", ns
+def _walk(steps: list[tuple[Node, object]], power: Callable, *args: object
+          ) -> float:
+    """The checked value of one row: ns['_R'] of _body.
+
+    steps are the nodes in post-order as _body lists them and args the
+    parameters p0, p1, ....  Each node takes its operands off a stack and
+    puts its value on it, with each domain check where a walk of the tree
+    makes it, so the value and the first error are the walk's.  power is
+    the fast form's _pow.
+    """
+    stack: list[float] = []
+    for node, data in steps:
+        if isinstance(node, Var):
+            default, spots = data
+            value = default
+            for i in spots:    # the last value given for a repeated name wins
+                if args[i] is not default:
+                    value = args[i]
+            stack.append(float(value))
+        elif isinstance(node, (Num, Const)):
+            stack.append(data)
+        elif isinstance(node, Unary):
+            stack.append(-stack.pop())
+        elif isinstance(node, Binary):
+            right, left = stack.pop(), stack.pop()
+            if node.op == "/" and right == 0.0:
+                raise DomainError("division by zero", _unparse(node, 0))
+            value = (power(left, right, node) if node.op == "^"
+                     else _ARITH[node.op](left, right))
+            if value != value:
+                raise DomainError("indeterminate value", _unparse(node, 0))
+            stack.append(value)
+        elif node.func in ("min", "max"):
+            b, a = stack.pop(), stack.pop()
+            stack.append(b if (b < a if node.func == "min" else b > a) else a)
+        else:
+            x = stack.pop()
+            if node.func == "ln" and x <= 0.0:
+                raise DomainError("ln of a non-positive number",
+                                  _unparse(node, 0))
+            if node.func == "sqrt" and x < 0.0:
+                raise DomainError("sqrt of a negative number",
+                                  _unparse(node, 0))
+            try:
+                stack.append(_UNARY_FUNCS[node.func](x))
+            except OverflowError:    # exp's, whose value is then inf
+                stack.append(math.inf)
+    return stack.pop()
 
 
 def _splice(loop: str, lines: list[str], result: str, ns: dict) -> None:
@@ -728,8 +720,12 @@ def _unparse(node: Node, parent_prec: int) -> str:
 def substitute(expr: Expr, mapping: Mapping[str, Union[Expr, float]]) -> Expr:
     """Replace variables with sub-expressions or numeric constants.
 
-    Returns a new Expr whose source is the rendered result; variables not
-    mentioned in the mapping are kept.
+    Returns a new Expr whose source is the rendered result, which parses
+    back to the same tree; variables not mentioned in the mapping are
+    kept.
+
+    Raises:
+        ExprError: for a number that is not finite, which has no source.
     """
     # name -> (replacement node, its free variables)
     replacements: dict[str, tuple[Node, frozenset[str]]] = {}
@@ -738,7 +734,11 @@ def substitute(expr: Expr, mapping: Mapping[str, Union[Expr, float]]) -> Expr:
             replacements[name] = (value.ast, value.free)
         else:
             v = float(value)
-            replacements[name] = (Unary("-", Num(-v)) if v < 0 else Num(v),
+            if not math.isfinite(v):
+                raise ExprError(f"{name} = {v!r} is not a finite number")
+            # the grammar has no negative number, and -0.0 is -(0.0) too
+            replacements[name] = (Unary("-", Num(-v))
+                                  if math.copysign(1.0, v) < 0.0 else Num(v),
                                   frozenset())
     # the free variables of the result, collected as it is built
     free: set[str] = set()
@@ -776,10 +776,6 @@ def as_function(expr: Expr, *names: str) -> Callable[..., float]:
 
 class _PerRow(Exception):
     """Raised by _over_arrays where only a call per row is exact."""
-
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": operator.truediv}
 
 
 def _over_arrays(node: Node, columns: Mapping[str, "np.ndarray"], np):
@@ -827,18 +823,20 @@ def on_arrays(fn: Callable[..., float], *columns) -> "np.ndarray":
     """float(fn(...)) at each row of the columns, as a new float64 array.
 
     Element k is bit-identical to float(fn(columns[0][k], ...)), and an
-    error is that of the first row whose call raises.  Columns of unequal
-    lengths raise ValueError before fn runs.  A function from as_function
-    runs over the whole columns where _over_arrays is exact; any other
-    callable, and an expression with an unbound or repeated variable or
-    that _over_arrays refuses, runs row by row in _MAP.
+    error is that of the first row whose call raises.  No columns, or
+    columns of unequal lengths, raise ValueError before fn runs.  A
+    function from as_function runs over the whole columns where
+    _over_arrays is exact; any other callable, and an expression with an
+    unbound or repeated variable or that _over_arrays refuses, runs row
+    by row in _MAP.
     """
     import numpy as np
 
     columns = [np.asarray(column, dtype=float) for column in columns]
     lengths = [len(column) for column in columns]
-    if len(set(lengths)) > 1:
-        raise ValueError(f"columns of unequal lengths {lengths}")
+    if len(set(lengths)) != 1:
+        raise ValueError(f"columns of unequal lengths {lengths}"
+                         if lengths else "no columns")
     expr = getattr(fn, "_expr", None)
     try:
         if not isinstance(expr, Expr):

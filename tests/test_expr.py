@@ -214,6 +214,19 @@ def test_substitute_negative_constant_round_trips():
     assert parse(pinned.to_source(), {"x"}).ast == pinned.ast
 
 
+def test_substitute_negative_zero_round_trips():
+    pinned = substitute(parse("x + y", {"x", "y"}), {"y": -0.0})
+    assert parse(pinned.to_source(), {"x"}).ast == pinned.ast
+    # the value keeps its sign: -0.0 + -0.0 is -0.0, 0.0 + -0.0 is 0.0
+    assert pinned(x=-0.0).hex() == "-0x0.0p+0"
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_substitute_refuses_a_number_that_is_not_finite(value):
+    with pytest.raises(ExprError, match=r"^x = .* is not a finite number$"):
+        substitute(parse("x + 1", {"x"}), {"x": value})
+
+
 def test_as_function_positional_order():
     f = as_function(parse("x - 2*y", {"x", "y"}), "x", "y")
     assert f(5.0, 1.0) == 3.0

@@ -10,14 +10,14 @@ give the same tree.  A power with a non-negative integer literal exponent
 runs without _pow's domain tests and must still match it bit for bit.
 Code objects are compiled once per shape, for evaluators and for the
 loop kernels of the solver and of the check battery alike, in one
-bounded cache.  A tree without min, max or a '^' other than a natural
-power of at least 1 runs as one Python expression, its fast form, and
-hands a row that raises or gives NaN to its checked lines, which are
-compiled when a row first needs them: on adversarial values the two
-must agree with each other and with the oracle, in a function and in a
-loop kernel alike, up to the nesting bound of the fast form.
+bounded cache.  Every tree runs as one Python expression, its fast form,
+and hands a row that raises or gives NaN to _walk, which makes the
+domain checks and compiles nothing: on adversarial values the two must
+agree with each other and with the oracle, in a function and in a loop
+kernel alike, below and past the nesting bound of one statement.
 """
 
+import dis
 import math
 from itertools import repeat
 from typing import Mapping
@@ -298,7 +298,7 @@ def test_loop_kernels_share_the_bounded_code_cache(monkeypatch):
     assert len(cache) == 1
 
 
-# the values where the fast form and the checked lines part ways: signed
+# the values where the fast form and the walk part ways: signed
 # zeros and infinities, NaN, the extremes of the doubles, and arguments
 # past the overflow of exp and of a square or cube
 adversarial = st.one_of(
@@ -308,30 +308,15 @@ adversarial = st.one_of(
     st.floats())
 
 
-def _extend_fast(children):
-    # every node that carries a NaN operand to its result: no min or max,
-    # and '^' only with a natural exponent of at least 1, odd or even
-    return st.one_of(
-        st.builds(Unary, st.just("-"), children),
-        st.builds(Binary, st.sampled_from("+-*/"), children, children),
-        st.builds(lambda a, k: Binary("^", a, Num(k)), children,
-                  st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0, 400.0, 401.0,
-                                   2.0 ** 53])),
-        st.builds(lambda f, a: Call(f, (a,)),
-                  st.sampled_from(["exp", "ln", "sin", "cos", "sqrt", "abs"]),
-                  children),
-    )
-
-
-fast_trees = st.recursive(leaves, _extend_fast, max_leaves=24)
-
-
 def _takes_fast_form(fn) -> bool:
-    return "_R" in fn.__code__.co_names
+    # the compiled code catches every exception of the fast form and
+    # raises none of its own: each check is _walk's
+    return "Exception" in fn.__code__.co_names and not any(
+        ins.opname == "RAISE_VARARGS" for ins in dis.get_instructions(fn))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(ast=fast_trees,
+@given(ast=trees,
        names=st.lists(st.sampled_from(NAMES), max_size=4),
        given_values=st.lists(adversarial, max_size=5))
 @example(ast=Binary("/", Var("x"), Binary("-", Var("x"), Num(1.0))),
@@ -342,13 +327,22 @@ def _takes_fast_form(fn) -> bool:
          names=["x"], given_values=[1e308])
 @example(ast=Binary("*", Call("exp", (Var("x"),)), Num(0.0)),
          names=["x"], given_values=[1000.0])
+# a NaN operand that min, max or a power could turn into a number
+@example(ast=Call("max", (Num(0.0), Binary("*", Var("x"), Var("y")))),
+         names=["x", "y"], given_values=[math.inf, 0.0])
+@example(ast=Binary("^", Binary("-", Var("x"), Var("x")), Num(0.0)),
+         names=["x"], given_values=[math.inf])
+@example(ast=Binary("^", Num(1.0), Binary("-", Var("x"), Var("x"))),
+         names=["x"], given_values=[math.inf])
+@example(ast=Call("min", (Binary("-", Var("x"), Var("x")), Num(1.0))),
+         names=["x"], given_values=[math.inf])
 def test_fast_form_matches_its_checked_lines(ast, names, given_values):
     expr = _expr(ast)
     fn = as_function(expr, *names)
     assert _takes_fast_form(fn)
     expected = _outcome(_eval, ast, dict(zip(names, given_values)))
     assert _outcome(fn, *given_values) == expected
-    # the checked lines alone, called with the values the fast form has
+    # the walk alone, called with the values the fast form has
     args = [*given_values[:len(names)],
             *(fn.__globals__[f"_d{i}"]
               for i in range(len(given_values), len(names)))]
@@ -364,8 +358,7 @@ def test_fast_form_matches_its_checked_lines(ast, names, given_values):
     assert _outcome(loop.__globals__["_R"], *row) == expected
 
 
-def test_the_checked_lines_compile_on_the_first_row_that_needs_them(
-        monkeypatch):
+def test_a_failing_row_compiles_nothing(monkeypatch):
     cache = {}
     monkeypatch.setattr(expr_mod, "_CODE_CACHE", cache)
     fn = as_function(parse("ln(x) / (x - 2) + 0.25 * x", {"x"}), "x")
@@ -374,17 +367,16 @@ def test_the_checked_lines_compile_on_the_first_row_that_needs_them(
     assert len(cache) == 1
     with pytest.raises(DomainError, match=r"^division by zero in 'ln\(x\)"):
         fn(2.0)
-    assert len(cache) == 2
     with pytest.raises(DomainError, match="^ln of a non-positive number"):
         fn(0.0)
-    assert len(cache) == 2
-    # a loop kernel reads floats, so its checked lines are a shape of their own
+    assert len(cache) == 1
+    # a loop kernel reads floats, so it is a shape of its own
     loop = _kernel(fn, _MAP, 1)
     assert loop([1.0, 4.0]) == [fn(1.0), fn(4.0)]
-    assert len(cache) == 3
+    assert len(cache) == 2
     with pytest.raises(DomainError, match="^division by zero"):
         loop([1.0, 2.0])
-    assert len(cache) == 4
+    assert len(cache) == 2
 
 
 def _nested(node: Node, count: int, wrap) -> Node:
@@ -396,9 +388,8 @@ def _nested(node: Node, count: int, wrap) -> Node:
 @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
 def test_trees_at_the_nesting_bound_of_the_fast_form(extra):
     depth = expr_mod._FAST_NESTING + extra
-    fast = extra <= 0
     numbers = [
-        # depth + 1 numbers in a left-leaning sum open depth parentheses
+        # depth + 1 numbers in a left-leaning sum nest depth levels deep
         _nested(Num(0.5), depth, lambda node: Binary("+", node, Num(0.5))),
         # as does a chain of depth minus signs over a number
         _nested(Num(2.0), depth, lambda node: Unary("-", node)),
@@ -406,18 +397,38 @@ def test_trees_at_the_nesting_bound_of_the_fast_form(extra):
     ]
     for ast in numbers:
         fn = as_function(_expr(ast), "x")
-        assert _takes_fast_form(fn) is fast
+        assert _takes_fast_form(fn)
         assert _outcome(fn, 0.5) == _outcome(_eval, ast, {"x": 0.5})
-    # a variable loaded through float() opens two more, (v0 := _F(p0)); a
-    # loop kernel reads it as it is
+    # a variable, which a function reads through float() and a loop kernel
+    # as it is
     chain = _nested(Var("x"), depth - 2, lambda node: Unary("-", node))
     fn = as_function(_expr(chain), "x")
-    assert _takes_fast_form(fn) is fast
-    assert _takes_fast_form(_kernel(fn, _MAP, 1)) is (extra <= 2)
+    assert _takes_fast_form(fn) and _takes_fast_form(_kernel(fn, _MAP, 1))
     assert _outcome(fn, 0.5) == _outcome(_eval, chain, {"x": 0.5})
     assert _kernel(fn, _MAP, 1)([0.5, -math.inf]) == [
         _eval(chain, {"x": 0.5}), _eval(chain, {"x": -math.inf})]
-    # a parsed sum of variables: depth - 1 terms nest depth deep
+    # a parsed sum of depth - 1 variables
     fn = as_function(parse("+".join(["t"] * (depth - 1)), {"t"}), "t")
-    assert _takes_fast_form(fn) is fast
+    assert _takes_fast_form(fn)
     assert fn(0.5) == 0.5 * (depth - 1)
+
+
+@pytest.mark.parametrize("ast", [
+    _nested(Var("x"), 899, lambda node: Binary("+", node, Var("x"))),
+    _nested(Var("x"), 150, lambda node: Call("abs", (node,))),
+], ids=["sum-of-900", "150-nested-abs"])
+def test_trees_far_past_the_nesting_bound_take_the_fast_form(ast,
+                                                               monkeypatch):
+    fn = as_function(_expr(ast), "x")
+    loop = _kernel(fn, _MAP, 1)
+    assert _takes_fast_form(fn) and _takes_fast_form(loop)
+    # a NaN row runs the walk
+    expected = _outcome(_eval, ast, {"x": math.nan})
+    assert _outcome(fn, math.nan) == expected
+    assert _outcome(lambda: loop([math.nan])[0]) == expected
+    rows = [0.5, -2.0, math.inf]
+    expected = [_outcome(_eval, ast, {"x": x}) for x in rows]
+    for ns in (fn.__globals__, loop.__globals__):
+        monkeypatch.setitem(ns, "_R", None)    # a row that needs it fails
+    assert [_outcome(fn, x) for x in rows] == expected
+    assert [_outcome(lambda: loop([x])[0]) for x in rows] == expected

@@ -310,6 +310,10 @@ def test_columns_of_unequal_lengths_are_refused_before_any_row(fn):
         with pytest.raises(ValueError,
                            match=r"^columns of unequal lengths \[3, 2\]$"):
             on_arrays(fn, np.zeros(3), np.ones(2))
+        # no column at all has no length to give the result
+        for no_columns in (fn, lambda: 1.0, as_function(parse("1", set()))):
+            with pytest.raises(ValueError, match=r"^no columns$"):
+                on_arrays(no_columns)
     assert not spy.called and not walk.called
 
 
