@@ -192,7 +192,7 @@ class Smooth:
     def has_analytic_d2(self) -> bool:
         return self._d2_fn is not None
 
-    def delta(self, x: float, y: float) -> float:
+    def _point(self, x: float, y: float) -> tuple[float, float]:
         # a point inside [a, b] is its own clamp; only the rest (NaN
         # included) goes through the snap-or-raise check
         a, b = self._domain
@@ -202,6 +202,10 @@ class Smooth:
         y = float(y)
         if not a <= y <= b:
             y = _snap(y, a, b, "y", DisplacementError, self._slack)
+        return x, y
+
+    def delta(self, x: float, y: float) -> float:
+        x, y = self._point(x, y)
         value = float(self._delta_fn(x, y))
         if value != value:
             raise DisplacementError(
@@ -210,13 +214,7 @@ class Smooth:
 
     def d2(self, x: float, y: float) -> float:
         """Partial derivative of delta in the second argument at (x, y)."""
-        a, b = self._domain
-        x = float(x)
-        if not a <= x <= b:
-            x = _snap(x, a, b, "x", DisplacementError, self._slack)
-        y = float(y)
-        if not a <= y <= b:
-            y = _snap(y, a, b, "y", DisplacementError, self._slack)
+        x, y = self._point(x, y)
         if self._d2_fn is not None:
             value = float(self._d2_fn(x, y))
         else:

@@ -139,6 +139,10 @@ _G9 = 0.295524224714752870173892994651338
 _EPS = sys.float_info.epsilon
 # dqk21 floors abserr at 50 eps * resabs only above this
 _ERR_FLOOR = sys.float_info.min / (50.0 * _EPS)
+# _adaptive_quad's relative tolerance and interval limit: those of the
+# scipy.integrate.quad calls its goldens were recorded with
+_QUAD_EPSREL = 1e-12
+_QUAD_LIMIT = 200
 
 
 def _linspace(start: float, stop: float, num: int,
@@ -252,15 +256,15 @@ def _qk21(f: Callable[[float], float], a: float, b: float
 
 
 def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
-                   epsabs: float, epsrel: float = 1e-12, limit: int = 200,
-                   error: type[Exception] = GaugeError) -> float:
+                   epsabs: float, error: type[Exception] = GaugeError
+                   ) -> float:
     """Adaptive Gauss-Kronrod integral of f over [a, b].
 
     The first panel is accepted exactly when QUADPACK dqagse accepts it,
     so smooth integrands reproduce scipy.integrate.quad bit for bit.
     Otherwise the interval with the largest error estimate is bisected
     (QAG, without Wynn extrapolation) until the summed error meets the
-    tolerance.  If limit intervals exist first, or the widest-error
+    tolerance.  If _QUAD_LIMIT intervals exist first, or the widest-error
     interval is too small to bisect, with the tolerance still unmet, the
     sum would be a wrong number: error is raised instead, as dqagse
     reports ier 1 and ier 3.  A non-finite panel raises error at once.
@@ -268,13 +272,13 @@ def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
     result, err, resabs, resasc = _qk21(f, a, b)
     if not math.isfinite(result):
         raise error(f"non-finite integral over [{a!r}, {b!r}]")
-    errbnd = max(epsabs, epsrel * abs(result))
+    errbnd = max(epsabs, _QUAD_EPSREL * abs(result))
     if (err == 0.0 or (err <= errbnd and err != resasc)
             or errbnd < err <= (100.0 * _EPS) * resabs):
         return result
     heap = [(-err, a, b, result)]
     errsum, area = err, result
-    while len(heap) < limit:
+    while len(heap) < _QUAD_LIMIT:
         neg_err, lo, hi, r = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -288,10 +292,10 @@ def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
         heapq.heappush(heap, (-e2, mid, hi, r2))
         errsum += e1 + e2 + neg_err
         area += r1 + r2 - r
-        if errsum <= max(epsabs, epsrel * abs(area)):
+        if errsum <= max(epsabs, _QUAD_EPSREL * abs(area)):
             break
     value = math.fsum(item[3] for item in heap)
-    bound = max(epsabs, epsrel * abs(area))
+    bound = max(epsabs, _QUAD_EPSREL * abs(area))
     if errsum > bound:
         raise error(f"quadrature over [{a!r}, {b!r}] did not converge: "
                     f"estimate {value!r} with error estimate {errsum!r} "

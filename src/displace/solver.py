@@ -14,7 +14,8 @@ endpoint of the interval, if any, is never applied.  Optional Picard
 sweeps re-integrate rhs along the previous trajectory with the
 trapezoid rule and the exact atom terms.  Measured against the
 g-exponential closed form, sweeps shrink the error constant about 9x
-but keep the method first order in the step.
+but keep the method first order in the step.  Like verify_solution, a
+sweep refuses the first re-integrated value that is not finite.
 
 solve_surface handles the terminal-value problem whose unknown decays
 against a work gauge W: given a source h and terminal value C,
@@ -261,7 +262,8 @@ def solve_ivp(problem: IvpProblem, step: float,
 
     Raises:
         SolverError: on invalid input or when the state leaves the
-            finite range; the error names the last good node.
+            finite range, in the Euler pass or in a Picard sweep ("during
+            refinement"); the error names the last good node.
         GaugeError: at the first mesh node where the density is
             negative.
     """
@@ -288,61 +290,60 @@ def solve_ivp(problem: IvpProblem, step: float,
     us = np.array(path, dtype=float)
 
     for _ in range(int(picard_sweeps)):
-        new = np.concatenate(
-            ([float(problem.u0)], _increments(rhs, mesh, us, dens, atoms, dt))
-        ).cumsum()
-        _require_finite(new, mesh, us,
-                        "state is no longer finite during refinement")
-        us = new
+        us = _reintegrate(rhs, mesh, us, (dens, atoms, dt), float(problem.u0),
+                          "state is no longer finite during refinement")
 
-    jumps = _jump_records(rhs, mesh, us, atoms)
+    jumps = _jumps(mesh, us, atoms,
+                   lambda k, u: u + rhs(float(mesh[k]), u) * atoms[k])
     method = "g-euler" if picard_sweeps <= 0 else "g-euler+picard"
     return IvpSolution(ts=mesh, us=us, jumps=jumps, method=method,
                        max_step=float(dt.max()))
 
 
-def _jump_records(rhs, mesh: np.ndarray, us: np.ndarray,
-                  atoms: np.ndarray) -> tuple[JumpRecord, ...]:
+def _jumps(mesh: np.ndarray, us: np.ndarray, atoms: np.ndarray,
+           after: Callable[[int, float], float]) -> tuple[JumpRecord, ...]:
+    """A JumpRecord at each atom node k, u_after = after(k, us[k])."""
     import numpy as np
 
-    records = []
-    for k in np.flatnonzero(atoms > 0.0).tolist():
-        t, u_before = float(mesh[k]), float(us[k])
-        u_after = float(u_before + rhs(t, u_before) * atoms[k])
-        records.append(JumpRecord(tau=t, u_before=u_before,
-                                  u_after=u_after))
-    return tuple(records)
+    return tuple(JumpRecord(tau=float(mesh[k]), u_before=float(us[k]),
+                            u_after=float(after(k, float(us[k]))))
+                 for k in np.flatnonzero(atoms > 0.0).tolist())
 
 
-def _increments(rhs, mesh: np.ndarray, us: np.ndarray, dens: np.ndarray,
-                atoms: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Panel increments of the integral of rhs(t, u(t)) dmu along us.
+def _running(start: float, left: np.ndarray, right: np.ndarray,
+             dt: np.ndarray, jump: np.ndarray | float = 0.0) -> np.ndarray:
+    """start, then the running sums of 0.5 * (left + right) * dt + jump."""
+    import numpy as np
 
-    rhs is evaluated once per node at the left value; at an atom node it
-    is evaluated once more at the post-jump state, which starts the
-    panel.  Increment k is the trapezoid part over [t_k, t_k+1] plus the
-    exact atom term rhs(t_k, u_k) * atom_k.
+    return np.concatenate(([start], 0.5 * (left + right) * dt + jump)).cumsum()
+
+
+def _reintegrate(rhs, mesh: np.ndarray, us: np.ndarray,
+                 data: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 start: float, message: str) -> np.ndarray:
+    """start plus the running integral of rhs(t, u(t)) dmu along us.
+
+    rhs is evaluated once per node at the left value and, at an atom
+    node, once more at the post-jump state, which starts the panel; the
+    atom term is rhs(t_k, u_k) * atom_k.  data is _mesh_data's.  The
+    first value that is not finite raises SolverError(message), naming
+    the node before it.
     """
     import numpy as np
 
+    dens, atoms, dt = data
     w = on_arrays(rhs, mesh, us)
     w_start = w[:-1].copy()
     jump = np.zeros(len(dt))
     for k in np.flatnonzero(atoms > 0.0):
         jump[k] = w[k] * atoms[k]
         w_start[k] = rhs(float(mesh[k]), float(us[k]) + jump[k])
-    return 0.5 * (w_start * dens[:-1] + w[1:] * dens[1:]) * dt + jump
-
-
-def _require_finite(values: np.ndarray, mesh: np.ndarray, us: np.ndarray,
-                    message: str) -> None:
-    """Raise SolverError at the first non-finite values[k], naming node k - 1."""
-    import numpy as np
-
+    values = _running(start, w_start * dens[:-1], w[1:] * dens[1:], dt, jump)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         k = int(bad[0]) - 1
         raise SolverError(message, t_last=float(mesh[k]), u_last=float(us[k]))
+    return values
 
 
 def verify_solution(problem: IvpProblem, solution: IvpSolution,
@@ -366,10 +367,8 @@ def verify_solution(problem: IvpProblem, solution: IvpSolution,
 
     g = problem.gauge
     mesh, us = solution.ts, solution.us
-    dens, atoms, dt = _mesh_data(g, mesh)
-    S = np.concatenate(
-        ([0.0], _increments(problem.rhs, mesh, us, dens, atoms, dt))).cumsum()
-    _require_finite(S, mesh, us, "re-integration is not finite")
+    S = _reintegrate(problem.rhs, mesh, us, _mesh_data(g, mesh), 0.0,
+                     "re-integration is not finite")
     residuals = np.abs(us - float(problem.u0) - S)
 
     ts = np.linspace(mesh[0], mesh[-1], grid)
@@ -408,16 +407,14 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     h_vals = on_arrays(problem.source, mesh)
     if not np.all(np.isfinite(h_vals)):
         raise SolverError("source is not finite on the mesh")
-    H = np.concatenate(([0.0], 0.5 * (h_vals[:-1] + h_vals[1:]) * dt)).cumsum()
+    H = _running(0.0, h_vals[:-1], h_vals[1:], dt)
     Hd = H * dens
     jump = H[:-1] * atoms
-    S = np.concatenate(([0.0], 0.5 * (Hd[:-1] + Hd[1:]) * dt + jump)).cumsum()
+    S = _running(0.0, Hd[:-1], Hd[1:], dt, jump)
 
     us = C + (S[-1] - S)
     us[-1] = C
 
-    records = [JumpRecord(tau=float(mesh[k]), u_before=float(us[k]),
-                          u_after=float(us[k] - jump[k]))
-               for k in np.flatnonzero(atoms > 0.0)]
-    return IvpSolution(ts=mesh, us=us, jumps=tuple(records),
+    return IvpSolution(ts=mesh, us=us,
+                       jumps=_jumps(mesh, us, atoms, lambda k, u: u - jump[k]),
                        method="terminal", max_step=float(dt.max()))

@@ -336,7 +336,7 @@ def _takes_fast_form(fn) -> bool:
          names=["x"], given_values=[math.inf])
 @example(ast=Call("min", (Binary("-", Var("x"), Var("x")), Num(1.0))),
          names=["x"], given_values=[math.inf])
-def test_fast_form_matches_its_checked_lines(ast, names, given_values):
+def test_fast_form_and_walk_match_the_tree_walk_reference(ast, names, given_values):
     expr = _expr(ast)
     fn = as_function(expr, *names)
     assert _takes_fast_form(fn)

@@ -42,8 +42,8 @@ from displace.expr import (_ARITY, _CONSTANTS, Binary, Call, Const,  # noqa: E40
 from displace.gauge import (_EPS, Gauge, _check_count,  # noqa: E402
                             _check_tolerance, _linspace, _snap)
 from displace.serialize import dumps  # noqa: E402
-from displace.solver import (IvpProblem, SolverError,  # noqa: E402
-                             _build_mesh, _jump_records, _mesh_data,
+from displace.solver import (IvpProblem, JumpRecord,  # noqa: E402
+                             SolverError, _build_mesh, _mesh_data,
                              solve_ivp)
 
 # ---------------------------------------------------------------------------
@@ -343,19 +343,20 @@ def old_euler(problem, step):
     dens, _, dt = _mesh_data(g, mesh)
     atoms = old_jumps_on(g, mesh[:-1])
     conts = (0.5 * (dens[:-1] + dens[1:]) * dt).tolist()
-    path = []
+    path, jumps = [], []
     u = float(problem.u0)
     for t, atom, cont in zip(mesh.tolist(), atoms.tolist(), conts):
         path.append(u)
         if atom > 0.0:
-            u = u + rhs(t, u) * atom
+            u_after = u + rhs(t, u) * atom
+            jumps.append(JumpRecord(tau=t, u_before=u, u_after=u_after))
+            u = u_after
         u = u + rhs(t, u) * cont
         if not math.isfinite(u):
             raise SolverError("state is no longer finite",
                               t_last=t, u_last=float(path[-1]))
     path.append(u)
-    us = np.array(path, dtype=float)
-    return mesh, us, _jump_records(rhs, mesh, us, atoms)
+    return mesh, np.array(path, dtype=float), tuple(jumps)
 
 
 def old_map(fn, *columns):

@@ -248,18 +248,18 @@ def _reference_residual(problem, sol, grid):
 
 
 def _reference_picard(problem, ts, us):
-    """One Picard sweep: atom term first, then the trapezoid panel."""
+    """One Picard sweep: each panel's trapezoid part plus its atom term."""
     g, rhs = problem.gauge, problem.rhs
     dens = [float(g.density(float(t))) for t in ts]
     new, running = [problem.u0], problem.u0
     for k in range(len(ts) - 1):
         t, u = float(ts[k]), float(us[k])
         atom = g.jump_at(t)
-        start = u + rhs(t, u) * atom
-        running += rhs(t, u) * atom
+        w = rhs(t, u)
+        start = u + w * atom
         running += 0.5 * (rhs(t, start) * dens[k]
                           + rhs(float(ts[k + 1]), float(us[k + 1])) * dens[k + 1]
-                          ) * (ts[k + 1] - ts[k])
+                          ) * (ts[k + 1] - ts[k]) + w * atom
         new.append(running)
     return np.array(new)
 
@@ -306,11 +306,11 @@ def test_vectorised_sums_match_plain_loop_references():
             _reference_residual(prob, s, grid)
     assert report.worst_point == 1.0
 
-    swept = solve_ivp(prob, step=1e-3, picard_sweeps=1)
-    ref = _reference_picard(prob, sol.ts, sol.us)
-    # the atom and panel terms are summed in another order: rounding only
-    assert np.max(np.abs(swept.us - ref)) <= \
-        1e-12 * max(1.0, float(np.max(np.abs(ref))))
+    ref = sol.us
+    for sweeps in (1, 2, 3):
+        swept = solve_ivp(prob, step=1e-3, picard_sweeps=sweeps)
+        ref = _reference_picard(prob, sol.ts, ref)
+        assert swept.us.tolist() == ref.tolist()
 
     surface = SurfaceProblem(work_gauge=g,
                              source=lambda t: math.cos(5.0 * t) - 0.2,
@@ -366,6 +366,28 @@ def test_verification_refuses_a_re_integration_that_is_not_finite():
     with pytest.raises(SolverError, match="re-integration is not finite"):
         verify_solution(IvpProblem(gauge=g, rhs=lambda t, u: math.inf, u0=1.0),
                         sol)
+
+
+def test_picard_and_verification_refuse_a_blow_up_the_euler_pass_survives():
+    # u' = u^3 from 1.2554 stays finite node by node at step 0.1, but the
+    # re-integration along it overflows in the last panel
+    prob = IvpProblem(gauge=Gauge.identity(), u0=1.2554,
+                      rhs=as_function(parse("u*u*u", {"t", "u"}), "t", "u"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = solve_ivp(prob, step=0.1)
+        with pytest.raises(SolverError) as refined:
+            solve_ivp(prob, step=0.1, picard_sweeps=1)
+        with pytest.raises(SolverError) as verified:
+            verify_solution(prob, sol)
+    for exc, message in ((refined, "state is no longer finite during "
+                          "refinement"),
+                         (verified, "re-integration is not finite")):
+        err = exc.value
+        assert (err.t_last, err.u_last) == (0.9, 3.9523676703544733e+34)
+        assert err.u_last == float(sol.us[9])
+        assert str(err) == (f"{message} (last good node t = 0.9, "
+                            "u = 3.9523676703544733e+34)")
 
 
 def test_identity_density_is_evaluated_over_whole_meshes():
