@@ -14,7 +14,7 @@ go through one engine.  Three point classes arise:
   López Pouso & Rodríguez, 2015), so for a plain f each side is taken
   from two slopes on the same points y: v = s / r, with s the limit of
   delta2(f(x), f(y)) / (y - x) and r the limit of rho(y), and error
-  e_s / r + |v| * e_r / r from their spreads.  That costs one density
+  e_s / r + |v| * e_r / r from their errors.  That costs one density
   call per point where the quotient pays a quadrature panel for
   g(y).  g is still queried at x and at each side's farthest point, the
   quotient's first panels, so a density that integrates below zero on
@@ -24,20 +24,33 @@ go through one engine.  Three point classes arise:
   the FTC harnesses take, which ask for it by argument: they test the
   theorem through its definition.  Where two slopes are tried, both
   rules read the same samples of f.  The quotient also decides the whole
-  point whenever two slopes cannot: a limit that fails the convergence
-  test or lies farther from the nearest sample than that test allows, a
+  point whenever two slopes cannot: a slope or density with no limit, a
   density limit not above 1e-2 of the largest density sample on its
-  side, a value whose error fails the test, or two sides that disagree.
-  Errors and their diagnostics are therefore always the quotient's.
+  side, or two sides that disagree.  Errors and their diagnostics are
+  therefore always the quotient's.
 * jump points of g: the limit reduces to the exact one-sided quotient
   (f(x+) - f(x)) / atom, where atom is the jump size.  f(x+) comes from
   a right_limit method when the callable provides one (gauges and the
-  running integrals below do), otherwise from right-sided extrapolation
-  whose spread must pass the convergence test, and so must its distance
-  to the nearest sample less four of the samples' last steps.
+  running integrals below do), otherwise from the limit of f's samples
+  right of x.
 * excluded points: interiors of constancy intervals and their isolated
   endpoints carry no measure and no derivative; queries within 1e-12 of
   them return a result classed 'excluded' with no value.
+
+One rule accepts every one-sided limit: a side's quotients, f right of
+an atom, and the slope and density limits of two slopes.  Its estimate
+is the samples' Richardson extrapolation, its error the larger of the
+tableau's spread and the distance to the nearest sample less four of
+the samples' last steps (negative where they approach the limit
+linearly).  The limit exists when the estimate is finite and its error
+is at most 1e-2 of its scale, |estimate| plus the first sample's
+distance from it: the samples' own size, small where they diverge.  So
+a small f is held to its own size: the first two samples of
+0.01*cos(8*(t - 0.6875)) right of an atom at 0.5 agree by chance, and
+1e-2 * (1 + |estimate|) would pass their jump quotient 0.0323 (the
+value is 0).  The error reported is the error tested.  The sides of a
+continuity point agree within 1e-3 * (1 + |right| + |left|), not on
+their scales, which grow with f's curvature over the reach.
 
 Only this engine classifies points (after López Pouso & Rodríguez,
 2015); the FTC harnesses read DerivativeResult.point_class.
@@ -180,40 +193,39 @@ def _side_points(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
     return ys
 
 
-def _converges(estimate: float, spread: float) -> bool:
-    """The convergence test every limit passes: the estimate is finite
-    with spread at most 1e-2 * (1 + |estimate|).  The quotient's limits
-    pass it on their spread (_side_limit; at a jump also on the distance
-    to the nearest sample, less four last steps), the two slopes' on the
-    spread and on the distance to the nearest sample (_settled)."""
-    return math.isfinite(estimate) and spread <= 1e-2 * (1.0 + abs(estimate))
+def _limit(values: Sequence[float]) -> Optional[tuple[float, float]]:
+    """(estimate, error) of the limit of values, taken at points nearing
+    x in order, or None where they have none, by the one rule the module
+    docstring states."""
+    if len(values) < 2:
+        return None
+    estimate, spread = _richardson(values)
+    error = max(spread, abs(values[-1] - estimate)
+                - 4.0 * abs(values[-1] - values[-2]))
+    # not the farthest sample's distance, which grows where samples
+    # diverge, nor the closest's, rounding where they settle after one
+    scale = abs(estimate) + abs(values[0] - estimate)
+    if math.isfinite(estimate) and error <= 1e-2 * scale:
+        return estimate, error
+    return None
 
 
 def _side_limit(samples: Sequence[Optional[float]], key: str, x: float,
-                diagnostics: dict, near: bool) -> tuple[float, float]:
-    """(estimate, spread) of one side's samples, taken at its points in
-    order, by _richardson; a None sample is dropped.  The samples go into
-    diagnostics under key ('right' or 'left'); DerivativeError carries
-    them unless the spread passes _converges and, when near, so does the
-    estimate's distance to the nearest sample less four last steps: a
-    limit the samples approach linearly lies one last step from the
-    nearest, so this refuses only an estimate they are not heading for,
-    such as one taken from two early samples that agree by chance."""
+                diagnostics: dict) -> tuple[float, float]:
+    """_limit of one side's samples, taken at its points in order; a None
+    sample is dropped.  The samples go into diagnostics under key ('right'
+    or 'left'), which DerivativeError carries where there is no limit."""
     values = [v for v in samples if v is not None]
     diagnostics[key] = values
     if not values:
         raise DerivativeError(
             "gauge increments vanish on one side", x, diagnostics)
-    estimate, spread = _richardson(values)
-    test = spread
-    if near:
-        test = max(spread, abs(values[-1] - estimate)
-                   - 4.0 * abs(values[-1] - values[-2]))
-    if not _converges(estimate, test):
+    limit = _limit(values)
+    if limit is None:
         raise DerivativeError(
             f"difference quotients do not converge on the {key} side",
             x, diagnostics)
-    return estimate, spread
+    return limit
 
 
 # a density side limit at most this fraction of the largest density
@@ -222,35 +234,22 @@ def _side_limit(samples: Sequence[Optional[float]], key: str, x: float,
 _DENSITY_FLOOR = 1e-2
 
 
-def _settled(values: Sequence[float]) -> Optional[tuple[float, float]]:
-    """(estimate, spread) of values by _richardson if the spread, and the
-    distance from the estimate to the nearest sample, each pass
-    _converges; otherwise None.  Two early samples that agree by chance,
-    as on both sides of a kink, are not taken for a limit."""
-    estimate, spread = _richardson(values)
-    if _converges(estimate, max(spread, abs(values[-1] - estimate))):
-        return estimate, spread
-    return None
-
-
 def _two_slopes(nums: Sequence[float], ys: Sequence[float], x: float,
                 density: Callable[[float], float]
                 ) -> Optional[tuple[float, float]]:
-    """(value, error) of one side as lim nums / (y - x) over lim density(y),
-    or None where the quotient has to decide: when either limit is not
-    _settled, the density's is not clearly positive, or the value with its
-    error would fail _converges."""
-    slope = _settled([num / (y - x) for num, y in zip(nums, ys)])
+    """(value, error) of one side as lim nums / (y - x) over lim
+    density(y), or None where the quotient has to decide: when either has
+    no _limit or the density's is not clearly positive."""
+    slope = _limit([num / (y - x) for num, y in zip(nums, ys)])
     if slope is None:
         return None
     dens = [float(density(y)) for y in ys]
-    rho = _settled(dens)
+    rho = _limit(dens)
     if rho is None or not rho[0] > _DENSITY_FLOOR * max(map(abs, dens)):
         return None
     (s, e_s), (r, e_r) = slope, rho
     value = s / r
-    error = e_s / r + abs(value) * e_r / r
-    return (value, error) if _converges(value, error) else None
+    return value, e_s / r + abs(value) * e_r / r
 
 
 def _disagree(limits: Sequence[tuple[float, float]]) -> bool:
@@ -283,17 +282,17 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         atom = g.jump_at(tau)
         fx = float(f(tau))
         if hasattr(f, "right_limit"):
-            fplus, spread, used = float(f.right_limit(tau)), 0.0, 1
+            fplus, error, used = float(f.right_limit(tau)), 0.0, 1
         else:
             ys = _side_points(tau, +1, g, dsets, avoid, shrink_levels)
             if not ys:
                 raise DerivativeError("no room to the right of the jump", tau)
-            fplus, spread = _side_limit([float(f(y)) for y in ys], "right",
-                                        tau, {}, True)
+            fplus, error = _side_limit([float(f(y)) for y in ys], "right",
+                                       tau, {})
             used = len(ys)
         return DerivativeResult(value=displaced(fx, fplus) / atom,
                                 point_class="jump",
-                                error_estimate=spread / atom,
+                                error_estimate=error / atom,
                                 samples_used=used + 1)
 
     if dsets.excludes(x):
@@ -333,7 +332,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
             den = [g(y) - gx for y in ys]
             limits.append(_side_limit(
                 [n / d if d != 0.0 else None for n, d in zip(num, den)],
-                key, x, diagnostics, False))
+                key, x, diagnostics))
         if _disagree(limits):
             raise DerivativeError(
                 "left and right difference quotients disagree", x, diagnostics)

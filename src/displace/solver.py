@@ -263,7 +263,9 @@ def solve_ivp(problem: IvpProblem, step: float,
     Raises:
         SolverError: on invalid input or when the state leaves the
             finite range, in the Euler pass or in a Picard sweep ("during
-            refinement"); the error names the last good node.
+            refinement"); the error names the last good node with the
+            state there: the Euler pass's, or the sweep's own running
+            value, not that of the trajectory it re-integrates.
         GaugeError: at the first mesh node where the density is
             negative.
     """
@@ -291,7 +293,8 @@ def solve_ivp(problem: IvpProblem, step: float,
 
     for _ in range(int(picard_sweeps)):
         us = _reintegrate(rhs, mesh, us, (dens, atoms, dt), float(problem.u0),
-                          "state is no longer finite during refinement")
+                          "state is no longer finite during refinement",
+                          sweep=True)
 
     jumps = _jumps(mesh, us, atoms,
                    lambda k, u: u + rhs(float(mesh[k]), u) * atoms[k])
@@ -320,14 +323,16 @@ def _running(start: float, left: np.ndarray, right: np.ndarray,
 
 def _reintegrate(rhs, mesh: np.ndarray, us: np.ndarray,
                  data: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 start: float, message: str) -> np.ndarray:
+                 start: float, message: str, *, sweep: bool) -> np.ndarray:
     """start plus the running integral of rhs(t, u(t)) dmu along us.
 
     rhs is evaluated once per node at the left value and, at an atom
     node, once more at the post-jump state, which starts the panel; the
     atom term is rhs(t_k, u_k) * atom_k.  data is _mesh_data's.  The
     first value that is not finite raises SolverError(message), naming
-    the node before it.
+    the node before it with the running value there when sweep is true
+    (a Picard sweep, whose running value is its state), and with us
+    there otherwise (verification, which checks us).
     """
     import numpy as np
 
@@ -342,7 +347,8 @@ def _reintegrate(rhs, mesh: np.ndarray, us: np.ndarray,
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         k = int(bad[0]) - 1
-        raise SolverError(message, t_last=float(mesh[k]), u_last=float(us[k]))
+        raise SolverError(message, t_last=float(mesh[k]),
+                          u_last=float((values if sweep else us)[k]))
     return values
 
 
@@ -357,7 +363,8 @@ def verify_solution(problem: IvpProblem, solution: IvpSolution,
 
     Raises:
         SolverError: when the re-integration is not finite; the error
-            names the last node where it is.
+            names the last node where it is, with the solution's value
+            there.
         GaugeError: at the first mesh node where the density is
             negative.
     """
@@ -368,7 +375,7 @@ def verify_solution(problem: IvpProblem, solution: IvpSolution,
     g = problem.gauge
     mesh, us = solution.ts, solution.us
     S = _reintegrate(problem.rhs, mesh, us, _mesh_data(g, mesh), 0.0,
-                     "re-integration is not finite")
+                     "re-integration is not finite", sweep=False)
     residuals = np.abs(us - float(problem.u0) - S)
 
     ts = np.linspace(mesh[0], mesh[-1], grid)

@@ -108,12 +108,17 @@ def test_derivative_against_flat_region_gauge():
 
 
 def test_kink_raises_with_side_diagnostics():
-    with pytest.raises(DerivativeError) as exc_info:
-        delta_derivative(lambda t: abs(t - 0.5), identity_gauge(), 0.5)
-    err = exc_info.value
-    assert err.point == 0.5
-    assert set(err.diagnostics) == {"left", "right"}
-    assert "disagree" in str(err)
+    # curvature moves each side's first quotients +-c + q h far from their
+    # limit +-c, but the sides still disagree
+    for f in (lambda t: abs(t - 0.5),
+              lambda t: abs(t - 0.5) + 1e4 * (t - 0.5) ** 2,
+              lambda t: 1e-3 * abs(t - 0.5) + 5.0 * (t - 0.5) ** 2):
+        with pytest.raises(DerivativeError) as exc_info:
+            delta_derivative(f, identity_gauge(), 0.5)
+        err = exc_info.value
+        assert err.point == 0.5
+        assert set(err.diagnostics) == {"left", "right"}
+        assert "disagree" in str(err)
     # at an atom the extrapolated f(x+) meets the same convergence test:
     # sin(1/(t - 0.5)) has no right limit at 0.5
     g = Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 0.25),),
@@ -159,6 +164,39 @@ def test_a_steep_right_limit_at_an_atom_still_settles():
     g = Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 0.25),))
     d = delta_derivative(lambda t: math.exp(9.0 * t), g, 0.5)
     assert d.point_class == "jump" and abs(d.value) <= 1e-9
+
+
+def test_a_small_f_is_held_to_its_own_scale_at_an_atom():
+    # 0.01 cos(8 (t - 0.6875)) agrees at 0.75 and 0.625 as cos does; the
+    # extrapolation 0.00878 lies 0.0081 from the nearest sample, inside
+    # 1e-2 * (1 + |estimate|) but not 1e-2 of the samples' own scale
+    g = Gauge((0.0, 1.0), lambda t: 1.0, jumps=((0.5, 0.25),))
+    with pytest.raises(DerivativeError, match=re.escape(
+            "difference quotients do not converge on the right side at "
+            "x = 0.5")) as exc_info:
+        delta_derivative(lambda t: 0.01 * math.cos(8.0 * (t - 0.6875)), g,
+                         0.5)
+    assert len(exc_info.value.diagnostics["right"]) == 12
+    # limits that settle keep their value and error bits
+    for f, error in ((lambda t: t * t, 0.0),
+                     (lambda t: math.exp(9.0 * t), 2.0 ** -44),
+                     (lambda t: math.sin(3.0 * t), 2.0 ** -51)):
+        d = delta_derivative(f, g, 0.5)
+        assert (d.value, d.point_class, d.error_estimate, d.samples_used) \
+            == (0.0, "jump", error, 13)
+
+
+@pytest.mark.parametrize("density, x, side", [
+    ("2*t", 0.0, "right"), ("3*t^2", 0.0, "right"),
+    ("3*(1 - t)^2", 1.0, "left")])
+def test_quotients_that_diverge_have_no_limit(density, x, side):
+    # t against t^2 at 0: the quotients 1/y are 2, 4, ..., 4096, whose
+    # Richardson estimate 6 has spread 4 and lies 4 from the first of
+    # them: an error far above 1e-2 of the scale 6 + 4
+    g = Gauge.from_dict({"domain": [0, 1], "density": density})
+    with pytest.raises(DerivativeError, match=re.escape(
+            f"difference quotients do not converge on the {side} side")):
+        delta_derivative(lambda t: t, g, x)
 
 
 def test_a_side_has_at_most_one_point_per_richardson_divisor():
