@@ -22,8 +22,9 @@ go through one engine.  Three point classes arise:
   for an f that is itself a CumulativeQuadrature (a gauge or a running
   integral), whose f(y) costs a panel anyway, and for every derivative
   the FTC harnesses take, which ask for it by argument: they test the
-  theorem through its definition.  Where two slopes are tried, both
-  rules read the same samples of f.  The quotient also decides the whole
+  theorem through its definition.  Both rules read the same samples of
+  f, a side's in the loop that takes its limit, the right side first,
+  so both refuse an f alike.  The quotient also decides the whole
   point whenever two slopes cannot: a slope or density with no limit, a
   density limit not above 1e-2 of the largest density sample on its
   side, or two sides that disagree.  Errors and their diagnostics are
@@ -74,9 +75,9 @@ import math
 from typing import Callable, Optional, Sequence
 
 from .displacement import _require_smooth
-from .gauge import (_EPS, SNAP_RADIUS, CumulativeQuadrature, DistinguishedSets,
-                    Gauge, _adaptive_quad, _check_count, _check_tolerance,
-                    _linspace, _snap)
+from .gauge import (_EPS, _QUAD_TOL, SNAP_RADIUS, CumulativeQuadrature,
+                    DistinguishedSets, Gauge, _adaptive_quad, _check_count,
+                    _check_tolerance, _linspace, _snap)
 from .serialize import Record
 
 __all__ = [
@@ -315,20 +316,21 @@ def _derivative(f: Callable[[float], float], g: Gauge,
     if not sides:
         raise DerivativeError("no side of x admits difference quotients",
                               x, diagnostics)
+    # a side's f is sampled in the loop that takes its limit, so an f that
+    # raises on the left cannot mask the right side's refusal
     nums: list[list[float]] = []
     limits: list = []
     if not quotient:
-        nums = [[displaced(fx, float(f(y))) for y in ys] for _, ys in sides]
-        for (_, ys), num in zip(sides, nums):
-            limits.append(_two_slopes(num, ys, x, g.density))
+        for _, ys in sides:
+            nums.append([displaced(fx, float(f(y))) for y in ys])
+            limits.append(_two_slopes(nums[-1], ys, x, g.density))
             if limits[-1] is None:
                 break
     if not limits or None in limits or _disagree(limits):
         limits = []
         for i, (key, ys) in enumerate(sides):
-            # without two slopes a side is sampled as its limit is taken,
-            # so an f that raises on the left cannot mask the right's refusal
-            num = nums[i] if nums else [displaced(fx, float(f(y))) for y in ys]
+            num = (nums[i] if i < len(nums)
+                   else [displaced(fx, float(f(y))) for y in ys])
             den = [g(y) - gx for y in ys]
             limits.append(_side_limit(
                 [n / d if d != 0.0 else None for n, d in zip(num, den)],
@@ -436,7 +438,7 @@ class MeasurePath(Record):
 
 
 def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
-                  upper: float, quad_tol: float = 1e-10) -> float:
+                  upper: float, quad_tol: float = _QUAD_TOL) -> float:
     """Integral of f against the moving-base-point measure of a smooth space.
 
     The measure seen along the path has density d2(alpha(t), t), so the

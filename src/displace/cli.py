@@ -30,7 +30,8 @@ from . import calculus, displacement, solver
 from .displacement import (BUILTIN_NAMES, DisplacementError, gauge_from_smooth,
                            make_builtin, spec_from_dict)
 from .expr import ExprError, as_function, parse
-from .gauge import Gauge, GaugeError, _check_tolerance, _linspace
+from .gauge import (Gauge, GaugeError, _check_count, _check_tolerance,
+                    _linspace)
 from .serialize import csv_lines, dumps
 
 
@@ -412,11 +413,7 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
     text = "\n".join(dumps(r.to_dict()) for r in reports)
     _deliver(text, out)
     verdicts = [r.verdict for r in reports]
-    if "fail" in verdicts:
-        return 2
-    if "inconclusive" in verdicts:
-        return 3
-    return 0
+    return 2 if "fail" in verdicts else 3 if "inconclusive" in verdicts else 0
 
 
 @_command(
@@ -436,20 +433,14 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
 )
 def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
     """Extract or load a gauge; emit its JSON and a sampled value table."""
-    if gauge_ref is not None:
-        g = _load_gauge(gauge_ref)
-    else:
-        spec = _load_spec(spec_path, builtin)
-        g = gauge_from_smooth(spec)
+    _check_count(grid, 2, "grid", ValueError)    # one row holds only g(a) = 0
+    g = (_load_gauge(gauge_ref) if gauge_ref is not None
+         else gauge_from_smooth(_load_spec(spec_path, builtin)))
     try:
         payload = g.to_dict()
-    except GaugeError:
-        payload = {
-            "domain": [g.domain[0], g.domain[1]],
-            "density": None,
-            "jumps": [[t, s] for t, s in g.jumps],
-            "flats": [[lo, hi] for lo, hi in g.flats],
-        }
+    except GaugeError:    # to_dict's layout, without a density source
+        payload = {"domain": g.domain, "density": None, "jumps": g.jumps,
+                   "flats": g.flats}
     a, b = g.domain
     rows = [(t, g(t)) for t in _linspace(a, b, grid)]
     table_text = csv_lines(("t", "g"), rows)
@@ -468,7 +459,8 @@ def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
     _Option("--builtin", choices=BUILTIN_NAMES),
     _Option("--x", kind=float, required=True, help="Ball center."),
     _Option("--r", kind=float, required=True, help="Ball radius."),
-    _tol_option("--tol", default=1e-10, show_default=True,
+    _tol_option("--tol", default=_default(displacement.delta_ball, "tol"),
+                show_default=True,
                 help="Bisection tolerance for the endpoints."),
     _Option("--out", path=True),
 )
@@ -528,7 +520,8 @@ def integrate(f_src, gauge_ref, upper, out):
     _Option("--spec", dest="spec_path", path="exists"),
     _Option("--builtin", choices=BUILTIN_NAMES),
     _Option("--upper", kind=float),
-    _tol_option("--quad-tol", default=1e-10, show_default=True),
+    _tol_option("--quad-tol", show_default=True,
+                default=_default(calculus.path_integral, "quad_tol")),
     _Option("--out", path=True),
 )
 def path_integrate(f_src, alpha_src, spec_path, builtin, upper, quad_tol, out):
@@ -543,56 +536,55 @@ def path_integrate(f_src, alpha_src, spec_path, builtin, upper, quad_tol, out):
     return 0
 
 
-@_command(
-    "ftc",
-    _Option("--f", dest="f_src", required=True,
-            help="Integrand, function of t."),
-    _Option("--gauge", dest="gauge_ref", required=True),
-    _Option("--grid", kind=int, default=101, show_default=True),
-    _Option("--shrink-levels", kind=int,
-            default=calculus.DEFAULT_SHRINK_LEVELS, show_default=True),
-    _tol_option("--tol", default=1e-4, show_default=True,
-                help="Maximum allowed derivative-vs-integrand error."),
-    _Option("--out", path=True),
-)
+def _ftc_options(harness: Callable, f_help: str, tol: float,
+                 tol_help: str) -> tuple[_Option, ...]:
+    """The options of the command that runs harness, with its grid default."""
+    return (_Option("--f", dest="f_src", required=True, help=f_help),
+            _Option("--gauge", dest="gauge_ref", required=True),
+            _Option("--grid", kind=int, default=_default(harness, "grid"),
+                    show_default=True),
+            _Option("--shrink-levels", kind=int,
+                    default=calculus.DEFAULT_SHRINK_LEVELS, show_default=True),
+            _tol_option("--tol", default=tol, help=tol_help,
+                        show_default=True),
+            _Option("--out", path=True))
+
+
+def _ftc(harness: Callable, f_src, gauge_ref, grid, shrink_levels, tol,
+         out) -> int:
+    """Run an FTC harness on f and the gauge and deliver its report: exit
+    2 when its max_error exceeds tol or it has violations, else 0."""
+    g = _load_gauge(gauge_ref)
+    f = as_function(parse(f_src, {"t"}), "t")
+    report = harness(f, g, grid=grid, shrink_levels=shrink_levels)
+    _deliver(dumps(report.to_dict()), out)
+    return 2 if (report.max_error > tol or report.violations) else 0
+
+
+@_command("ftc", *_ftc_options(
+    calculus.ftc_forward_check, "Integrand, function of t.", 1e-4,
+    "Maximum allowed derivative-vs-integrand error."))
 def ftc(f_src, gauge_ref, grid, shrink_levels, tol, out):
     """Differentiate the running integral of f and compare against f.
 
     Exits 2 when the maximum error exceeds --tol or any grid point fails
     to have a derivative.
     """
-    g = _load_gauge(gauge_ref)
-    f = as_function(parse(f_src, {"t"}), "t")
-    report = calculus.ftc_forward_check(f, g, grid=grid,
-                                        shrink_levels=shrink_levels)
-    _deliver(dumps(report.to_dict()), out)
-    return 2 if (report.max_error > tol or report.violations) else 0
+    return _ftc(calculus.ftc_forward_check, f_src, gauge_ref, grid,
+                shrink_levels, tol, out)
 
 
-@_command(
-    "ftc2",
-    _Option("--f", dest="f_src", required=True,
-            help="Function of t to differentiate and rebuild."),
-    _Option("--gauge", dest="gauge_ref", required=True),
-    _Option("--grid", kind=int, default=101, show_default=True),
-    _Option("--shrink-levels", kind=int,
-            default=calculus.DEFAULT_SHRINK_LEVELS, show_default=True),
-    _tol_option("--tol", default=1e-6, show_default=True,
-                help="Maximum allowed reconstruction deviation."),
-    _Option("--out", path=True),
-)
+@_command("ftc2", *_ftc_options(
+    calculus.ftc2_check, "Function of t to differentiate and rebuild.", 1e-6,
+    "Maximum allowed reconstruction deviation."))
 def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
     """Differentiate f against the gauge and rebuild it from the derivative.
 
     Exits 2 when the reconstruction deviates beyond --tol or the
     derivative fails to exist somewhere.
     """
-    g = _load_gauge(gauge_ref)
-    f = as_function(parse(f_src, {"t"}), "t")
-    report = calculus.ftc2_check(f, g, grid=grid,
-                                 shrink_levels=shrink_levels)
-    _deliver(dumps(report.to_dict()), out)
-    return 2 if (report.max_error > tol or report.violations) else 0
+    return _ftc(calculus.ftc2_check, f_src, gauge_ref, grid, shrink_levels,
+                tol, out)
 
 
 @_command(
@@ -602,7 +594,9 @@ def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
     _Option("--gauge", dest="gauge_ref", required=True),
     _Option("--u0", kind=float, required=True),
     _Option("--step", kind=float, required=True),
-    _Option("--picard", kind=int, default=0, show_default=True,
+    _Option("--picard", kind=int,
+            default=_default(solver.solve_ivp, "picard_sweeps"),
+            show_default=True,
             help="Picard refinement sweeps after the Euler pass."),
     _tol_option("--verify-tol",
                 help="Verify the integral-equation residual; exit 2 above "

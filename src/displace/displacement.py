@@ -47,8 +47,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import expr as expr_mod
 from .expr import _MAP, Expr, _kernel
-from .gauge import (_EPS, Gauge, GaugeError, SNAP_RADIUS, _check_count,
-                    _check_tolerance, _linspace, _snap)
+from .gauge import (_EPS, _QUAD_TOL, Gauge, SNAP_RADIUS, _check_count,
+                    _check_domain, _check_tolerance, _linspace, _snap)
 from .serialize import Fresh, Record
 
 __all__ = [
@@ -160,10 +160,7 @@ class Smooth:
     def __init__(self, domain: tuple[float, float],
                  delta: Union[Expr, Callable[[float, float], float]],
                  d2: Union[Expr, Callable[[float, float], float], None] = None):
-        a, b = float(domain[0]), float(domain[1])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise DisplacementError(f"invalid domain [{a!r}, {b!r}]")
-        self._domain = (a, b)
+        a, b = self._domain = _check_domain(domain, DisplacementError)
         self._slack = _domain_slack(a, b)
         self._delta_expr, self._delta_fn = _expr_and_function(delta, "x", "y")
         self._d2_expr, self._d2_fn = _expr_and_function(d2, "x", "y")
@@ -323,14 +320,20 @@ class Angular:
 
 DisplacementSpec = Union[Smooth, Stieltjes, FiniteGraph, Angular]
 
-BUILTIN_NAMES = ("exponential", "roundabout", "santiago_graph", "identity_gauge")
-
-_SANTIAGO_WEIGHTS = (
-    (0.0, 9.0, 4.0, 10.0),
-    (10.0, 0.0, 14.0, 8.0),
-    (7.0, 9.0, 0.0, 5.0),
-    (11.0, 6.0, 7.0, 0.0),
-)
+# the named example spaces, as the spec data spec_from_dict reads
+_BUILTINS = {
+    "exponential": {"kind": "smooth", "domain": [0.0, 1.0],
+                    "delta": "exp(y^2 - x^2) - exp(x - y)",
+                    "d2": "2*y*exp(y^2 - x^2) + exp(x - y)"},
+    "roundabout": {"kind": "angular"},
+    "santiago_graph": {"kind": "graph", "weights": [[0.0, 9.0, 4.0, 10.0],
+                                                    [10.0, 0.0, 14.0, 8.0],
+                                                    [7.0, 9.0, 0.0, 5.0],
+                                                    [11.0, 6.0, 7.0, 0.0]]},
+    "identity_gauge": {"kind": "stieltjes",
+                       "gauge": {"domain": [0.0, 1.0], "density": "1"}},
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def make_builtin(name: str) -> DisplacementSpec:
@@ -342,18 +345,10 @@ def make_builtin(name: str) -> DisplacementSpec:
     one-way travel-cost matrix; 'identity_gauge' is the Stieltjes space
     of g(t) = t on [0, 1].
     """
-    if name == "exponential":
-        delta = expr_mod.parse("exp(y^2 - x^2) - exp(x - y)", {"x", "y"})
-        d2 = expr_mod.parse("2*y*exp(y^2 - x^2) + exp(x - y)", {"x", "y"})
-        return Smooth((0.0, 1.0), delta, d2)
-    if name == "roundabout":
-        return Angular()
-    if name == "santiago_graph":
-        return FiniteGraph(_SANTIAGO_WEIGHTS)
-    if name == "identity_gauge":
-        return Stieltjes(Gauge.identity((0.0, 1.0)))
-    raise DisplacementError(
-        f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
+    if name not in _BUILTINS:
+        raise DisplacementError(
+            f"unknown builtin {name!r}; choose from {', '.join(BUILTIN_NAMES)}")
+    return spec_from_dict(_BUILTINS[name])
 
 
 # --- reports ---
@@ -398,12 +393,18 @@ class BallInterval(Record):
 _WITNESS_CAP = 10
 
 
-def _is_interval(spec: DisplacementSpec) -> bool:
-    return spec.kind in ("smooth", "stieltjes")
+def _report(hypothesis: str, witnesses: Sequence[dict], sample_count: int,
+            tol: float, stats: Optional[dict] = None,
+            undecided: bool = False) -> AxiomReport:
+    """A check's report, by the one verdict rule: 'fail' with a witness,
+    else 'inconclusive' if undecided (samples pending), else 'pass'."""
+    verdict = "fail" if witnesses else "inconclusive" if undecided else "pass"
+    return AxiomReport(hypothesis, verdict, tuple(witnesses), sample_count,
+                       tol, {} if stats is None else stats)
 
 
 def _require_interval(spec: DisplacementSpec, operation: str) -> None:
-    if not _is_interval(spec):
+    if spec.kind not in ("smooth", "stieltjes"):
         raise DisplacementError(
             f"{operation} requires an interval variant, got kind {spec.kind!r}")
 
@@ -449,8 +450,7 @@ def check_h1(spec: DisplacementSpec, samples: int = 101,
         value = spec.delta(x, x)
         if abs(value) > tol and len(witnesses) < _WITNESS_CAP:
             witnesses.append({"x": x, "value": value})
-    verdict = "fail" if witnesses else "pass"
-    return AxiomReport("H1", verdict, tuple(witnesses), len(points), tol)
+    return _report("H1", witnesses, len(points), tol)
 
 
 # --- H2 upper semicontinuity ---
@@ -518,15 +518,9 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
                                       "excess": seq[-1]})
             else:
                 inconclusive += 1
-    if witnesses:
-        verdict = "fail"
-    elif inconclusive:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass"
     stats = {"pairs": len(points) ** 2, "inconclusive_pairs": inconclusive}
-    return AxiomReport("H2-usc", verdict, tuple(witnesses),
-                       len(points) ** 2, tol, stats)
+    return _report("H2-usc", witnesses, len(points) ** 2, tol, stats,
+                   inconclusive > 0)
 
 
 # --- H2' subadditivity after rescaling ---
@@ -557,17 +551,16 @@ def check_h2prime(spec: DisplacementSpec,
 
     phi0 = float(phi_fn(0.0))
     if abs(phi0) > tol:
-        return AxiomReport("H2'", "inconclusive", (), n ** 3, tol,
-                           {"reason": f"phi(0) = {phi0!r} is not 0"})
+        return _report("H2'", (), n ** 3, tol,
+                       {"reason": f"phi(0) = {phi0!r} is not 0"}, True)
     values = [v for row in absdelta for v in row]
     grid_vals = sorted(set(values + _linspace(0.0, max(values) or 1.0, 33)))
     phi_vals = [float(phi_fn(r)) for r in grid_vals]
     for r1, r2, p1, p2 in zip(grid_vals, grid_vals[1:], phi_vals, phi_vals[1:]):
         if r2 > r1 and p2 <= p1:
-            return AxiomReport(
-                "H2'", "inconclusive", (), n ** 3, tol,
-                {"reason": "phi not strictly increasing between "
-                           f"{r1!r} and {r2!r}"})
+            return _report("H2'", (), n ** 3, tol,
+                           {"reason": "phi not strictly increasing between "
+                                      f"{r1!r} and {r2!r}"}, True)
 
     psi = [[float(phi_fn(v)) for v in row] for row in absdelta]
     # psi[i][k] <= psi[i][j] + psi[j][k] for every triple, in (i, j, k) order
@@ -584,9 +577,8 @@ def check_h2prime(spec: DisplacementSpec,
                             "psi_xz": psi_x[k], "psi_xy": psi_xy,
                             "psi_yz": psi_yz,
                         })
-    verdict = "fail" if violations else "pass"
     stats = {"violations": violations, "exhaustive": spec.kind == "graph"}
-    return AxiomReport("H2'", verdict, tuple(witnesses), n ** 3, tol, stats)
+    return _report("H2'", witnesses, n ** 3, tol, stats)
 
 
 # --- H3 monotonicity in the second argument ---
@@ -605,8 +597,7 @@ def check_h3(spec: DisplacementSpec, samples: int = 21,
             if v2 < v1 - tol and len(witnesses) < _WITNESS_CAP:
                 witnesses.append({"x": x, "y": y1, "z": y2,
                                   "delta_xy": v1, "delta_xz": v2})
-    verdict = "fail" if witnesses else "pass"
-    return AxiomReport("H3", verdict, tuple(witnesses), len(points) ** 2, tol)
+    return _report("H3", witnesses, len(points) ** 2, tol)
 
 
 # --- H5 left-continuity at the base point ---
@@ -627,8 +618,7 @@ def check_h5(spec: DisplacementSpec, samples: int = 21,
                 break
         if value > tol and len(witnesses) < _WITNESS_CAP:
             witnesses.append({"x": x, "h": h, "value": value})
-    verdict = "fail" if witnesses else "pass"
-    return AxiomReport("H5", verdict, tuple(witnesses), len(points), tol)
+    return _report("H5", witnesses, len(points), tol)
 
 
 # --- positivity of the second-argument derivative ---
@@ -656,10 +646,8 @@ def check_d2_positive(spec: DisplacementSpec, grid: int = 64,
                 argmin = (x, y)
             if v <= tol and len(witnesses) < _WITNESS_CAP:
                 witnesses.append({"x": x, "y": y, "d2": v})
-    verdict = "pass" if r_hat > tol else "fail"
     stats = {"r_hat": r_hat, "argmin_x": argmin[0], "argmin_y": argmin[1]}
-    return AxiomReport("D2-positive", verdict, tuple(witnesses),
-                       grid * grid, tol, stats)
+    return _report("D2-positive", witnesses, grid * grid, tol, stats)
 
 
 # --- comparability factor and Radon-Nikodym density ---
@@ -756,7 +744,8 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
 
 # --- gauge extraction ---
 
-def gauge_from_smooth(spec: DisplacementSpec, quad_tol: float = 1e-10) -> Gauge:
+def gauge_from_smooth(spec: DisplacementSpec,
+                      quad_tol: float = _QUAD_TOL) -> Gauge:
     """Build the gauge whose density at t is d2(t, t).
 
     For a smooth displacement with positive continuous d2 this gauge
@@ -783,18 +772,11 @@ def spec_to_dict(spec: DisplacementSpec) -> dict:
         if spec.delta_source is None:
             raise DisplacementError(
                 "smooth displacement has no expression form; cannot serialize")
-        return {
-            "domain": [spec.domain[0], spec.domain[1]],
-            "kind": "smooth",
-            "delta": spec.delta_source,
-            "d2": spec.d2_source,
-        }
+        return {"domain": list(spec.domain), "kind": "smooth",
+                "delta": spec.delta_source, "d2": spec.d2_source}
     if spec.kind == "stieltjes":
-        return {
-            "domain": [spec.domain[0], spec.domain[1]],
-            "kind": "stieltjes",
-            "gauge": spec.gauge.to_dict(),
-        }
+        return {"domain": list(spec.domain), "kind": "stieltjes",
+                "gauge": spec.gauge.to_dict()}
     if spec.kind == "graph":
         return {"kind": "graph", "weights": [list(row) for row in spec.weights]}
     if spec.kind == "angular":

@@ -20,10 +20,12 @@ are exp, ln, sin, cos, sqrt, abs (unary) and min, max (binary).  Any
 other identifier must be declared as a variable at parse time.
 
 Evaluation is strict about domains: division by zero, ln of a
-non-positive number, sqrt of a negative number, fractional powers of
-negative bases and indeterminate bit patterns (NaN) all raise
-DomainError naming the offending sub-expression.  A finite expression
-evaluated twice on the same bindings returns bit-identical results.
+non-positive number, sqrt of a negative number, sin or cos of an
+infinity, a negative base with an exponent that is no integer (an
+infinite or NaN one included) and indeterminate bit patterns (NaN) all
+raise DomainError naming the offending sub-expression.  A finite
+expression evaluated twice on the same bindings returns bit-identical
+results.
 
 Each expression is compiled once, per order of its variables, into a
 Python function; evaluate, Expr.__call__ and as_function all run it.
@@ -370,7 +372,8 @@ def parse(source: str, variables=()) -> Expr:
 def _pow(base: float, exponent: float, node: Node) -> float:
     if base == 0.0 and exponent < 0.0:
         raise DomainError("zero raised to a negative power", _unparse(node, 0))
-    if base < 0.0 and exponent != math.floor(exponent):
+    # NaN % 1.0 and inf % 1.0 are NaN: neither exponent is an integer
+    if base < 0.0 and exponent % 1.0 != 0.0:
         raise DomainError("negative base with fractional exponent", _unparse(node, 0))
     try:
         return math.pow(base, exponent)
@@ -573,6 +576,9 @@ def _walk(steps: list[tuple[Node, object]], power: Callable, *args: object
                                   _unparse(node, 0))
             if node.func == "sqrt" and x < 0.0:
                 raise DomainError("sqrt of a negative number",
+                                  _unparse(node, 0))
+            if node.func in ("sin", "cos") and math.isinf(x):
+                raise DomainError(f"{node.func} of an infinite number",
                                   _unparse(node, 0))
             try:
                 stack.append(_UNARY_FUNCS[node.func](x))

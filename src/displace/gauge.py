@@ -97,6 +97,15 @@ def _check_tolerance(value: float, name: str,
     return value
 
 
+def _check_domain(domain: tuple[float, float],
+                  error: type[Exception] = GaugeError) -> tuple[float, float]:
+    """(a, b) as floats if they are finite and a < b; otherwise raise error."""
+    a, b = float(domain[0]), float(domain[1])
+    if not -math.inf < a < b < math.inf:
+        raise error(f"invalid domain [{a!r}, {b!r}]")
+    return a, b
+
+
 def _check_count(value: int, least: int, name: str,
                  error: type[Exception] = GaugeError) -> None:
     """Raise error, naming the count, when value is below least."""
@@ -139,8 +148,10 @@ _G9 = 0.295524224714752870173892994651338
 _EPS = sys.float_info.epsilon
 # dqk21 floors abserr at 50 eps * resabs only above this
 _ERR_FLOOR = sys.float_info.min / (50.0 * _EPS)
-# _adaptive_quad's relative tolerance and interval limit: those of the
+# every quadrature's default absolute tolerance per panel, _adaptive_quad's
+# relative tolerance and its interval limit: those of the
 # scipy.integrate.quad calls its goldens were recorded with
+_QUAD_TOL = 1e-10
 _QUAD_EPSREL = 1e-12
 _QUAD_LIMIT = 200
 
@@ -328,7 +339,7 @@ class CumulativeQuadrature:
     """
 
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float,
-                 tol: float = 1e-10, breakpoints: Sequence[float] = (),
+                 tol: float = _QUAD_TOL, breakpoints: Sequence[float] = (),
                  nonnegative: bool = False,
                  atoms: Sequence[tuple[float, float]] = ()):
         self.fn = fn
@@ -505,11 +516,9 @@ class Gauge(CumulativeQuadrature):
                  density: Callable[[float], float],
                  jumps: Sequence[tuple[float, float]] = (),
                  flats: Sequence[tuple[float, float]] = (),
-                 quad_tol: float = 1e-10,
+                 quad_tol: float = _QUAD_TOL,
                  density_source: Optional[str] = None):
-        a, b = float(domain[0]), float(domain[1])
-        if not (math.isfinite(a) and math.isfinite(b) and a < b):
-            raise GaugeError(f"invalid domain [{a!r}, {b!r}]")
+        a, b = _check_domain(domain)
         self._density_source = density_source
 
         pairs = []
@@ -697,7 +706,7 @@ class Gauge(CumulativeQuadrature):
         }
 
     @classmethod
-    def from_dict(cls, data: dict, quad_tol: float = 1e-10) -> "Gauge":
+    def from_dict(cls, data: dict, quad_tol: float = _QUAD_TOL) -> "Gauge":
         try:
             domain = (float(data["domain"][0]), float(data["domain"][1]))
             source = data["density"]

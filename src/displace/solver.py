@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .expr import _kernel, on_arrays
 from .gauge import (_NEGATIVE_DENSITY, Gauge, _check_count,
@@ -232,8 +232,9 @@ def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
 
 
 def _mesh_data(gauge: Gauge, mesh: np.ndarray,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node densities, panel atoms (none at the last node) and widths.
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Node densities, panel atoms (none at the last node), widths and the
+    indices of the atom nodes, in increasing order.
 
     A density below _NEGATIVE_DENSITY raises GaugeError at the first such
     node.
@@ -244,7 +245,8 @@ def _mesh_data(gauge: Gauge, mesh: np.ndarray,
     negative = np.flatnonzero(dens < _NEGATIVE_DENSITY)
     if negative.size:
         raise _negative_density(float(mesh[negative[0]]))
-    return dens, gauge.jumps_on(mesh[:-1]), np.diff(mesh)
+    atoms = gauge.jumps_on(mesh[:-1])
+    return dens, atoms, np.diff(mesh), np.flatnonzero(atoms > 0.0)
 
 
 def solve_ivp(problem: IvpProblem, step: float,
@@ -261,56 +263,58 @@ def solve_ivp(problem: IvpProblem, step: float,
             about 9x but keep order 1 in the step.
 
     Raises:
-        SolverError: on invalid input or when the state leaves the
-            finite range, in the Euler pass or in a Picard sweep ("during
-            refinement"); the error names the last good node with the
-            state there: the Euler pass's, or the sweep's own running
-            value, not that of the trajectory it re-integrates.
+        SolverError: on invalid input, which includes an initial value
+            that is not finite (refused before the mesh is built), or
+            when the state leaves the finite range, in the Euler pass or
+            in a Picard sweep ("during refinement"); the error names the
+            last good node with the state there: the Euler pass's, or
+            the sweep's own running value, not that of the trajectory it
+            re-integrates.
         GaugeError: at the first mesh node where the density is
             negative.
     """
     if not (picard_sweeps >= 0 and picard_sweeps % 1 == 0):
         raise SolverError("picard_sweeps must be a non-negative integer, "
                           f"got {picard_sweeps!r}")
+    u0 = float(problem.u0)
+    if not math.isfinite(u0):
+        raise SolverError(f"initial value must be finite, got {u0!r}")
     import numpy as np
 
     g = problem.gauge
     rhs = problem.rhs
     a, b = _resolve_interval(g, problem.interval)
     mesh = _build_mesh(g, a, b, step)
-    dens, atoms, dt = _mesh_data(g, mesh)
+    data = dens, atoms, dt, at = _mesh_data(g, mesh)
     conts = (0.5 * (dens[:-1] + dens[1:]) * dt).tolist()
     # the panels before each atom node, and those after the last one
-    at = np.flatnonzero(atoms > 0.0)
     plain = np.diff(at, prepend=-1, append=len(conts)) - 1
     segments = list(zip(plain.tolist(), atoms[at].tolist() + [0.0]))
     euler = _kernel(rhs, _EULER, 2)
-    path, t = euler(zip(mesh.tolist(), conts), segments, float(problem.u0))
+    path, t = euler(zip(mesh.tolist(), conts), segments, u0)
     if t is not None:
         raise SolverError("state is no longer finite",
                           t_last=t, u_last=float(path[-1]))
     us = np.array(path, dtype=float)
 
     for _ in range(int(picard_sweeps)):
-        us = _reintegrate(rhs, mesh, us, (dens, atoms, dt), float(problem.u0),
+        us = _reintegrate(rhs, mesh, us, data, u0,
                           "state is no longer finite during refinement",
                           sweep=True)
 
-    jumps = _jumps(mesh, us, atoms,
+    jumps = _jumps(mesh, us, at,
                    lambda k, u: u + rhs(float(mesh[k]), u) * atoms[k])
     method = "g-euler" if picard_sweeps <= 0 else "g-euler+picard"
     return IvpSolution(ts=mesh, us=us, jumps=jumps, method=method,
                        max_step=float(dt.max()))
 
 
-def _jumps(mesh: np.ndarray, us: np.ndarray, atoms: np.ndarray,
+def _jumps(mesh: np.ndarray, us: np.ndarray, at: np.ndarray,
            after: Callable[[int, float], float]) -> tuple[JumpRecord, ...]:
-    """A JumpRecord at each atom node k, u_after = after(k, us[k])."""
-    import numpy as np
-
+    """A JumpRecord at each atom node k of at, u_after = after(k, us[k])."""
     return tuple(JumpRecord(tau=float(mesh[k]), u_before=float(us[k]),
                             u_after=float(after(k, float(us[k]))))
-                 for k in np.flatnonzero(atoms > 0.0).tolist())
+                 for k in at.tolist())
 
 
 def _running(start: float, left: np.ndarray, right: np.ndarray,
@@ -322,7 +326,7 @@ def _running(start: float, left: np.ndarray, right: np.ndarray,
 
 
 def _reintegrate(rhs, mesh: np.ndarray, us: np.ndarray,
-                 data: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 data: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
                  start: float, message: str, *, sweep: bool) -> np.ndarray:
     """start plus the running integral of rhs(t, u(t)) dmu along us.
 
@@ -336,11 +340,11 @@ def _reintegrate(rhs, mesh: np.ndarray, us: np.ndarray,
     """
     import numpy as np
 
-    dens, atoms, dt = data
+    dens, atoms, dt, at = data
     w = on_arrays(rhs, mesh, us)
     w_start = w[:-1].copy()
     jump = np.zeros(len(dt))
-    for k in np.flatnonzero(atoms > 0.0):
+    for k in at:
         jump[k] = w[k] * atoms[k]
         w_start[k] = rhs(float(mesh[k]), float(us[k]) + jump[k])
     values = _running(start, w_start * dens[:-1], w[1:] * dens[1:], dt, jump)
@@ -409,7 +413,7 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     g = problem.work_gauge
     a, b = _resolve_interval(g, problem.interval)
     mesh = _build_mesh(g, a, b, step)
-    dens, atoms, dt = _mesh_data(g, mesh)
+    dens, atoms, dt, at = _mesh_data(g, mesh)
 
     h_vals = on_arrays(problem.source, mesh)
     if not np.all(np.isfinite(h_vals)):
@@ -423,5 +427,5 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     us[-1] = C
 
     return IvpSolution(ts=mesh, us=us,
-                       jumps=_jumps(mesh, us, atoms, lambda k, u: u - jump[k]),
+                       jumps=_jumps(mesh, us, at, lambda k, u: u - jump[k]),
                        method="terminal", max_step=float(dt.max()))

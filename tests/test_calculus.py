@@ -542,19 +542,32 @@ def test_ftc2_flags_function_with_foreign_jump():
     assert len(report.violations) >= 1
 
 
+def _undefined_left_of_half(t):
+    # oscillates right of 0.5 and is undefined at the left points nearest
+    # it, 0.5 - 0.25 / 2**k for k >= 9
+    if 0.4995 < t < 0.5:
+        raise ValueError("F is undefined here")
+    return (t - 0.5) * math.sin(1.0 / (t - 0.5)) if t > 0.5 else 0.0
+
+
 def test_ftc2_takes_the_right_side_before_it_samples_the_left():
-    # F oscillates right of 0.5 and is undefined at the left points
-    # nearest it, 0.5 - 0.25 / 2**k for k >= 9: the right side's refusal
-    # is a violation, and the left side is never sampled
-    def F(t):
-        if 0.4995 < t < 0.5:
-            raise ValueError("F is undefined here")
-        return (t - 0.5) * math.sin(1.0 / (t - 0.5)) if t > 0.5 else 0.0
-    report = ftc2_check(F, identity_gauge())
+    # the right side's refusal is a violation, and the left side is never
+    # sampled
+    report = ftc2_check(_undefined_left_of_half, identity_gauge())
     assert report.violations[0] == {
         "point": 0.5,
         "reason": "difference quotients do not converge on the right side "
                   "at x = 0.5"}
+
+
+def test_delta_derivative_takes_the_right_side_before_it_samples_the_left():
+    # two slopes sample a side as they take its limit, as the quotient
+    # does: the right side's refusal is raised, not F's error on the left
+    with pytest.raises(DerivativeError, match=(
+            r"^difference quotients do not converge on the right side "
+            r"at x = 0\.5$")) as info:
+        delta_derivative(_undefined_left_of_half, identity_gauge(), 0.5)
+    assert list(info.value.diagnostics) == ["right"]
 
 
 def test_running_integral_snaps_points_just_outside_the_domain():

@@ -407,6 +407,20 @@ def test_ftc_grid_without_points_is_bad_input(runner):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_gauge_table_of_fewer_than_two_rows_is_bad_input(runner, grid):
+    # one row holds only g(a) = 0; none, or a negative count, is no table
+    for fmt in ("csv", "json"):
+        result = invoke(runner, "gauge", "--gauge", "identity", "--grid",
+                        grid, "--format", fmt)
+        assert result.exit_code == 1
+        assert result.stderr == f"error: grid must be at least 2, got {grid}\n"
+        assert result.stdout == ""
+    result = invoke(runner, "gauge", "--gauge", "identity", "--grid", "2",
+                    "--format", "csv")
+    assert result.exit_code == 0 and result.stdout == "t,g\n0,0\n1,1\n"
+
+
 def test_ftc_with_every_grid_point_excluded_is_bad_input(runner, tmp_path):
     # a pure-jump gauge has flats on both sides of its atom, so no grid
     # point is compared; this used to exit 0 with "checked": 0

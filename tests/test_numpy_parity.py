@@ -339,12 +339,14 @@ def old_jumps_on(gauge, ts):
 def old_euler(problem, step):
     """solve_ivp's Euler pass as one rhs call per node: ts, us, jumps."""
     g, rhs = problem.gauge, problem.rhs
+    u = float(problem.u0)
+    if not math.isfinite(u):
+        raise SolverError(f"initial value must be finite, got {u!r}")
     mesh = _build_mesh(g, *g.domain, step)
-    dens, _, dt = _mesh_data(g, mesh)
+    dens, _, dt, _ = _mesh_data(g, mesh)
     atoms = old_jumps_on(g, mesh[:-1])
     conts = (0.5 * (dens[:-1] + dens[1:]) * dt).tolist()
     path, jumps = [], []
-    u = float(problem.u0)
     for t, atom, cont in zip(mesh.tolist(), atoms.tolist(), conts):
         path.append(u)
         if atom > 0.0:

@@ -354,6 +354,17 @@ def test_blow_up_names_the_last_good_node():
     assert "last good node" in str(err)
 
 
+@pytest.mark.parametrize("u0", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_initial_value_is_refused_before_the_mesh(u0):
+    # the step is too fine for the mesh-node limit: the initial value is
+    # refused first, and no node is named as a good one
+    prob = IvpProblem(gauge=identity_gauge(), rhs=lambda t, u: u, u0=u0)
+    with pytest.raises(SolverError) as exc_info:
+        solve_ivp(prob, step=1e-300)
+    assert str(exc_info.value) == f"initial value must be finite, got {u0!r}"
+    assert exc_info.value.t_last is None
+
+
 def test_verification_refuses_a_re_integration_that_is_not_finite():
     g = identity_gauge()
     sol = solve_ivp(exponential_problem(g), step=0.01)
