@@ -74,7 +74,7 @@ import bisect
 import math
 from typing import Callable, Optional, Sequence
 
-from .displacement import _require_smooth
+from . import displacement
 from .gauge import (_EPS, _QUAD_TOL, SNAP_RADIUS, CumulativeQuadrature,
                     DistinguishedSets, Gauge, _adaptive_quad, _check_count,
                     _check_tolerance, _linspace, _snap)
@@ -446,7 +446,7 @@ def path_integral(f: Callable[[float], float], path: MeasurePath, spec,
     left domain endpoint to upper, to the finite, non-negative tolerance
     quad_tol per panel.
     """
-    _require_smooth(spec, "path_integral")
+    displacement._require_smooth(spec, "path_integral")
     quad_tol = _check_tolerance(quad_tol, "quad_tol", CalculusError)
     a, b = spec.domain
     upper = _snap(upper, a, b, "upper", CalculusError)

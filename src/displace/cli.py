@@ -20,19 +20,16 @@ the command's help.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Callable, Optional
 
-from . import calculus, displacement, solver
-from .displacement import (BUILTIN_NAMES, DisplacementError, gauge_from_smooth,
-                           make_builtin, spec_from_dict)
-from .expr import ExprError, as_function, parse
-from .gauge import (Gauge, GaugeError, _check_count, _check_tolerance,
-                    _linspace)
-from .serialize import csv_lines, dumps
+# the submodules, whose code runs at the first use of an attribute (see
+# the package's docstring): nothing below reads one before a command, its
+# help or an error needs it
+from . import calculus, displacement, expr, serialize, solver
+from . import gauge as gauge_mod
 
 
 def _log(message: str, *args) -> None:
@@ -47,10 +44,14 @@ def _log(message: str, *args) -> None:
         logging.getLogger("displace").info(message, *args)
 
 
-# GaugeError, DisplacementError and json.JSONDecodeError are ValueErrors,
-# and so is every refusal of the command line
-_ERRORS = (ExprError, calculus.CalculusError, solver.SolverError, OSError,
-           ValueError, KeyError)
+def _errors() -> tuple:
+    """The exceptions main reports as one error line.
+
+    GaugeError, DisplacementError and json.JSONDecodeError are
+    ValueErrors, and so is every refusal of the command line.
+    """
+    return (expr.ExprError, calculus.CalculusError, solver.SolverError,
+            OSError, ValueError, KeyError)
 
 
 def _echo(text: str, err: bool = False) -> None:
@@ -62,11 +63,15 @@ def _echo(text: str, err: bool = False) -> None:
 
 def _tolerance(value: float, name: str) -> None:
     """Option check: a tolerance is finite and non-negative."""
-    _check_tolerance(value, name, ValueError)
+    gauge_mod._check_tolerance(value, name, ValueError)
 
 
 def _default(fn: Callable, name: str):
-    """fn's default for its parameter name, read from the function."""
+    """fn's default for its parameter name, read from the function, or
+    from the one it wraps if it names one in __wrapped__, as
+    functools.wraps does."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
     code = fn.__code__
     names = code.co_varnames[:code.co_argcount]
     return fn.__defaults__[names.index(name) - len(names)]
@@ -77,6 +82,27 @@ _KINDS = {str: ("TEXT", None), float: ("FLOAT", "float"),
           int: ("INTEGER", "integer")}
 
 
+class _Late:
+    """An _Option field that may be given as a function of no arguments,
+    which runs each time the field is read.
+
+    A default or choices that a submodule owns is given so: the module
+    runs only when the parser, the help or a caller reads the field.
+    """
+
+    def __set_name__(self, owner: type, name: str):
+        self.key = "_" + name
+
+    def __get__(self, opt, owner: type = None):
+        if opt is None:
+            return self
+        value = getattr(opt, self.key)
+        return value() if callable(value) else value
+
+    def __set__(self, opt, value) -> None:
+        setattr(opt, self.key, value)
+
+
 class _Option:
     """One row of a command's option table: --name VALUE.
 
@@ -85,9 +111,12 @@ class _Option:
     file name, which must exist when path is "exists"; check, given the
     converted value and the option's name, raises ValueError to refuse
     it.  An option not given takes default, or is refused if required.
-    show_default puts the default into the help, or, as a function, the
-    value it returns when the help is built.
+    show_default True puts the default into the help, another value that
+    value.  default, choices and show_default may each be given as a
+    function, which runs when the field is read (_Late).
     """
+
+    default, choices, show_default = _Late(), _Late(), _Late()
 
     def __init__(self, *names: str, dest: Optional[str] = None,
                  kind: type = str, choices: Optional[tuple] = None,
@@ -108,10 +137,11 @@ class _Option:
     def convert(self, text: str):
         """text as this option's value; a ValueError names the option."""
         name = self.names[0]
-        if self.choices is not None and text not in self.choices:
+        choices = self.choices
+        if choices is not None and text not in choices:
             raise ValueError(
                 f"invalid value for {name}: {text!r} is not one of "
-                + ", ".join(map(repr, self.choices)))
+                + ", ".join(map(repr, choices)))
         if self.path == "exists" and not os.path.exists(text):
             raise ValueError(
                 f"invalid value for {name}: path {text!r} does not exist")
@@ -126,14 +156,16 @@ class _Option:
 
     def help_row(self) -> tuple[str, str]:
         """The option's two help columns, as click laid them out."""
-        if self.choices is not None:
-            metavar = "[" + "|".join(self.choices) + "]"
+        choices = self.choices
+        if choices is not None:
+            metavar = "[" + "|".join(choices) + "]"
         else:
             metavar = "PATH" if self.path else _KINDS[self.kind][0]
         notes = []
-        if self.show_default:
-            shown = (self.show_default() if callable(self.show_default)
-                     else self.default)
+        shown = self.show_default
+        if shown is True:
+            shown = self.default
+        if shown is not False:
             notes.append(f"default: {shown}")
         if self.required:
             notes.append("required")
@@ -289,7 +321,7 @@ def main(args: Optional[list[str]] = None, prog_name: str = "displace",
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         code = 1
-    except _ERRORS as exc:
+    except _errors() as exc:
         _echo(f"error: {exc}\n", err=True)
         code = 1
     except (EOFError, KeyboardInterrupt):
@@ -306,26 +338,35 @@ main.name = "displace"
 
 def _load_spec(spec_path: Optional[str], builtin: Optional[str]):
     if (spec_path is None) == (builtin is None):
-        raise DisplacementError("provide exactly one of --spec or --builtin")
+        raise displacement.DisplacementError(
+            "provide exactly one of --spec or --builtin")
     if builtin is not None:
         _log("using builtin spec %s", builtin)
-        return make_builtin(builtin)
+        return displacement.make_builtin(builtin)
     _log("loading spec from %s", spec_path)
-    with open(spec_path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+    return displacement.spec_from_dict(_read_json(spec_path))
 
 
-def _load_gauge(ref: str) -> Gauge:
+def _load_gauge(ref: str) -> gauge_mod.Gauge:
     if ref == "identity":
         _log("using the identity gauge")
-        return Gauge.identity()
+        return gauge_mod.Gauge.identity()
     if ref.startswith("extract:"):
         name = ref.split(":", 1)[1]
         _log("extracting gauge from builtin %s", name)
-        return gauge_from_smooth(make_builtin(name))
+        return displacement.gauge_from_smooth(displacement.make_builtin(name))
     _log("loading gauge from %s", ref)
-    with open(ref, "r", encoding="utf-8") as fh:
-        return Gauge.from_dict(json.load(fh))
+    return gauge_mod.Gauge.from_dict(_read_json(ref))
+
+
+def _read_json(path: str):
+    """The JSON document in the file path.
+
+    json is imported here, not with the module, since --help needs none.
+    """
+    import json
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _deliver(text: str, out: Optional[str]) -> None:
@@ -337,17 +378,29 @@ def _deliver(text: str, out: Optional[str]) -> None:
         _echo(text)
 
 
-# check name -> (function, the command-line options it takes besides
-# --tol); an option left unset is not passed, so the check's own default
-# applies
-_CHECKS = {
-    "h1": (displacement.check_h1, ("samples",)),
-    "h2usc": (displacement.check_h2_usc, ("samples", "shrink_levels")),
-    "h2prime": (displacement.check_h2prime, ("samples", "phi")),
-    "h3": (displacement.check_h3, ("samples",)),
-    "h5": (displacement.check_h5, ("samples",)),
-    "d2": (displacement.check_d2_positive, ("grid",)),
-}
+@functools.cache
+def _checks() -> dict:
+    """check name -> (function, the command-line options it takes besides
+    --tol); an option left unset is not passed, so the check's own default
+    applies.
+
+    The table is built at the first check command and kept, as one built
+    at import would be: a later rebinding of displacement's names, such
+    as perfbench's tracer makes, does not reach it.
+    """
+    return {
+        "h1": (displacement.check_h1, ("samples",)),
+        "h2usc": (displacement.check_h2_usc, ("samples", "shrink_levels")),
+        "h2prime": (displacement.check_h2prime, ("samples", "phi")),
+        "h3": (displacement.check_h3, ("samples",)),
+        "h5": (displacement.check_h5, ("samples",)),
+        "d2": (displacement.check_d2_positive, ("grid",)),
+    }
+
+
+def _builtin_names() -> tuple:
+    """The choices of --builtin."""
+    return displacement.BUILTIN_NAMES
 
 
 _DEFAULT_CHECKS = {
@@ -362,7 +415,8 @@ _DEFAULT_CHECKS = {
     "check",
     _Option("--spec", dest="spec_path", path="exists",
             help="JSON displacement spec."),
-    _Option("--builtin", choices=BUILTIN_NAMES, help="Named example space."),
+    _Option("--builtin", choices=_builtin_names,
+            help="Named example space."),
     _Option("--which",
             help="Comma-separated subset of h1,h2usc,h2prime,h3,h5,d2."),
     _Option("--samples", kind=int,
@@ -391,26 +445,28 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
     but at least one is inconclusive.
     """
     spec = _load_spec(spec_path, builtin)
+    checks = _checks()
     if which:
         names = [w.strip() for w in which.split(",") if w.strip()]
         for name in names:
-            if name not in _CHECKS:
-                raise DisplacementError(
+            if name not in checks:
+                raise displacement.DisplacementError(
                     f"unknown check {name!r}; choose from "
-                    + ",".join(_CHECKS))
+                    + ",".join(checks))
     else:
         names = list(_DEFAULT_CHECKS[spec.kind])
-    given = {"phi": parse(phi, {"r"}) if phi else None, "samples": samples,
-             "shrink_levels": shrink_levels, "grid": grid, "tol": tol}
+    given = {"phi": expr.parse(phi, {"r"}) if phi else None,
+             "samples": samples, "shrink_levels": shrink_levels,
+             "grid": grid, "tol": tol}
 
     reports = []
     for name in names:
         _log("running %s", name)
-        fn, options = _CHECKS[name]
+        fn, options = checks[name]
         kwargs = {key: given[key] for key in options + ("tol",)
                   if given[key] is not None}
         reports.append(fn(spec, **kwargs))
-    text = "\n".join(dumps(r.to_dict()) for r in reports)
+    text = "\n".join(serialize.dumps(r.to_dict()) for r in reports)
     _deliver(text, out)
     verdicts = [r.verdict for r in reports]
     return 2 if "fail" in verdicts else 3 if "inconclusive" in verdicts else 0
@@ -420,7 +476,7 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
     "gauge",
     _Option("--spec", dest="spec_path", path="exists",
             help="JSON smooth spec to extract a gauge from."),
-    _Option("--builtin", choices=BUILTIN_NAMES,
+    _Option("--builtin", choices=_builtin_names,
             help="Builtin smooth spec to extract a gauge from."),
     _Option("--gauge", dest="gauge_ref",
             help="Load an existing gauge: path, extract:NAME, or identity."),
@@ -433,34 +489,37 @@ def check(spec_path, builtin, which, samples, grid, tol, phi, shrink_levels,
 )
 def gauge(spec_path, builtin, gauge_ref, grid, fmt, out, table):
     """Extract or load a gauge; emit its JSON and a sampled value table."""
-    _check_count(grid, 2, "grid", ValueError)    # one row holds only g(a) = 0
+    # one row holds only g(a) = 0
+    gauge_mod._check_count(grid, 2, "grid", ValueError)
     g = (_load_gauge(gauge_ref) if gauge_ref is not None
-         else gauge_from_smooth(_load_spec(spec_path, builtin)))
+         else displacement.gauge_from_smooth(_load_spec(spec_path, builtin)))
     try:
         payload = g.to_dict()
-    except GaugeError:    # to_dict's layout, without a density source
+    except gauge_mod.GaugeError:
+        # to_dict's layout, without a density source
         payload = {"domain": g.domain, "density": None, "jumps": g.jumps,
                    "flats": g.flats}
     a, b = g.domain
-    rows = [(t, g(t)) for t in _linspace(a, b, grid)]
-    table_text = csv_lines(("t", "g"), rows)
+    rows = [(t, g(t)) for t in gauge_mod._linspace(a, b, grid)]
+    table_text = serialize.csv_lines(("t", "g"), rows)
     if out:
-        _deliver(dumps(payload), out)
+        _deliver(serialize.dumps(payload), out)
     if table:
         _deliver(table_text, table)
     if not out and not table:
-        _deliver(table_text if fmt == "csv" else dumps(payload), None)
+        _deliver(table_text if fmt == "csv" else serialize.dumps(payload),
+                 None)
     return 0
 
 
 @_command(
     "ball",
     _Option("--spec", dest="spec_path", path="exists"),
-    _Option("--builtin", choices=BUILTIN_NAMES),
+    _Option("--builtin", choices=_builtin_names),
     _Option("--x", kind=float, required=True, help="Ball center."),
     _Option("--r", kind=float, required=True, help="Ball radius."),
-    _tol_option("--tol", default=_default(displacement.delta_ball, "tol"),
-                show_default=True,
+    _tol_option("--tol", show_default=True,
+                default=lambda: _default(displacement.delta_ball, "tol"),
                 help="Bisection tolerance for the endpoints."),
     _Option("--out", path=True),
 )
@@ -468,7 +527,7 @@ def ball(spec_path, builtin, x, r, tol, out):
     """Displacement ball around x of radius r, as an interval."""
     spec = _load_spec(spec_path, builtin)
     result = displacement.delta_ball(spec, x, r, tol=tol)
-    _deliver(dumps(result.to_dict()), out)
+    _deliver(serialize.dumps(result.to_dict()), out)
     return 0
 
 
@@ -478,16 +537,16 @@ def ball(spec_path, builtin, x, r, tol, out):
     _Option("--gauge", dest="gauge_ref", required=True,
             help="Gauge: path, extract:NAME, or identity."),
     _Option("--x", kind=float, required=True),
-    _Option("--shrink-levels", kind=int,
-            default=calculus.DEFAULT_SHRINK_LEVELS, show_default=True),
+    _Option("--shrink-levels", kind=int, show_default=True,
+            default=lambda: calculus.DEFAULT_SHRINK_LEVELS),
     _Option("--out", path=True),
 )
 def derive(f_src, gauge_ref, x, shrink_levels, out):
     """Derivative of f against the gauge at x."""
     g = _load_gauge(gauge_ref)
-    f = as_function(parse(f_src, {"t"}), "t")
+    f = expr.as_function(expr.parse(f_src, {"t"}), "t")
     result = calculus.delta_derivative(f, g, x, shrink_levels=shrink_levels)
-    _deliver(dumps(result.to_dict()), out)
+    _deliver(serialize.dumps(result.to_dict()), out)
     return 0
 
 
@@ -504,10 +563,10 @@ def derive(f_src, gauge_ref, x, shrink_levels, out):
 def integrate(f_src, gauge_ref, upper, out):
     """Half-open Stieltjes integral of f from the left end to upper."""
     g = _load_gauge(gauge_ref)
-    f = as_function(parse(f_src, {"t"}), "t")
+    f = expr.as_function(expr.parse(f_src, {"t"}), "t")
     u = g.domain[1] if upper is None else upper
     value = calculus.stieltjes_integral(f, g, u)
-    _deliver(dumps({"upper": float(u), "value": value}), out)
+    _deliver(serialize.dumps({"upper": float(u), "value": value}), out)
     return 0
 
 
@@ -518,33 +577,34 @@ def integrate(f_src, gauge_ref, upper, out):
     _Option("--alpha", dest="alpha_src", required=True,
             help="Base-point path, function of t."),
     _Option("--spec", dest="spec_path", path="exists"),
-    _Option("--builtin", choices=BUILTIN_NAMES),
+    _Option("--builtin", choices=_builtin_names),
     _Option("--upper", kind=float),
-    _tol_option("--quad-tol", show_default=True,
-                default=_default(calculus.path_integral, "quad_tol")),
+    _tol_option("--quad-tol", show_default=True, default=lambda:
+                _default(calculus.path_integral, "quad_tol")),
     _Option("--out", path=True),
 )
 def path_integrate(f_src, alpha_src, spec_path, builtin, upper, quad_tol, out):
     """Integral of f against the moving-base-point measure of a smooth space."""
     spec = _load_spec(spec_path, builtin)
-    f = as_function(parse(f_src, {"t"}), "t")
-    alpha = as_function(parse(alpha_src, {"t"}), "t")
+    f = expr.as_function(expr.parse(f_src, {"t"}), "t")
+    alpha = expr.as_function(expr.parse(alpha_src, {"t"}), "t")
     path = calculus.MeasurePath(alpha=alpha, description=alpha_src)
     u = spec.domain[1] if upper is None else upper
     value = calculus.path_integral(f, path, spec, u, quad_tol=quad_tol)
-    _deliver(dumps({"upper": float(u), "value": value}), out)
+    _deliver(serialize.dumps({"upper": float(u), "value": value}), out)
     return 0
 
 
-def _ftc_options(harness: Callable, f_help: str, tol: float,
+def _ftc_options(harness: str, f_help: str, tol: float,
                  tol_help: str) -> tuple[_Option, ...]:
-    """The options of the command that runs harness, with its grid default."""
+    """The options of the command that runs the calculus function named
+    harness, with its grid default."""
     return (_Option("--f", dest="f_src", required=True, help=f_help),
             _Option("--gauge", dest="gauge_ref", required=True),
-            _Option("--grid", kind=int, default=_default(harness, "grid"),
-                    show_default=True),
-            _Option("--shrink-levels", kind=int,
-                    default=calculus.DEFAULT_SHRINK_LEVELS, show_default=True),
+            _Option("--grid", kind=int, show_default=True, default=lambda:
+                    _default(getattr(calculus, harness), "grid")),
+            _Option("--shrink-levels", kind=int, show_default=True,
+                    default=lambda: calculus.DEFAULT_SHRINK_LEVELS),
             _tol_option("--tol", default=tol, help=tol_help,
                         show_default=True),
             _Option("--out", path=True))
@@ -555,14 +615,14 @@ def _ftc(harness: Callable, f_src, gauge_ref, grid, shrink_levels, tol,
     """Run an FTC harness on f and the gauge and deliver its report: exit
     2 when its max_error exceeds tol or it has violations, else 0."""
     g = _load_gauge(gauge_ref)
-    f = as_function(parse(f_src, {"t"}), "t")
+    f = expr.as_function(expr.parse(f_src, {"t"}), "t")
     report = harness(f, g, grid=grid, shrink_levels=shrink_levels)
-    _deliver(dumps(report.to_dict()), out)
+    _deliver(serialize.dumps(report.to_dict()), out)
     return 2 if (report.max_error > tol or report.violations) else 0
 
 
 @_command("ftc", *_ftc_options(
-    calculus.ftc_forward_check, "Integrand, function of t.", 1e-4,
+    "ftc_forward_check", "Integrand, function of t.", 1e-4,
     "Maximum allowed derivative-vs-integrand error."))
 def ftc(f_src, gauge_ref, grid, shrink_levels, tol, out):
     """Differentiate the running integral of f and compare against f.
@@ -575,7 +635,7 @@ def ftc(f_src, gauge_ref, grid, shrink_levels, tol, out):
 
 
 @_command("ftc2", *_ftc_options(
-    calculus.ftc2_check, "Function of t to differentiate and rebuild.", 1e-6,
+    "ftc2_check", "Function of t to differentiate and rebuild.", 1e-6,
     "Maximum allowed reconstruction deviation."))
 def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
     """Differentiate f against the gauge and rebuild it from the derivative.
@@ -594,9 +654,8 @@ def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
     _Option("--gauge", dest="gauge_ref", required=True),
     _Option("--u0", kind=float, required=True),
     _Option("--step", kind=float, required=True),
-    _Option("--picard", kind=int,
-            default=_default(solver.solve_ivp, "picard_sweeps"),
-            show_default=True,
+    _Option("--picard", kind=int, show_default=True,
+            default=lambda: _default(solver.solve_ivp, "picard_sweeps"),
             help="Picard refinement sweeps after the Euler pass."),
     _tol_option("--verify-tol",
                 help="Verify the integral-equation residual; exit 2 above "
@@ -608,7 +667,7 @@ def ftc2(f_src, gauge_ref, grid, shrink_levels, tol, out):
 def solve_ivp_cmd(rhs_src, gauge_ref, u0, step, picard, verify_tol, fmt, out):
     """Integrate du = rhs dmu from the left end of the gauge domain."""
     g = _load_gauge(gauge_ref)
-    rhs = as_function(parse(rhs_src, {"t", "u"}), "t", "u")
+    rhs = expr.as_function(expr.parse(rhs_src, {"t", "u"}), "t", "u")
     problem = solver.IvpProblem(gauge=g, rhs=rhs, u0=u0)
     sol = solver.solve_ivp(problem, step, picard_sweeps=picard)
     residual = None
@@ -622,7 +681,7 @@ def solve_ivp_cmd(rhs_src, gauge_ref, u0, step, picard, verify_tol, fmt, out):
         payload = sol.to_dict()
         if residual is not None:
             payload["residual"] = residual.to_dict()
-        _deliver(dumps(payload), out)
+        _deliver(serialize.dumps(payload), out)
     if residual is not None and residual.max_residual > verify_tol:
         return 2
     return 0
@@ -643,11 +702,12 @@ def solve_ivp_cmd(rhs_src, gauge_ref, u0, step, picard, verify_tol, fmt, out):
 def solve_surface_cmd(h_src, gauge_ref, terminal, step, fmt, out):
     """Solve the terminal-value decay problem against a work gauge."""
     g = _load_gauge(gauge_ref)
-    h = as_function(parse(h_src, {"t"}), "t")
+    h = expr.as_function(expr.parse(h_src, {"t"}), "t")
     problem = solver.SurfaceProblem(work_gauge=g, source=h,
                                     terminal_value=terminal)
     sol = solver.solve_surface(problem, step)
-    _deliver(sol.to_csv() if fmt == "csv" else dumps(sol.to_dict()), out)
+    _deliver(sol.to_csv() if fmt == "csv" else serialize.dumps(sol.to_dict()),
+             out)
     return 0
 
 

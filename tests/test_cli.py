@@ -149,14 +149,15 @@ def test_check_leaves_unset_options_to_the_checks(runner, monkeypatch):
     # the checks own their defaults: an unset --grid or --shrink-levels is
     # not passed, a given one is
     seen = {}
+    checks = cli_mod._checks()
     for name in ("d2", "h2usc"):
-        fn, options = cli_mod._CHECKS[name]
+        fn, options = checks[name]
 
         def record(spec, fn=fn, name=name, **kwargs):
             seen[name] = kwargs
             return fn(spec, **kwargs)
 
-        monkeypatch.setitem(cli_mod._CHECKS, name, (record, options))
+        monkeypatch.setitem(checks, name, (record, options))
     args = ("check", "--builtin", "exponential", "--which", "d2,h2usc")
     assert invoke(runner, *args).exit_code == 0
     assert seen == {"d2": {}, "h2usc": {}}
@@ -537,6 +538,41 @@ def test_help_exits_zero(runner):
     assert invoke(runner, "check", "--help").exit_code == 0
 
 
+# sha256 of the global help and of each command's: the defaults and
+# choices a help shows are read from the functions and data that own them
+# only when the help is built, and must come out the same, byte for byte
+_HELP_GOLDEN = [
+    ((), "bd92a300a36f81b62652053890e1deae0d672b03b6589c6854390511bdf758c0"),
+    (("ball",),
+     "6b406a5b2a10cd888a41010f821d95c24ade2a2f50d84bfc726a0498e4c623be"),
+    (("check",),
+     "ff9489c2d3384fc02bbfa09301a56f90f68ba1c52932ded1f8d5e8b1593b646e"),
+    (("derive",),
+     "68b5597400874cdbb57271097992bec9351b3c21df59f3279ae0f94e96e53ad5"),
+    (("ftc",),
+     "e8fb55643ef79a40c8f89cdf22b82d73e53f01891e9f92124090c94121521fe5"),
+    (("ftc2",),
+     "37eb50c73ab7fdf9a6716666b3b5e293d965df6f3d8a02de5f56350e0985ef90"),
+    (("gauge",),
+     "f7a7217fcf904e01dc2833ada0da570fbaef9f41afa269a88bea0c664938f60b"),
+    (("integrate",),
+     "33ab0bd07ef894ba69c744f11d023b90a869b6eecacfbadcc2ca1668ae2879f8"),
+    (("path-integrate",),
+     "a2e98e27378416ec41d9972e1b5949746a9438e32215f2ce0c43142508e8e942"),
+    (("solve-ivp",),
+     "be84f96b149675439f7c9847c4e2b4378da8186cd3f588e04eff6ed873c13189"),
+    (("solve-surface",),
+     "0dead63fa30047d32cdc3d3bad1ea60c5fedc5f6b70cb4876c116e3ad6e37dae"),
+]
+
+
+@pytest.mark.parametrize("command, digest", _HELP_GOLDEN)
+def test_help_bytes_match_recorded_digest(runner, command, digest):
+    result = invoke(runner, *command, "--help")
+    assert result.exit_code == 0 and result.stderr == ""
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
 _BUILTINS = ("exponential", "roundabout", "santiago_graph", "identity_gauge")
 _FORMATS = ("json", "csv")
 # every command's options as click declared them: (names, destination,
@@ -711,8 +747,9 @@ def test_cli_import_generates_no_code_and_skips_unused_stdlib():
 
 
 def test_package_import_loads_every_submodule_but_not_numpy():
-    # perfbench patches the submodules through sys.modules, so they load
-    # eagerly; numpy loads only with the first array operation
+    # perfbench patches the submodules through sys.modules, so the package
+    # import registers every one there, to run at its first use; numpy
+    # loads only with the first array operation
     proc = _fresh_python(
         "import displace, sys; print(sorted(k for k in sys.modules "
         "if k.split('.')[0] == 'displace')); print('numpy' in sys.modules); "
@@ -722,6 +759,75 @@ def test_package_import_loads_every_submodule_but_not_numpy():
         "['displace', 'displace.calculus', 'displace.displacement', "
         "'displace.expr', 'displace.gauge', 'displace.serialize', "
         "'displace.solver']", "False", "False"]
+
+
+# eight threads use, at once, three names whose modules have not run yet;
+# the short switch interval makes them take turns often while one runs
+_FIRST_USE_PROBE = """
+import sys, threading
+import displace
+sys.setswitchinterval(1e-6)
+names = ("Gauge", "solve_ivp", "check_h1")
+start = threading.Barrier(8)
+errors = []
+
+def use(name):
+    start.wait()
+    try:
+        getattr(displace, name)
+    except Exception as exc:
+        errors.append(f"{name}: {exc!r}")
+
+threads = [threading.Thread(target=use, args=(names[i % 3],))
+           for i in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+print(errors, [thread.is_alive() for thread in threads].count(True))
+"""
+
+
+def test_threads_may_use_the_package_names_first_at_once():
+    # a module registered lazily counts as run before its code has run, so
+    # a thread that came second could see it half run
+    proc = _fresh_python(_FIRST_USE_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n"
+
+
+# runs one command, then lists on stderr the submodules whose code ran; a
+# module the package import only registered is still LazyLoader's type
+_RAN_PROBE = """
+import sys, types
+from displace.cli import main
+try:
+    main(sys.argv[1:])
+finally:
+    print(sorted(name for name, module in sys.modules.items()
+                 if name.startswith("displace.") and name != "displace.cli"
+                 and type(module) is types.ModuleType), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, code, ran", [
+    (["--help"], 0, []),
+    (["check", "--builtin", "santiago_graph"], 2,
+     ["displacement", "expr", "gauge", "serialize"]),
+    (["gauge", "--builtin", "exponential"], 0,
+     ["displacement", "expr", "gauge", "serialize"]),
+    (["derive", "--f", "t^2", "--gauge", "identity", "--x", "0.5"], 0,
+     ["calculus", "expr", "gauge", "serialize"]),
+    (["ftc2", "--f", "t", "--gauge", "identity"], 0,
+     ["calculus", "expr", "gauge", "serialize"]),
+    (["solve-ivp", "--rhs", "u", "--gauge", "identity", "--u0", "1",
+      "--step", "0.1"], 0, ["expr", "gauge", "serialize", "solver"]),
+], ids=["help", "check", "gauge", "derive", "ftc2", "solve-ivp"])
+def test_each_command_runs_only_the_modules_it_calls(argv, code, ran):
+    proc = _fresh_python(_RAN_PROBE, *argv)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.splitlines()[-1] == repr(
+        [f"displace.{name}" for name in ran])
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")])

@@ -102,6 +102,21 @@ _USAGE_ERRORS = [
     (_DERIVE + ("--x", "0.5"), "extra"),                   # extra argument
     (_DERIVE, "--x"),                                      # no value
 ]
+# the one line each of them prints: the choices of --builtin are read
+# from the builtins' table when the parser needs them, byte for byte
+_USAGE_ERROR_LINES = [
+    "error: missing option --x",
+    "error: no such option --bogus",
+    "error: invalid value for --x: 'abc' is not a valid float",
+    "error: invalid value for --shrink-levels: '1.5' is not a valid integer",
+    "error: invalid value for --builtin: 'nope' is not one of "
+    "'exponential', 'roundabout', 'santiago_graph', 'identity_gauge'",
+    "error: invalid value for --format: 'xml' is not one of 'json', 'csv'",
+    "error: invalid value for --spec: path '/no/such/file' does not exist",
+    "error: no such command 'frobnicate'",
+    "error: unexpected argument 'extra'",
+    "error: option --x requires a value",
+]
 
 # non-finite text for a float option, and a finite point off the domain
 off_domain = st.sampled_from(["nan", "inf", "-inf", "1.5", "-1e-9"])
@@ -178,3 +193,10 @@ def test_malformed_input_exits_1_with_one_error_line(json_path, case):
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("case, line", zip(_USAGE_ERRORS, _USAGE_ERROR_LINES))
+def test_usage_errors_print_their_recorded_line(case, line):
+    result = CliRunner().invoke(main, list(case[0]) + [case[1]])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == line + "\n"

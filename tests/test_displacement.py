@@ -764,13 +764,13 @@ def test_a_builtin_checks_as_its_spec_data_does(name):
     # make_builtin reads its spec data through spec_from_dict, so the
     # written spec reads back to the same space: every check the check
     # command runs on that kind gives the same report bytes
-    from displace.cli import _CHECKS, _DEFAULT_CHECKS
+    from displace.cli import _DEFAULT_CHECKS, _checks
     from displace.serialize import dumps
 
     def reports(spec):
         out = []
         for check in _DEFAULT_CHECKS[spec.kind]:
-            fn, options = _CHECKS[check]
+            fn, options = _checks()[check]
             kwargs = {key: value for key, value in
                       (("samples", 9), ("grid", 16)) if key in options}
             out.append(dumps(fn(spec, **kwargs).to_dict()))
