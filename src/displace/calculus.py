@@ -414,7 +414,8 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
                 raise CalculusError(
                     f"integrand is not finite at the jump point {tau!r}")
             atoms.append((tau, contribution))
-        seeds = list(f_breaks) + [p for iv in g.flats for p in iv]
+        seeds = (list(f_breaks) + [p for iv in g.flats for p in iv]
+                 + list(g._kinks or ()))
         density = g.density
         super().__init__(lambda t: float(f(t)) * float(density(t)),
                          *g.domain, tol=g.quad_tol, breakpoints=seeds,

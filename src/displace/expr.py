@@ -778,6 +778,105 @@ def as_function(expr: Expr, *names: str) -> Callable[..., float]:
     return _compiled(expr, names)
 
 
+# --- kinks of a piecewise-affine tree ---
+
+class _NotAffine(Exception):
+    """Raised by _kinks' walk at a node that is not piecewise affine."""
+
+
+def _kinks(expr: Expr, var: str, lo: float, hi: float, limit: int
+           ) -> Union[tuple[float, ...], None]:
+    """The sorted kinks inside (lo, hi) of expr as a function of var, or
+    None where the tree is not piecewise affine in var there.
+
+    A walk over pieces (start, (c0, c1)), the value c0 + c1 * var from
+    start to the next piece's start (the last one to hi).  Numbers,
+    constants, var, unary minus, + and -, * with a constant side and /
+    by a nonzero constant are affine; abs(u) splits a piece at the root
+    of u, and max(u, v) and min(u, v) at the root of u - v.  Any other
+    node, a coefficient that is not finite, or a subtree with more than
+    limit kinks gives None.  Neighbouring pieces with equal coefficients
+    merge, so a kink inside a zero stretch is dropped.  It compiles
+    nothing and evaluates no node; a kink is a root of the coefficients,
+    so it can lie a rounding away from where the compiled form turns.
+    """
+    def tidy(pieces: list) -> list:
+        out: list = []
+        for start, (c0, c1) in pieces:
+            if not (math.isfinite(c0) and math.isfinite(c1)):
+                raise _NotAffine
+            if not out or out[-1][1] != (c0, c1):
+                out.append((start, (c0, c1)))
+        if len(out) > limit + 1:
+            raise _NotAffine
+        return out
+
+    def merge(f: list, g: list, op: Callable) -> list:
+        # op of the coefficients of f and g on each piece of both
+        out, i, j = [], 0, 0
+        for x in sorted({x for x, _ in f} | {x for x, _ in g}):
+            while i + 1 < len(f) and f[i + 1][0] <= x:
+                i += 1
+            while j + 1 < len(g) and g[j + 1][0] <= x:
+                j += 1
+            out.append((x, op(f[i][1], g[j][1])))
+        return out
+
+    def switch(u: list, v: list, pick: Callable) -> list:
+        # pick(p, q, u > v) on each piece, split where u - v changes sign
+        pieces = merge(u, v, lambda p, q: (p, q))
+        out = []
+        for k, (start, (p, q)) in enumerate(pieces):
+            end = pieces[k + 1][0] if k + 1 < len(pieces) else hi
+            d0, d1 = p[0] - q[0], p[1] - q[1]
+            cuts = [start, end]
+            if d1 != 0.0 and start < -d0 / d1 < end:
+                cuts.insert(1, -d0 / d1)
+            for x, y in zip(cuts, cuts[1:]):
+                out.append((x, pick(p, q, d0 + d1 * (0.5 * (x + y)) > 0.0)))
+        return tidy(out)
+
+    def constant(f: list) -> Union[float, None]:
+        return f[0][1][0] if len(f) == 1 and f[0][1][1] == 0.0 else None
+
+    def walk(node: Node) -> list:
+        if isinstance(node, (Num, Const)):
+            return [(lo, (node.value if isinstance(node, Num)
+                          else _CONSTANTS[node.name], 0.0))]
+        if isinstance(node, Var):
+            if node.name != var:
+                raise _NotAffine
+            return [(lo, (0.0, 1.0))]
+        if isinstance(node, Unary):
+            return [(x, (-c0, -c1)) for x, (c0, c1) in walk(node.operand)]
+        if isinstance(node, Binary) and node.op in ("+", "-"):
+            op = _ARITH[node.op]
+            return tidy(merge(walk(node.left), walk(node.right),
+                              lambda p, q: (op(p[0], q[0]), op(p[1], q[1]))))
+        if isinstance(node, Binary) and node.op in ("*", "/"):
+            f, g = walk(node.left), walk(node.right)
+            if node.op == "*" and constant(g) is None:
+                f, g = g, f
+            k, op = constant(g), _ARITH[node.op]
+            if k is None or (node.op == "/" and k == 0.0):
+                raise _NotAffine
+            return tidy([(x, (op(c0, k), op(c1, k))) for x, (c0, c1) in f])
+        if isinstance(node, Call) and node.func == "abs":
+            return switch(walk(node.args[0]), [(lo, (0.0, 0.0))],
+                          lambda p, q, above: p if above else (-p[0], -p[1]))
+        if isinstance(node, Call) and node.func in ("max", "min"):
+            larger = node.func == "max"
+            return switch(walk(node.args[0]), walk(node.args[1]),
+                          lambda p, q, above: p if above == larger else q)
+        raise _NotAffine
+
+    try:
+        pieces = walk(expr.ast)
+    except (_NotAffine, RecursionError):
+        return None
+    return tuple(x for x, _ in pieces[1:])
+
+
 # --- evaluation over whole columns ---
 
 class _PerRow(Exception):

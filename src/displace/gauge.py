@@ -30,7 +30,17 @@ clamp only absorbs rounding: a gap larger than the quadrature tolerance
 means the density is negative somewhere between the 17 construction
 probes, and raises GaugeError instead of silently dropping mass.  The
 solvers never query the table; they refuse a negative density at their
-own mesh nodes, with the probes' threshold and message.
+own mesh nodes and the density's kinks, with the probes' threshold and
+message.
+
+A panel is the adaptive 21-point Gauss-Kronrod quadrature of
+_adaptive_quad, except for a density compiled from an expression that
+is piecewise affine in t: numbers, constants, t, unary minus, + and -,
+* and / by a constant, abs, min and max (expr._kinks).  Such a gauge
+seeds its table at the expression's kinks too, so no panel crosses one,
+and a panel is one midpoint evaluation, exact on an affine piece.  A
+narrow feature of any other density, such as max(0, sin(30*t)), can
+still fall between the nodes of a first Gauss-Kronrod panel unseen.
 """
 
 from __future__ import annotations
@@ -329,14 +339,22 @@ class CumulativeQuadrature:
     and a seed panel's error is raised by every query, not by the
     constructor.  A query at a new t integrates fn only across the gap
     from the nearest cached point below and clamps the result between
-    the neighboring cached values.  With nonnegative=True the table must
-    stay nondecreasing: a panel that integrates below -tol, or a new
-    value above its right neighbor by more than tol, means the integrand
-    is negative somewhere and raises GaugeError; smaller violations are
-    rounding and are clamped away.  Thread-safe.  The cache is not
-    invisible: a value is a sum of panels from the points cached before
-    it, so its last bits depend on the points queried before it.
+    the neighboring cached values.  A panel is _adaptive_quad of fn, or,
+    where _kinks is not None (a Gauge whose density is a piecewise-affine
+    expression sets it, and seeds the kinks), its width times fn at its
+    midpoint.  With nonnegative=True the table must stay nondecreasing:
+    a panel that integrates below -tol, or a new value above its right
+    neighbor by more than tol, means the integrand is negative somewhere
+    and raises GaugeError; smaller violations are rounding and are
+    clamped away.  A non-finite panel raises GaugeError.  Thread-safe.
+    The cache is not invisible: a value is a sum of panels from the
+    points cached before it, so its last bits depend on the points
+    queried before it.
     """
+
+    # the sorted kinks of fn inside (lo, hi), between which it is affine,
+    # or None: a Gauge whose density is an expression sets them
+    _kinks: Optional[tuple[float, ...]] = None
 
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float,
                  tol: float = _QUAD_TOL, breakpoints: Sequence[float] = (),
@@ -379,7 +397,14 @@ class CumulativeQuadrature:
                 raise
 
     def _panel(self, lo: float, hi: float) -> float:
-        value = _adaptive_quad(self.fn, lo, hi, self.tol)
+        if self._kinks is None:
+            value = _adaptive_quad(self.fn, lo, hi, self.tol)
+        else:
+            # no panel crosses a kink, so fn is affine on it and one
+            # midpoint is its integral
+            value = (hi - lo) * self.fn(0.5 * (lo + hi))
+            if not math.isfinite(value):
+                raise GaugeError(f"non-finite integral over [{lo!r}, {hi!r}]")
         if self.nonnegative and value < 0.0:
             if value < -self.tol:
                 raise GaugeError(
@@ -508,8 +533,9 @@ class Gauge(CumulativeQuadrature):
     Instances are immutable apart from the internal quadrature cache and
     are callable: g(t) evaluates the gauge.  The constructor probes the
     density at 17 points and integrates nothing; the first query seeds
-    the cache at the jumps and flat ends, and raises GaugeError if a
-    panel between them integrates below zero.
+    the cache at the jumps, the flat ends and, for a density from
+    expr.as_function that is piecewise affine, its kinks, and raises
+    GaugeError if a panel between them integrates below zero.
     """
 
     def __init__(self, domain: tuple[float, float],
@@ -550,9 +576,16 @@ class Gauge(CumulativeQuadrature):
             if float(density(t)) < _NEGATIVE_DENSITY:
                 raise _negative_density(t)
 
+        # a density from expr.as_function carries its tree and names
+        tree = getattr(density, "_expr", None)
+        names = getattr(density, "_names", ())
+        kinks = (expr_mod._kinks(tree, names[0], a, b, _QUAD_LIMIT)
+                 if isinstance(tree, expr_mod.Expr) and names else None)
         super().__init__(density, a, b, tol=quad_tol, nonnegative=True,
-                         breakpoints=[p for iv in flat_list for p in iv],
+                         breakpoints=[p for iv in flat_list for p in iv]
+                         + list(kinks or ()),
                          atoms=pairs)
+        self._kinks = kinks
         self._dsets: Optional[DistinguishedSets] = None
         self._dsets_lock = threading.Lock()
 

@@ -36,8 +36,10 @@ The solvers read a gauge's density and atoms, never its value table, so
 they integrate no quadrature panel.  The table's first query is what
 refuses a density that integrates below zero between the gauge's
 construction probes; in its place, each solver refuses the first mesh
-node where the density is below the probes' threshold, with their
-GaugeError.  A mesh that steps over a negative stretch does not see it.
+node, or kink of a piecewise-affine density inside the mesh, where the
+density is below the probes' threshold, with their GaugeError.  A mesh
+that steps over a negative stretch sees it only where the density is
+piecewise affine, whose lowest point between two nodes is a kink.
 """
 
 from __future__ import annotations
@@ -237,14 +239,17 @@ def _mesh_data(gauge: Gauge, mesh: np.ndarray,
     indices of the atom nodes, in increasing order.
 
     A density below _NEGATIVE_DENSITY raises GaugeError at the first such
-    node.
+    point in t order, over the nodes and the gauge's kinks inside the
+    mesh.
     """
     import numpy as np
 
     dens = on_arrays(gauge.density, mesh)
-    negative = np.flatnonzero(dens < _NEGATIVE_DENSITY)
-    if negative.size:
-        raise _negative_density(float(mesh[negative[0]]))
+    bad = mesh[dens < _NEGATIVE_DENSITY][:1].tolist()
+    bad += [t for t in gauge._kinks or () if mesh[0] <= t <= mesh[-1]
+            and gauge.density(t) < _NEGATIVE_DENSITY]
+    if bad:
+        raise _negative_density(min(bad))
     atoms = gauge.jumps_on(mesh[:-1])
     return dens, atoms, np.diff(mesh), np.flatnonzero(atoms > 0.0)
 
@@ -270,8 +275,8 @@ def solve_ivp(problem: IvpProblem, step: float,
             last good node with the state there: the Euler pass's, or
             the sweep's own running value, not that of the trajectory it
             re-integrates.
-        GaugeError: at the first mesh node where the density is
-            negative.
+        GaugeError: at the first mesh node or density kink where the
+            density is negative.
     """
     if not (picard_sweeps >= 0 and picard_sweeps % 1 == 0):
         raise SolverError("picard_sweeps must be a non-negative integer, "
@@ -369,8 +374,8 @@ def verify_solution(problem: IvpProblem, solution: IvpSolution,
         SolverError: when the re-integration is not finite; the error
             names the last node where it is, with the solution's value
             there.
-        GaugeError: at the first mesh node where the density is
-            negative.
+        GaugeError: at the first mesh node or density kink where the
+            density is negative.
     """
     # grid 0 has no point to report, grid 1 only u(a), exact by construction
     _check_count(grid, 2, "grid", SolverError)
@@ -402,8 +407,8 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     Raises:
         SolverError: on invalid input or a source that is not finite on
             the mesh.
-        GaugeError: at the first mesh node where the work gauge's
-            density is negative.
+        GaugeError: at the first mesh node or density kink where the
+            work gauge's density is negative.
     """
     C = float(problem.terminal_value)
     if not math.isfinite(C):

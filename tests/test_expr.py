@@ -6,8 +6,9 @@ import pytest
 
 from displace.expr import (ArityError, DomainError, ExprError,
                            MissingBindingError, ParseError,
-                           UnknownIdentifierError, as_function, evaluate,
-                           parse, substitute)
+                           UnknownIdentifierError, _kinks, as_function,
+                           evaluate, parse, substitute)
+from displace.gauge import _QUAD_LIMIT
 
 
 def test_parse_displacement_formula_free_vars():
@@ -360,3 +361,53 @@ def test_nesting_too_deep_is_an_expression_error(source):
 
 def test_a_sum_of_900_terms_still_evaluates():
     assert as_function(parse("+".join(["t"] * 900), {"t"}), "t")(0.5) == 450.0
+
+
+def _kinks_of(source):
+    return _kinks(parse(source, {"t"}), "t", 0.0, 1.0, _QUAD_LIMIT)
+
+
+@pytest.mark.parametrize("source", [
+    "1", "pi", "2*t + 1", "1.143871 + 0.644870*t", "-(t - e)/4",
+    "max(2, 1)*t - min(t, t)", "abs(t + 1)", "max(0, t - 2)",
+])
+def test_an_affine_tree_has_no_kinks(source):
+    assert _kinks_of(source) == ()
+
+
+@pytest.mark.parametrize("source, kinks", [
+    ("abs(t - 0.5)", (0.5,)),
+    ("abs(abs(t - 0.5) - 0.25)", (0.25, 0.5, 0.75)),
+    # the kink of abs at 0.5 lies in the zero stretch, where it merges
+    ("2*max(0, abs(t - 0.5) - 0.125)", (0.375, 0.625)),
+    ("1 - 200000*max(0, 0.005 - abs(t - 0.015))",
+     (0.015 - 0.005, 0.015, 0.02)),
+    ("min(t, 1 - t) + abs(t - 0.3)", (0.3, 0.5)),
+    ("max(t, 0.5)*3 - (t - 0.2)/4", (0.5,)),
+    ("min(max(t, 0.25), 0.75)", (0.25, 0.75)),
+    # kinks outside (lo, hi), and on its ends, are not inside
+    ("abs(t) + abs(t - 1) + abs(t - 2)", ()),
+])
+def test_nested_switches_give_their_exact_kinks(source, kinks):
+    assert _kinks_of(source) == kinks
+
+
+@pytest.mark.parametrize("source", [
+    "t^2", "t^1", "exp(t)", "ln(t + 1)", "sin(t)", "cos(t)", "sqrt(t)",
+    "t*t", "t/t", "t/0", "t/(1 - 1)", "max(0, t)*abs(t - 0.5)",
+    "1 + 0*sin(t)",
+    # a coefficient that is not finite
+    "1" + "0" * 400 + "*t",
+    # more than _QUAD_LIMIT kinks
+    " + ".join(f"abs(t - {k / 1000})" for k in range(1, 250)),
+])
+def test_a_tree_that_is_not_piecewise_affine_has_none(source):
+    assert _kinks_of(source) is None
+
+
+def test_kinks_read_only_their_variable():
+    e = parse("abs(t - x)", {"t", "x"})
+    assert _kinks(e, "t", 0.0, 1.0, _QUAD_LIMIT) is None
+    # a tree too deep to walk, affine as it is, has none either
+    deep = parse("+".join(["t"] * 1500), {"t"})
+    assert _kinks(deep, "t", 0.0, 1.0, _QUAD_LIMIT) is None

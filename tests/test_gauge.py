@@ -301,27 +301,49 @@ NEGATIVE_BUMP = "1 - 200000*max(0, 0.005 - abs(t - 0.015))"
 
 
 @pytest.mark.parametrize("jumps, text", [
-    # the atom at 0.5 seeds the panel [0, 0.5], which integrates below zero
+    # the atom at 0.5 seeds the QK21 panel [0, 0.5], which integrates
+    # below zero
     ([[0.5, 0.1]], "density integrates to -4.500000000000105 over [0.0, 0.5]"),
     # the seed at 0.005 integrates, the next one does not
     ([[0.005, 0.1], [0.5, 0.1]],
      "density integrates to -4.504999999999436 over [0.005, 0.5]"),
 ])
 def test_a_failed_seeding_raises_again_at_every_query(jumps, text):
+    # the gauge also seeds the density's kinks, 0.01, 0.015 and 0.02 up
+    # to rounding, and takes one midpoint per panel: the first piece of
+    # the dip is refused whatever the atoms
     g = Gauge.from_dict({"domain": [0, 1], "density": NEGATIVE_BUMP,
                          "jumps": jumps})
-    text += "; it must be nonnegative"
+    dip = ("density integrates to -2.495 over [0.009999999999999998, 0.015]"
+           "; it must be nonnegative")
     for t in (0.9, 0.0, 0.003, 0.3, 0.9):
-        with pytest.raises(GaugeError, match=f"^{re.escape(text)}$"):
+        with pytest.raises(GaugeError, match=f"^{re.escape(dip)}$"):
             g(t)
         assert g._ts == [0.0] and g._vals == [0.0]
     # a running integral against g never queries it, but refuses it too
-    with pytest.raises(GaugeError, match=f"^{re.escape(text)}$"):
+    with pytest.raises(GaugeError, match=f"^{re.escape(dip)}$"):
         stieltjes_integral(lambda t: t, g, 0.003)
+    # a bare table of the same density knows no kinks: its QK21 panel
+    # between the atoms refuses the dip
     cq = CumulativeQuadrature(g.density, 0.0, 1.0, nonnegative=True,
                               breakpoints=[tau for tau, _ in jumps])
-    with pytest.raises(GaugeError, match=f"^{re.escape(text)}$"):
-        cq.value(1.0)
+    text += "; it must be nonnegative"
+    for t in (1.0, 0.003):
+        with pytest.raises(GaugeError, match=f"^{re.escape(text)}$"):
+            cq.value(t)
+
+
+def test_a_non_finite_midpoint_panel_keeps_the_quadrature_text():
+    # 1e308 over a width of 10 overflows in the affine density's one
+    # midpoint and in the QK21 panel of a bare table alike
+    big = "1" + "0" * 308
+    g = Gauge.from_dict({"domain": [0, 10], "density": big})
+    assert g._kinks == ()
+    bare = CumulativeQuadrature(g.density, 0.0, 10.0, nonnegative=True)
+    text = r"^non-finite integral over \[0\.0, 10\.0\]$"
+    for table in (g, bare):
+        with pytest.raises(GaugeError, match=text):
+            table.value(10.0)
 
 
 def test_threads_racing_to_the_first_query_seed_the_table_once():

@@ -231,6 +231,47 @@ def test_measure_algebra_under_random_query_order(case, order):
         assert abs(whole - (left + right)) <= slack
 
 
+def _decimal(draw, lo: float, hi: float) -> str:
+    # the grammar has no exponent notation
+    return f"{draw(st.floats(lo, hi)):.9f}"
+
+
+@st.composite
+def tents_on_affine_bases(draw):
+    k, c = _decimal(draw, 0.1, 3.0), _decimal(draw, 0.0, 2.0)
+    m, w = _decimal(draw, 0.05, 0.95), _decimal(draw, 1e-4, 0.02)
+    h = _decimal(draw, 1.0, 1e5)
+    source = f"{k} + {c}*t + {h}*max(0, {w} - abs(t - {m}))"
+    k, c, m, w, h = map(float, (k, c, m, w, h))
+
+    def closed_form(t: float) -> float:
+        # the tent's mass below t: it rises on (m - w, m), falls on (m, m + w)
+        if t <= m - w:
+            tent = 0.0
+        elif t <= m:
+            tent = 0.5 * (t - (m - w)) ** 2
+        else:
+            tent = w * w - 0.5 * max(0.0, m + w - t) ** 2
+        return k * t + 0.5 * c * t * t + h * tent
+
+    return source, closed_form
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=tents_on_affine_bases(), queries=st.lists(unit, min_size=1,
+                                                       max_size=12))
+def test_a_narrow_tent_is_integrated_whatever_is_queried_first(case, queries):
+    # the first panel of a fresh gauge once spanned the tent without a
+    # node inside it; the kinks seeded at the first query bound the pieces
+    source, closed_form = case
+    g = Gauge.from_dict({"domain": [0.0, 1.0], "density": source})
+    running = CumulativeStieltjesIntegral(lambda t: 1.0, g)
+    for q in queries:
+        want = closed_form(q)
+        assert abs(g(q) - want) <= g.quad_tol, (source, q)
+        assert abs(running(q) - want) <= g.quad_tol, (source, q)
+
+
 def test_a_negative_zero_weight_keeps_its_sign_through_json():
     spec = FiniteGraph([[-0.0]])
     back = spec_from_dict(json.loads(dumps(spec_to_dict(spec))))
