@@ -74,10 +74,10 @@ import bisect
 import math
 from typing import Callable, Optional, Sequence
 
-from . import displacement
+from . import displacement, expr
 from .gauge import (_EPS, _QUAD_TOL, SNAP_RADIUS, CumulativeQuadrature,
                     DistinguishedSets, Gauge, _adaptive_quad, _check_count,
-                    _check_tolerance, _linspace, _snap)
+                    _check_tolerance, _linspace, _pieces_of, _snap)
 from .serialize import Record
 
 __all__ = [
@@ -181,16 +181,20 @@ def _side_points(x: float, direction: int, g: Gauge, dsets: DistinguishedSets,
                  avoid: Sequence[float], levels: int) -> list[float]:
     """The points x + direction * h of one side, h = reach / 2**k for k <
     levels until h is rounding, at most one per Richardson divisor; none
-    when the side has no room."""
+    when the side has no room.  h is halved level by level, which is
+    exact: it stays far above the subnormals."""
     reach = _reach(x, direction, g, dsets, avoid)
-    if reach < 1e3 * _EPS * max(1.0, abs(x)):
+    scale = max(1.0, abs(x))
+    if reach < 1e3 * _EPS * scale:
         return []
+    floor = 32.0 * _EPS * scale
     ys = []
-    for k in range(min(levels, len(_RICHARDSON_DIV))):
-        h = reach * 2.0 ** (-k)
-        if h < 32.0 * _EPS * max(1.0, abs(x)):
+    h = reach
+    for _ in range(min(levels, len(_RICHARDSON_DIV))):
+        if h < floor:
             break
         ys.append(x + direction * h)
+        h *= 0.5
     return ys
 
 
@@ -397,7 +401,11 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
     A CumulativeQuadrature of f times the gauge density whose atoms are
     f(tau) * size at the gauge's jumps, so the atom at tau counts only
     for u > tau, and right_limit(u) adds the atom at u itself: jump
-    quotients against F are exact.
+    quotients against F are exact.  Its table is seeded at f_breaks, the
+    gauge's flat ends and kinks, and the kinks of an f from
+    expr.as_function that is piecewise affine, so no panel crosses one.
+    The integrand is expr._product of f and the density: one compiled
+    function where both come from expr.as_function.
     """
 
     def __init__(self, f: Callable[[float], float], g: Gauge,
@@ -415,11 +423,10 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
                     f"integrand is not finite at the jump point {tau!r}")
             atoms.append((tau, contribution))
         seeds = (list(f_breaks) + [p for iv in g.flats for p in iv]
-                 + list(g._kinks or ()))
-        density = g.density
-        super().__init__(lambda t: float(f(t)) * float(density(t)),
-                         *g.domain, tol=g.quad_tol, breakpoints=seeds,
-                         atoms=atoms)
+                 + list(g._kinks or ())
+                 + [x for x, _ in (_pieces_of(f, *g.domain) or ())[1:]])
+        super().__init__(expr._product(f, g.density), *g.domain,
+                         tol=g.quad_tol, breakpoints=seeds, atoms=atoms)
 
     def __call__(self, upper: float) -> float:
         return self.value(upper)

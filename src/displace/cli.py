@@ -378,15 +378,14 @@ def _deliver(text: str, out: Optional[str]) -> None:
         _echo(text)
 
 
-@functools.cache
 def _checks() -> dict:
     """check name -> (function, the command-line options it takes besides
     --tol); an option left unset is not passed, so the check's own default
     applies.
 
-    The table is built at the first check command and kept, as one built
-    at import would be: a later rebinding of displacement's names, such
-    as perfbench's tracer makes, does not reach it.
+    The table is built afresh at each check command from displacement's
+    current names, so a later rebinding of one, such as a tracer's
+    wrapper, reaches the next command.
     """
     return {
         "h1": (displacement.check_h1, ("samples",)),

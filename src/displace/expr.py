@@ -49,6 +49,10 @@ or calls any other callable there: the values and errors are those of
 one call per row, bit for bit.  Each (loop, shape) is compiled once, in
 the bounded cache that the functions share.
 
+_product(f, g) is float(f(t)) * float(g(t)) as one compiled function
+of the tree f * g, for the running integrals of calculus; a row it
+cannot settle makes the two calls.
+
 on_arrays(fn, *columns) is fn at every row, as a float64 array: over
 whole numpy columns in one walk of the tree where that is exact
 (numbers, constants, variables, unary minus, + - * /, abs, sqrt, min
@@ -778,27 +782,55 @@ def as_function(expr: Expr, *names: str) -> Callable[..., float]:
     return _compiled(expr, names)
 
 
-# --- kinks of a piecewise-affine tree ---
+def _product(f: Callable[[float], float], g: Callable[[float], float]
+             ) -> Callable[[float], float]:
+    """t -> float(f(t)) * float(g(t)), bit for bit and error for error.
+
+    Where f and g both come from as_function with the same one variable,
+    it is one compiled function: the fast form of the tree f * g, the
+    float operations of the two calls and their product in the same
+    order, with no call per row.  A row on which that raises or gives NaN
+    makes the two calls instead, so its value or error, with its text, is
+    theirs, a NaN product included.  Any other pair is the two calls.
+    """
+    def calls(t: float) -> float:
+        return float(f(t)) * float(g(t))
+
+    ef, eg = getattr(f, "_expr", None), getattr(g, "_expr", None)
+    names = getattr(f, "_names", ())
+    if not (isinstance(ef, Expr) and isinstance(eg, Expr)
+            and len(names) == 1 and g._names == names):
+        return calls
+    tree = Expr(ast=Binary("*", ef.ast, eg.ast), source="",
+                variables=ef.variables | eg.variables, free=ef.free | eg.free)
+    lines, result, ns = _body(tree, names)
+    ns["_R"] = calls
+    _splice("def _fn(p0):\n    return RHS", lines, result, ns)
+    return ns["_fn"]
+
+
+# --- pieces of a piecewise-affine tree ---
 
 class _NotAffine(Exception):
-    """Raised by _kinks' walk at a node that is not piecewise affine."""
+    """Raised by _pieces' walk at a node that is not piecewise affine."""
 
 
-def _kinks(expr: Expr, var: str, lo: float, hi: float, limit: int
-           ) -> Union[tuple[float, ...], None]:
-    """The sorted kinks inside (lo, hi) of expr as a function of var, or
+def _pieces(expr: Expr, var: str, lo: float, hi: float, limit: int
+            ) -> Union[tuple[tuple[float, tuple[float, float]], ...], None]:
+    """The affine pieces of expr as a function of var on [lo, hi], or
     None where the tree is not piecewise affine in var there.
 
-    A walk over pieces (start, (c0, c1)), the value c0 + c1 * var from
-    start to the next piece's start (the last one to hi).  Numbers,
-    constants, var, unary minus, + and -, * with a constant side and /
-    by a nonzero constant are affine; abs(u) splits a piece at the root
-    of u, and max(u, v) and min(u, v) at the root of u - v.  Any other
-    node, a coefficient that is not finite, or a subtree with more than
-    limit kinks gives None.  Neighbouring pieces with equal coefficients
-    merge, so a kink inside a zero stretch is dropped.  It compiles
-    nothing and evaluates no node; a kink is a root of the coefficients,
-    so it can lie a rounding away from where the compiled form turns.
+    A piece (start, (c0, c1)) is the value c0 + c1 * var from start to
+    the next piece's start (the last one to hi); the first starts at lo,
+    and the starts after it are the kinks.  Numbers, constants, var,
+    unary minus, + and -, * with a constant side and / by a nonzero
+    constant are affine; abs(u) splits a piece at the root of u, and
+    max(u, v) and min(u, v) at the root of u - v.  Any other node, a
+    coefficient that is not finite, or a subtree with more than limit
+    kinks gives None.  Neighbouring pieces with equal coefficients merge,
+    so a kink inside a zero stretch is dropped.  It compiles nothing and
+    evaluates no node; a kink is a root of the coefficients, so it can
+    lie a rounding away from where the compiled form turns.
     """
     def tidy(pieces: list) -> list:
         out: list = []
@@ -871,10 +903,9 @@ def _kinks(expr: Expr, var: str, lo: float, hi: float, limit: int
         raise _NotAffine
 
     try:
-        pieces = walk(expr.ast)
+        return tuple(walk(expr.ast))
     except (_NotAffine, RecursionError):
         return None
-    return tuple(x for x, _ in pieces[1:])
 
 
 # --- evaluation over whole columns ---

@@ -36,11 +36,13 @@ message.
 A panel is the adaptive 21-point Gauss-Kronrod quadrature of
 _adaptive_quad, except for a density compiled from an expression that
 is piecewise affine in t: numbers, constants, t, unary minus, + and -,
-* and / by a constant, abs, min and max (expr._kinks).  Such a gauge
-seeds its table at the expression's kinks too, so no panel crosses one,
-and a panel is one midpoint evaluation, exact on an affine piece.  A
-narrow feature of any other density, such as max(0, sin(30*t)), can
-still fall between the nodes of a first Gauss-Kronrod panel unseen.
+* and / by a constant, abs, min and max (expr._pieces).  Such a gauge
+seeds its table at the expression's kinks, the starts of its pieces, so
+no panel crosses one, and a panel is one midpoint evaluation, exact on
+an affine piece.  Its flats are its pieces that are exactly zero; the
+density of any other gauge is scanned for them on a grid.  A narrow
+feature of any other density, such as max(0, sin(30*t)), can still fall
+between the nodes of a first Gauss-Kronrod panel unseen.
 """
 
 from __future__ import annotations
@@ -190,6 +192,15 @@ def _linspace(start: float, stop: float, num: int,
     if endpoint:
         ys[-1] = stop
     return ys
+
+
+def _pieces_of(fn: Callable[[float], float], lo: float, hi: float):
+    """expr._pieces on [lo, hi] of a function from expr.as_function, in
+    its first variable, or None for any other callable."""
+    tree, names = getattr(fn, "_expr", None), getattr(fn, "_names", ())
+    if not (isinstance(tree, expr_mod.Expr) and names):
+        return None
+    return expr_mod._pieces(tree, names[0], lo, hi, _QUAD_LIMIT)
 
 
 def _qk21(f: Callable[[float], float], a: float, b: float
@@ -576,11 +587,9 @@ class Gauge(CumulativeQuadrature):
             if float(density(t)) < _NEGATIVE_DENSITY:
                 raise _negative_density(t)
 
-        # a density from expr.as_function carries its tree and names
-        tree = getattr(density, "_expr", None)
-        names = getattr(density, "_names", ())
-        kinks = (expr_mod._kinks(tree, names[0], a, b, _QUAD_LIMIT)
-                 if isinstance(tree, expr_mod.Expr) and names else None)
+        self._pieces = _pieces_of(density, a, b)
+        kinks = (None if self._pieces is None
+                 else tuple(x for x, _ in self._pieces[1:]))
         super().__init__(density, a, b, tol=quad_tol, nonnegative=True,
                          breakpoints=[p for iv in flat_list for p in iv]
                          + list(kinks or ()),
@@ -655,11 +664,15 @@ class Gauge(CumulativeQuadrature):
     def distinguished_sets(self, samples: int = _FLAT_SAMPLES) -> DistinguishedSets:
         """Jump set, constancy intervals and constancy endpoints.
 
-        Declared flats are trusted verbatim.  Additional constancy
-        intervals are detected by sampling the density on a uniform grid
-        and collecting maximal runs that stay below a relative threshold;
-        detection supplements declared flats, never overrides them.  The
-        default-resolution result is cached.
+        Declared flats are trusted verbatim, and detected constancy
+        intervals supplement them, never override them.  For a density
+        from expr.as_function that is piecewise affine (expr._pieces),
+        the detected intervals are its pieces whose coefficients are
+        exactly zero, with their exact ends: a piece that is tiny but not
+        zero is not flat.  Only for any other density is the density
+        sampled, at samples points of a uniform grid, collecting maximal
+        runs that stay below a relative threshold.  A jump strictly inside
+        splits an interval.  The default-resolution result is cached.
         """
         if samples == _FLAT_SAMPLES and self._dsets is not None:
             return self._dsets
@@ -673,12 +686,40 @@ class Gauge(CumulativeQuadrature):
 
     def _compute_dsets(self, samples: int) -> DistinguishedSets:
         a, b = self.lo, self.hi
-        ts = _linspace(a, b, samples)
+        if self._pieces is not None:
+            # each piece runs to the next kink, the last one to b
+            runs = [(x, end) for (x, c), end
+                    in zip(self._pieces, (*self._kinks, b))
+                    if c == (0.0, 0.0)]
+            shortest = 0.0
+        else:
+            runs = self._scan(samples)
+            shortest = 2.0 * (b - a) / max(samples - 1, 1)
+
+        detected: list[tuple[float, float]] = []
+        for lo, hi in runs:
+            # a jump strictly inside splits the run
+            cuts = [tau for tau in self._taus if lo < tau < hi]
+            for plo, phi in zip([lo] + cuts, cuts + [hi]):
+                if phi - plo > shortest:
+                    detected.append((plo, phi))
+
+        merged = self._merge_intervals(list(self._flats) + detected)
+        endpoints = sorted({p for iv in merged for p in iv})
+        n_set = tuple(p for p in endpoints if self.jump_at(p) == 0.0)
+        return DistinguishedSets(d_set=tuple(self._taus),
+                                 c_set=tuple(merged),
+                                 n_set=n_set)
+
+    def _scan(self, samples: int) -> list[tuple[float, float]]:
+        """The maximal runs of at least two points of a uniform grid of
+        samples points where the density stays below a relative threshold,
+        as (first point, last point)."""
+        ts = _linspace(self.lo, self.hi, samples)
         dens = [abs(float(self.density(t))) for t in ts]
         threshold = SNAP_RADIUS * (1.0 + max(dens))
         flat_mask = [d <= threshold for d in dens]
-
-        detected: list[tuple[float, float]] = []
+        runs = []
         i = 0
         while i < samples:
             if not flat_mask[i]:
@@ -688,21 +729,9 @@ class Gauge(CumulativeQuadrature):
             while j + 1 < samples and flat_mask[j + 1]:
                 j += 1
             if j > i:
-                lo, hi = ts[i], ts[j]
-                # a jump strictly inside splits the run
-                cuts = [tau for tau, _ in self.atoms if lo < tau < hi]
-                pieces = zip([lo] + cuts, cuts + [hi])
-                for plo, phi in pieces:
-                    if phi - plo > 2.0 * (b - a) / max(samples - 1, 1):
-                        detected.append((plo, phi))
+                runs.append((ts[i], ts[j]))
             i = j + 1
-
-        merged = self._merge_intervals(list(self._flats) + detected)
-        endpoints = sorted({p for iv in merged for p in iv})
-        n_set = tuple(p for p in endpoints if self.jump_at(p) == 0.0)
-        return DistinguishedSets(d_set=tuple(self._taus),
-                                 c_set=tuple(merged),
-                                 n_set=n_set)
+        return runs
 
     def _merge_intervals(self, intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
         if not intervals:

@@ -26,7 +26,7 @@ from displace.calculus import (
 )
 from displace.displacement import (DisplacementError, Smooth, Stieltjes,
                                    gauge_from_smooth, make_builtin)
-from displace.expr import as_function, parse
+from displace.expr import DomainError, as_function, parse
 from displace.gauge import Gauge, GaugeError
 
 E_MINUS_EINV = 2.3504023872876028
@@ -366,6 +366,30 @@ def test_integral_monotone_for_nonnegative_integrand():
     values = [F(u) for u in uppers]
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
+
+
+def test_a_kinked_integrand_seeds_its_kinks():
+    # a spike of mass 5 on (0.01, 0.02) that no node of the first QK21
+    # panel [0, 0.6] falls in: f's own kinks seed the running integral
+    spike = "1 + 200000*max(0, 0.005 - abs(t - 0.015))"
+    f = as_function(parse(spike, {"t"}), "t")
+    F = CumulativeStieltjesIntegral(f, identity_gauge())
+    assert F._seeds == [0.009999999999999998, 0.015, 0.02]
+    assert abs(F(0.6) - 5.6) <= 1e-9
+
+
+def test_an_integrand_that_raises_raises_alike_through_the_product():
+    # f and the density run as one compiled product; a row it cannot
+    # settle makes the two calls, so the error is f's own
+    f = as_function(parse("ln(t - 0.5)", {"t"}), "t")
+    g = Gauge.from_dict({"domain": [0, 1], "density": "2*t + 1"})
+    outcomes = []
+    for integrand in (f, lambda t: f(t)):
+        with pytest.raises(Exception) as info:
+            stieltjes_integral(integrand, g, 1.0)
+        outcomes.append((info.type, str(info.value)))
+    assert outcomes[0] == outcomes[1] == (
+        DomainError, "ln of a non-positive number in 'ln(t - 0.5)'")
 
 
 def test_integrand_infinite_at_jump_rejected():

@@ -145,19 +145,43 @@ def test_check_too_few_samples_is_bad_input(runner, args):
     assert result.stdout == ""
 
 
+def test_each_check_command_reads_the_current_check_functions(runner,
+                                                              monkeypatch):
+    # the check table is built at each command, not kept from the first:
+    # a check function rebound after a first check is the one the next
+    # check calls
+    import displace.displacement as displacement_mod
+
+    args = ("check", "--builtin", "exponential", "--which", "h1")
+    first = invoke(runner, *args)
+    assert first.exit_code == 0
+    calls = []
+    real = displacement_mod.check_h1
+
+    def spy(spec, **kwargs):
+        calls.append(kwargs)
+        return real(spec, **kwargs)
+
+    monkeypatch.setattr(displacement_mod, "check_h1", spy)
+    second = invoke(runner, *args)
+    assert calls == [{}]
+    assert (second.exit_code, second.stdout) == (0, first.stdout)
+
+
 def test_check_leaves_unset_options_to_the_checks(runner, monkeypatch):
     # the checks own their defaults: an unset --grid or --shrink-levels is
     # not passed, a given one is
+    import displace.displacement as displacement_mod
+
     seen = {}
-    checks = cli_mod._checks()
-    for name in ("d2", "h2usc"):
-        fn, options = checks[name]
+    for name, attr in (("d2", "check_d2_positive"), ("h2usc", "check_h2_usc")):
+        fn = getattr(displacement_mod, attr)
 
         def record(spec, fn=fn, name=name, **kwargs):
             seen[name] = kwargs
             return fn(spec, **kwargs)
 
-        monkeypatch.setitem(checks, name, (record, options))
+        monkeypatch.setattr(displacement_mod, attr, record)
     args = ("check", "--builtin", "exponential", "--which", "d2,h2usc")
     assert invoke(runner, *args).exit_code == 0
     assert seen == {"d2": {}, "h2usc": {}}

@@ -44,12 +44,14 @@ noise: of 9,000 comparisons there, with coefficients among 0, +-1e-3,
 
 import math
 import re
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from displace import calculus  # noqa: E402
 from displace.calculus import (DEFAULT_SHRINK_LEVELS,  # noqa: E402
                                DerivativeError, DerivativeResult, _derivatives,
                                _reach, _richardson, delta_derivative,
@@ -403,3 +405,30 @@ def test_the_ftc_harnesses_differentiate_a_plain_f_by_its_quotient(data):
             for t, d in quotients if isinstance(d, str)] == violations
     fresh = Gauge.from_dict(data)
     assert any(delta_derivative(F, fresh, t).value != v for t, v in values)
+
+
+def _side_points_by_powers(x, direction, reach, levels):
+    # each level's step as reach times a power of two, its floor with it
+    if reach < 1e3 * _EPS * max(1.0, abs(x)):
+        return []
+    ys = []
+    for k in range(min(levels, 1024)):
+        h = reach * 2.0 ** (-k)
+        if h < 32.0 * _EPS * max(1.0, abs(x)):
+            break
+        ys.append(x + direction * h)
+    return ys
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(x=st.floats(-1e300, 1e300), reach=st.floats(0.0, 1e300),
+       direction=st.sampled_from([1, -1]), levels=st.integers(2, 2000))
+@example(x=0.5, reach=0.25, direction=1, levels=DEFAULT_SHRINK_LEVELS)
+@example(x=0.5, reach=1e300, direction=-1, levels=2000)
+def test_side_points_by_halving_are_those_by_powers_of_two(x, reach,
+                                                           direction, levels):
+    # halving h is exact: it never comes near the subnormals
+    with mock.patch.object(calculus, "_reach", lambda *_: reach):
+        ys = calculus._side_points(x, direction, None, None, (), levels)
+    assert [y.hex() for y in ys] == \
+        [y.hex() for y in _side_points_by_powers(x, direction, reach, levels)]

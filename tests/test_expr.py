@@ -6,8 +6,8 @@ import pytest
 
 from displace.expr import (ArityError, DomainError, ExprError,
                            MissingBindingError, ParseError,
-                           UnknownIdentifierError, _kinks, as_function,
-                           evaluate, parse, substitute)
+                           UnknownIdentifierError, _pieces, _product,
+                           as_function, evaluate, parse, substitute)
 from displace.gauge import _QUAD_LIMIT
 
 
@@ -363,6 +363,12 @@ def test_a_sum_of_900_terms_still_evaluates():
     assert as_function(parse("+".join(["t"] * 900), {"t"}), "t")(0.5) == 450.0
 
 
+def _kinks(expr, var, lo, hi, limit):
+    # the kinks are the starts of the pieces after the first
+    pieces = _pieces(expr, var, lo, hi, limit)
+    return None if pieces is None else tuple(x for x, _ in pieces[1:])
+
+
 def _kinks_of(source):
     return _kinks(parse(source, {"t"}), "t", 0.0, 1.0, _QUAD_LIMIT)
 
@@ -403,6 +409,62 @@ def test_nested_switches_give_their_exact_kinks(source, kinks):
 ])
 def test_a_tree_that_is_not_piecewise_affine_has_none(source):
     assert _kinks_of(source) is None
+
+
+def test_the_pieces_carry_their_coefficients():
+    # each piece runs from its start to the next one's; the zero stretch
+    # of the switch is one piece
+    pieces = _pieces(parse("2*max(0, abs(t - 0.5) - 0.125)", {"t"}), "t",
+                     0.0, 1.0, _QUAD_LIMIT)
+    assert pieces == ((0.0, (0.75, -2.0)), (0.375, (0.0, 0.0)),
+                      (0.625, (-1.25, 2.0)))
+
+
+def _calls(f, g):
+    def product(t):
+        return float(f(t)) * float(g(t))
+    return product
+
+
+def _outcome(fn, t):
+    try:
+        return fn(t).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("f_source, g_source", [
+    ("1.234567*sin(t) + 0.345678*t^2", "2.1*max(0, abs(t - 0.5) - 0.08)"),
+    ("ln(t - 0.5)", "1"),
+    ("t", "sqrt(0.25 - t)"),
+    ("1/(t - 0.5)", "ln(t)"),
+    # exp(1000) overflows in the fast form; inf times 0 is a NaN product
+    # of two values, not an error
+    ("exp(1000*t)", "max(0, 0.5 - t)"),
+    ("t*x", "1"),
+])
+def test_the_compiled_product_is_the_two_calls(f_source, g_source):
+    f = as_function(parse(f_source, {"t", "x"}), "t")
+    g = as_function(parse(g_source, {"t"}), "t")
+    fused = _product(f, g)
+    # one compiled function, with no call per row
+    assert fused.__code__.co_filename == "<displace.expr>"
+    for t in (0.0, 0.25, 0.5, 0.75, 1.0, 0.1 * 3):
+        want = _outcome(_calls(f, g), t)
+        assert _outcome(fused, t) == want, t
+    if f_source == "exp(1000*t)":
+        assert math.isnan(fused(1.0))
+
+
+def test_a_product_of_other_functions_is_the_two_calls():
+    t_fn = as_function(parse("t", {"t"}), "t")
+    tu_fn = as_function(parse("t*u", {"t", "u"}), "t", "u")
+    u_fn = as_function(parse("u", {"u"}), "u")
+    for f, g in ((t_fn, lambda t: 2.0), (lambda t: 2.0, t_fn),
+                 (t_fn, tu_fn), (t_fn, u_fn)):
+        product = _product(f, g)
+        assert product.__code__.co_filename != "<displace.expr>"
+        assert _outcome(product, 0.5) == _outcome(_calls(f, g), 0.5)
 
 
 def test_kinks_read_only_their_variable():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from displace import expr
-from displace.calculus import stieltjes_integral
+from displace.calculus import delta_derivative, stieltjes_integral
 from displace.displacement import Smooth, gauge_from_smooth, make_builtin
 from displace.gauge import (CumulativeQuadrature, DistinguishedSets, Gauge,
                             GaugeError, _adaptive_quad, _qk21)
@@ -234,6 +234,47 @@ def test_detection_merges_with_declared_flat():
     assert len(sets.c_set) == 1
     lo, hi = sets.c_set[0]
     assert lo <= 0.2 and hi >= 0.4 - 2e-3
+
+
+def test_the_flat_of_a_piecewise_affine_density_has_its_exact_ends():
+    # with no flat declared, the zero piece of the density is the flat; a
+    # scan of 1,025 density samples put its ends at (0.431640625,
+    # 0.5927734375), so 0.43135 lay outside it and its quotients vanished
+    # on the right
+    g = Gauge.from_dict({"domain": [0, 1],
+                         "density": "2*max(0, abs(t - 0.512345) - 0.081)"})
+    sets = g.distinguished_sets()
+    assert sets.c_set == ((0.43134500000000003, 0.593345),)
+    assert sets.n_set == (0.43134500000000003, 0.593345)
+    f = expr.as_function(expr.parse("t^2", {"t"}), "t")
+    assert delta_derivative(f, g, 0.43135).point_class == "excluded"
+
+
+def test_a_tiny_piece_that_is_not_zero_is_not_flat():
+    # the scan takes a density below 1e-12 of its largest sample as zero;
+    # the pieces of an expression take only a zero piece
+    source = "max(0.0000000000001, t - 0.5)"
+    g = Gauge.from_dict({"domain": [0, 1], "density": source})
+    assert g.distinguished_sets().c_set == ()
+    scanned = Gauge((0.0, 1.0), lambda t: max(1e-13, t - 0.5))
+    assert scanned.distinguished_sets().c_set == ((0.0, 0.5),)
+
+
+def test_the_density_scan_runs_only_for_a_density_without_pieces(
+        monkeypatch):
+    scanned = []
+    scan = Gauge._scan
+
+    def spy(self, samples):
+        scanned.append(self.density_source)
+        return scan(self, samples)
+
+    monkeypatch.setattr(Gauge, "_scan", spy)
+    for source in ("2*max(0, abs(t - 0.5) - 0.1)", "1", "exp(t)"):
+        g = Gauge.from_dict({"domain": [0, 1], "density": source})
+        g.distinguished_sets()
+        g.distinguished_sets(samples=65)
+    assert scanned == ["exp(t)", "exp(t)"]
 
 
 def test_exclusion_snap_radius():

@@ -13,7 +13,10 @@ must give the same values, bit for bit, and so must a displacement spec
 of any kind.  Interval measures queried in random order are
 nonnegative, grow with the right end and add up over adjacent
 intervals.  The grids the package builds without numpy must be numpy's
-grids, bit for bit.
+grids, bit for bit.  The flats of a piecewise-affine density, declared
+or not, are its exact zero pieces.  A running integral whose integrand
+and density are both expressions integrates one compiled product, and
+must match, value, error and table, a twin that calls the two per node.
 """
 
 import json
@@ -25,11 +28,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from displace.calculus import CumulativeStieltjesIntegral  # noqa: E402
+from displace.calculus import (CumulativeStieltjesIntegral,  # noqa: E402
+                               delta_derivative)
 from displace.displacement import (  # noqa: E402
     Angular, FiniteGraph, Smooth, Stieltjes, spec_from_dict, spec_to_dict)
-from displace.expr import parse  # noqa: E402
-from displace.gauge import SNAP_RADIUS, Gauge, _linspace  # noqa: E402
+from displace.expr import as_function, parse  # noqa: E402
+from displace.gauge import (SNAP_RADIUS, CumulativeQuadrature,  # noqa: E402
+                            Gauge, _linspace)
 from displace.serialize import dumps  # noqa: E402
 
 unit = st.floats(0.0, 1.0)
@@ -270,6 +275,127 @@ def test_a_narrow_tent_is_integrated_whatever_is_queried_first(case, queries):
         want = closed_form(q)
         assert abs(g(q) - want) <= g.quad_tol, (source, q)
         assert abs(running(q) - want) <= g.quad_tol, (source, q)
+
+
+@st.composite
+def zero_stretch_densities(draw):
+    """(source, jumps, declared flats, the exact flats): a density that is
+    zero on random stretches and positive off them, with atoms.
+
+    k*max(0, abs(t - m) - w) is zero exactly on [m - w, m + w], and the
+    min of several is zero on the union.  Every number is a multiple of
+    1/64 or 1/128, so each kink is exact.  The flats are the maximal zero
+    intervals inside [0, 1], split at the atoms strictly inside; some of
+    them are declared.
+    """
+    terms, stretches = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(0, 64)) / 64
+        w = draw(st.integers(1, 16)) / 64
+        k = draw(st.sampled_from(["0.5", "1", "3"]))
+        terms.append(f"{k}*max(0, abs(t - {m!r}) - {w!r})")
+        stretches.append((max(0.0, m - w), min(1.0, m + w)))
+    source = terms[0]
+    for term in terms[1:]:
+        source = f"min({source}, {term})"
+    taus = sorted(set(draw(st.lists(st.integers(1, 127), max_size=3))))
+    jumps = [(tau / 128, 0.25) for tau in taus]
+    merged: list = []
+    for lo, hi in sorted(stretches):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    flats = []
+    for lo, hi in merged:
+        cuts = [tau for tau, _ in jumps if lo < tau < hi]
+        flats += zip([lo] + cuts, cuts + [hi])
+    declared = [flat for flat in flats if draw(st.booleans())]
+    return source, jumps, declared, flats
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=zero_stretch_densities())
+@example(case=("2*max(0, abs(t - 0.512345) - 0.081)", [], [],
+               [(0.43134500000000003, 0.593345)]))
+def test_the_flats_of_a_piecewise_affine_density_are_its_exact_zero_pieces(
+        case):
+    # declared or not, each flat is found with its exact ends, and a
+    # point inside one has no derivative
+    source, jumps, declared, flats = case
+    g = Gauge.from_dict({"domain": [0.0, 1.0], "density": source,
+                         "jumps": jumps, "flats": declared})
+    sets = g.distinguished_sets()
+    assert sets.c_set == tuple(flats), source
+    assert sets.n_set == tuple(sorted(
+        {p for flat in flats for p in flat} - {tau for tau, _ in jumps}))
+    square = as_function(parse("t^2", {"t"}), "t")
+    for lo, hi in flats:
+        x = 0.5 * (lo + hi)
+        assert delta_derivative(square, g, x).point_class == "excluded"
+    # off the grids of the ends and the atoms, a point is excluded exactly
+    # where it lies inside a flat
+    for i in range(1, 1024, 2):
+        y = i / 1024
+        assert sets.excludes(y) == any(lo < y < hi for lo, hi in flats), y
+
+
+_safe_leaves = st.sampled_from(["t", "0.5", "2", "0.125", "3.7", "pi"])
+
+
+def _grow(children, *funcs):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*"), children).map(
+            lambda x: f"({x[0]} {x[1]} {x[2]})"),
+        st.tuples(st.sampled_from(funcs), children).map(
+            lambda x: f"{x[0]}({x[1]})"),
+        st.tuples(st.sampled_from(["min", "max"]), children, children).map(
+            lambda x: f"{x[0]}({x[1]}, {x[2]})"),
+        children.map(lambda x: f"{x}^2"))
+
+
+# integrands may raise: ln, sqrt and division reach outside their domains
+integrand_sources = st.recursive(
+    _safe_leaves,
+    lambda children: st.one_of(
+        _grow(children, "sin", "cos", "exp", "abs", "sqrt", "ln"),
+        st.tuples(children, children).map(lambda x: f"({x[0]} / {x[1]})")),
+    max_leaves=6)
+# densities are the absolute value of a tree that raises nowhere
+density_sources = st.recursive(
+    _safe_leaves, lambda children: _grow(children, "sin", "cos", "abs"),
+    max_leaves=6).map(lambda x: f"abs({x})")
+
+
+def _outcome(fn, t):
+    try:
+        return fn(t).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(f_source=integrand_sources, density=density_sources,
+       queries=st.lists(unit, min_size=1, max_size=8))
+@example(f_source="1.234567*sin(t) + 0.345678*t^2",
+         density="2.1*max(0, abs(t - 0.5) - 0.08)", queries=[0.9, 0.1, 0.5])
+@example(f_source="ln(t - 0.5)", density="1", queries=[0.25, 1.0, 0.75])
+def test_the_compiled_integrand_keeps_the_running_integral_bit_for_bit(
+        f_source, density, queries):
+    # the running integral of an f from as_function against a density
+    # expression integrates one compiled product; its twin, seeded alike,
+    # calls f and the density per node: values, errors and tables match
+    g = Gauge.from_dict({"domain": [0.0, 1.0], "density": density})
+    f = as_function(parse(f_source, {"t"}), "t")
+    F = CumulativeStieltjesIntegral(f, g)
+    assert F.fn.__code__.co_filename == "<displace.expr>"
+    twin = CumulativeQuadrature(
+        lambda t: float(f(t)) * float(g.density(t)), *g.domain,
+        tol=g.quad_tol, breakpoints=list(F._seeds), atoms=F.atoms)
+    for q in queries + queries[::-1]:
+        assert _outcome(F.value, q) == _outcome(twin.value, q), q
+    assert F._ts == twin._ts
+    assert [v.hex() for v in F._vals] == [v.hex() for v in twin._vals]
 
 
 def test_a_negative_zero_weight_keeps_its_sign_through_json():
