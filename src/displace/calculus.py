@@ -61,6 +61,13 @@ equals the density part plus the atoms f(tau) * size for tau < u, so
 the atom at the upper endpoint is excluded.  A running integral is a
 CumulativeQuadrature, like the gauge behind it, which keeps differences
 of nearby values exact enough to feed back into difference quotients.
+Its panels follow the gauge module's one rule by degree: against a
+piecewise-affine density, whose own panels are the 1-point rule, the
+midpoint, an f that is piecewise affine as well makes the integrand a
+quadratic between the seeds, and a panel the exact 2-point
+Gauss-Legendre rule; any other pair is integrated by adaptive QK21.
+The quotient reads such an f through its value method, one call per
+sample.
 
 The two fundamental-theorem harnesses close the loop: ftc_forward_check
 differentiates the running integral of f and compares against f on a
@@ -137,19 +144,19 @@ def _richardson(values: Sequence[float]) -> tuple[float, float]:
     estimate is taken from the tableau diagonal at the index where
     consecutive diagonal entries agree best, which keeps rounding noise
     from the deepest levels out of the answer.  The tableau is built row
-    by row, keeping only the row above.
+    by row in one list, which holds the row above until it is overwritten.
     """
     n = len(values)
-    above = list(values[:1])
-    diag = above[:]
-    for i in range(1, n):
-        row = [values[i]]
-        prev = row[0]
-        for j in range(1, i + 1):
-            prev = prev + (prev - above[j - 1]) / _RICHARDSON_DIV[j]
-            row.append(prev)
+    row: list[float] = []
+    diag = []
+    for value in values:
+        # row holds the row above; entry j is overwritten once it is read
+        prev = value
+        for j, above in enumerate(row):
+            row[j] = prev
+            prev = prev + (prev - above) / _RICHARDSON_DIV[j + 1]
+        row.append(prev)
         diag.append(prev)
-        above = row
     if n == 1:
         return diag[0], math.inf
     best_i = 1
@@ -215,12 +222,11 @@ def _limit(values: Sequence[float]) -> Optional[tuple[float, float]]:
     return None
 
 
-def _side_limit(samples: Sequence[Optional[float]], key: str, x: float,
+def _side_limit(values: list[float], key: str, x: float,
                 diagnostics: dict) -> tuple[float, float]:
-    """_limit of one side's samples, taken at its points in order; a None
-    sample is dropped.  The samples go into diagnostics under key ('right'
-    or 'left'), which DerivativeError carries where there is no limit."""
-    values = [v for v in samples if v is not None]
+    """_limit of one side's samples, taken at its points in order.  The
+    samples go into diagnostics under key ('right' or 'left'), which
+    DerivativeError carries where there is no limit."""
     diagnostics[key] = values
     if not values:
         raise DerivativeError(
@@ -266,6 +272,11 @@ def _disagree(limits: Sequence[tuple[float, float]]) -> bool:
     return abs(lr - ll) > 1e-3 * (1.0 + abs(lr) + abs(ll))
 
 
+def _difference(u: float, v: float) -> float:
+    """The plain numerator v - u; _derivative recognises it by identity."""
+    return v - u
+
+
 def _derivative(f: Callable[[float], float], g: Gauge,
                 displaced: Callable[[float, float], float], x: float,
                 shrink_levels: int, dsets: Optional[DistinguishedSets],
@@ -306,6 +317,15 @@ def _derivative(f: Callable[[float], float], g: Gauge,
 
     quotient = quotient or isinstance(f, CumulativeQuadrature)
     fx = float(f(x))
+
+    def numerators(ys: Sequence[float]) -> list[float]:
+        if displaced is _difference and isinstance(
+                f, CumulativeQuadrature) and not isinstance(f, Gauge):
+            # a running integral's value is a float; a gauge stays g(y)
+            value = f.value
+            return [value(y) - fx for y in ys]
+        return [displaced(fx, float(f(y))) for y in ys]
+
     gx = g(x)
     sides = []
     for key, direction in (("right", +1), ("left", -1)):
@@ -326,18 +346,17 @@ def _derivative(f: Callable[[float], float], g: Gauge,
     limits: list = []
     if not quotient:
         for _, ys in sides:
-            nums.append([displaced(fx, float(f(y))) for y in ys])
+            nums.append(numerators(ys))
             limits.append(_two_slopes(nums[-1], ys, x, g.density))
             if limits[-1] is None:
                 break
     if not limits or None in limits or _disagree(limits):
         limits = []
         for i, (key, ys) in enumerate(sides):
-            num = (nums[i] if i < len(nums)
-                   else [displaced(fx, float(f(y))) for y in ys])
+            num = nums[i] if i < len(nums) else numerators(ys)
             den = [g(y) - gx for y in ys]
             limits.append(_side_limit(
-                [n / d if d != 0.0 else None for n, d in zip(num, den)],
+                [n / d for n, d in zip(num, den) if d != 0.0],
                 key, x, diagnostics))
         if _disagree(limits):
             raise DerivativeError(
@@ -377,8 +396,7 @@ def delta_derivative(f: Callable[[float], float], g: Gauge, x: float,
             f(x+) at a jump, fail to converge, or the two sides disagree;
             the exception carries the sequences.
     """
-    return _derivative(f, g, lambda u, v: v - u, x, shrink_levels, dsets,
-                       avoid)
+    return _derivative(f, g, _difference, x, shrink_levels, dsets, avoid)
 
 
 def pair_derivative(f: Callable[[float], float], g1: Gauge, delta2,
@@ -405,7 +423,13 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
     gauge's flat ends and kinks, and the kinks of an f from
     expr.as_function that is piecewise affine, so no panel crosses one.
     The integrand is expr._product of f and the density: one compiled
-    function where both come from expr.as_function.
+    function where both come from expr.as_function.  Where the density is
+    piecewise affine and so is f, f times the density is a quadratic on
+    every panel, and a panel is the 2-point Gauss-Legendre rule, exact
+    for it (gauge.CumulativeQuadrature._gauss); every other panel is
+    QK21.  f is piecewise affine when it is such an expression, or when
+    it has a true _affine attribute: then it is affine between its
+    f_breaks, as ftc2_check's interpolant is between its knots.
     """
 
     def __init__(self, f: Callable[[float], float], g: Gauge,
@@ -422,11 +446,15 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
                 raise CalculusError(
                     f"integrand is not finite at the jump point {tau!r}")
             atoms.append((tau, contribution))
+        pieces = _pieces_of(f, *g.domain)
         seeds = (list(f_breaks) + [p for iv in g.flats for p in iv]
                  + list(g._kinks or ())
-                 + [x for x, _ in (_pieces_of(f, *g.domain) or ())[1:]])
+                 + [x for x, _ in (pieces or ())[1:]])
         super().__init__(expr._product(f, g.density), *g.domain,
                          tol=g.quad_tol, breakpoints=seeds, atoms=atoms)
+        if g._pieces is not None and (
+                pieces is not None or getattr(f, "_affine", False)):
+            self._gauss = 2
 
     def __call__(self, upper: float) -> float:
         return self.value(upper)
@@ -495,8 +523,8 @@ def _derivatives(F: Callable[[float], float], g: Gauge,
             excluded.append(t)
             continue
         try:
-            d = _derivative(F, g, lambda u, v: v - u, t, shrink_levels,
-                            dsets, f_breaks, True)
+            d = _derivative(F, g, _difference, t, shrink_levels, dsets,
+                            f_breaks, True)
         except DerivativeError as exc:
             violations.append({"point": t, "reason": str(exc)})
             continue
@@ -588,8 +616,13 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
             "not enough derivative samples to attempt reconstruction")
     kx = [t for t, _ in values]
     kv = [v for _, v in values]
-    R = CumulativeStieltjesIntegral(lambda t: _interp(t, kx, kv), g,
-                                    f_breaks=kx)
+
+    def rebuilt(t: float) -> float:
+        return _interp(t, kx, kv)
+
+    # affine between the knots, which the running integral seeds
+    rebuilt._affine = True
+    R = CumulativeStieltjesIntegral(rebuilt, g, f_breaks=kx)
     base = float(F(a))
     max_error, worst = _worst((abs(base + R(t) - float(F(t))), t)
                               for t in _linspace(a, b, grid))

@@ -33,13 +33,17 @@ solvers never query the table; they refuse a negative density at their
 own mesh nodes and the density's kinks, with the probes' threshold and
 message.
 
-A panel is the adaptive 21-point Gauss-Kronrod quadrature of
-_adaptive_quad, except for a density compiled from an expression that
-is piecewise affine in t: numbers, constants, t, unary minus, + and -,
-* and / by a constant, abs, min and max (expr._pieces).  Such a gauge
-seeds its table at the expression's kinks, the starts of its pieces, so
-no panel crosses one, and a panel is one midpoint evaluation, exact on
-an affine piece.  Its flats are its pieces that are exactly zero; the
+A panel has one rule, by degree: an n-point Gauss-Legendre panel where
+the integrand is a polynomial of degree at most 2n - 1 on it, and the
+adaptive 21-point Gauss-Kronrod quadrature of _adaptive_quad everywhere
+else.  A density compiled from an expression that is piecewise affine in
+t (numbers, constants, t, unary minus, + and -, * and / by a constant,
+abs, min and max: expr._pieces) makes a gauge seed its table at the
+expression's kinks, the starts of its pieces, so no panel crosses one,
+and a panel is then the 1-point rule, the midpoint, exact on an affine
+piece.  A running integral in calculus takes the 2-point rule where f is
+affine between its seeds too, since f times the density is then a
+quadratic.  A gauge's flats are its pieces that are exactly zero; the
 density of any other gauge is scanned for them on a grid.  A narrow
 feature of any other density, such as max(0, sin(30*t)), can still fall
 between the nodes of a first Gauss-Kronrod panel unseen.
@@ -157,6 +161,9 @@ _G3 = 0.149451349150580593145776339657697
 _G5 = 0.219086362515982043995534934228163
 _G7 = 0.269266719309996355091226921569469
 _G9 = 0.295524224714752870173892994651338
+# the 2-point Gauss-Legendre nodes are mid -+ half * _GL2, _GL2 = 1/sqrt(3)
+# as its nearest double (1.0 / math.sqrt(3.0) is one ulp above it)
+_GL2 = 0.577350269189625764509148780502
 _EPS = sys.float_info.epsilon
 # dqk21 floors abserr at 50 eps * resabs only above this
 _ERR_FLOOR = sys.float_info.min / (50.0 * _EPS)
@@ -351,9 +358,14 @@ class CumulativeQuadrature:
     constructor.  A query at a new t integrates fn only across the gap
     from the nearest cached point below and clamps the result between
     the neighboring cached values.  A panel is _adaptive_quad of fn, or,
-    where _kinks is not None (a Gauge whose density is a piecewise-affine
-    expression sets it, and seeds the kinks), its width times fn at its
-    midpoint.  With nonnegative=True the table must stay nondecreasing:
+    where _gauss is n (1 or 2), the n-point Gauss-Legendre rule, exact
+    where fn is a polynomial of degree at most 2n - 1: whoever sets
+    _gauss also seeds the breaks between fn's polynomial pieces, so no
+    panel crosses one.  A Gauge whose density is a piecewise-affine
+    expression takes n = 1, its width times fn at its midpoint.  A point
+    already in the table is answered from a dict, without the lock, by
+    the value it was given the first time.  With nonnegative=True the
+    table must stay nondecreasing:
     a panel that integrates below -tol, or a new value above its right
     neighbor by more than tol, means the integrand is negative somewhere
     and raises GaugeError; smaller violations are rounding and are
@@ -363,9 +375,8 @@ class CumulativeQuadrature:
     queried before it.
     """
 
-    # the sorted kinks of fn inside (lo, hi), between which it is affine,
-    # or None: a Gauge whose density is an expression sets them
-    _kinks: Optional[tuple[float, ...]] = None
+    # the nodes of the Gauss-Legendre panel, or None for _adaptive_quad
+    _gauss: Optional[int] = None
 
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float,
                  tol: float = _QUAD_TOL, breakpoints: Sequence[float] = (),
@@ -383,6 +394,9 @@ class CumulativeQuadrature:
             self._prefix.append(self._prefix[-1] + mass)
         self._ts = [self.lo]
         self._vals = [0.0]
+        # F(t), atoms included, of each t queried since the table was seeded
+        self._known: dict[float, float] = {}
+        self._seeding = False
         self._lock = threading.RLock()
         # integrated, in this order, by _seed at the first query
         self._seeds = [t for t in sorted(set(float(p) for p in breakpoints)
@@ -399,6 +413,10 @@ class CumulativeQuadrature:
         """
         with self._lock:
             seeds, self._seeds = self._seeds, []
+            # no value enters _known until every seed is integrated: a
+            # query outside the lock must not read a point that a refused
+            # seed takes back
+            self._seeding = True
             try:
                 for t in seeds:
                     self.value(t)
@@ -406,14 +424,20 @@ class CumulativeQuadrature:
                 self._seeds = seeds
                 del self._ts[1:], self._vals[1:]
                 raise
+            finally:
+                self._seeding = False
 
     def _panel(self, lo: float, hi: float) -> float:
-        if self._kinks is None:
+        if self._gauss is None:
             value = _adaptive_quad(self.fn, lo, hi, self.tol)
         else:
-            # no panel crosses a kink, so fn is affine on it and one
-            # midpoint is its integral
-            value = (hi - lo) * self.fn(0.5 * (lo + hi))
+            # no panel crosses a break of fn, so the rule is exact on it
+            if self._gauss == 1:
+                value = (hi - lo) * self.fn(0.5 * (lo + hi))
+            else:
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                value = half * (self.fn(mid - half * _GL2)
+                                + self.fn(mid + half * _GL2))
             if not math.isfinite(value):
                 raise GaugeError(f"non-finite integral over [{lo!r}, {hi!r}]")
         if self.nonnegative and value < 0.0:
@@ -429,28 +453,37 @@ class CumulativeQuadrature:
         t = float(t)
         if not self.lo <= t <= self.hi:
             t = _snap(t, self.lo, self.hi)
-        atoms_below = self._prefix[bisect.bisect_left(self._taus, t)]
+        known = self._known.get(t)
+        if known is not None:
+            return known
+        atoms_below = (self._prefix[bisect.bisect_left(self._taus, t)]
+                       if self._taus else 0.0)
         with self._lock:
             if self._seeds:
                 self._seed()
             i = bisect.bisect_left(self._ts, t)
             if i < len(self._ts) and self._ts[i] == t:
-                return self._vals[i] + atoms_below
-            left_t, left_v = self._ts[i - 1], self._vals[i - 1]
-            v = left_v + self._panel(left_t, t)
-            if self.nonnegative:
-                if v < left_v:
-                    v = left_v
-                if i < len(self._ts) and v > self._vals[i]:
-                    if v > self._vals[i] + self.tol:
-                        raise GaugeError(
-                            f"running integral at {t!r} exceeds the value at "
-                            f"{self._ts[i]!r} by {v - self._vals[i]!r}; the "
-                            "density must be nonnegative")
-                    v = self._vals[i]
-            self._ts.insert(i, t)
-            self._vals.insert(i, v)
-            return v + atoms_below
+                v = self._vals[i]
+            else:
+                left_t, left_v = self._ts[i - 1], self._vals[i - 1]
+                v = left_v + self._panel(left_t, t)
+                if self.nonnegative:
+                    if v < left_v:
+                        v = left_v
+                    if i < len(self._ts) and v > self._vals[i]:
+                        if v > self._vals[i] + self.tol:
+                            raise GaugeError(
+                                f"running integral at {t!r} exceeds the "
+                                f"value at {self._ts[i]!r} by "
+                                f"{v - self._vals[i]!r}; the density must "
+                                "be nonnegative")
+                        v = self._vals[i]
+                self._ts.insert(i, t)
+                self._vals.insert(i, v)
+            v += atoms_below
+            if not self._seeding:
+                self._known[t] = v
+            return v
 
     def jump_at(self, t: float) -> float:
         """Mass of the atom at t, or 0.0."""
@@ -594,7 +627,11 @@ class Gauge(CumulativeQuadrature):
                          breakpoints=[p for iv in flat_list for p in iv]
                          + list(kinks or ()),
                          atoms=pairs)
+        # the sorted kinks inside (a, b), between which the density is
+        # affine, or None for a density without pieces
         self._kinks = kinks
+        if kinks is not None:
+            self._gauss = 1
         self._dsets: Optional[DistinguishedSets] = None
         self._dsets_lock = threading.Lock()
 
@@ -673,7 +710,12 @@ class Gauge(CumulativeQuadrature):
         sampled, at samples points of a uniform grid, collecting maximal
         runs that stay below a relative threshold.  A jump strictly inside
         splits an interval.  The default-resolution result is cached.
+
+        Raises:
+            GaugeError: when samples is below 2, for every density: a grid
+                of fewer points holds no run.
         """
+        _check_count(samples, 2, "samples")
         if samples == _FLAT_SAMPLES and self._dsets is not None:
             return self._dsets
         result = self._compute_dsets(samples)
@@ -694,7 +736,7 @@ class Gauge(CumulativeQuadrature):
             shortest = 0.0
         else:
             runs = self._scan(samples)
-            shortest = 2.0 * (b - a) / max(samples - 1, 1)
+            shortest = 2.0 * (b - a) / (samples - 1)
 
         detected: list[tuple[float, float]] = []
         for lo, hi in runs:

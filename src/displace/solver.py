@@ -32,14 +32,17 @@ recurrence runs in _EULER, the loop owned here, with the rhs spliced in
 by expr._kernel.  The values and errors are those of one call per node,
 bit for bit.
 
-The solvers read a gauge's density and atoms, never its value table, so
-they integrate no quadrature panel.  The table's first query is what
-refuses a density that integrates below zero between the gauge's
-construction probes; in its place, each solver refuses the first mesh
-node, or kink of a piecewise-affine density inside the mesh, where the
-density is below the probes' threshold, with their GaugeError.  A mesh
-that steps over a negative stretch sees it only where the density is
-piecewise affine, whose lowest point between two nodes is a kink.
+The mesh also contains every kink of a piecewise-affine density
+(Gauge._kinks) inside it, so that density is affine on every panel and
+the trapezoid takes its mass exactly; a kink within SNAP_RADIUS of
+another node merges into that node.  The solvers read a gauge's density
+and atoms, never its value table, so they integrate no quadrature
+panel.  The table's first query is what refuses a density that
+integrates below zero between the gauge's construction probes; in its
+place, each solver refuses the first mesh node where the density is
+below the probes' threshold, with their GaugeError.  A negative stretch
+of a piecewise-affine density always holds a node, since its lowest
+point is a kink; one of any other density can lie between two nodes.
 """
 
 from __future__ import annotations
@@ -47,10 +50,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .expr import _kernel, on_arrays
-from .gauge import (_NEGATIVE_DENSITY, Gauge, _check_count,
+from .gauge import (_NEGATIVE_DENSITY, SNAP_RADIUS, Gauge, _check_count,
                     _negative_density, _snap)
 from .serialize import Record, float_csv
 
@@ -230,24 +233,32 @@ def _build_mesh(gauge: Gauge, a: float, b: float, step: float) -> np.ndarray:
     # two equal values (0.0 and -0.0) the stable sort keeps the first
     mesh = np.concatenate([base, np.asarray(taus, dtype=float)])
     mesh.sort(kind="stable")
-    return mesh[np.concatenate(([True], mesh[1:] != mesh[:-1]))]
+    mesh = mesh[np.concatenate(([True], mesh[1:] != mesh[:-1]))]
+    kinks = np.array([t for t in gauge._kinks or () if a <= t <= b],
+                     dtype=float)
+    if kinks.size:
+        # a kink within SNAP_RADIUS of a node merges into that node
+        i = np.searchsorted(mesh, kinks)
+        gap = np.minimum(np.abs(mesh[np.maximum(i - 1, 0)] - kinks),
+                         np.abs(mesh[np.minimum(i, len(mesh) - 1)] - kinks))
+        kinks = kinks[gap > SNAP_RADIUS]
+        mesh = np.insert(mesh, np.searchsorted(mesh, kinks), kinks)
+    return mesh
 
 
-def _mesh_data(gauge: Gauge, mesh: np.ndarray,
+def _mesh_data(gauge: Gauge, mesh: np.ndarray, also: Sequence[float] = (),
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Node densities, panel atoms (none at the last node), widths and the
     indices of the atom nodes, in increasing order.
 
     A density below _NEGATIVE_DENSITY raises GaugeError at the first such
-    point in t order, over the nodes and the gauge's kinks inside the
-    mesh.
+    point in t order, over the nodes and the points of also.
     """
     import numpy as np
 
     dens = on_arrays(gauge.density, mesh)
     bad = mesh[dens < _NEGATIVE_DENSITY][:1].tolist()
-    bad += [t for t in gauge._kinks or () if mesh[0] <= t <= mesh[-1]
-            and gauge.density(t) < _NEGATIVE_DENSITY]
+    bad += [t for t in also if gauge.density(t) < _NEGATIVE_DENSITY]
     if bad:
         raise _negative_density(min(bad))
     atoms = gauge.jumps_on(mesh[:-1])
@@ -260,7 +271,8 @@ def solve_ivp(problem: IvpProblem, step: float,
 
     Args:
         problem: gauge, rhs and initial value.
-        step: target mesh width; jump positions are always inserted.
+        step: target mesh width; jump positions and the density's kinks
+            are always inserted.
         picard_sweeps: non-negative integer number of re-integrations of rhs
             along the previous trajectory after the Euler pass (trapezoid
             panels plus exact atom terms); measured against the
@@ -275,7 +287,7 @@ def solve_ivp(problem: IvpProblem, step: float,
             last good node with the state there: the Euler pass's, or
             the sweep's own running value, not that of the trajectory it
             re-integrates.
-        GaugeError: at the first mesh node or density kink where the
+        GaugeError: at the first mesh node (kinks included) where the
             density is negative.
     """
     if not (picard_sweeps >= 0 and picard_sweeps % 1 == 0):
@@ -374,8 +386,8 @@ def verify_solution(problem: IvpProblem, solution: IvpSolution,
         SolverError: when the re-integration is not finite; the error
             names the last node where it is, with the solution's value
             there.
-        GaugeError: at the first mesh node or density kink where the
-            density is negative.
+        GaugeError: at the first mesh node, or kink of the density inside
+            the mesh, where the density is negative.
     """
     # grid 0 has no point to report, grid 1 only u(a), exact by construction
     _check_count(grid, 2, "grid", SolverError)
@@ -383,7 +395,10 @@ def verify_solution(problem: IvpProblem, solution: IvpSolution,
 
     g = problem.gauge
     mesh, us = solution.ts, solution.us
-    S = _reintegrate(problem.rhs, mesh, us, _mesh_data(g, mesh), 0.0,
+    # a solution's mesh need not hold this gauge's kinks, where its density
+    # is lowest between two nodes: they are read too
+    kinks = [t for t in g._kinks or () if mesh[0] <= t <= mesh[-1]]
+    S = _reintegrate(problem.rhs, mesh, us, _mesh_data(g, mesh, kinks), 0.0,
                      "re-integration is not finite", sweep=False)
     residuals = np.abs(us - float(problem.u0) - S)
 
@@ -407,7 +422,7 @@ def solve_surface(problem: SurfaceProblem, step: float) -> IvpSolution:
     Raises:
         SolverError: on invalid input or a source that is not finite on
             the mesh.
-        GaugeError: at the first mesh node or density kink where the
+        GaugeError: at the first mesh node (kinks included) where the
             work gauge's density is negative.
     """
     C = float(problem.terminal_value)

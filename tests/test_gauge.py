@@ -277,6 +277,18 @@ def test_the_density_scan_runs_only_for_a_density_without_pieces(
     assert scanned == ["exp(t)", "exp(t)"]
 
 
+@pytest.mark.parametrize("source", ["exp(t)", "2*max(0, abs(t - 0.5) - 0.1)"])
+@pytest.mark.parametrize("samples", [0, 1, -3])
+def test_distinguished_sets_refuses_fewer_than_two_samples(source, samples):
+    # a grid of one point holds no run, and one of none has no largest
+    # sample; a density with pieces, which samples nothing, refuses alike
+    g = Gauge.from_dict({"domain": [0, 1], "density": source})
+    with pytest.raises(GaugeError,
+                       match=f"^samples must be at least 2, got {samples}$"):
+        g.distinguished_sets(samples=samples)
+    assert g.distinguished_sets(samples=2).d_set == ()
+
+
 def test_exclusion_snap_radius():
     g = Gauge((0.0, 1.0), plateau_density, flats=((0.2, 0.4),),
               density_source="max(0, t - 0.4) + max(0, 0.2 - t)")

@@ -16,7 +16,8 @@ intervals.  The grids the package builds without numpy must be numpy's
 grids, bit for bit.  The flats of a piecewise-affine density, declared
 or not, are its exact zero pieces.  A running integral whose integrand
 and density are both expressions integrates one compiled product, and
-must match, value, error and table, a twin that calls the two per node.
+must match, value, error and table, a twin with the same panel rule that
+calls the two per node.
 """
 
 import json
@@ -383,8 +384,9 @@ def _outcome(fn, t):
 def test_the_compiled_integrand_keeps_the_running_integral_bit_for_bit(
         f_source, density, queries):
     # the running integral of an f from as_function against a density
-    # expression integrates one compiled product; its twin, seeded alike,
-    # calls f and the density per node: values, errors and tables match
+    # expression integrates one compiled product; its twin, seeded alike
+    # and with the same panel rule, calls f and the density per node:
+    # values, errors and tables match
     g = Gauge.from_dict({"domain": [0.0, 1.0], "density": density})
     f = as_function(parse(f_source, {"t"}), "t")
     F = CumulativeStieltjesIntegral(f, g)
@@ -392,6 +394,7 @@ def test_the_compiled_integrand_keeps_the_running_integral_bit_for_bit(
     twin = CumulativeQuadrature(
         lambda t: float(f(t)) * float(g.density(t)), *g.domain,
         tol=g.quad_tol, breakpoints=list(F._seeds), atoms=F.atoms)
+    twin._gauss = F._gauss
     for q in queries + queries[::-1]:
         assert _outcome(F.value, q) == _outcome(twin.value, q), q
     assert F._ts == twin._ts

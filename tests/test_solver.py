@@ -20,7 +20,7 @@ import displace.gauge as gauge_mod
 import displace.solver as solver_mod
 from displace.expr import (_over_arrays, _PerRow, as_function, on_arrays,
                            parse)
-from displace.gauge import Gauge, GaugeError
+from displace.gauge import SNAP_RADIUS, Gauge, GaugeError
 from displace.solver import (
     IvpProblem,
     IvpSolution,
@@ -456,6 +456,46 @@ def test_mesh_is_numpys_sorted_union_of_grid_and_atoms(domain, step, taus):
     grid = np.linspace(a, b, max(1, math.ceil((b - a) / step)) + 1)
     expected = np.unique(np.concatenate([grid, taus]))
     assert solver_mod._build_mesh(g, a, b, step).tobytes() == expected.tobytes()
+
+
+SPIKE = "1 + 200000*max(0, 0.005 - abs(t - 0.015))"
+
+
+@pytest.mark.parametrize("step", [0.1, 0.01, 0.001])
+def test_the_kinks_of_the_density_are_mesh_nodes(step):
+    # the spike of mass 5 on (0.01, 0.02) is affine between its kinks
+    # 0.01, 0.015 and 0.02, so with them as nodes the trapezoid takes its
+    # mass exactly, on a mesh that steps over it as on one that resolves it
+    g = Gauge.from_dict({"domain": [0, 1], "density": SPIKE})
+    mesh = solver_mod._build_mesh(g, 0.0, 1.0, step)
+    # the kink 0.015 - 0.005 = 0.009999999999999998 merges into a node
+    # 0.01 where there is one
+    for kink in g._kinks:
+        assert np.min(np.abs(mesh - kink)) <= SNAP_RADIUS
+    sol = solve_ivp(IvpProblem(gauge=g, rhs=lambda t, u: 1.0, u0=0.0), step)
+    assert abs(sol.us[-1] - 6.0) <= 1e-9
+    surface = solve_surface(SurfaceProblem(
+        work_gauge=g, source=lambda t: 1.0, terminal_value=0.0), step)
+    # u(0) is the integral of t against g over [0, 1): 1/2 + 5 * 0.015
+    assert abs(surface.us[0] - 0.575) <= 1e-9
+
+
+def test_a_kink_near_a_node_merges_into_it():
+    # the kinks 0.5 +- 2e-13 lie within SNAP_RADIUS of the node 0.5, and
+    # 0.3 + 1e-9 does not; a gauge without kinks keeps linspace's mesh
+    near = ("1 + max(0, 1000000000000*abs(t - 0.5) - 0.2)"
+            " + max(0, t - 0.300000001)")
+    g = Gauge.from_dict({"domain": [0, 1], "density": near})
+    first, *close = g._kinks
+    assert first == 0.300000001 and len(close) == 2
+    assert all(0.0 < abs(kink - 0.5) <= SNAP_RADIUS for kink in close)
+    grid = np.linspace(0.0, 1.0, 11)
+    expected = np.insert(grid, 4, first)
+    assert solver_mod._build_mesh(g, 0.0, 1.0, 0.1).tobytes() == \
+        expected.tobytes()
+    plain = Gauge.from_dict({"domain": [0, 1], "density": "1 + t"})
+    assert solver_mod._build_mesh(plain, 0.0, 1.0, 0.1).tobytes() == \
+        grid.tobytes()
 
 
 def test_mesh_node_limit_is_inclusive(monkeypatch):
