@@ -456,9 +456,6 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
                 pieces is not None or getattr(f, "_affine", False)):
             self._gauss = 2
 
-    def __call__(self, upper: float) -> float:
-        return self.value(upper)
-
 
 def stieltjes_integral(f: Callable[[float], float], g: Gauge, upper: float,
                        f_breaks: Sequence[float] = ()) -> float:

@@ -462,14 +462,25 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     For each sampled pair (x, y) the function |Delta(x, .)| is maximized
     over displacement balls around y of geometrically shrinking radius.
     The pair passes as soon as the sampled maximum drops to
-    |Delta(x, y)| + tol.  If the excess persists without shrinking the
-    pair is a failure witness; if it is still collapsing when the
-    levels run out the check is inconclusive for that pair.
+    |Delta(x, y)| + tol at some level.  If the excess persists without
+    shrinking the pair is a failure witness; if it is still collapsing
+    when the levels run out the check is inconclusive for that pair.
 
-    Each level's ball edges are bisected from where the level before
-    first moved inside: the midpoints it skips lie outside the larger
-    ball, so outside this one, and the edges come out as a bisection
-    from the domain's ends would find them.
+    Smallest ball first, then levels in order for what is left: no level
+    is reported and the deepest is one of them, so the pairs that pass
+    in the smallest ball are done, and only the rest run the levels from
+    the largest ball down, with the margins that decide their verdict.
+    The first try is speculative: where its radius underflows to 0, or
+    Delta raises in it (it samples points that the levels may never
+    reach), every pair of that y runs the levels, which pass or raise
+    as they would without it.  A Delta that raises only at points of
+    larger balls than a y's pairs run is not sampled there, and passes.
+
+    The smallest ball's edges are bisected from the domain's ends.  Each
+    level's are bisected from where the level before first moved inside:
+    the midpoints it skips lie outside the larger ball, so outside this
+    one, and the edges come out as a bisection from the domain's ends
+    would find them.
     """
     _require_interval(spec, "check_h2_usc")
     # with no level every pair stays pending and the check says nothing
@@ -479,6 +490,21 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     row, top = _inline(spec, _MAP), _inline(spec, _MAX)
     bisect = _inline(spec, _BISECT)
     inner = 9
+
+    def ball_points(y, at_a, at_b, rho, lo_from, hi_from):
+        """The points of the ball of radius rho around y that a level
+        samples, y last, and where the next level's edges may resume."""
+        # delta_ball's ends, from Delta(y, a) and Delta(y, b)
+        ball_tol = _check_ball(rho, 1e-9 * (b - a))
+        lo, lo_from = _ball_edge(bisect, y, a, at_a, -1.0, rho, ball_tol,
+                                 lo_from)
+        hi, hi_from = _ball_edge(bisect, y, b, at_b, 1.0, rho, ball_tol,
+                                 hi_from)
+        ts = _linspace(lo, hi, inner)
+        zs = [z for z, v in zip(ts, row(repeat(y), ts)) if abs(v) < rho]
+        zs.append(y)
+        return zs, lo_from, hi_from
+
     witnesses = []
     inconclusive = 0
     for y in points:
@@ -488,21 +514,25 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
             rho0 = 1.0
         bounds = [(x, abs(spec.delta(x, y))) for x in points]
         pending = {i: None for i in range(len(points))}
-        margins: dict[int, list[float]] = {i: [] for i in range(len(points))}
+        try:
+            zs = ball_points(y, at_a, at_b, rho0 * 2.0 ** (-shrink_levels),
+                             a, b)[0]
+            passed = [i for i, (x, bound) in enumerate(bounds)
+                      if top(x, zs) <= bound + tol]
+        # a radius that underflows to 0, or whatever Delta raises here: the
+        # levels raise it again if they reach its point, and pass if not
+        except Exception:  # noqa: BLE001
+            passed = []
+        for i in passed:
+            del pending[i]
+        margins: dict[int, list[float]] = {i: [] for i in pending}
         lo_from, hi_from = a, b
         for k in range(1, shrink_levels + 1):
             if not pending:
                 break
-            rho = rho0 * 2.0 ** (-k)
-            # delta_ball's ends, from Delta(y, a) and Delta(y, b) above
-            ball_tol = _check_ball(rho, 1e-9 * (b - a))
-            lo, lo_from = _ball_edge(bisect, y, a, at_a, -1.0, rho, ball_tol,
-                                     lo_from)
-            hi, hi_from = _ball_edge(bisect, y, b, at_b, 1.0, rho, ball_tol,
-                                     hi_from)
-            ts = _linspace(lo, hi, inner)
-            zs = [z for z, v in zip(ts, row(repeat(y), ts)) if abs(v) < rho]
-            zs.append(y)
+            zs, lo_from, hi_from = ball_points(y, at_a, at_b,
+                                               rho0 * 2.0 ** (-k), lo_from,
+                                               hi_from)
             for i in list(pending):
                 x, bound = bounds[i]
                 m = top(x, zs)

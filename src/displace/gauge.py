@@ -448,6 +448,10 @@ class CumulativeQuadrature:
             value = 0.0
         return value
 
+    def __call__(self, t: float) -> float:
+        """F(t), as value(t)."""
+        return self.value(t)
+
     def value(self, t: float) -> float:
         """F(t): the density part over [lo, t) plus the atoms below t."""
         t = float(t)

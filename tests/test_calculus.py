@@ -27,7 +27,7 @@ from displace.calculus import (
 from displace.displacement import (DisplacementError, Smooth, Stieltjes,
                                    gauge_from_smooth, make_builtin)
 from displace.expr import DomainError, as_function, parse
-from displace.gauge import Gauge, GaugeError
+from displace.gauge import CumulativeQuadrature, Gauge, GaugeError
 
 E_MINUS_EINV = 2.3504023872876028
 
@@ -68,6 +68,15 @@ def test_derivative_of_identity_function_against_quadratic_gauge():
         assert abs(d.value - 1.0 / (2.0 * x + 1.0)) <= 1e-9
         assert d.error_estimate <= 1e-6
         assert d.samples_used > 0
+
+
+def test_a_bare_running_integral_is_differentiated_by_its_quotient():
+    # F(t) = t^2 / 2 against g(t) = t: F is called as f, then read by value
+    d = delta_derivative(CumulativeQuadrature(lambda t: t, 0.0, 1.0),
+                         identity_gauge(), 0.5)
+    assert d.point_class == "continuity"
+    assert abs(d.value - 0.5) <= 1e-9
+    assert d.samples_used == 24
 
 
 def test_error_estimate_covers_the_error_just_past_a_flat():

@@ -11,10 +11,11 @@ inline (`expr._kernel`); they are compared with the loops of one call
 per node they replaced, and `Gauge.jumps_on` with its old lookup.  So do
 the check battery's bisections, rows and maxima, compared with the
 checks that called `spec.delta` and `spec.d2` per point, and a gauge's
-cache after each; `check_h2_usc`, which bisects each level's ball edges
-from where the level before first moved inside, with bisections from
-the domain's ends, edge by edge; and `calculus._richardson`'s two rows
-with the whole tableau it built.
+cache after each; `check_h2_usc`, which tries each y's smallest ball
+first and bisects each level's ball edges from where the level before
+first moved inside, with bisections from the domain's ends in the same
+order, edge by edge, and its reports with those of the levels alone;
+and `calculus._richardson`'s two rows with the whole tableau it built.
 """
 
 import math
@@ -553,6 +554,78 @@ def old_h2_usc(spec, samples=11, shrink_levels=24, tol=LIMIT_TOL, edges=None):
                        len(points) ** 2, tol, stats)
 
 
+def first_try_h2_usc(spec, samples=11, shrink_levels=24, tol=LIMIT_TOL,
+                     edges=None, level_edges=None, smallest=None):
+    """old_h2_usc in check_h2_usc's order of queries: for each y the
+    smallest ball first, by old_delta_ball, whose passing pairs are done,
+    and old_h2_usc's levels for the rest; a ball radius of 0 or a raise
+    in the smallest ball sends every pair of its y to the levels.
+
+    edges collects (rho, edge) of every ball, lower edge first, in the
+    order formed; level_edges those of the levels alone; smallest the
+    (y, rho, lo, hi) of each smallest ball formed."""
+    _require_interval(spec, "check_h2_usc")
+    _check_count(shrink_levels, 1, "shrink_levels", DisplacementError)
+    a, b = spec.domain
+    points = _grid_points(spec, samples)
+
+    def ball_points(y, rho, *collect):
+        ball = old_delta_ball(spec, y, rho, tol=1e-9 * (b - a))
+        for seen in collect:
+            if seen is not None:
+                seen += [(rho, ball.lo), (rho, ball.hi)]
+        zs = [z for z in _linspace(ball.lo, ball.hi, 9)
+              if abs(spec.delta(y, z)) < rho]
+        zs.append(y)
+        return ball, zs
+
+    witnesses = []
+    inconclusive = 0
+    for y in points:
+        rho0 = max(abs(spec.delta(y, a)), abs(spec.delta(y, b)))
+        if rho0 == 0.0:
+            rho0 = 1.0
+        bounds = [(x, abs(spec.delta(x, y))) for x in points]
+        pending = {i: None for i in range(len(points))}
+        rho = rho0 * 2.0 ** (-shrink_levels)
+        try:
+            ball, zs = ball_points(y, rho, edges)
+            if smallest is not None:
+                smallest.append((y, rho, ball.lo, ball.hi))
+            passed = [i for i, (x, bound) in enumerate(bounds)
+                      if max(abs(spec.delta(x, z)) for z in zs)
+                      <= bound + tol]
+        except Exception:  # noqa: BLE001  (the levels raise it again)
+            passed = []
+        for i in passed:
+            del pending[i]
+        margins = {i: [] for i in pending}
+        for k in range(1, shrink_levels + 1):
+            if not pending:
+                break
+            rho = rho0 * 2.0 ** (-k)
+            _, zs = ball_points(y, rho, edges, level_edges)
+            for i in list(pending):
+                x, bound = bounds[i]
+                m = max(abs(spec.delta(x, z)) for z in zs)
+                margins[i].append(m - bound)
+                if m <= bound + tol:
+                    del pending[i]
+        for i in pending:
+            x, bound = bounds[i]
+            seq = margins[i]
+            if len(seq) >= 2 and seq[-1] > 0.6 * seq[-2] and seq[-2] > tol:
+                if len(witnesses) < _WITNESS_CAP:
+                    witnesses.append({"x": x, "y": y, "bound": bound,
+                                      "excess": seq[-1]})
+            else:
+                inconclusive += 1
+    verdict = "fail" if witnesses else "inconclusive" if inconclusive else "pass"
+    stats = {"pairs": len(points) ** 2, "inconclusive_pairs": inconclusive}
+    return AxiomReport("H2-usc", verdict, tuple(witnesses),
+                       len(points) ** 2, tol, stats)
+
+
 def old_h3(spec, samples=21, tol=ALGEBRAIC_TOL):
     """check_h3 with one spec.delta call per point."""
     _require_interval(spec, "check_h3")
@@ -665,8 +738,12 @@ def test_battery_loops_reproduce_the_calls_per_point(case, samples, levels,
     old, new = make(), make()
     a, b = old.domain
     x = a + x * (b - a)
+    # check_h2_usc's report is old_h2_usc's; its gauge state is that of
+    # first_try_h2_usc, which queries in its order
+    assert _report_or_error(lambda: check_h2_usc(make(), samples, levels)) == \
+        _report_or_error(lambda: old_h2_usc(make(), samples, levels))
     runs = [
-        (lambda s: old_h2_usc(s, samples, levels),
+        (lambda s: first_try_h2_usc(s, samples, levels),
          lambda s: check_h2_usc(s, samples, levels)),
         (lambda s: old_h3(s, samples + 3), lambda s: check_h3(s, samples + 3)),
         (lambda s: old_delta_ball(s, x, r), lambda s: delta_ball(s, x, r)),
@@ -684,10 +761,45 @@ def test_battery_loops_reproduce_the_calls_per_point(case, samples, levels,
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_h2_usc_reproduces_the_calls_per_point_on_builtins(name):
     # check_h2_usc reuses Delta(y, a) and Delta(y, b) for each level's ball
-    old, new = make_builtin(name), make_builtin(name)
-    assert _report_or_error(lambda: check_h2_usc(new)) == \
-        _report_or_error(lambda: old_h2_usc(old))
-    assert _gauge_state(new) == _gauge_state(old)
+    old, ref, new = make_builtin(name), make_builtin(name), make_builtin(name)
+    report = _report_or_error(lambda: check_h2_usc(new))
+    assert report == _report_or_error(lambda: old_h2_usc(old))
+    assert report == _report_or_error(lambda: first_try_h2_usc(ref))
+    assert _gauge_state(new) == _gauge_state(ref)
+
+
+# Delta is undefined where 1e-8 < |y - 0.5| < 3e-8: only the smallest ball
+# around 0.5 samples there, and the levels pass every pair before it
+_DEEP_SQRT = ("(y^3 + y) - (x^3 + x) + 0*sqrt((abs(y - 0.5) - 0.00000001)"
+              "*(abs(y - 0.5) - 0.00000003))")
+
+
+@pytest.mark.parametrize("make, samples, levels", [
+    # the smallest radius underflows to 0; every pair passes by level 20
+    (lambda: make_builtin("exponential"), 11, 1080),
+    (lambda: make_builtin("exponential"), 11, 2000),
+    (lambda: Smooth((0.0, 1.0), parse(_DEEP_SQRT, COLUMNS),
+                    parse("1", COLUMNS)), 3, 24),
+])
+def test_h2_usc_passes_where_its_smallest_ball_cannot_be_formed(
+        make, samples, levels):
+    report = _report_or_error(lambda: check_h2_usc(make(), samples, levels))
+    assert report == _report_or_error(lambda: old_h2_usc(make(), samples,
+                                                         levels))
+    assert '"verdict": "pass"' in report
+
+
+def test_h2_usc_samples_no_larger_ball_than_its_pairs_run():
+    # Delta is undefined near 0.3125, which the first level's ball around
+    # 0 samples; every pair passes in the smallest balls, which do not
+    def make():
+        return Smooth((0.0, 1.0), parse(
+            "y - x + 0*sqrt(abs(y - 0.3125) - 0.001)", COLUMNS),
+            parse("1", COLUMNS))
+
+    assert _report_or_error(lambda: old_h2_usc(make())).startswith(
+        "DomainError: sqrt of a negative number")
+    assert check_h2_usc(make()).verdict == "pass"
 
 # ---------------------------------------------------------------------------
 # H2-usc's ball edges, each level bisected from the one before, against
@@ -695,23 +807,38 @@ def test_h2_usc_reproduces_the_calls_per_point_on_builtins(name):
 # ---------------------------------------------------------------------------
 
 def assert_h2_usc_replays_the_cold_edges(make, samples, levels):
-    """Reports by their bytes and every level's edges by float.hex, and
-    delta_ball, which bisects from the ends, by its bytes."""
-    cold_edges, edges = [], []
+    """Reports by their bytes and every ball's edges by float.hex, and
+    delta_ball, which bisects from the ends, by its bytes.
+
+    The first two edges are the smallest ball's, bisected from the ends;
+    the levels' edges are old_h2_usc's, in level order, and a y whose
+    pairs the smallest ball decides runs fewer levels than there."""
+    cold_edges, calls, ref_edges, level_edges, smallest = [], [], [], [], []
     real = displacement_mod._ball_edge
 
     def spy(*args):
         edge, resume = real(*args)
-        edges.append((args[5], edge))
+        calls.append((args[1], args[5], edge))
         return edge, resume
+
+    def hexed(pairs):
+        return [(r.hex(), e.hex()) for r, e in pairs]
 
     cold = _report_or_error(lambda: old_h2_usc(make(), samples, levels,
                                                edges=cold_edges))
+    assert _report_or_error(lambda: first_try_h2_usc(
+        make(), samples, levels, edges=ref_edges, level_edges=level_edges,
+        smallest=smallest)) == cold
     with mock.patch.object(displacement_mod, "_ball_edge", spy):
         assert _report_or_error(lambda: check_h2_usc(make(), samples,
                                                      levels)) == cold
-    assert [(r.hex(), e.hex()) for r, e in edges] == \
-        [(r.hex(), e.hex()) for r, e in cold_edges]
+    assert hexed((r, e) for _, r, e in calls) == hexed(ref_edges)
+    for y, rho, lo, hi in smallest:
+        assert hexed([(r, e) for x, r, e in calls if x == y][:2]) == \
+            hexed([(rho, lo), (rho, hi)])
+    assert len(level_edges) <= len(cold_edges)
+    rest = iter(hexed(cold_edges))
+    assert all(edge in rest for edge in hexed(level_edges))
     spec = make()
     if spec.kind in ("smooth", "stieltjes"):
         a, b = spec.domain
@@ -746,6 +873,7 @@ h2_usc_deltas = st.one_of(
 @given(delta=h2_usc_deltas, samples=st.sampled_from([3, 5, 11]),
        levels=st.sampled_from([24, 40]))
 @example(delta="sin(7*(y - x))", samples=11, levels=40)
+@example(delta="(y - x)^3", samples=5, levels=24)   # fails: pairs run levels
 def test_h2_usc_levels_replay_the_cold_bisections(delta, samples, levels):
     assert_h2_usc_replays_the_cold_edges(
         lambda: Smooth((0.0, 1.0), parse(delta, COLUMNS)), samples, levels)
