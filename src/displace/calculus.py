@@ -65,9 +65,10 @@ Its panels follow the gauge module's one rule by degree: against a
 piecewise-affine density, whose own panels are the 1-point rule, the
 midpoint, an f that is piecewise affine as well makes the integrand a
 quadratic between the seeds, and a panel the exact 2-point
-Gauss-Legendre rule; any other pair is integrated by adaptive QK21.
-The quotient reads such an f through its value method, one call per
-sample.
+Gauss-Legendre rule; any other pair is integrated by adaptive QK21, in
+ftc_forward_check after one 7-point Gauss-Kronrod panel that is kept
+where it passes QK21's first-panel test.  The quotient reads such an f
+through its value method, one call per sample.
 
 The two fundamental-theorem harnesses close the loop: ftc_forward_check
 differentiates the running integral of f and compares against f on a
@@ -82,9 +83,10 @@ import math
 from typing import Callable, Optional, Sequence
 
 from . import displacement, expr
-from .gauge import (_EPS, _QUAD_TOL, SNAP_RADIUS, CumulativeQuadrature,
-                    DistinguishedSets, Gauge, _adaptive_quad, _check_count,
-                    _check_tolerance, _linspace, _pieces_of, _snap)
+from .gauge import (_EPS, _K7, _QUAD_TOL, SNAP_RADIUS,
+                    CumulativeQuadrature, DistinguishedSets, Gauge,
+                    _adaptive_quad, _check_count, _check_tolerance,
+                    _linspace, _pieces_of, _snap)
 from .serialize import Record
 
 __all__ = [
@@ -427,7 +429,8 @@ class CumulativeStieltjesIntegral(CumulativeQuadrature):
     piecewise affine and so is f, f times the density is a quadratic on
     every panel, and a panel is the 2-point Gauss-Legendre rule, exact
     for it (gauge.CumulativeQuadrature._gauss); every other panel is
-    QK21.  f is piecewise affine when it is such an expression, or when
+    QK21, after a 7-point Gauss-Kronrod panel in the one that
+    ftc_forward_check builds.  f is piecewise affine when it is such an expression, or when
     it has a true _affine attribute: then it is affine between its
     f_breaks, as ftc2_check's interpolant is between its knots.
     """
@@ -548,14 +551,23 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
 
     The running integral F of f is formed first; its derivative against
     g is then evaluated on interior grid points (plus nothing else) and
-    compared with f pointwise.  Points the derivative classes as
-    excluded, and points within 1e-6 of a declared breakpoint of f where
-    a two-sided derivative cannot exist, are skipped and reported in the
-    excluded list.  A grid on which no point is compared and none fails
-    raises CalculusError: there is nothing to report a verdict on.
+    compared with f pointwise.  Where F would take adaptive QK21 panels,
+    it tries one 7-point Gauss-Kronrod panel first and keeps it where
+    _adaptive_quad would accept it as a first panel
+    (gauge.CumulativeQuadrature._gauss), so its last bits can differ
+    from stieltjes_integral's, which keeps QK21.  Points the derivative
+    classes as excluded, and points within 1e-6 of a declared breakpoint
+    of f where a two-sided derivative cannot exist, are skipped and
+    reported in the excluded list.  A grid on which no point is compared
+    and none fails raises CalculusError: there is nothing to report a
+    verdict on.
     """
     _check_count(grid, 1, "grid", CalculusError)
     F = CumulativeStieltjesIntegral(f, g, f_breaks)
+    if F._gauss is None:
+        # nearly every panel is a tiny gap between two quotient samples,
+        # where 7 points pass the test that 21 would
+        F._gauss = _K7
     a, b = g.domain
     values, excluded, violations = _derivatives(
         F, g, _linspace(a, b, grid + 2)[1:-1], shrink_levels, f_breaks)

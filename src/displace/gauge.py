@@ -43,10 +43,14 @@ expression's kinks, the starts of its pieces, so no panel crosses one,
 and a panel is then the 1-point rule, the midpoint, exact on an affine
 piece.  A running integral in calculus takes the 2-point rule where f is
 affine between its seeds too, since f times the density is then a
-quadratic.  A gauge's flats are its pieces that are exactly zero; the
-density of any other gauge is scanned for them on a grid.  A narrow
-feature of any other density, such as max(0, sin(30*t)), can still fall
-between the nodes of a first Gauss-Kronrod panel unseen.
+quadratic.  The running integral that ftc_forward_check differentiates
+tries the 7-point Gauss-Kronrod rule on a panel before the adaptive
+QK21 where it would take QK21: nearly all of its panels are the tiny
+gaps between quotient samples.  A gauge's flats are its pieces that are
+exactly zero; the density of any other gauge is scanned for them on a
+grid.  A narrow feature of any other density, such as
+max(0, sin(30*t)), can still fall between the nodes of a first
+Gauss-Kronrod panel unseen.
 """
 
 from __future__ import annotations
@@ -161,6 +165,21 @@ _G3 = 0.149451349150580593145776339657697
 _G5 = 0.219086362515982043995534934228163
 _G7 = 0.269266719309996355091226921569469
 _G9 = 0.295524224714752870173892994651338
+# The 7-point Gauss-Kronrod rule G3K7 (Kronrod, 1965; tabulated in
+# Piessens et al., QUADPACK, 1983, and Laurie, Math. Comp. 66, 1997):
+# the Kronrod abscissae _K0 .. _K2 (_K1 = sqrt(3/5) is also a 3-point
+# Gauss node), their Kronrod weights _KW0 .. _KW2 and the centre weight
+# _KWC, and the Gauss weights _KG1 = 5/9 and _KGC = 8/9.  30 digits,
+# checked against the exact moments of [-1, 1] in fractions.
+_K0 = 0.960491268708020283423507092629
+_K1 = 0.774596669241483377035853079956
+_K2 = 0.434243749346802558002071502845
+_KW0 = 0.104656226026467265193823857192
+_KW1 = 0.268488089868333440728569280667
+_KW2 = 0.401397414775962222905051818618
+_KWC = 0.450916538658474142345110087046
+_KG1 = 0.555555555555555555555555555556
+_KGC = 0.888888888888888888888888888889
 # the 2-point Gauss-Legendre nodes are mid -+ half * _GL2, _GL2 = 1/sqrt(3)
 # as its nearest double (1.0 / math.sqrt(3.0) is one ulp above it)
 _GL2 = 0.577350269189625764509148780502
@@ -173,6 +192,8 @@ _ERR_FLOOR = sys.float_info.min / (50.0 * _EPS)
 _QUAD_TOL = 1e-10
 _QUAD_EPSREL = 1e-12
 _QUAD_LIMIT = 200
+# CumulativeQuadrature._gauss for "a _qk7 panel, then _adaptive_quad"
+_K7 = "K7"
 
 
 def _linspace(start: float, stop: float, num: int,
@@ -294,6 +315,61 @@ def _qk21(f: Callable[[float], float], a: float, b: float
     return result, abserr, resabs, resasc
 
 
+def _qk7(f: Callable[[float], float], a: float, b: float
+         ) -> tuple[float, float, float, float]:
+    """One 7-point Gauss-Kronrod panel, written out like _qk21.
+
+    Returns (result, abserr, resabs, resasc), with dqk21's error formula:
+    |K7 - G3| scaled by resasc * min(1, (200 * abserr / resasc) ** 1.5)
+    and floored at 50 eps * resabs.  f is called centre first, then the
+    Gauss pair, then the Kronrod-only pairs, each pair left point first.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    absc = hlgth * _K1
+    l1 = f(centr - absc)
+    r1 = f(centr + absc)
+    absc = hlgth * _K0
+    l0 = f(centr - absc)
+    r0 = f(centr + absc)
+    absc = hlgth * _K2
+    l2 = f(centr - absc)
+    r2 = f(centr + absc)
+    s1 = l1 + r1
+    resg = _KGC * fc + _KG1 * s1
+    resk = _KWC * fc
+    resabs = abs(resk)
+    resk = resk + _KW1 * s1 + _KW0 * (l0 + r0) + _KW2 * (l2 + r2)
+    resabs = (resabs + _KW1 * (abs(l1) + abs(r1)) + _KW0 * (abs(l0) + abs(r0))
+              + _KW2 * (abs(l2) + abs(r2)))
+    reskh = resk * 0.5
+    resasc = (_KWC * abs(fc - reskh)
+              + _KW0 * (abs(l0 - reskh) + abs(r0 - reskh))
+              + _KW1 * (abs(l1 - reskh) + abs(r1 - reskh))
+              + _KW2 * (abs(l2 - reskh) + abs(r2 - reskh)))
+    dhlgth = abs(hlgth)
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _ERR_FLOOR:
+        abserr = max((50.0 * _EPS) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _first_panel_passes(result: float, err: float, resabs: float,
+                        resasc: float, epsabs: float) -> bool:
+    """True when QUADPACK dqagse accepts a first panel with these figures:
+    its error meets max(epsabs, 1e-12 * |result|), and is not resasc,
+    or it is rounding, at most 100 eps * resabs."""
+    errbnd = max(epsabs, _QUAD_EPSREL * abs(result))
+    return (err == 0.0 or (err <= errbnd and err != resasc)
+            or errbnd < err <= (100.0 * _EPS) * resabs)
+
+
 def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
                    epsabs: float, error: type[Exception] = GaugeError
                    ) -> float:
@@ -311,9 +387,7 @@ def _adaptive_quad(f: Callable[[float], float], a: float, b: float,
     result, err, resabs, resasc = _qk21(f, a, b)
     if not math.isfinite(result):
         raise error(f"non-finite integral over [{a!r}, {b!r}]")
-    errbnd = max(epsabs, _QUAD_EPSREL * abs(result))
-    if (err == 0.0 or (err <= errbnd and err != resasc)
-            or errbnd < err <= (100.0 * _EPS) * resabs):
+    if _first_panel_passes(result, err, resabs, resasc, epsabs):
         return result
     heap = [(-err, a, b, result)]
     errsum, area = err, result
@@ -362,7 +436,11 @@ class CumulativeQuadrature:
     where fn is a polynomial of degree at most 2n - 1: whoever sets
     _gauss also seeds the breaks between fn's polynomial pieces, so no
     panel crosses one.  A Gauge whose density is a piecewise-affine
-    expression takes n = 1, its width times fn at its midpoint.  A point
+    expression takes n = 1, its width times fn at its midpoint.  Where
+    _gauss is _K7, a panel is one 7-point Gauss-Kronrod panel (_qk7)
+    that passes _adaptive_quad's first-panel test and is finite, or else
+    _adaptive_quad itself, unchanged; only the running integral that
+    calculus.ftc_forward_check differentiates takes it.  A point
     already in the table is answered from a dict, without the lock, by
     the value it was given the first time.  With nonnegative=True the
     table must stay nondecreasing:
@@ -375,8 +453,9 @@ class CumulativeQuadrature:
     queried before it.
     """
 
-    # the nodes of the Gauss-Legendre panel, or None for _adaptive_quad
-    _gauss: Optional[int] = None
+    # the nodes of the Gauss-Legendre panel, _K7 for a _qk7 panel before
+    # _adaptive_quad, or None for _adaptive_quad
+    _gauss: int | str | None = None
 
     def __init__(self, fn: Callable[[float], float], lo: float, hi: float,
                  tol: float = _QUAD_TOL, breakpoints: Sequence[float] = (),
@@ -430,6 +509,11 @@ class CumulativeQuadrature:
     def _panel(self, lo: float, hi: float) -> float:
         if self._gauss is None:
             value = _adaptive_quad(self.fn, lo, hi, self.tol)
+        elif self._gauss == _K7:
+            value, err, resabs, resasc = _qk7(self.fn, lo, hi)
+            if not (math.isfinite(value) and _first_panel_passes(
+                    value, err, resabs, resasc, self.tol)):
+                value = _adaptive_quad(self.fn, lo, hi, self.tol)
         else:
             # no panel crosses a break of fn, so the rule is exact on it
             if self._gauss == 1:
