@@ -68,7 +68,7 @@ quadratic between the seeds, and a panel the exact 2-point
 Gauss-Legendre rule; any other pair is integrated by adaptive QK21, in
 ftc_forward_check after one 7-point Gauss-Kronrod panel that is kept
 where it passes QK21's first-panel test.  The quotient reads such an f
-through its value method, one call per sample.
+as any other: f(y) is its value(y), one call per sample.
 
 The two fundamental-theorem harnesses close the loop: ftc_forward_check
 differentiates the running integral of f and compares against f on a
@@ -275,7 +275,7 @@ def _disagree(limits: Sequence[tuple[float, float]]) -> bool:
 
 
 def _difference(u: float, v: float) -> float:
-    """The plain numerator v - u; _derivative recognises it by identity."""
+    """The plain numerator v - u."""
     return v - u
 
 
@@ -321,11 +321,6 @@ def _derivative(f: Callable[[float], float], g: Gauge,
     fx = float(f(x))
 
     def numerators(ys: Sequence[float]) -> list[float]:
-        if displaced is _difference and isinstance(
-                f, CumulativeQuadrature) and not isinstance(f, Gauge):
-            # a running integral's value is a float; a gauge stays g(y)
-            value = f.value
-            return [value(y) - fx for y in ys]
         return [displaced(fx, float(f(y))) for y in ys]
 
     gx = g(x)

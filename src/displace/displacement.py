@@ -90,13 +90,9 @@ _CBRT_EPS = _EPS ** (1.0 / 3.0)
 # outside while |Delta(x, mid)| < r, and stops when the bracket is within
 # tol and, where continuity allows, the value at the inside edge is
 # within value_tol of target, or when the bracket is rounding (stop is
-# 8 * eps).  It returns the edge and the outside bound it held when it
-# first moved inside (its last one if it never did): every midpoint up
-# to there had |Delta| >= r, so a bisection for a smaller radius from
-# the same inside point may start there (see _ball_edge).
+# 8 * eps).  It returns the edge.
 _BISECT = """\
 def _loop(p0, inside, outside, target, r, tol, value_tol, stop):
-    resume = None
     for _ in range(200):
         width = abs(outside - inside)
         if width <= tol:
@@ -107,12 +103,10 @@ def _loop(p0, inside, outside, target, r, tol, value_tol, stop):
             break
         p1 = 0.5 * (outside + inside)
         if abs(RHS) < r:
-            if resume is None:
-                resume = outside
             inside = p1
         else:
             outside = p1
-    return inside, outside if resume is None else resume
+    return inside
 """
 # max(abs(value) for each p1 of points), with max's rule: the first
 # largest value wins
@@ -476,11 +470,7 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     as they would without it.  A Delta that raises only at points of
     larger balls than a y's pairs run is not sampled there, and passes.
 
-    The smallest ball's edges are bisected from the domain's ends.  Each
-    level's are bisected from where the level before first moved inside:
-    the midpoints it skips lie outside the larger ball, so outside this
-    one, and the edges come out as a bisection from the domain's ends
-    would find them.
+    Every ball's edges are bisected from the domain's ends.
     """
     _require_interval(spec, "check_h2_usc")
     # with no level every pair stays pending and the check says nothing
@@ -491,19 +481,17 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
     bisect = _inline(spec, _BISECT)
     inner = 9
 
-    def ball_points(y, at_a, at_b, rho, lo_from, hi_from):
+    def ball_points(y, at_a, at_b, rho):
         """The points of the ball of radius rho around y that a level
-        samples, y last, and where the next level's edges may resume."""
+        samples, y last."""
         # delta_ball's ends, from Delta(y, a) and Delta(y, b)
         ball_tol = _check_ball(rho, 1e-9 * (b - a))
-        lo, lo_from = _ball_edge(bisect, y, a, at_a, -1.0, rho, ball_tol,
-                                 lo_from)
-        hi, hi_from = _ball_edge(bisect, y, b, at_b, 1.0, rho, ball_tol,
-                                 hi_from)
+        lo = _ball_edge(bisect, y, a, at_a, -1.0, rho, ball_tol)
+        hi = _ball_edge(bisect, y, b, at_b, 1.0, rho, ball_tol)
         ts = _linspace(lo, hi, inner)
         zs = [z for z, v in zip(ts, row(repeat(y), ts)) if abs(v) < rho]
         zs.append(y)
-        return zs, lo_from, hi_from
+        return zs
 
     witnesses = []
     inconclusive = 0
@@ -515,8 +503,7 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
         bounds = [(x, abs(spec.delta(x, y))) for x in points]
         pending = {i: None for i in range(len(points))}
         try:
-            zs = ball_points(y, at_a, at_b, rho0 * 2.0 ** (-shrink_levels),
-                             a, b)[0]
+            zs = ball_points(y, at_a, at_b, rho0 * 2.0 ** (-shrink_levels))
             passed = [i for i, (x, bound) in enumerate(bounds)
                       if top(x, zs) <= bound + tol]
         # a radius that underflows to 0, or whatever Delta raises here: the
@@ -526,13 +513,10 @@ def check_h2_usc(spec: DisplacementSpec, samples: int = 11,
         for i in passed:
             del pending[i]
         margins: dict[int, list[float]] = {i: [] for i in pending}
-        lo_from, hi_from = a, b
         for k in range(1, shrink_levels + 1):
             if not pending:
                 break
-            zs, lo_from, hi_from = ball_points(y, at_a, at_b,
-                                               rho0 * 2.0 ** (-k), lo_from,
-                                               hi_from)
+            zs = ball_points(y, at_a, at_b, rho0 * 2.0 ** (-k))
             for i in list(pending):
                 x, bound = bounds[i]
                 m = top(x, zs)
@@ -732,22 +716,18 @@ def _check_ball(r: float, tol: float) -> float:
 
 
 def _ball_edge(bisect: Callable, x: float, end: float, at_end: float,
-               sign: float, r: float, tol: float, start: float
-               ) -> tuple[float, float]:
+               sign: float, r: float, tol: float) -> float:
     """One end of the ball of radius r around x: towards the domain's end
     (sign -1.0 for a, 1.0 for b), where Delta(x, end) is at_end.
 
-    Returns (edge, resume).  The edge is end itself when at_end lies
-    inside the ball on that side; otherwise the edge bisected by bisect,
-    spec's _BISECT, from x towards start, which keeps points with Delta
-    strictly inside the ball on the inside edge.
-    resume is where a bisection for a smaller radius around x may start;
-    start must be end or a resume that a ball of radius at least r around
-    x returned.  r and tol are checked (_check_ball).
+    The edge is end itself when at_end lies inside the ball on that side;
+    otherwise the edge bisected by bisect, spec's _BISECT, from x towards
+    end, which keeps points with Delta strictly inside the ball on the
+    inside edge.  r and tol are checked (_check_ball).
     """
     if sign * at_end < r:
-        return end, end
-    return bisect(x, x, start, sign * r, r, tol, tol * (1.0 + r), 8.0 * _EPS)
+        return end
+    return bisect(x, x, end, sign * r, r, tol, tol * (1.0 + r), 8.0 * _EPS)
 
 
 def delta_ball(spec: DisplacementSpec, x: float, r: float,
@@ -765,8 +745,8 @@ def delta_ball(spec: DisplacementSpec, x: float, r: float,
     a, b = spec.domain
     x = _snap(x, a, b, "x", DisplacementError, _domain_slack(a, b))
     bisect = _inline(spec, _BISECT)
-    lo, _ = _ball_edge(bisect, x, a, spec.delta(x, a), -1.0, r, tol, a)
-    hi, _ = _ball_edge(bisect, x, b, spec.delta(x, b), 1.0, r, tol, b)
+    lo = _ball_edge(bisect, x, a, spec.delta(x, a), -1.0, r, tol)
+    hi = _ball_edge(bisect, x, b, spec.delta(x, b), 1.0, r, tol)
     return BallInterval(lo=lo, hi=hi,
                         lo_closed=abs(spec.delta(x, lo)) < r,
                         hi_closed=abs(spec.delta(x, hi)) < r)

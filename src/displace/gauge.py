@@ -440,14 +440,12 @@ class CumulativeQuadrature:
     _gauss is _K7, a panel is one 7-point Gauss-Kronrod panel (_qk7)
     that passes _adaptive_quad's first-panel test and is finite, or else
     _adaptive_quad itself, unchanged; only the running integral that
-    calculus.ftc_forward_check differentiates takes it.  A point
-    already in the table is answered from a dict, without the lock, by
-    the value it was given the first time.  With nonnegative=True the
-    table must stay nondecreasing:
-    a panel that integrates below -tol, or a new value above its right
-    neighbor by more than tol, means the integrand is negative somewhere
-    and raises GaugeError; smaller violations are rounding and are
-    clamped away.  A non-finite panel raises GaugeError.  Thread-safe.
+    calculus.ftc_forward_check differentiates takes it.  With
+    nonnegative=True the table must stay nondecreasing: a panel that
+    integrates below -tol, or a new value above its right neighbor by
+    more than tol, means the integrand is negative somewhere and raises
+    GaugeError; smaller violations are rounding and are clamped away.  A
+    non-finite panel raises GaugeError.  Thread-safe.
     The cache is not invisible: a value is a sum of panels from the
     points cached before it, so its last bits depend on the points
     queried before it.
@@ -473,9 +471,6 @@ class CumulativeQuadrature:
             self._prefix.append(self._prefix[-1] + mass)
         self._ts = [self.lo]
         self._vals = [0.0]
-        # F(t), atoms included, of each t queried since the table was seeded
-        self._known: dict[float, float] = {}
-        self._seeding = False
         self._lock = threading.RLock()
         # integrated, in this order, by _seed at the first query
         self._seeds = [t for t in sorted(set(float(p) for p in breakpoints)
@@ -492,10 +487,6 @@ class CumulativeQuadrature:
         """
         with self._lock:
             seeds, self._seeds = self._seeds, []
-            # no value enters _known until every seed is integrated: a
-            # query outside the lock must not read a point that a refused
-            # seed takes back
-            self._seeding = True
             try:
                 for t in seeds:
                     self.value(t)
@@ -503,8 +494,6 @@ class CumulativeQuadrature:
                 self._seeds = seeds
                 del self._ts[1:], self._vals[1:]
                 raise
-            finally:
-                self._seeding = False
 
     def _panel(self, lo: float, hi: float) -> float:
         if self._gauss is None:
@@ -541,11 +530,7 @@ class CumulativeQuadrature:
         t = float(t)
         if not self.lo <= t <= self.hi:
             t = _snap(t, self.lo, self.hi)
-        known = self._known.get(t)
-        if known is not None:
-            return known
-        atoms_below = (self._prefix[bisect.bisect_left(self._taus, t)]
-                       if self._taus else 0.0)
+        atoms_below = self._prefix[bisect.bisect_left(self._taus, t)]
         with self._lock:
             if self._seeds:
                 self._seed()
@@ -568,10 +553,7 @@ class CumulativeQuadrature:
                         v = self._vals[i]
                 self._ts.insert(i, t)
                 self._vals.insert(i, v)
-            v += atoms_below
-            if not self._seeding:
-                self._known[t] = v
-            return v
+            return v + atoms_below
 
     def jump_at(self, t: float) -> float:
         """Mass of the atom at t, or 0.0."""

@@ -287,7 +287,7 @@ def test_battery_loops_of_one_shape_share_a_compile_but_not_their_constants():
     assert _inline(plain, _MAX).__code__ is _inline(spy, _MAX).__code__
     # bisecting 2y - 0.5 < 1 from 0.5 towards 1: the edge 0.75
     edge = [_inline(spec, _BISECT)(0.5, 0.5, 1.0, 1.0, 1.0, 1e-12, 2e-12,
-                                   8.0 * 2.0 ** -52)[0]
+                                   8.0 * 2.0 ** -52)
             for spec in (first, plain)]
     assert edge[0] == edge[1] and abs(edge[0] - 0.75) <= 1e-12
 

@@ -12,9 +12,8 @@ per node they replaced, and `Gauge.jumps_on` with its old lookup.  So do
 the check battery's bisections, rows and maxima, compared with the
 checks that called `spec.delta` and `spec.d2` per point, and a gauge's
 cache after each; `check_h2_usc`, which tries each y's smallest ball
-first and bisects each level's ball edges from where the level before
-first moved inside, with bisections from the domain's ends in the same
-order, edge by edge, and its reports with those of the levels alone;
+first, with bisections from the domain's ends in the same order, edge by
+edge, and its reports with those of the levels alone;
 and `calculus._richardson`'s two rows with the whole tableau it built.
 """
 
@@ -802,7 +801,7 @@ def test_h2_usc_samples_no_larger_ball_than_its_pairs_run():
     assert check_h2_usc(make()).verdict == "pass"
 
 # ---------------------------------------------------------------------------
-# H2-usc's ball edges, each level bisected from the one before, against
+# H2-usc's ball edges, from the inlined bisection, against old_delta_ball's
 # bisections from the domain's ends
 # ---------------------------------------------------------------------------
 
@@ -817,9 +816,9 @@ def assert_h2_usc_replays_the_cold_edges(make, samples, levels):
     real = displacement_mod._ball_edge
 
     def spy(*args):
-        edge, resume = real(*args)
+        edge = real(*args)
         calls.append((args[1], args[5], edge))
-        return edge, resume
+        return edge
 
     def hexed(pairs):
         return [(r.hex(), e.hex()) for r, e in pairs]
@@ -885,6 +884,32 @@ def test_h2_usc_levels_replay_the_cold_bisections(delta, samples, levels):
 def test_h2_usc_levels_replay_the_cold_bisections_on_random_specs(
         case, samples, levels):
     assert_h2_usc_replays_the_cold_edges(case[0], samples, levels)
+
+
+def _ball_edge_calls(delta, samples):
+    """check_h2_usc's verdict on delta over [0, 1], and how many ball
+    edges it formed."""
+    with mock.patch.object(displacement_mod, "_ball_edge",
+                           wraps=displacement_mod._ball_edge) as spy:
+        report = check_h2_usc(Smooth((0.0, 1.0), parse(delta, COLUMNS)),
+                              samples)
+    return report.verdict, spy.call_count
+
+
+@pytest.mark.parametrize("samples", [5, 11])
+@pytest.mark.parametrize("delta", [
+    f"exp({a}*(y^2 - x^2)) - exp({b}*(x - y))" for a in ("0.5", "1", "1.5")
+    for b in ("0.5", "1", "1.5")] + ["sin(7*(y - x))"])
+def test_h2_usc_decides_the_pipeline_family_in_its_smallest_balls(delta,
+                                                                   samples):
+    # two edges per y, its smallest ball's, and no level: the levels see
+    # none of the pipeline's traffic
+    assert _ball_edge_calls(delta, samples) == ("pass", 2 * samples)
+
+
+@pytest.mark.parametrize("samples, calls", [(5, 154), (11, 454)])
+def test_h2_usc_runs_its_levels_for_the_pairs_that_fail(samples, calls):
+    assert _ball_edge_calls("(y - x)^3", samples) == ("fail", calls)
 
 
 # ---------------------------------------------------------------------------
