@@ -287,7 +287,9 @@ def _derivative(f: Callable[[float], float], g: Gauge,
     """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x, by two
     slopes where they decide it, unless quotient is true or f is a
     CumulativeQuadrature (a gauge or running integral, which pays a panel
-    for each f(y) anyway)."""
+    for each f(y) anyway).  The quotient reads each side in one walk of
+    g's table (CumulativeQuadrature._values_at), and of f's where f is a
+    CumulativeQuadrature, at the side's points in order."""
     # one level gives one sample per side, which no test can call converged
     _check_count(shrink_levels, 2, "shrink_levels", CalculusError)
     if dsets is None:
@@ -321,7 +323,9 @@ def _derivative(f: Callable[[float], float], g: Gauge,
     fx = float(f(x))
 
     def numerators(ys: Sequence[float]) -> list[float]:
-        return [displaced(fx, float(f(y))) for y in ys]
+        fys = (f._values_at(ys) if isinstance(f, CumulativeQuadrature)
+               else map(f, ys))
+        return [displaced(fx, float(fy)) for fy in fys]
 
     gx = g(x)
     sides = []
@@ -351,7 +355,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         limits = []
         for i, (key, ys) in enumerate(sides):
             num = nums[i] if i < len(nums) else numerators(ys)
-            den = [g(y) - gx for y in ys]
+            den = [gy - gx for gy in g._values_at(ys)]
             limits.append(_side_limit(
                 [n / d for n, d in zip(num, den) if d != 0.0],
                 key, x, diagnostics))

@@ -445,7 +445,10 @@ class CumulativeQuadrature:
     integrates below -tol, or a new value above its right neighbor by
     more than tol, means the integrand is negative somewhere and raises
     GaugeError; smaller violations are rounding and are clamped away.  A
-    non-finite panel raises GaugeError.  Thread-safe.
+    non-finite panel raises GaugeError.  _values_at walks a list of
+    points through the table in order, under one hold of the lock for all
+    of them, and answers each as its own query would be answered there;
+    value(t) is the walk of one point.  Thread-safe.
     The cache is not invisible: a value is a sum of panels from the
     points cached before it, so its last bits depend on the points
     queried before it.
@@ -488,8 +491,7 @@ class CumulativeQuadrature:
         with self._lock:
             seeds, self._seeds = self._seeds, []
             try:
-                for t in seeds:
-                    self.value(t)
+                self._values_at(seeds)
             except BaseException:
                 self._seeds = seeds
                 del self._ts[1:], self._vals[1:]
@@ -527,33 +529,42 @@ class CumulativeQuadrature:
 
     def value(self, t: float) -> float:
         """F(t): the density part over [lo, t) plus the atoms below t."""
-        t = float(t)
-        if not self.lo <= t <= self.hi:
-            t = _snap(t, self.lo, self.hi)
-        atoms_below = self._prefix[bisect.bisect_left(self._taus, t)]
+        return self._values_at((t,))[0]
+
+    def _values_at(self, ts: Sequence[float]) -> list[float]:
+        """[F(t) for t in ts]: the table's walk, one point after another
+        under one hold of the lock."""
+        out = []
+        # _seed empties the table in place: these stay its lists
+        table, vals, lo, hi = self._ts, self._vals, self.lo, self.hi
         with self._lock:
-            if self._seeds:
-                self._seed()
-            i = bisect.bisect_left(self._ts, t)
-            if i < len(self._ts) and self._ts[i] == t:
-                v = self._vals[i]
-            else:
-                left_t, left_v = self._ts[i - 1], self._vals[i - 1]
-                v = left_v + self._panel(left_t, t)
-                if self.nonnegative:
-                    if v < left_v:
-                        v = left_v
-                    if i < len(self._ts) and v > self._vals[i]:
-                        if v > self._vals[i] + self.tol:
-                            raise GaugeError(
-                                f"running integral at {t!r} exceeds the "
-                                f"value at {self._ts[i]!r} by "
-                                f"{v - self._vals[i]!r}; the density must "
-                                "be nonnegative")
-                        v = self._vals[i]
-                self._ts.insert(i, t)
-                self._vals.insert(i, v)
-            return v + atoms_below
+            for t in ts:
+                t = float(t)
+                if not lo <= t <= hi:
+                    t = _snap(t, lo, hi)
+                if self._seeds:
+                    self._seed()
+                i = bisect.bisect_left(table, t)
+                if i < len(table) and table[i] == t:
+                    v = vals[i]
+                else:
+                    left_v = vals[i - 1]
+                    v = left_v + self._panel(table[i - 1], t)
+                    if self.nonnegative:
+                        if v < left_v:
+                            v = left_v
+                        if i < len(table) and v > vals[i]:
+                            if v > vals[i] + self.tol:
+                                raise GaugeError(
+                                    f"running integral at {t!r} exceeds the "
+                                    f"value at {table[i]!r} by "
+                                    f"{v - vals[i]!r}; the density "
+                                    "must be nonnegative")
+                            v = vals[i]
+                    table.insert(i, t)
+                    vals.insert(i, v)
+                out.append(v + self._prefix[bisect.bisect_left(self._taus, t)])
+        return out
 
     def jump_at(self, t: float) -> float:
         """Mass of the atom at t, or 0.0."""

@@ -9,12 +9,12 @@ exact rational arithmetic, and no QK21 panel may run.  Every coefficient,
 kink and atom is a dyadic rational, so the expressions' floats and the
 closed form hold the same numbers.
 
-The quotient reads a running integral through CumulativeQuadrature.value,
-the plain difference without a per-sample lambda, quotients filtered
-once and a Richardson row updated in place; a copy of the earlier engine
-must give, bit for bit, the same results, errors and tables.  A point
-already in a table is answered from a dict, and must be answered as the
-lock path answers it.
+The quotient reads each side in one walk of g's table, and of a running
+integral's, with the plain difference without a per-sample lambda,
+quotients filtered once and a Richardson row updated in place; a copy of
+the earlier engine, which queries a point at a time, must give, bit for
+bit, the same results, errors and tables.  A point already in a table is
+answered from it, under the lock, with its first bits.
 """
 
 import math
@@ -425,9 +425,9 @@ def test_a_refused_seed_is_refused_again_at_every_query():
 
 
 def test_threads_racing_to_a_refused_seed_are_all_refused():
-    # while one thread integrates the seeds, under the lock, another may
-    # look a point up without it: the seed 0.01, integrated before the
-    # refusal of the next, must not be answered
+    # while one thread integrates the seeds, under the lock, the others
+    # wait for it: the seed 0.01, integrated before the refusal of the
+    # next, is gone from the table before they read it
     data = {"domain": [0, 1],
             "density": "1 - 200000*max(0, 0.005 - abs(t - 0.015))"}
     switch = sys.getswitchinterval()
