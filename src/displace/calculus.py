@@ -9,26 +9,17 @@ go through one engine.  Three point classes arise:
 * continuity points: the limit is two-sided and is estimated here from
   geometrically shrinking one-sided difference quotients, extrapolated
   by a Richardson tableau; the sides must agree or DerivativeError is
-  raised carrying the diagnostic sequences.  Where g has a positive
-  density rho, the limit equals the slope limit of f over rho (after
-  López Pouso & Rodríguez, 2015), so for a plain f each side is taken
-  from two slopes on the same points y: v = s / r, with s the limit of
-  delta2(f(x), f(y)) / (y - x) and r the limit of rho(y), and error
-  e_s / r + |v| * e_r / r from their errors.  That costs one density
-  call per point where the quotient pays a quadrature panel for
-  g(y).  g is still queried at x and at each side's farthest point, the
-  quotient's first panels, so a density that integrates below zero on
-  them is refused as the quotient refuses it.  The quotient is kept
-  for an f that is itself a CumulativeQuadrature (a gauge or a running
-  integral), whose f(y) costs a panel anyway, and for every derivative
-  the FTC harnesses take, which ask for it by argument: they test the
-  theorem through its definition.  Both rules read the same samples of
-  f, a side's in the loop that takes its limit, the right side first,
-  so both refuse an f alike.  The quotient also decides the whole
-  point whenever two slopes cannot: a slope or density with no limit, a
-  density limit not above 1e-2 of the largest density sample on its
-  side, or two sides that disagree.  Errors and their diagnostics are
-  therefore always the quotient's.
+  raised carrying the diagnostic sequences.  Each denominator is the
+  mass g gives the interval between x and y (after López Pouso &
+  Rodríguez, 2015), summed in panels over it and read from no table, so
+  its rounding is of its own size, not of g's, and no earlier query
+  moves its bits; its panels refuse a density that integrates below
+  zero, as a query's do.  The numerator of an f that is itself a
+  CumulativeQuadrature (a gauge or a running integral) is f's mass too
+  under the plain difference, and delta2(f(x), f(x) + mass) under any
+  other; a plain f's is delta2(f(x), f(y)).  A side is read in the loop
+  that takes its limit, the right side first, so an f that raises on
+  the left cannot mask the right side's refusal.
 * jump points of g: the limit reduces to the exact one-sided quotient
   (f(x+) - f(x)) / atom, where atom is the jump size.  f(x+) comes from
   a right_limit method when the callable provides one (gauges and the
@@ -38,18 +29,17 @@ go through one engine.  Three point classes arise:
   endpoints carry no measure and no derivative; queries within 1e-12 of
   them return a result classed 'excluded' with no value.
 
-One rule accepts every one-sided limit: a side's quotients, f right of
-an atom, and the slope and density limits of two slopes.  Its estimate
-is the samples' Richardson extrapolation, its error the larger of the
-tableau's spread and the distance to the nearest sample less four of
-the samples' last steps (negative where they approach the limit
-linearly).  The limit exists when the estimate is finite and its error
-is at most 1e-2 of its scale, |estimate| plus the first sample's
-distance from it: the samples' own size, small where they diverge.  So
-a small f is held to its own size: the first two samples of
+One rule accepts every one-sided limit: a side's quotients and f right
+of an atom.  Its estimate is the samples' Richardson extrapolation, its
+error the larger of the tableau's spread and the distance to the nearest
+sample less four of the samples' last steps (negative where they
+approach the limit linearly).  The limit exists when the estimate is
+finite and its error is at most 1e-2 of its scale, |estimate| plus the
+first sample's distance from it: the samples' own size, small where they
+diverge.  So a small f is held to its own size: the first two samples of
 0.01*cos(8*(t - 0.6875)) right of an atom at 0.5 agree by chance, and
-1e-2 * (1 + |estimate|) would pass their jump quotient 0.0323 (the
-value is 0).  The error reported is the error tested.  The sides of a
+1e-2 * (1 + |estimate|) would pass their jump quotient 0.0323 (the value
+is 0).  The error reported is the error tested.  The sides of a
 continuity point agree within 1e-3 * (1 + |right| + |left|), not on
 their scales, which grow with f's curvature over the reach.
 
@@ -57,23 +47,24 @@ Only this engine classifies points (after López Pouso & Rodríguez,
 2015); the FTC harnesses read DerivativeResult.point_class.
 
 Integration is the half-open Stieltjes sum: integral of f over [a, u)
-equals the density part plus the atoms f(tau) * size for tau < u, so
-the atom at the upper endpoint is excluded.  A running integral is a
-CumulativeQuadrature, like the gauge behind it, which keeps differences
-of nearby values exact enough to feed back into difference quotients.
-Its panels follow the gauge module's one rule by degree: against a
-piecewise-affine density, whose own panels are the 1-point rule, the
-midpoint, an f that is piecewise affine as well makes the integrand a
-quadratic between the seeds, and a panel the exact 2-point
-Gauss-Legendre rule; any other pair is integrated by adaptive QK21, in
-ftc_forward_check after one 7-point Gauss-Kronrod panel that is kept
-where it passes QK21's first-panel test.  The quotient reads such an f
-as any other: f(y) is its value(y), one call per sample.
+equals the density part plus the atoms f(tau) * size for tau < u, so the
+atom at the upper endpoint is excluded.  A running integral is a
+CumulativeQuadrature, like the gauge behind it, so a difference quotient
+reads its increments as it reads the gauge's.  Its panels follow the
+gauge module's one rule by degree: against a piecewise-affine density,
+whose own panels are the 1-point rule, the midpoint, an f that is
+piecewise affine as well makes the integrand a quadratic between the
+seeds, and a panel the exact 2-point Gauss-Legendre rule; any other pair
+is integrated by adaptive QK21, in ftc_forward_check after one 7-point
+Gauss-Kronrod panel that is kept where it passes QK21's first-panel
+test.
 
 The two fundamental-theorem harnesses close the loop: ftc_forward_check
 differentiates the running integral of f and compares against f on a
 grid; ftc2_check differentiates a given F and rebuilds it from its
-derivative, reporting points where the derivative fails to exist.
+derivative, reporting points where the derivative fails to exist.  Both
+read a CumulativeQuadrature by its increments, so neither report
+depends on the points queried before.
 """
 
 from __future__ import annotations
@@ -241,30 +232,6 @@ def _side_limit(values: list[float], key: str, x: float,
     return limit
 
 
-# a density side limit at most this fraction of the largest density
-# sample on that side is not clearly positive: a zero of the density that
-# near, against the reach, also keeps the quotient's limit from settling
-_DENSITY_FLOOR = 1e-2
-
-
-def _two_slopes(nums: Sequence[float], ys: Sequence[float], x: float,
-                density: Callable[[float], float]
-                ) -> Optional[tuple[float, float]]:
-    """(value, error) of one side as lim nums / (y - x) over lim
-    density(y), or None where the quotient has to decide: when either has
-    no _limit or the density's is not clearly positive."""
-    slope = _limit([num / (y - x) for num, y in zip(nums, ys)])
-    if slope is None:
-        return None
-    dens = [float(density(y)) for y in ys]
-    rho = _limit(dens)
-    if rho is None or not rho[0] > _DENSITY_FLOOR * max(map(abs, dens)):
-        return None
-    (s, e_s), (r, e_r) = slope, rho
-    value = s / r
-    return value, e_s / r + abs(value) * e_r / r
-
-
 def _disagree(limits: Sequence[tuple[float, float]]) -> bool:
     """True when a left and a right limit differ by more than
     1e-3 * (1 + |right| + |left|)."""
@@ -279,17 +246,22 @@ def _difference(u: float, v: float) -> float:
     return v - u
 
 
+def _signed(mass: Callable[[float, float], float], x: float,
+            ys: Sequence[float], direction: int) -> list[float]:
+    """mass(x, y) at each y of a right side, -mass(y, x) on a left one."""
+    if direction > 0:
+        return [mass(x, y) for y in ys]
+    return [-mass(y, x) for y in ys]
+
+
 def _derivative(f: Callable[[float], float], g: Gauge,
                 displaced: Callable[[float, float], float], x: float,
                 shrink_levels: int, dsets: Optional[DistinguishedSets],
-                avoid: Sequence[float], quotient: bool = False
-                ) -> DerivativeResult:
-    """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x, by two
-    slopes where they decide it, unless quotient is true or f is a
-    CumulativeQuadrature (a gauge or running integral, which pays a panel
-    for each f(y) anyway).  The quotient reads each side in one walk of
-    g's table (CumulativeQuadrature._values_at), and of f's where f is a
-    CumulativeQuadrature, at the side's points in order."""
+                avoid: Sequence[float]) -> DerivativeResult:
+    """Limit of displaced(f(x), f(y)) / (g(y) - g(x)) as y -> x, by the
+    module docstring's rules.  A continuity point adds no point to g's
+    table, nor to f's where f is a CumulativeQuadrature and displaced the
+    plain difference: f is then not called at all."""
     # one level gives one sample per side, which no test can call converged
     _check_count(shrink_levels, 2, "shrink_levels", CalculusError)
     if dsets is None:
@@ -319,49 +291,36 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         return DerivativeResult(value=None, point_class="excluded",
                                 error_estimate=0.0, samples_used=0)
 
-    quotient = quotient or isinstance(f, CumulativeQuadrature)
-    fx = float(f(x))
-
-    def numerators(ys: Sequence[float]) -> list[float]:
-        fys = (f._values_at(ys) if isinstance(f, CumulativeQuadrature)
-               else map(f, ys))
-        return [displaced(fx, float(fy)) for fy in fys]
-
-    gx = g(x)
+    cumulative = isinstance(f, CumulativeQuadrature)
+    fx = None if cumulative and displaced is _difference else float(f(x))
     sides = []
     for key, direction in (("right", +1), ("left", -1)):
         ys = _side_points(x, direction, g, dsets, avoid, shrink_levels)
         if ys:
-            sides.append((key, ys))
-            if not quotient:
-                # with g(x), the quotient's first panels: they refuse a
-                # density that integrates below zero there
-                g(ys[0])
+            sides.append((key, direction, ys))
     diagnostics: dict = {}
     if not sides:
         raise DerivativeError("no side of x admits difference quotients",
                               x, diagnostics)
     # a side's f is sampled in the loop that takes its limit, so an f that
     # raises on the left cannot mask the right side's refusal
-    nums: list[list[float]] = []
-    limits: list = []
-    if not quotient:
-        for _, ys in sides:
-            nums.append(numerators(ys))
-            limits.append(_two_slopes(nums[-1], ys, x, g.density))
-            if limits[-1] is None:
-                break
-    if not limits or None in limits or _disagree(limits):
-        limits = []
-        for i, (key, ys) in enumerate(sides):
-            num = nums[i] if i < len(nums) else numerators(ys)
-            den = [gy - gx for gy in g._values_at(ys)]
-            limits.append(_side_limit(
-                [n / d for n, d in zip(num, den) if d != 0.0],
-                key, x, diagnostics))
-        if _disagree(limits):
-            raise DerivativeError(
-                "left and right difference quotients disagree", x, diagnostics)
+    limits = []
+    for key, direction, ys in sides:
+        # the sides stop short of g's atoms, not of f's
+        den = _signed(g._increment, x, ys, direction)
+        if not cumulative:
+            num = [displaced(fx, float(f(y))) for y in ys]
+        else:
+            # f = g takes each numerator's bits from its denominator
+            num = den if f is g else _signed(f._mass, x, ys, direction)
+            if fx is not None:
+                num = [displaced(fx, fx + m) for m in num]
+        limits.append(_side_limit(
+            [n / d for n, d in zip(num, den) if d != 0.0],
+            key, x, diagnostics))
+    if _disagree(limits):
+        raise DerivativeError(
+            "left and right difference quotients disagree", x, diagnostics)
     if len(limits) == 2:
         (lr, er), (ll, el) = limits
         value = 0.5 * (lr + ll)
@@ -370,7 +329,7 @@ def _derivative(f: Callable[[float], float], g: Gauge,
         (value, error), = limits
     return DerivativeResult(value=value, point_class="continuity",
                             error_estimate=error,
-                            samples_used=sum(len(ys) for _, ys in sides))
+                            samples_used=sum(len(ys) for *_, ys in sides))
 
 
 def delta_derivative(f: Callable[[float], float], g: Gauge, x: float,
@@ -512,8 +471,7 @@ def _derivatives(F: Callable[[float], float], g: Gauge,
     """The derivative of F against g at each point, in order, sorted into
     (point, value) pairs, excluded points and violations.  A point off the
     jumps within 1e-6 of a breakpoint of f has no two-sided derivative: it
-    is excluded, as are the points the derivative classes so.  Each
-    continuity limit is a quotient of increments, even for a plain F."""
+    is excluded, as are the points the derivative classes so."""
     dsets = g.distinguished_sets()
     values, excluded, violations = [], [], []
     for t in points:
@@ -523,7 +481,7 @@ def _derivatives(F: Callable[[float], float], g: Gauge,
             continue
         try:
             d = _derivative(F, g, _difference, t, shrink_levels, dsets,
-                            f_breaks, True)
+                            f_breaks)
         except DerivativeError as exc:
             violations.append({"point": t, "reason": str(exc)})
             continue
@@ -564,8 +522,8 @@ def ftc_forward_check(f: Callable[[float], float], g: Gauge, grid: int = 101,
     _check_count(grid, 1, "grid", CalculusError)
     F = CumulativeStieltjesIntegral(f, g, f_breaks)
     if F._gauss is None:
-        # nearly every panel is a tiny gap between two quotient samples,
-        # where 7 points pass the test that 21 would
+        # nearly every panel is a short increment between a grid point
+        # and a quotient sample, where 7 points pass the test that 21 would
         F._gauss = _K7
     a, b = g.domain
     values, excluded, violations = _derivatives(
@@ -607,7 +565,9 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     carry no measure, so values there are immaterial), and integrated
     back from the left endpoint.  The report's max_error is the maximum
     reconstruction deviation |F(a) + integral - F| over the comparison
-    grid; points where the derivative fails to exist are reported as
+    grid, with F(t) - F(a) read as F's mass of [a, t) (_mass) where F is
+    a CumulativeQuadrature, so that no earlier query of F moves it;
+    points where the derivative fails to exist are reported as
     violations, which is what happens when F is not absolutely
     continuous for the gauge.
     """
@@ -631,8 +591,11 @@ def ftc2_check(F: Callable[[float], float], g: Gauge, grid: int = 101,
     # affine between the knots, which the running integral seeds
     rebuilt._affine = True
     R = CumulativeStieltjesIntegral(rebuilt, g, f_breaks=kx)
-    base = float(F(a))
-    max_error, worst = _worst((abs(base + R(t) - float(F(t))), t)
+    if isinstance(F, CumulativeQuadrature):
+        base, target = 0.0, lambda t: F._mass(a, t)
+    else:
+        base, target = float(F(a)), lambda t: float(F(t))
+    max_error, worst = _worst((abs(base + R(t) - target(t)), t)
                               for t in _linspace(a, b, grid))
     return FtcReport(max_error=max_error, worst_point=worst, checked=len(kx),
                      excluded=tuple(excluded), violations=tuple(violations))

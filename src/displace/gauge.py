@@ -19,7 +19,7 @@ naive alternative, re-running an adaptive quadrature from a to t for
 every query, produces values that are individually accurate but not
 jointly monotone: two nearby queries can come back in the wrong order by
 an ulp or two, which is enough to break interval bisection and the sign
-of small increments g(y) - g(x).  The cache instead keeps a sorted
+of g(d) - g(c) in Gauge.measure.  The cache instead keeps a sorted
 breakpoint table that holds the left end until the first query, which
 seeds it with the jump positions and flat endpoints first.  A new query
 point t is integrated only over the gap from its nearest cached
@@ -31,7 +31,10 @@ means the density is negative somewhere between the 17 construction
 probes, and raises GaugeError instead of silently dropping mass.  The
 solvers never query the table; they refuse a negative density at their
 own mesh nodes and the density's kinks, with the probes' threshold and
-message.
+message.  A difference quotient divides by no difference of cached
+values: CumulativeQuadrature._increment sums panels over the interval
+itself and reads no table value, so it is nonnegative by construction,
+rounds on its own scale and does not depend on earlier queries.
 
 A panel has one rule, by degree: an n-point Gauss-Legendre panel where
 the integrand is a polynomial of degree at most 2n - 1 on it, and the
@@ -45,11 +48,11 @@ piece.  A running integral in calculus takes the 2-point rule where f is
 affine between its seeds too, since f times the density is then a
 quadratic.  The running integral that ftc_forward_check differentiates
 tries the 7-point Gauss-Kronrod rule on a panel before the adaptive
-QK21 where it would take QK21: nearly all of its panels are the tiny
-gaps between quotient samples.  A gauge's flats are its pieces that are
-exactly zero; the density of any other gauge is scanned for them on a
-grid.  A narrow feature of any other density, such as
-max(0, sin(30*t)), can still fall between the nodes of a first
+QK21 where it would take QK21: nearly all of its panels are short
+increments between a grid point and a quotient sample.  A gauge's flats
+are its pieces that are exactly zero; the density of any other gauge is
+scanned for them on a grid.  A narrow feature of any other density,
+such as max(0, sin(30*t)), can still fall between the nodes of a first
 Gauss-Kronrod panel unseen.
 """
 
@@ -448,10 +451,10 @@ class CumulativeQuadrature:
     non-finite panel raises GaugeError.  _values_at walks a list of
     points through the table in order, under one hold of the lock for all
     of them, and answers each as its own query would be answered there;
-    value(t) is the walk of one point.  Thread-safe.
-    The cache is not invisible: a value is a sum of panels from the
-    points cached before it, so its last bits depend on the points
-    queried before it.
+    _seed walks the seeds so, and value(t) is the walk of one point.
+    Thread-safe.  A value, and so Gauge.measure, is a sum of panels from
+    the points cached before it, so its last bits depend on the points
+    queried before it; _increment and _mass read no table value.
     """
 
     # the nodes of the Gauss-Legendre panel, _K7 for a _qk7 panel before
@@ -475,10 +478,12 @@ class CumulativeQuadrature:
         self._ts = [self.lo]
         self._vals = [0.0]
         self._lock = threading.RLock()
+        # the cuts of every _increment, in increasing order
+        self._cuts = [t for t in sorted(set(float(p) for p in breakpoints)
+                                        | set(self._taus))
+                      if self.lo < t <= self.hi]
         # integrated, in this order, by _seed at the first query
-        self._seeds = [t for t in sorted(set(float(p) for p in breakpoints)
-                                         | set(self._taus))
-                       if self.lo < t <= self.hi]
+        self._seeds = list(self._cuts)
 
     def _seed(self) -> None:
         """Integrate the pending seeds, if any, in increasing order, each
@@ -522,6 +527,35 @@ class CumulativeQuadrature:
                     "it must be nonnegative")
             value = 0.0
         return value
+
+    def _increment(self, u: float, v: float) -> float:
+        """The density part of F over [u, v), lo <= u <= v <= hi: the sum
+        of _panels from u to v cut at the seeds (kinks, flat ends and
+        atoms).  It seeds the table on first use, as a query does, but
+        does not wait for another thread's seeding, and it reads or
+        inserts no table value, so no earlier query moves it."""
+        if self._seeds:
+            self._seed()
+        cuts = self._cuts
+        i = bisect.bisect_right(cuts, u)
+        total = 0.0
+        for cut in cuts[i:bisect.bisect_left(cuts, v, i)]:
+            total += self._panel(u, cut)
+            u = cut
+        return total + self._panel(u, v) if u < v else total
+
+    def _mass(self, u: float, v: float) -> float:
+        """F(v) - F(u) for u <= v, read from no table: the _increment over
+        [u, v) plus the atoms in it.  Each end is snapped into [lo, hi]
+        by _snap first, as a query's point is."""
+        lo, hi = self.lo, self.hi
+        if not lo <= u <= hi:
+            u = _snap(u, lo, hi)
+        if not lo <= v <= hi:
+            v = _snap(v, lo, hi)
+        taus, prefix = self._taus, self._prefix
+        return self._increment(u, v) + (prefix[bisect.bisect_left(taus, v)]
+                                        - prefix[bisect.bisect_left(taus, u)])
 
     def __call__(self, t: float) -> float:
         """F(t), as value(t)."""

@@ -201,7 +201,7 @@ _STDOUT_GOLDEN = [
     (("check", "--builtin", "santiago_graph"), 2,
      "ec366484728bf5b290e7765b3278075f9708046f30290084b61010ea06cd14a5"),
     (("ftc", "--f", "t", "--gauge", "extract:exponential"), 0,
-     "05373105fb1e3bab64d2585bc6b12aad04e5e5dee5bc314f19cfcfe2361e6acc"),
+     "22b602ec33ebccc86b0edb0d14481b8fc3c00c374f0be928d158d6dd032ba37e"),
 ]
 
 
@@ -461,9 +461,28 @@ def test_ftc_with_every_grid_point_excluded_is_bad_input(runner, tmp_path):
 
 
 def test_ftc_tight_tolerance_fails(runner):
+    # the report's max_error is 7.8e-16, above this tolerance
     result = invoke(runner, "ftc", "--f", "t", "--gauge",
-                    "extract:exponential", "--tol", "1e-14")
+                    "extract:exponential", "--tol", "1e-16")
     assert result.exit_code == 2
+
+
+def test_ftc_just_past_a_flat_meets_its_tolerance(runner, tmp_path):
+    # 7/11 lies 5.6e-6 right of the flat, where the density is about
+    # 7e-6: a quotient of differences of table values cancelled there and
+    # read 1.534e-4; the increments read 1.9e-6
+    path = tmp_path / "item9.json"
+    path.write_text(json.dumps({
+        "domain": [0, 1],
+        "density": "1.216136*max(0, abs(t - 0.525568) - 0.110790)",
+        "jumps": [[0.748339, 0.180371]],
+        "flats": [[0.41477800000000004, 0.636358]]}))
+    result = invoke(runner, "ftc", "--f", "1.758397*sin(t) + 0.520739*t^2",
+                    "--gauge", str(path), "--grid", "21", "--tol", "1e-5")
+    assert result.exit_code == 0
+    report = json.loads(result.stdout)
+    assert report["max_error"] == 1.938966140313525e-06
+    assert report["worst_point"] == 7 / 11
 
 
 def test_ftc2_gauge_function_passes(runner):

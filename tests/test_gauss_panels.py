@@ -9,12 +9,16 @@ exact rational arithmetic, and no QK21 panel may run.  Every coefficient,
 kink and atom is a dyadic rational, so the expressions' floats and the
 closed form hold the same numbers.
 
-The quotient reads each side in one walk of g's table, and of a running
-integral's, with the plain difference without a per-sample lambda,
-quotients filtered once and a Richardson row updated in place; a copy of
-the earlier engine, which queries a point at a time, must give, bit for
-bit, the same results, errors and tables.  A point already in a table is
-answered from it, under the lock, with its first bits.
+The quotient takes its numerators and denominators from increments,
+read from no table, where an earlier engine, copied here, read values
+from the tables a point at a time and took two slopes where it could.
+The two must reach the same outcome: the same error, or the same class
+and samples, bit for bit at jumps and excluded points, and at
+continuity points values within 3.1 times the sum of their error
+estimates, give or take 1e-10 * (1 + |value|) of rounding (see
+test_derivative_properties.py).  The engine leaves each table as its
+first use seeds it.  A point already in a table is answered from it,
+under the lock, with its first bits.
 """
 
 import math
@@ -22,7 +26,6 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from typing import Optional
 from unittest import mock
 
 import pytest
@@ -34,7 +37,7 @@ import displace.gauge as gauge_mod  # noqa: E402
 from displace import calculus  # noqa: E402
 from displace.calculus import (CumulativeStieltjesIntegral,  # noqa: E402
                                DerivativeError, DerivativeResult, _disagree,
-                               _limit, _side_points, _two_slopes, ftc2_check,
+                               _limit, _side_points, ftc2_check,
                                stieltjes_integral)
 from displace.expr import as_function, parse  # noqa: E402
 from displace.gauge import (CumulativeQuadrature, Gauge,  # noqa: E402
@@ -187,7 +190,7 @@ def test_a_non_finite_two_point_panel_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# the quotient's reads, against a copy of the earlier engine
+# the quotient of increments, against a copy of the earlier engine
 # ---------------------------------------------------------------------------
 
 def _parent_richardson(values):
@@ -226,6 +229,19 @@ def _parent_side_limit(samples, key, x, diagnostics):
             f"difference quotients do not converge on the {key} side",
             x, diagnostics)
     return limit
+
+
+def _parent_two_slopes(nums, ys, x, density):
+    slope = _limit([num / (y - x) for num, y in zip(nums, ys)])
+    if slope is None:
+        return None
+    dens = [float(density(y)) for y in ys]
+    rho = _limit(dens)
+    if rho is None or not rho[0] > 1e-2 * max(map(abs, dens)):
+        return None
+    (s, e_s), (r, e_r) = slope, rho
+    value = s / r
+    return value, e_s / r + abs(value) * e_r / r
 
 
 def _parent_derivative(f, g, displaced, x, shrink_levels, dsets, avoid,
@@ -277,7 +293,7 @@ def _parent_derivative(f, g, displaced, x, shrink_levels, dsets, avoid,
     if not quotient:
         for _, ys in sides:
             nums.append([displaced(fx, float(f(y))) for y in ys])
-            limits.append(_two_slopes(nums[-1], ys, x, g.density))
+            limits.append(_parent_two_slopes(nums[-1], ys, x, g.density))
             if limits[-1] is None:
                 break
     if not limits or None in limits or _disagree(limits):
@@ -329,18 +345,18 @@ def _world(density, jumps, flats, f_source, kind):
     return g, f
 
 
-def _outcome(run) -> tuple:
+def _outcome(run):
     try:
-        return ("ok", repr(run()))
+        return run()
     except Exception as exc:
-        return (type(exc).__name__, str(exc),
-                repr(getattr(exc, "diagnostics", None)))
+        return (type(exc).__name__, str(exc))
 
 
-def _table(q: Optional[CumulativeQuadrature]) -> list:
+def _only_seeds(q) -> bool:
+    """True when q's table holds no point but lo and its seeds."""
     if not isinstance(q, CumulativeQuadrature):
-        return []
-    return [t.hex() for t in q._ts] + [v.hex() for v in q._vals]
+        return True
+    return set(q._ts) <= {q.lo, *q._cuts}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -355,24 +371,30 @@ def _table(q: Optional[CumulativeQuadrature]) -> list:
                              st.sampled_from([0.0, 0.25, 0.4, 0.5, 0.6,
                                               0.8, 1.0])),
                    min_size=1, max_size=6))
-def test_the_quotient_reads_keep_the_parents_bits(density, f_source, kind,
-                                                  atoms, flat, quotient,
-                                                  levels, xs):
+def test_increments_reach_the_outcomes_of_the_parents_table_reads(
+        density, f_source, kind, atoms, flat, quotient, levels, xs):
     jumps = [[tau, 0.25] for tau in sorted(atoms)
              if not (flat and 0.4 < tau < 0.6)]
     flats = [[0.4, 0.6]] if flat else []
     g, f = _world(density, jumps, flats, f_source, kind)
     g0, f0 = _world(density, jumps, flats, f_source, kind)
-    got, want = [], []
     for x in xs:
-        got.append(_outcome(lambda: calculus._derivative(
-            f, g, calculus._difference, x, levels, None, (), quotient)))
+        got = _outcome(lambda: calculus._derivative(
+            f, g, calculus._difference, x, levels, None, ()))
         with mock.patch.object(calculus, "_richardson", _parent_richardson):
-            want.append(_outcome(lambda: _parent_derivative(
-                f0, g0, lambda u, v: v - u, x, levels, None, (), quotient)))
-    assert got == want
-    assert _table(g) == _table(g0)
-    assert _table(f) == _table(f0)
+            want = _outcome(lambda: _parent_derivative(
+                f0, g0, lambda u, v: v - u, x, levels, None, (), quotient))
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want, x
+        elif want.point_class != "continuity":
+            assert repr(got) == repr(want), x
+        else:
+            assert (got.point_class, got.samples_used) == \
+                ("continuity", want.samples_used), x
+            assert abs(got.value - want.value) <= 3.1 * (
+                got.error_estimate + want.error_estimate) \
+                + 1e-10 * (1.0 + abs(want.value)), (x, got, want)
+    assert _only_seeds(g) and _only_seeds(f)
 
 
 # ---------------------------------------------------------------------------

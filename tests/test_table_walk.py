@@ -7,10 +7,10 @@ fresh twin does, and leave the same table: on a gauge with midpoint
 panels, on a running integral with 2-point panels, and on one that
 tries a 7-point Gauss-Kronrod panel before QK21, with repeats, atoms
 and points within SNAP_RADIUS outside the domain; a walk that reaches a
-refused panel raises the same text and leaves the same table.  The
-quotient reads each side in one walk of g's table, and of f's where f
-is a CumulativeQuadrature; a spy counts the walks, the points and the
-panels of two FTC harness runs.  Threads that walk one table while
+refused panel raises the same text and leaves the same table.  A
+quotient reads no table: a spy records the walks and counts the panels
+of two FTC harness runs, whose walks only seed the tables, query the
+jumps and rebuild ftc2's integral.  Threads that walk one table while
 others query it single points get the closed form, and leave a sorted,
 monotone table.
 """
@@ -18,7 +18,6 @@ monotone table.
 import math
 import sys
 import threading
-from collections import Counter
 from unittest import mock
 
 import pytest
@@ -150,12 +149,13 @@ L_GAUGE = {"domain": [0, 1], "density": "0.8 + 1.2*t",
 
 
 def _work(run):
-    """run's result, the size of each walk in order, and the panel count."""
+    """run's result, the points of each walk in order, and the panel
+    count."""
     walks, panels = [], []
     walk, panel = CumulativeQuadrature._values_at, CumulativeQuadrature._panel
 
     def counted_walk(self, ts):
-        walks.append(len(ts))
+        walks.append(list(ts))
         return walk(self, ts)
 
     def counted_panel(self, lo, hi):
@@ -170,24 +170,32 @@ def _work(run):
     return result, walks, len(panels)
 
 
-def test_ftc_walks_each_side_of_each_table_once():
+def test_ftc_quotients_insert_no_table_point():
     f = _fn("1.3*sin(t) + 0.4*t^2")
-    report, walks, panels = _work(
-        lambda: ftc_forward_check(f, Gauge.from_dict(F_GAUGE), grid=21))
-    # a query per point walked 808 points with 786 panels
-    assert (sum(walks), panels, len(walks)) == (808, 786, 98)
-    # 16 compared points: a side of the running integral, then of g, right
-    # and left, 12 points each
-    assert report.checked == 16 and Counter(walks)[12] == 64
-    assert report.max_error == 3.6103786626995316e-11
+    g = Gauge.from_dict(F_GAUGE)
+    report, walks, panels = _work(lambda: ftc_forward_check(f, g, grid=21))
+    # the two walks seed g and the running integral at the jumps and the
+    # flat's ends; then each of the 16 compared points takes 12 samples a
+    # side, and each sample one panel of each table (a query per point
+    # walked 808 points with 786 panels)
+    seeds = [0.25, 0.4, 0.6, 0.8]
+    assert (walks, panels) == ([seeds, seeds], 8 + 16 * 2 * 12 * 2)
+    assert g._ts == [0.0] + seeds
+    assert report.checked == 16
+    assert report.max_error == 6.661338147750939e-16
 
 
-def test_ftc2_walks_each_side_of_its_table_once():
+def test_ftc2_quotients_insert_no_table_point():
     g = Gauge.from_dict(L_GAUGE)
     report, walks, panels = _work(lambda: ftc2_check(g, g, grid=21))
-    # F is g: its walk of a side inserts the points, g's walk hits them
-    assert (sum(walks), panels, len(walks)) == (1148, 583, 180)
-    assert report.max_error == 6.661338147750939e-16
+    # F is g: the jumps are its seeds and its only queries, so its table
+    # holds nothing else, and a numerator takes its denominator's panels;
+    # the rest of the walks rebuild it (a query per point walked 1,148
+    # points with 583 panels)
+    assert g._ts == [0.0, 0.35, 0.7]
+    assert walks[0] == [0.35, 0.7]
+    assert (sum(map(len, walks)), panels, len(walks)) == (50, 601, 28)
+    assert report.max_error == 2.220446049250313e-16
 
 
 # ---------------------------------------------------------------------------
